@@ -37,6 +37,9 @@ class DomainError(Exception):
 
 
 def _default_workers() -> int:
+    """CPUs this process may run on; all CPUs where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -80,15 +80,11 @@ class DistinguishabilityAnswer:
     problem: Optional[lp.LPProblem] = None
 
 
-def _zero(theory: Theory):
-    return Fraction(0) if theory.numeric_mode == EXACT else 0.0
-
-
 def _effect_rows(theory: Theory, n_states: int):
     """Cone-membership rows over the stacked variables e_1..e_{N-1}."""
     d = theory.dim
     nvars = d * (n_states - 1)
-    zero = _zero(theory)
+    zero = theory.arith().zero()
     rows = []
     for i in range(n_states - 1):
         for v in theory.generators:
@@ -152,7 +148,7 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     n = len(states)
     nvars, rows = _effect_rows(theory, n)
     d = theory.dim
-    zero = _zero(theory)
+    zero = theory.arith().zero()
     for i in range(n - 1):  # e_i . omega_i = 1
         row = [zero] * nvars
         row[i * d:(i + 1) * d] = list(states[i])
@@ -228,7 +224,10 @@ def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAn
     if first is not None:
         return first
     if second is not None:
-        return DistinguishabilityAnswer(second.distinguishable, problem=prob)
+        if second.witness is None:
+            return second  # its certificate is for the reversed problem it carries
+        effects = tuple(reversed(second.witness.effects))  # back to the caller's order
+        return DistinguishabilityAnswer(True, witness=Measurement(effects), problem=prob)
     raise IndeterminateError("distinguishability is numerically ambiguous at this tolerance")
 
 

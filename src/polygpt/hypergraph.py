@@ -8,6 +8,7 @@ distinguishable), then certifies surviving subsets with the full LP.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -199,9 +200,19 @@ def hypergraph_from_json(doc: dict) -> DistinguishabilityHypergraph:
 
 
 def save_hypergraph(h: DistinguishabilityHypergraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(hypergraph_to_json(h), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a per-process temporary file next to the target and rename it
+    into place, so a concurrent reader sees the old file or the new one,
+    never a partial one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(hypergraph_to_json(h), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_hypergraph(path) -> DistinguishabilityHypergraph:

@@ -7,6 +7,7 @@ entries; float-mode theories reuse the same helpers with ``float`` entries
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,24 +43,10 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def zeros(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -94,21 +81,43 @@ def rank(rows: Sequence[Sequence], tol: float = 0.0) -> int:
 
 
 def solve_square(a: Sequence[Sequence], b: Sequence):
-    """Solve the square exact system a x = b; None when singular."""
+    """Solve the square exact system a x = b; None when singular.
+
+    Entries are ints or Fractions. Each row is cleared of denominators and
+    eliminated fraction-free (Bareiss, 1968): every intermediate entry is
+    an integer minor, and only the solution is built from Fractions.
+    """
     n = len(a)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    m = [_integer_scaled(list(row) + [rhs])[0] for row, rhs in zip(a, b)]
+    prev = 1
     for col in range(n):
         pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [v - factor * w for v, w in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
+        prow = m[col]
+        p = prow[col]
+        for i in range(col + 1, n):
+            f = m[i][col]
+            m[i] = [(v * p - f * w) // prev for v, w in zip(m[i], prow)]
+        prev = p
+    # prev = +-det; prev * x is integral (Cramer), so back substitution
+    # divides exactly.
+    num = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = prev * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))
+        num[i] = acc // row[i]
+    return tuple(Fraction(v, prev) for v in num)
+
+
+def _integer_scaled(values: Sequence):
+    """(integers, d) with integers[i] = d * values[i] and d > 0 the least
+    common denominator of the int or Fraction values."""
+    # Unpack a list, not a generator: a tuple grown from a generator holds
+    # on to more memory (measured as higher peak RSS in long runs).
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def invert(a: Sequence[Sequence]):

@@ -8,6 +8,13 @@ non-convergence into a distinct "stalled" status instead of a wrong answer).
 Artificial columns are kept in the tableau after phase 1 (barred from
 entering) so row prices and Farkas multipliers can be read off the
 objective rows.
+
+Exact solves are float-guided: Bland runs once on a float copy of the
+data, and its final basis is rebuilt and checked in exact arithmetic
+(x_B = B^-1 b >= 0 and nonnegative reduced costs, an improving ray, or a
+phase-1 Farkas vector). Only when that check fails does the exact Bland
+loop run, from scratch. This is the QSopt_ex scheme (Applegate, Cook,
+Dash and Espinoza, Oper. Res. Lett. 35, 2007).
 """
 
 from __future__ import annotations
@@ -16,10 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .linalg import _integer_scaled, solve_square
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 STALLED = "stalled"
+
+# Comparison tolerance of the float run that guides the exact solver.
+GUIDE_TOL = 1e-9
 
 
 class Arith:
@@ -41,6 +53,19 @@ class Arith:
     def is_zero(self, x) -> bool:
         return x == 0 if self.exact else abs(x) <= self.tol
 
+    def _compare_ratios(self, a, b) -> int:
+        """-1, 0 or 1 as ratio-test value a lies below, ties or lies above b."""
+        return (a > b) - (a < b)
+
+
+class _GuideArith(Arith):
+    """Float comparisons for the guide run. Ratio-test values within the
+    tolerance tie, so round-off cannot break a tie that exact Bland breaks
+    by basis index; the guide then ends on the basis exact Bland finds."""
+
+    def _compare_ratios(self, a, b) -> int:
+        return 0 if self.is_zero(a - b) else (a > b) - (a < b)
+
 
 @dataclass
 class StandardResult:
@@ -57,13 +82,120 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
                        max_iterations: int = 50_000) -> StandardResult:
     arith = arith or Arith()
     n = len(costs)
-    m = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError(f"row length {len(row)} != {n} variables")
-    if len(rhs) != m:
+    if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
+    if arith.exact:
+        guide = _float_guide(costs, rows, rhs, max_iterations)
+        if guide is not None:
+            res = _certify_basis(costs, rows, rhs, *guide)
+            if res is not None:
+                return res
+    return _bland(costs, rows, rhs, arith, max_iterations)[0]
 
+
+def _float_guide(costs, rows, rhs, max_iterations):
+    """Bland on a float copy of the data: (status, final basis, entering
+    column of an unbounded ray), or None when the float run fails."""
+    try:
+        fcosts = [float(c) for c in costs]
+        frows = [[float(v) for v in row] for row in rows]
+        frhs = [float(b) for b in rhs]
+    except OverflowError:
+        return None
+    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL), max_iterations)
+    if res.status == STALLED:
+        return None
+    return res.status, basis, entering
+
+
+def _certify_basis(costs, rows, rhs, status, basis, entering):
+    """Rebuild the guide's answer from its basis in exact arithmetic.
+
+    Each row and its rhs are scaled to integers by their least common
+    denominator d_i, which leaves levels and rays unchanged and scales row
+    prices by 1/d_i; column n + i is row i's artificial, sign-flipped with
+    the row as in the tableau. Returns None unless every condition of the
+    reported status holds exactly."""
+    n = len(costs)
+    scaled = [_integer_scaled(list(row) + [b]) for row, b in zip(rows, rhs)]
+    b = [ints[n] for ints, _ in scaled]
+
+    def column(j):
+        if j < n:
+            return [ints[j] for ints, _ in scaled]
+        return [(d if ints[n] >= 0 else -d) if i == j - n else 0
+                for i, (ints, d) in enumerate(scaled)]
+
+    basis_cols = [column(j) for j in basis]  # the rows of B^T
+    bmat = [[col[i] for col in basis_cols] for i in range(len(rows))]
+
+    def priced_rows(basic_costs):
+        """(y . [A | b], y, den) for the prices y / den of the scaled rows
+        (y integral, den > 0), or None when B is singular."""
+        y = solve_square(basis_cols, basic_costs)
+        if y is None:
+            return None
+        y, den = _integer_scaled(y)
+        total = [0] * (n + 1)
+        for yi, (ints, _) in zip(y, scaled):
+            if yi:
+                total = [t + yi * v for t, v in zip(total, ints)]
+        return total, y, den
+
+    if status == INFEASIBLE:
+        # Phase-1 prices: artificials cost 1, real columns 0.
+        priced = priced_rows([int(j >= n) for j in basis])
+        if priced is None:
+            return None
+        total, y, den = priced
+        if total[n] <= 0 or any(v > 0 for v in total[:n]):
+            return None
+        return StandardResult(INFEASIBLE, farkas=tuple(
+            Fraction(v * d, den) for v, (_, d) in zip(y, scaled)))
+
+    level = solve_square(bmat, b)
+    # Artificials may stay basic on redundant rows, but only at level zero.
+    if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
+        return None
+    zero = Fraction(0)
+    x = [zero] * n
+    for j, v in zip(basis, level):
+        if j < n:
+            x[j] = v
+
+    if status == UNBOUNDED:
+        step = solve_square(bmat, column(entering))
+        if step is None or any((v > 0) if j < n else (v != 0) for j, v in zip(basis, step)):
+            return None
+        ray = [zero] * n
+        ray[entering] = Fraction(1)
+        for j, v in zip(basis, step):
+            if j < n:
+                ray[j] = -v
+        if sum(c * v for c, v in zip(costs, ray)) >= 0:
+            return None
+        return StandardResult(UNBOUNDED, ray=tuple(ray))
+
+    cost_ints, cost_den = _integer_scaled(costs)
+    priced = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
+    if priced is None:
+        return None
+    total, y, den = priced
+    if any(den * c < t for c, t in zip(cost_ints, total)):
+        return None
+    value = sum((c * v for c, v in zip(costs, x)), zero)
+    return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=tuple(
+        Fraction(v * d, den * cost_den) for v, (_, d) in zip(y, scaled)))
+
+
+def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
+    """The two-phase Bland loop: (result, final basis, entering column
+    when unbounded)."""
+    n = len(costs)
+    m = len(rows)
     zero = arith.zero()
     one = zero + 1
 
@@ -115,7 +247,8 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
             a = tableau[i][col]
             if arith.is_pos(a):
                 ratio = tableau[i][ncols] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                order = -1 if best is None else arith._compare_ratios(ratio, best[0])
+                if order < 0 or (order == 0 and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         return None if best is None else best[1]
 
@@ -140,18 +273,18 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
     # Phase 1: minimize the artificial total.
     status, _ = run_phase(w_row, z_row, range(n), max_iterations)
     if status == STALLED:
-        return StandardResult(STALLED)
+        return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:
         # The artificial total is bounded below by zero; only float
         # round-off can land here.
         if arith.exact:
             raise RuntimeError("phase 1 reported unbounded on exact data")
-        return StandardResult(STALLED)
+        return StandardResult(STALLED), basis, None
     infeas = -w_row[ncols]
     if arith.is_pos(infeas):
         # Farkas prices from phase-1 reduced costs of the artificial columns.
         y = tuple(sign[i] * (one - w_row[n + i]) for i in range(m))
-        return StandardResult(INFEASIBLE, farkas=y)
+        return StandardResult(INFEASIBLE, farkas=y), basis, None
 
     # Drive any leftover artificials out of the basis (degenerate pivots);
     # rows with no real pivot entry are redundant and stay inert.
@@ -164,7 +297,7 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
     # Phase 2 on the true costs, artificials barred from entering.
     status, info = run_phase(z_row, w_row, range(n), max_iterations)
     if status == STALLED:
-        return StandardResult(STALLED)
+        return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:
         col = info
         ray = [zero] * n
@@ -172,7 +305,7 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
         for i in range(m):
             if basis[i] < n:
                 ray[basis[i]] = -tableau[i][col]
-        return StandardResult(UNBOUNDED, ray=tuple(ray))
+        return StandardResult(UNBOUNDED, ray=tuple(ray)), basis, col
 
     x = [zero] * n
     for i in range(m):
@@ -180,4 +313,4 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
             x[basis[i]] = tableau[i][ncols]
     value = -z_row[ncols]
     duals = tuple(sign[i] * (-z_row[n + i]) for i in range(m))
-    return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=duals)
+    return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=duals), basis, None

@@ -1,5 +1,6 @@
 """Shared helpers: seeded instance generators and independent oracles."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -7,9 +8,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polygpt import lp
+from polygpt import lp, simplex
 from polygpt.linalg import invert, solve_square
 from polygpt.theory import Theory, reduce_to_pure_states
 
@@ -100,6 +103,34 @@ def brute_force_optimum(prob):
         if best is None or val > best:
             best = val
     return best
+
+
+# --- exact simplex paths -----------------------------------------------------
+
+@contextlib.contextmanager
+def plain_bland():
+    """Exact solves inside run the unguided Bland loop: the float guide
+    reports nothing, so every solve takes the fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_float_guide", lambda *args: None)
+        yield
+
+
+@contextlib.contextmanager
+def exact_bland_runs():
+    """Collects one entry per run of the exact Bland loop, that is, per
+    guided solve that fell back."""
+    runs = []
+    bland = simplex._bland
+
+    def counted(costs, rows, rhs, arith, max_iterations):
+        if arith.exact:
+            runs.append(len(rows))
+        return bland(costs, rows, rhs, arith, max_iterations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_bland", counted)
+        yield runs
 
 
 # --- polygon oracle ----------------------------------------------------------

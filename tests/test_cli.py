@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -174,3 +175,17 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert cli.run(["hypergraph", "--family", "hypercube:m=2", "--N", "2",
                     "--workers", "1", "--out", str(out)]) == 0
     assert any(cache.iterdir())
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._default_workers() == 3
+
+
+def test_default_workers_without_affinity_use_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._default_workers() == 1

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (interior_angle_sum_exceeds_pi, ngon_pair_separable_by_direction,
                       random_invertible_matrix, random_lifted_theory)
-from polygpt import lp
+from polygpt import discrimination, lp
 from polygpt.discrimination import (IndeterminateError, instance, instance_from_indices,
                                     is_perfectly_distinguishable, max_success_probability,
                                     pairwise_distinguishable, success_probability_problem,
@@ -17,7 +17,8 @@ from polygpt.discrimination import (IndeterminateError, instance, instance_from_
 from polygpt.families import (classical_simplex, codeword_state_index, hypercube_effect,
                               hypercube_theory, ngon_theory, simplex_power)
 from polygpt.linalg import dot, mat_vec
-from polygpt.theory import Measurement, Theory, conic_weights, linearly_independent
+from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, linearly_independent,
+                            make_theory)
 
 
 def cube_vertex(theory, coords):
@@ -241,6 +242,37 @@ def test_float_pentagon_agrees_with_exact_rational_surrogate():
         for j in range(i + 1, 5):
             assert pairwise_distinguishable(float_pent, i, j) == \
                 pairwise_distinguishable(exact_pent, i, j)
+
+
+def _float_simplex(d):
+    t = classical_simplex(d)
+    return make_theory(t.name, t.unit, t.generators, numeric_mode=FLOAT)
+
+
+@pytest.mark.parametrize("theory,indices", [(ngon_theory(5), (0, 2)), (ngon_theory(5), (0, 1)),
+                                            (ngon_theory(6), (0, 1, 3)),
+                                            (_float_simplex(3), (2, 0, 1))])
+def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, indices):
+    # Only the reversed-order re-solve gives a clear verdict; its evidence
+    # must still re-check against the caller's states.
+    states = [theory.generators[i] for i in indices]
+    verdict = discrimination._float_verdict
+    calls = []
+
+    def first_unclear(theory, states, prob):
+        calls.append(states)
+        return None if len(calls) == 1 else verdict(theory, states, prob)
+
+    monkeypatch.setattr(discrimination, "_float_verdict", first_unclear)
+    answer = is_perfectly_distinguishable(theory, states, validate=False)
+    assert len(calls) == 2
+    if answer.distinguishable:
+        assert verify_witness(theory, states, answer.witness)
+    else:
+        assert answer.witness is None
+        assert answer.problem == discrimination._feasibility_problem(
+            theory, tuple(reversed(states)))
+        assert lp.verify_farkas(answer.problem, answer.certificate, tol=theory.arith().tol)
 
 
 def test_instance_validation():

@@ -177,6 +177,25 @@ def test_json_roundtrip_and_files(tmp_path):
         hypergraph_from_json({"N": 2})
 
 
+def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(tmp_path, monkeypatch):
+    path = tmp_path / "square.json"
+    old = build_hypergraph(hypercube_theory(2), 2)
+    save_hypergraph(old, path)
+    before = path.read_bytes()
+
+    def broken_dump(doc, fh, **kwargs):
+        fh.write('{"N": 3, "edg')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        save_hypergraph(build_hypergraph(hypercube_theory(2), 3), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
+    monkeypatch.undo()
+    assert load_hypergraph(path) == old
+
+
 def test_cache_roundtrip(tmp_path):
     t = hypercube_theory(2)
     first = build_hypergraph(t, 2, cache_dir=str(tmp_path))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,23 @@ def test_solve_square_and_invert():
     singular = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]
     assert solve_square(singular, (Fraction(1), Fraction(1))) is None
     assert invert(singular) is None
+
+
+def test_solve_square_on_random_rational_systems():
+    rng = random.Random(3)
+    for size in range(1, 6):
+        for _ in range(20):
+            a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+                 for _ in range(size)]
+            if rng.random() < 0.2 and size > 1:
+                a[-1] = [2 * v for v in a[0]]  # singular
+            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
+            x = solve_square(a, b)
+            if rank(a) < size:
+                assert x is None
+            else:
+                assert mat_vec(a, x) == tuple(b)
+                assert all(isinstance(v, Fraction) for v in x)
 
 
 def test_vec_sub():

@@ -1,13 +1,16 @@
 """Solver contract tests: spec'd instances, certificates, oracles."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boxed_random_lp, brute_force_optimum
-from polygpt import lp
+from conftest import (boxed_random_lp, brute_force_optimum, exact_bland_runs, plain_bland,
+                      random_lifted_theory, random_rational)
+from polygpt import discrimination, lp, simplex
 
 
 def test_single_bound():
@@ -114,3 +117,131 @@ def test_farkas_rejects_bogus_certificates():
     assert not lp.verify_farkas(prob, (F(1), F(1)))   # wrong sign on >= row
     assert not lp.verify_farkas(prob, (F(0), F(0)))   # no contradiction
     assert not lp.verify_farkas(prob, (F(1),))        # wrong length
+
+
+# --- float-guided exact solves against the plain Bland loop ------------------
+
+def _seeded_lps(count=80):
+    """Boxed random LPs, and the same rows without the box (often unbounded)."""
+    problems = []
+    for seed in range(count):
+        boxed = boxed_random_lp(seed, extra_rows=seed % 4 + 1)
+        n = boxed.num_vars
+        problems += [boxed, lp.LPProblem(boxed.objective, boxed.constraints[2 * n:], n)]
+    return problems
+
+
+def test_guided_exact_matches_plain_bland_on_boxed_random_lps():
+    problems = _seeded_lps()
+    with exact_bland_runs() as fallbacks:
+        guided = [lp.solve_exact(p) for p in problems]
+    with plain_bland():
+        plain = [lp.solve_exact(p) for p in problems]
+    assert guided == plain
+    assert {out.status for out in guided} == {lp.LPStatus.OPTIMAL, lp.LPStatus.INFEASIBLE,
+                                              lp.LPStatus.UNBOUNDED}
+    assert fallbacks == []  # the guide's basis was certified every time
+
+
+def _discrimination_answers(theories):
+    answers = []
+    for t in theories:
+        for k in (2, 3):
+            for subset in itertools.combinations(range(t.num_generators), k):
+                states = [t.generators[i] for i in subset]
+                answers.append(discrimination.is_perfectly_distinguishable(t, states,
+                                                                           validate=False))
+                answers.append(discrimination.max_success_probability(
+                    discrimination.instance_from_indices(t, subset)))
+    return answers
+
+
+def test_guided_exact_matches_plain_bland_on_discrimination_lps():
+    theories = [random_lifted_theory(seed) for seed in range(8)]
+    with exact_bland_runs() as fallbacks:
+        guided = _discrimination_answers(theories)
+    with plain_bland():
+        plain = _discrimination_answers(theories)
+    assert guided == plain
+    perfect = [a.distinguishable for a in guided
+               if isinstance(a, discrimination.DistinguishabilityAnswer)]
+    assert any(perfect) and not all(perfect)
+    assert fallbacks == []
+
+
+_WRONG_STATUS = {simplex.OPTIMAL: simplex.UNBOUNDED, simplex.UNBOUNDED: simplex.INFEASIBLE,
+                 simplex.INFEASIBLE: simplex.OPTIMAL}
+
+
+def test_wrong_guide_report_falls_back_to_bland(monkeypatch):
+    # The guide reports its basis under a status the LP cannot have. An
+    # exact check of any status excludes the other two, so every solve
+    # must fall back, and the fallback is the plain Bland loop.
+    problems = _seeded_lps(30)
+    with plain_bland():
+        plain = [lp.solve_exact(p) for p in problems]
+    guide = simplex._float_guide
+    reports = []
+
+    def wrong(*args):
+        status, basis, _ = guide(*args)
+        reports.append(status)
+        return _WRONG_STATUS[status], basis, 0
+
+    monkeypatch.setattr(simplex, "_float_guide", wrong)
+    with exact_bland_runs() as fallbacks:
+        forced = [lp.solve_exact(p) for p in problems]  # the gates re-check each answer
+    assert forced == plain
+    assert len(fallbacks) == len(reports) >= len(problems)
+    for prob, out in zip(problems, forced):
+        if out.status == lp.LPStatus.OPTIMAL:
+            assert lp.check_solution(prob, out.solution)
+        elif out.status == lp.LPStatus.INFEASIBLE:
+            assert lp.verify_farkas(prob, out.infeasibility_certificate)
+
+
+def _standard_form(seed, m=2, n=4):
+    rng = random.Random(seed)
+    rows = [[random_rational(rng, span=3, den=2) for _ in range(n)] for _ in range(m)]
+    rhs = [random_rational(rng, span=4, den=2) if rng.random() < 0.7 else F(0) for _ in range(m)]
+    costs = [random_rational(rng, span=3, den=2) for _ in range(n)]
+    return costs, rows, rhs
+
+
+def test_basis_certification_accepts_only_true_reports():
+    # Offer every basis of small standard-form problems under every status:
+    # whatever the exact check accepts must be a correct, checkable answer.
+    accepted = set()
+    for seed in range(40):
+        costs, rows, rhs = _standard_form(seed)
+        m, n = len(rows), len(costs)
+        truth = simplex._bland(costs, rows, rhs, simplex.Arith(), 1000)[0]
+
+        def col(j):
+            return [row[j] for row in rows]
+
+        for basis in itertools.combinations(range(n + m), m):
+            reports = [(simplex.OPTIMAL, None), (simplex.INFEASIBLE, None)]
+            reports += [(simplex.UNBOUNDED, k) for k in range(n) if k not in basis]
+            for status, entering in reports:
+                res = simplex._certify_basis(costs, rows, rhs, status, list(basis), entering)
+                if res is None:
+                    continue
+                accepted.add(status)
+                assert res.status == status == truth.status
+                if status == simplex.OPTIMAL:
+                    assert all(v >= 0 for v in res.x)
+                    assert [sum(a * v for a, v in zip(row, res.x)) for row in rows] == rhs
+                    assert res.value == truth.value == sum(c * v for c, v in zip(costs, res.x))
+                    assert all(sum(y * a for y, a in zip(res.duals, col(j))) <= costs[j]
+                               for j in range(n))
+                    assert sum(y * b for y, b in zip(res.duals, rhs)) == res.value
+                elif status == simplex.UNBOUNDED:
+                    assert all(v >= 0 for v in res.ray)
+                    assert all(sum(a * v for a, v in zip(row, res.ray)) == 0 for row in rows)
+                    assert sum(c * v for c, v in zip(costs, res.ray)) < 0
+                else:
+                    assert all(sum(y * a for y, a in zip(res.farkas, col(j))) <= 0
+                               for j in range(n))
+                    assert sum(y * b for y, b in zip(res.farkas, rhs)) > 0
+    assert accepted == {simplex.OPTIMAL, simplex.UNBOUNDED, simplex.INFEASIBLE}

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_lifted_theory
+from conftest import exact_bland_runs, plain_bland, random_lifted_theory
+from polygpt.fixtures import fixtures
 from polygpt.families import classical_simplex, hypercube_effect, hypercube_theory
 from polygpt.theory import (Measurement, Theory, conic_weights, is_effect, is_measurement,
                             is_state, linearly_independent, make_theory,
@@ -117,6 +118,32 @@ def test_reduce_preserves_membership_answers():
                                 for i in range(t.dim)))
     for p in probes:
         assert is_state(fat, p) == is_state(reduced, p)
+
+
+def _fixture_theories_with_centroids():
+    """Every bundled fixture theory, plus a copy with its centroid added so
+    that reduction has a generator to drop."""
+    theories = []
+    for fix in fixtures().values():
+        t = theory_from_json(fix["theory"])
+        centroid = tuple(sum(g[i] for g in t.generators) / t.num_generators
+                         for i in range(t.dim))
+        theories += [t, Theory(t.name, t.dim, t.unit, t.generators + (centroid,),
+                               t.numeric_mode)]
+    return theories
+
+
+def test_guided_reduction_matches_plain_bland_on_fixtures():
+    theories = _fixture_theories_with_centroids()
+    with exact_bland_runs() as fallbacks:
+        guided = [reduce_to_pure_states(t) for t in theories]
+    with plain_bland():
+        plain = [reduce_to_pure_states(t) for t in theories]
+    assert guided == plain
+    assert [t.num_generators for t in guided[1::2]] == [t.num_generators for t in guided[::2]]
+    # The affine membership LP always has one redundant row; its artificial
+    # stays basic at level zero and the guide's basis is still certified.
+    assert fallbacks == []
 
 
 def test_linear_independence():
