@@ -10,9 +10,9 @@ supporting-hyperplanes check for point sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -24,7 +24,8 @@ from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value,
 from .families import codeword_state_index, hypercube_effect, hypercube_theory, \
     simplex_power
 from .linalg import rat
-from .theory import Measurement, Theory, reduce_to_pure_states, theory_from_json, theory_to_json
+from .parallel import parallel_map
+from .theory import Measurement, Theory, reduce_to_pure_states
 
 
 # --- compression factors ----------------------------------------------------
@@ -80,11 +81,9 @@ def _closed_form_pair_witness(theory: Theory, i: int, j: int) -> bool:
     return verify_witness(theory, [a, b], meas)
 
 
-def _hypercube_pair_worker(args):
-    doc, pairs = args
-    theory = theory_from_json(doc)
-    return [(_closed_form_pair_witness(theory, i, j),
-             pairwise_distinguishable(theory, i, j)) for i, j in pairs]
+def _pair_checks(theory: Theory, pair) -> tuple:
+    i, j = pair
+    return _closed_form_pair_witness(theory, i, j), pairwise_distinguishable(theory, i, j)
 
 
 def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
@@ -94,17 +93,7 @@ def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)
     pairs = list(itertools.combinations(range(theory.num_generators), 2))
-    if workers > 1 and len(pairs) >= 8:
-        doc = theory_to_json(theory)
-        chunk = max(1, len(pairs) // (workers * 4))
-        jobs = [(doc, pairs[i:i + chunk]) for i in range(0, len(pairs), chunk)]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_hypercube_pair_worker, jobs):
-                results.extend(part)
-    else:
-        results = [(_closed_form_pair_witness(theory, i, j),
-                    pairwise_distinguishable(theory, i, j)) for i, j in pairs]
+    results = parallel_map(functools.partial(_pair_checks, theory), pairs, workers)
     verified = all(w and l for w, l in results)
     return CapacityReport(2, m, theory.dim, kappa_pairwise(m),
                           theory.num_generators, verified)
@@ -232,14 +221,9 @@ class RandomSearchReport:
     seed: int
 
 
-def _mc_chunk_worker(args):
-    q, l, m_codewords, n_arity, seeds = args
-    failures = 0
-    for s in seeds:
-        code = sample_random_code(q, l, m_codewords, s)
-        if not verify_nwise_by_components(code, n_arity):
-            failures += 1
-    return failures
+def _trial_fails(q: int, l: int, m_codewords: int, n_arity: int, seed: int) -> bool:
+    code = sample_random_code(q, l, m_codewords, seed)
+    return not verify_nwise_by_components(code, n_arity)
 
 
 def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
@@ -265,14 +249,8 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
 
     root = SplitMix64(seed)
     trial_seeds = [root.derive(i).next_u64() for i in range(trials)]
-    if workers > 1 and trials >= 8:
-        chunk = max(1, trials // (workers * 4))
-        jobs = [(q, l, m_codewords, n_arity, trial_seeds[i:i + chunk])
-                for i in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures = sum(pool.map(_mc_chunk_worker, jobs))
-    else:
-        failures = _mc_chunk_worker((q, l, m_codewords, n_arity, trial_seeds))
+    failures = sum(parallel_map(functools.partial(_trial_fails, q, l, m_codewords, n_arity),
+                                trial_seeds, workers))
 
     eff_m = math.log2(m_codewords) if m is None else float(m)
     kappa_lb = eff_m / log2_value(Fraction(dim)) if dim > 1 else None

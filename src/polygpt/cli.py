@@ -11,13 +11,13 @@ Exit codes: 0 success, 1 domain failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 
 from . import capacity, discrimination, hypergraph
-from . import theory as theory_mod
 from .exactlog import PrecisionError
 from .families import build_family
 from .fixtures import fixtures
@@ -70,21 +70,20 @@ def _load_theory_source(args):
 
 def _apply_backend(theory, args):
     """Honor --backend/--tol: exact is refused on irrational coordinates,
-    float degrades a rational theory to the toleranced backend."""
+    float degrades a rational theory to the toleranced backend, and --tol
+    becomes the returned theory's own tolerance."""
     tol = getattr(args, "tol", None)
-    if tol is not None:
-        if tol <= 0:
-            raise UsageError("tolerance must be positive")
-        theory_mod.DEFAULT_TOL = tol
+    if tol is not None and tol <= 0:
+        raise UsageError("tolerance must be positive")
     backend = getattr(args, "backend", "auto")
     if backend == "exact" and theory.numeric_mode != EXACT:
         raise DomainError(f"exact backend rejected: '{theory.name}' has "
                           "irrational (float) coordinates")
     if backend == "float" and theory.numeric_mode == EXACT:
-        return make_theory(theory.name, [float(v) for v in theory.unit],
-                           [[float(v) for v in g] for g in theory.generators],
-                           numeric_mode=FLOAT)
-    return theory
+        theory = make_theory(theory.name, [float(v) for v in theory.unit],
+                             [[float(v) for v in g] for g in theory.generators],
+                             numeric_mode=FLOAT)
+    return theory if tol is None else dataclasses.replace(theory, tol=tol)
 
 
 def _parse_indices(text):
@@ -182,6 +181,10 @@ def cmd_distinguish(args):
     }
     if answer.certificate is not None:
         doc["farkas_certificate"] = _vector_out(answer.certificate)
+        if answer.problem != discrimination._feasibility_problem(theory, states):
+            # Only the reversed float re-solve was clear: the certificate
+            # is for the feasibility LP over the states in this order.
+            doc["certificate_states"] = indices[::-1]
     _emit(doc, args)
     return 0
 
@@ -212,18 +215,21 @@ def cmd_psuccess(args):
     return 0
 
 
-def cmd_hypergraph(args):
+def _build_hypergraph(args):
+    """The hypergraph of the requested theory's pure states, through the
+    cache of --cache-dir or $POLYGPT_CACHE_DIR when one is set."""
     theory, _ = _load_theory_source(args)
     theory = reduce_to_pure_states(_apply_backend(theory, args))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
-        h = hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
-                                        cache_dir=cache_dir)
-    except ValueError as exc:
+        return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
+                                           cache_dir=cache_dir)
+    except (ValueError, discrimination.IndeterminateError) as exc:
         raise DomainError(str(exc)) from exc
-    except discrimination.IndeterminateError as exc:
-        raise DomainError(str(exc)) from exc
-    _emit(hypergraph.hypergraph_to_json(h), args)
+
+
+def cmd_hypergraph(args):
+    _emit(hypergraph.hypergraph_to_json(_build_hypergraph(args)), args)
     return 0
 
 
@@ -234,14 +240,7 @@ def cmd_maxclique(args):
         except (ValueError, OSError, json.JSONDecodeError) as exc:
             raise UsageError(str(exc)) from exc
     else:
-        theory, _ = _load_theory_source(args)
-        theory = reduce_to_pure_states(_apply_backend(theory, args))
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-        try:
-            h = hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
-                                            cache_dir=cache_dir)
-        except (ValueError, discrimination.IndeterminateError) as exc:
-            raise DomainError(str(exc)) from exc
+        h = _build_hypergraph(args)
     method = args.method
     if method == "auto":
         method = "exact" if h.num_nodes <= args.node_budget else "greedy"

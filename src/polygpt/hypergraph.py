@@ -9,16 +9,17 @@ distinguishable), then certifies surviving subsets with the full LP.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .discrimination import is_perfectly_distinguishable
-from .theory import Theory, theory_from_json, theory_to_json
+from .parallel import parallel_map
+from .theory import FLOAT, Theory, theory_to_json
 
 
 @dataclass(frozen=True)
@@ -49,27 +50,18 @@ def _subset_distinguishable(theory: Theory, subset) -> bool:
     return is_perfectly_distinguishable(theory, states, validate=False).distinguishable
 
 
-def _edge_chunk_worker(args):
-    theory_doc, subsets = args
-    theory = theory_from_json(theory_doc)
-    return [s for s in subsets if _subset_distinguishable(theory, s)]
-
-
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
-    if workers <= 1 or len(subsets) < 4:
-        return [s for s in subsets if _subset_distinguishable(theory, s)]
-    doc = theory_to_json(theory)
-    chunk = max(1, len(subsets) // (workers * 4))
-    jobs = [(doc, subsets[i:i + chunk]) for i in range(0, len(subsets), chunk)]
-    survivors = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_edge_chunk_worker, jobs):
-            survivors.extend(part)
-    return sorted(survivors)
+    keep = parallel_map(functools.partial(_subset_distinguishable, theory), subsets, workers)
+    return [s for s, k in zip(subsets, keep) if k]
 
 
 def theory_digest(theory: Theory) -> str:
-    blob = json.dumps(theory_to_json(theory), sort_keys=True).encode()
+    """Content hash of the theory; a float theory's tolerance is part of
+    it, since the tolerance can change which subsets are distinguishable."""
+    doc = theory_to_json(theory)
+    if theory.numeric_mode == FLOAT:
+        doc["tol"] = theory.tol
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -78,7 +70,8 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     """Enumerate all perfectly distinguishable N-subsets of the pure states.
 
     The theory must already be reduced to its pure states. Results can be
-    cached on disk keyed by (theory content hash, N).
+    cached on disk keyed by (theory digest, N), where the digest covers a
+    float theory's tolerance.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:

@@ -1,0 +1,21 @@
+"""One order-preserving map over a process pool, shared by every parallel
+stage (hypergraph edge filter, hypercube pair sweep, Monte Carlo)."""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence
+
+# Below this many items a pool costs more to start than it saves.
+MIN_POOLED_ITEMS = 8
+
+
+def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """Return [fn(x) for x in items], in order. With workers > 1 and enough
+    items, chunks run in worker processes; fn and the items must pickle
+    (a module-level function, or functools.partial of one)."""
+    if workers <= 1 or len(items) < MIN_POOLED_ITEMS:
+        return [fn(x) for x in items]
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunk))

@@ -9,7 +9,7 @@ coordinate tuples; validity is decided by the checking functions here
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,7 +19,7 @@ from .simplex import Arith
 
 EXACT = "exact"
 FLOAT = "float"
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class Theory:
     unit: tuple
     generators: tuple
     numeric_mode: str = EXACT
+    tol: float = DEFAULT_TOL  # comparison tolerance in float mode; unused when exact
 
     def __post_init__(self):
         if self.dim < 1:
@@ -47,7 +48,7 @@ class Theory:
                 raise ValueError(f"generator not normalized to u = 1: {g}")
 
     def arith(self) -> Arith:
-        return Arith(None if self.numeric_mode == EXACT else DEFAULT_TOL)
+        return Arith(None if self.numeric_mode == EXACT else self.tol)
 
     @property
     def num_generators(self) -> int:
@@ -178,7 +179,7 @@ def reduce_to_pure_states(t: Theory) -> Theory:
         others = unique[:i] + unique[i + 1:]
         if not others or _combination_weights(others, g, arith, affine=True) is None:
             keep.append(g)
-    return Theory(t.name, t.dim, t.unit, tuple(keep), t.numeric_mode)
+    return replace(t, generators=tuple(keep))
 
 
 def linearly_independent(states: Sequence[Sequence]) -> bool:

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from polygpt import cli
+from polygpt import cli, discrimination, lp
+from polygpt.families import ngon_theory
 from polygpt.fixtures import fixtures
-from polygpt.theory import load_theory, save_theory, theory_from_json
+from polygpt.theory import DEFAULT_TOL, load_theory, save_theory, theory_from_json
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -189,3 +190,46 @@ def test_default_workers_without_affinity_use_cpu_count(monkeypatch):
     assert cli._default_workers() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._default_workers() == 1
+
+
+def test_tol_stays_with_its_request(tmp_path):
+    run_json(tmp_path, ["distinguish", "--family", "ngon:n=5", "--states", "0,2",
+                        "--tol", "1e-3"])
+    assert ngon_theory(5).arith().tol == DEFAULT_TOL == 1e-9
+    assert cli.run(["distinguish", "--family", "ngon:n=5", "--states", "0,2",
+                    "--tol", "0"]) == 2
+
+
+def test_cache_key_covers_the_tolerance(tmp_path):
+    cache = tmp_path / "cache"
+    for tol in ("1e-3", "1e-12"):
+        run_json(tmp_path, ["hypergraph", "--family", "ngon:n=5", "--N", "2", "--workers", "1",
+                            "--tol", tol, "--cache-dir", str(cache)])
+    assert len(list(cache.iterdir())) == 2
+
+
+@pytest.mark.parametrize("states", ["0,2", "0,1"])
+def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch, states):
+    # Only the reversed-order float re-solve gives a clear verdict, as in
+    # test_reversed_resolve_alone_returns_checkable_evidence.
+    args = ["distinguish", "--family", "ngon:n=5", "--states", states]
+    plain = run_json(tmp_path, args, name="plain.json")
+    verdict = discrimination._float_verdict
+    calls = []
+
+    def first_unclear(theory, states, prob):
+        calls.append(states)
+        return None if len(calls) == 1 else verdict(theory, states, prob)
+
+    monkeypatch.setattr(discrimination, "_float_verdict", first_unclear)
+    doc = run_json(tmp_path, args, name="reversed.json")
+    assert len(calls) == 2
+    if doc["perfect"]:
+        assert "certificate_states" not in doc  # the witness is put back in order
+        return
+    order = doc.pop("certificate_states")
+    assert order == [int(i) for i in reversed(states.split(","))]
+    assert doc.keys() == plain.keys() and doc["witness"] == plain["witness"]
+    theory = ngon_theory(5)
+    prob = discrimination._feasibility_problem(theory, [theory.generators[i] for i in order])
+    assert lp.verify_farkas(prob, doc["farkas_certificate"], tol=theory.arith().tol)

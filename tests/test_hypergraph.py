@@ -1,17 +1,20 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_planar_theory
 from polygpt.discrimination import is_perfectly_distinguishable
-from polygpt.families import classical_simplex, hypercube_theory, ngon_theory, prism_product
+from polygpt.families import (classical_simplex, hypercube_theory, ngon_theory, prism_product,
+                              simplex_power)
 from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hypergraph,
                                 clique_is_valid, exact_max_clique, greedy_max_clique,
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
                                 load_hypergraph, save_hypergraph)
+from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
 
 
 def brute_hypergraph(theory, n):
@@ -205,9 +208,28 @@ def test_cache_roundtrip(tmp_path):
     assert first == again
 
 
-def test_parallel_workers_agree_with_sequential():
-    t = hypercube_theory(3)
-    assert build_hypergraph(t, 2, workers=2) == build_hypergraph(t, 2)
+def _parallel_map_in_order(workers):
+    # Fewer items than the pool threshold run in-process; the descending
+    # list shows that pooled chunks come back in input order.
+    lists = (list(range(MIN_POOLED_ITEMS - 1)), list(range(5 * MIN_POOLED_ITEMS, 0, -1)))
+    results = [parallel_map(hex, items, workers) for items in lists]
+    assert results == [[hex(x) for x in items] for items in lists]
+    return results
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda w: build_hypergraph(hypercube_theory(3), 2, workers=w),
+                 id="hypercube-m3-N2"),
+    # N=3 prunes through the pair graph, then pools the candidate stage.
+    pytest.param(lambda w: build_hypergraph(simplex_power(3, 2), 3, workers=w),
+                 id="simplex-power-q3-l2-N3"),
+    # The tolerance travels to the workers inside the pickled theory.
+    pytest.param(lambda w: build_hypergraph(replace(ngon_theory(7), tol=1e-7), 2, workers=w),
+                 id="float-ngon-n7-tol1e-7"),
+    pytest.param(_parallel_map_in_order, id="parallel-map-few-and-many"),
+])
+def test_parallel_workers_agree_with_sequential(run):
+    assert run(2) == run(1)
 
 
 def test_clique_invariant_rejects_non_complete_sets():
