@@ -19,8 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from .discrimination import is_perfectly_distinguishable, pairwise_distinguishable, \
     verify_witness
-from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value, \
-    power_of_two_exponent
+from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
 from .families import codeword_state_index, hypercube_effect, hypercube_theory, \
     simplex_power
 from .linalg import rat
@@ -39,11 +38,7 @@ def d_pairwise(m: int) -> int:
 
 def kappa_pairwise(m: int) -> float:
     """Pairwise compression factor m / log2(m + 1), certified to ~15 digits."""
-    d = d_pairwise(m)
-    exp = power_of_two_exponent(Fraction(d))
-    if exp is not None:
-        return m / exp
-    return m / log2_value(Fraction(d))
+    return m / log2_value(Fraction(d_pairwise(m)))
 
 
 def tournament_count(n: int, n_arity: int = 2) -> int:
@@ -232,6 +227,8 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
                       max_dimension: int = 10 ** 6) -> RandomSearchReport:
     """Monte Carlo over random codes: empirical failure fraction of the
     component check next to the exact union bound."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if q is None or l is None:
         if m is None:
             raise ValueError("give m, or explicit q and l")

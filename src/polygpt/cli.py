@@ -11,19 +11,20 @@ Exit codes: 0 success, 1 domain failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import capacity, discrimination, hypergraph
 from .exactlog import PrecisionError
 from .families import build_family
 from .fixtures import fixtures
 from .linalg import rat, rat_str
-from .theory import EXACT, FLOAT, load_theory, make_theory, reduce_to_pure_states, \
-    theory_from_json, theory_to_json, validate_theory
+from .theory import DEFAULT_TOL, EXACT, FLOAT, load_theory, make_theory, \
+    reduce_to_pure_states, save_json, theory_from_json, theory_to_json, validate_theory, \
+    write_json
 
 CACHE_ENV = "POLYGPT_CACHE_DIR"
 
@@ -43,12 +44,8 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _coord_out(v):
-    return rat_str(v) if isinstance(v, Fraction) else v
-
-
 def _vector_out(vec):
-    return [_coord_out(v) for v in vec]
+    return [rat_str(v) for v in vec]
 
 
 def _load_theory_source(args):
@@ -80,9 +77,7 @@ def _apply_backend(theory, args):
         raise DomainError(f"exact backend rejected: '{theory.name}' has "
                           "irrational (float) coordinates")
     if backend == "float" and theory.numeric_mode == EXACT:
-        theory = make_theory(theory.name, [float(v) for v in theory.unit],
-                             [[float(v) for v in g] for g in theory.generators],
-                             numeric_mode=FLOAT)
+        theory = make_theory(theory.name, theory.unit, theory.generators, numeric_mode=FLOAT)
     return theory if tol is None else dataclasses.replace(theory, tol=tol)
 
 
@@ -102,28 +97,19 @@ def _parse_priors(text, exact):
 
 
 def _emit(doc, args, csv_row=None, csv_header=None):
-    if getattr(args, "format", "json") == "csv":
-        if csv_row is None:
-            raise UsageError("csv output is not available for this subcommand")
-        lines = [",".join(csv_header), ",".join(csv_row)]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            # exact values ride along in a parallel JSON artifact
-            side = os.path.splitext(args.out)[0] + ".json"
-            with open(side, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    csv = getattr(args, "format", "json") == "csv"
+    if csv and csv_row is None:
+        raise UsageError("csv output is not available for this subcommand")
+    # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
+        if csv:
+            fh.write(",".join(csv_header) + "\n" + ",".join(csv_row) + "\n")
         else:
-            sys.stdout.write(text)
-        return
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write_json(doc, fh)
+    if csv and args.out:
+        # exact values ride along in a parallel JSON artifact
+        with open(os.path.splitext(args.out)[0] + ".json", "w") as fh:
+            write_json(doc, fh)
 
 
 def _fmt12(x: float) -> str:
@@ -176,7 +162,7 @@ def cmd_distinguish(args):
     doc = {
         "states": indices,
         "perfect": answer.distinguishable,
-        "p_success": _coord_out(result.p_success),
+        "p_success": rat_str(result.p_success),
         "witness": [_vector_out(e) for e in (answer.witness or result.measurement).effects],
     }
     if answer.certificate is not None:
@@ -207,7 +193,7 @@ def cmd_psuccess(args):
     doc = {
         "states": indices,
         "priors": _vector_out(inst.priors),
-        "p_success": _coord_out(result.p_success),
+        "p_success": rat_str(result.p_success),
         "perfect": result.perfect,
         "measurement": [_vector_out(e) for e in result.measurement.effects],
     }
@@ -357,9 +343,7 @@ def cmd_fixtures(args):
     index = {}
     for name, doc in sorted(table.items()):
         path = os.path.join(args.out_dir, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(doc, path)
         index[name] = path
     _emit({"fixtures": index}, args)
     return 0
@@ -376,7 +360,7 @@ def _add_source_flags(sub):
 def _add_backend_flags(sub):
     sub.add_argument("--backend", choices=("auto", "exact", "float"), default="auto",
                      help="exact is refused for irrational-coordinate theories")
-    sub.add_argument("--tol", type=float, help="float-backend tolerance (default 1e-9)")
+    sub.add_argument("--tol", type=float, help=f"float-backend tolerance (default {DEFAULT_TOL})")
 
 
 def _add_output_flags(sub, csv_ok=False):

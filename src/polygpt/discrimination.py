@@ -178,45 +178,38 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
     prob = _feasibility_problem(theory, states)
     if theory.numeric_mode == EXACT:
-        out = lp.solve_exact(prob)
-        if out.status == lp.LPStatus.OPTIMAL:
-            meas = _assemble_measurement(theory, out.solution, len(states))
-            return DistinguishabilityAnswer(True, witness=meas, problem=prob)
-        if out.status == lp.LPStatus.INFEASIBLE:
-            return DistinguishabilityAnswer(False, certificate=out.infeasibility_certificate,
-                                            problem=prob)
-        raise RuntimeError(f"feasibility LP reported {out.status} (internal bug)")
+        return _verdict(theory, states, prob)
     return _float_distinguishable(theory, states, prob)
 
 
-def _float_verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]:
-    """One float attempt; None when the answer sits in the gray zone."""
+def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]:
+    """One solve of the feasibility LP. An exact answer is final; a float
+    answer is None when it sits in the gray zone."""
+    exact = theory.numeric_mode == EXACT
     out = _solve(theory, prob)
-    n = len(states)
     if out.status == lp.LPStatus.OPTIMAL:
-        meas = _assemble_measurement(theory, out.solution, n)
-        residual = max(abs(dot(e, s) - (1.0 if i == j else 0.0))
-                       for i, e in enumerate(meas.effects)
-                       for j, s in enumerate(states))
-        if residual <= CLEAR_RESIDUAL:
+        meas = _assemble_measurement(theory, out.solution, len(states))
+        if exact or max(abs(dot(e, s) - (1.0 if i == j else 0.0))
+                        for i, e in enumerate(meas.effects)
+                        for j, s in enumerate(states)) <= CLEAR_RESIDUAL:
             return DistinguishabilityAnswer(True, witness=meas, problem=prob)
-        return None
-    if out.status == lp.LPStatus.INFEASIBLE:
-        # Infeasible with a clear optimality gap on the success probability.
-        res = max_success_probability(instance(theory, states, validate=False))
-        if res.p_success <= 1 - CLEAR_GAP:
+    elif out.status == lp.LPStatus.INFEASIBLE:
+        # A float refusal also needs a clear optimality gap on the success probability.
+        if exact or max_success_probability(
+                instance(theory, states, validate=False)).p_success <= 1 - CLEAR_GAP:
             return DistinguishabilityAnswer(False, certificate=out.infeasibility_certificate,
                                             problem=prob)
-        return None
+    elif exact:
+        raise RuntimeError(f"feasibility LP reported {out.status} (internal bug)")
     return None
 
 
 def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAnswer:
-    first = _float_verdict(theory, states, prob)
+    first = _verdict(theory, states, prob)
     # Re-solve from a perturbed start (reversed state order) and require
     # agreement before trusting a float answer near the boundary.
     rev = tuple(reversed(states))
-    second = _float_verdict(theory, rev, _feasibility_problem(theory, rev))
+    second = _verdict(theory, rev, _feasibility_problem(theory, rev))
     if first is not None and second is not None:
         if first.distinguishable == second.distinguishable:
             return first

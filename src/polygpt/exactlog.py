@@ -77,9 +77,6 @@ def certain_floor(lo: Fraction, hi: Fraction) -> Optional[int]:
 
 def floor_of_log2_squared(x: Fraction, max_bits: int = 512) -> int:
     """floor((log2 x)**2) for x >= 2, exact at power-of-two arguments."""
-    exp = power_of_two_exponent(x)
-    if exp is not None:
-        return exp * exp
     bits = 64
     while bits <= max_bits:
         lo, hi = log2_bounds(x, bits)
@@ -94,10 +91,6 @@ def floor_of_ratio_to_log2(numerator: Fraction, x: Fraction, max_bits: int = 512
     """floor(numerator / log2(x)) for x > 1, exact at power-of-two arguments."""
     if x <= 1:
         raise ValueError("denominator log needs an argument > 1")
-    exp = power_of_two_exponent(x)
-    if exp is not None:
-        q = numerator / exp
-        return q.numerator // q.denominator
     bits = 64
     while bits <= max_bits:
         lo, hi = log2_bounds(x, bits)

@@ -133,6 +133,11 @@ def codeword_state_index(q: int, codeword: Sequence[int]) -> int:
 
 # --- family specs ------------------------------------------------------------
 
+# kind -> (constructor, its integer parameters in call order); prism is built apart.
+FAMILIES = {"simplex": (classical_simplex, ("d",)), "hypercube": (hypercube_theory, ("m",)),
+            "ngon": (ngon_theory, ("n",)), "simplex-power": (simplex_power, ("q", "l"))}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str
@@ -140,17 +145,12 @@ class FamilySpec:
 
     def build(self) -> Theory:
         p = self.params
-        if self.kind == "simplex":
-            return classical_simplex(p["d"])
-        if self.kind == "hypercube":
-            return hypercube_theory(p["m"])
-        if self.kind == "ngon":
-            return ngon_theory(p["n"])
-        if self.kind == "simplex-power":
-            return simplex_power(p["q"], p["l"])
         if self.kind == "prism":
             return prism_product(p["a"].build(), p["b"].build())
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        constructor, names = FAMILIES[self.kind]
+        return constructor(*(p[k] for k in names))
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -165,9 +165,7 @@ def parse_family_spec(text: str) -> FamilySpec:
             raise ValueError("prism spec needs two factors joined by '+'")
         return FamilySpec("prism", {"a": parse_family_spec(left),
                                     "b": parse_family_spec(right)})
-    expected = {"simplex": ("d",), "hypercube": ("m",), "ngon": ("n",),
-                "simplex-power": ("q", "l")}
-    if kind not in expected:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown theory family {kind!r}")
     params = {}
     for part in rest.split(","):
@@ -175,8 +173,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         if not sep or not val.lstrip("-").isdigit():
             raise ValueError(f"malformed family parameter {part!r}")
         params[key] = int(val)
-    if tuple(sorted(params)) != tuple(sorted(expected[kind])):
-        raise ValueError(f"{kind} needs parameters {expected[kind]}, got {tuple(params)}")
+    if tuple(sorted(params)) != tuple(sorted(FAMILIES[kind][1])):
+        raise ValueError(f"{kind} needs parameters {FAMILIES[kind][1]}, got {tuple(params)}")
     return FamilySpec(kind, params)
 
 

@@ -19,19 +19,24 @@ from typing import Optional, Sequence
 
 from .discrimination import is_perfectly_distinguishable
 from .parallel import parallel_map
-from .theory import FLOAT, Theory, theory_to_json
+from .theory import FLOAT, Theory, save_json, theory_to_json
 
 
 @dataclass(frozen=True)
 class DistinguishabilityHypergraph:
     n_arity: int
     num_nodes: int
-    edges: frozenset  # of sorted index tuples, each of length n_arity
+    edges: frozenset  # of strictly increasing node tuples, each of length n_arity
 
     def __post_init__(self):
+        if self.n_arity < 2 or self.num_nodes < 0:
+            raise ValueError(f"need N >= 2 and num_nodes >= 0, got {self.n_arity} and "
+                             f"{self.num_nodes}")
         for e in self.edges:
-            if len(e) != self.n_arity or tuple(sorted(e)) != e:
-                raise ValueError(f"edge {e} is not a sorted {self.n_arity}-tuple")
+            if (len(e) != self.n_arity or not all(type(v) is int for v in e)
+                    or e != tuple(sorted(set(e))) or not 0 <= e[0] <= e[-1] < self.num_nodes):
+                raise ValueError(f"edge {e} is not an increasing {self.n_arity}-tuple "
+                                 f"of nodes 0..{self.num_nodes - 1}")
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -82,9 +87,11 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
         key = f"{theory_digest(theory)}-N{n_arity}"
         cache_path = os.path.join(cache_dir, f"{key}.json")
         if os.path.exists(cache_path):
-            h = load_hypergraph(cache_path)
-            if h.num_nodes == v:
-                return h
+            # An unreadable file is a miss: the rebuild below overwrites it.
+            with contextlib.suppress(ValueError, OSError):
+                h = load_hypergraph(cache_path)
+                if h.num_nodes == v:
+                    return h
 
     pairs = _filter_distinguishable(theory, [tuple(p) for p in itertools.combinations(range(v), 2)],
                                     workers)
@@ -112,6 +119,12 @@ def is_fully_connected(node: int, clique: Sequence[int],
         raise ValueError("node already belongs to the clique")
     if len(members) < h.n_arity - 1:
         raise ValueError(f"clique must have at least {h.n_arity - 1} members")
+    return _extends(node, members, h)
+
+
+def _extends(node: int, members: Sequence[int], h: DistinguishabilityHypergraph) -> bool:
+    """is_fully_connected without its input checks; vacuously true with
+    fewer than N-1 members."""
     for sub in itertools.combinations(members, h.n_arity - 1):
         if tuple(sorted(sub + (node,))) not in h.edges:
             return False
@@ -137,7 +150,7 @@ def greedy_max_clique(h: DistinguishabilityHypergraph) -> Clique:
     for edge in h.sorted_edges():
         grown = list(edge)
         for node in range(h.num_nodes):
-            if node not in grown and is_fully_connected(node, grown, h):
+            if node not in grown and _extends(node, grown, h):
                 grown.append(node)
         grown = tuple(sorted(grown))
         if _better(grown, best):
@@ -154,12 +167,6 @@ def exact_max_clique(h: DistinguishabilityHypergraph, node_budget: int = 24) -> 
     n = h.n_arity
     best: list = []
 
-    def compatible(q: list, v: int) -> bool:
-        if len(q) < n - 1:
-            return True
-        return all(tuple(sorted(sub + (v,))) in h.edges
-                   for sub in itertools.combinations(q, n - 1))
-
     def extend(q: list, candidates: list):
         nonlocal best
         if len(q) >= n and len(q) > len(best):
@@ -167,7 +174,7 @@ def exact_max_clique(h: DistinguishabilityHypergraph, node_budget: int = 24) -> 
         if len(q) + len(candidates) <= len(best):
             return
         for i, v in enumerate(candidates):
-            rest = [w for w in candidates[i + 1:] if compatible(q + [v], w)]
+            rest = [w for w in candidates[i + 1:] if _extends(w, q + [v], h)]
             extend(q + [v], rest)
             if len(q) + len(candidates) - (i + 1) <= len(best):
                 return
@@ -193,19 +200,7 @@ def hypergraph_from_json(doc: dict) -> DistinguishabilityHypergraph:
 
 
 def save_hypergraph(h: DistinguishabilityHypergraph, path) -> None:
-    """Write a per-process temporary file next to the target and rename it
-    into place, so a concurrent reader sees the old file or the new one,
-    never a partial one."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(hypergraph_to_json(h), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    save_json(hypergraph_to_json(h), path)
 
 
 def load_hypergraph(path) -> DistinguishabilityHypergraph:

@@ -26,8 +26,11 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def rat_str(value: Fraction):
-    """Render a rational for JSON: bare int when integral, else "p/q"."""
+def rat_str(value):
+    """Render a coordinate for JSON: a Fraction as a bare int when integral,
+    else "p/q"; any other value unchanged."""
+    if not isinstance(value, Fraction):
+        return value
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from . import simplex
-from .simplex import Arith
+from .simplex import DEFAULT_TOL, Arith
 
 LE = "<="
 EQ = "="
@@ -143,7 +143,7 @@ def solve_exact(prob: LPProblem) -> LPOutcome:
     return out
 
 
-def solve_float(prob: LPProblem, tol: float = 1e-9) -> LPOutcome:
+def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
     if tol <= 0:
         raise ValueError("tol must be positive")
     fprob = LPProblem(tuple(float(v) for v in prob.objective),

@@ -32,6 +32,7 @@ STALLED = "stalled"
 
 # Comparison tolerance of the float run that guides the exact solver.
 GUIDE_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
 
 
 class Arith:

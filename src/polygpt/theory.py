@@ -8,18 +8,19 @@ coordinate tuples; validity is decided by the checking functions here
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
 from .linalg import dot, rat, rat_str, rank, vec_sub
-from .simplex import Arith
+from .simplex import DEFAULT_TOL, Arith
 
 EXACT = "exact"
 FLOAT = "float"
-DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,10 @@ class Theory:
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
                 numeric_mode: str = EXACT) -> Theory:
-    if numeric_mode == EXACT:
-        unit = tuple(rat(v) for v in unit)
-        generators = tuple(tuple(rat(v) for v in g) for g in generators)
-    else:
-        unit = tuple(float(v) for v in unit)
-        generators = tuple(tuple(float(v) for v in g) for g in generators)
+    """Coordinates may be ints, Fractions or "p/q" strings; float mode converts with float()."""
+    conv = float if numeric_mode == FLOAT else rat
+    unit = tuple(conv(v) for v in unit)
+    generators = tuple(tuple(conv(v) for v in g) for g in generators)
     return Theory(name, len(unit), unit, generators, numeric_mode)
 
 
@@ -192,24 +191,12 @@ def linearly_independent(states: Sequence[Sequence]) -> bool:
 
 # --- JSON schema -----------------------------------------------------------
 
-def _coord_to_json(v):
-    if isinstance(v, Fraction):
-        return rat_str(v)
-    return v
-
-
-def _coord_from_json(v, mode):
-    if mode == FLOAT:
-        return float(v)
-    return rat(v)
-
-
 def theory_to_json(t: Theory) -> dict:
     doc = {
         "name": t.name,
         "dim": t.dim,
-        "unit": [_coord_to_json(v) for v in t.unit],
-        "generators": [[_coord_to_json(v) for v in g] for g in t.generators],
+        "unit": [rat_str(v) for v in t.unit],
+        "generators": [[rat_str(v) for v in g] for g in t.generators],
     }
     if t.numeric_mode != EXACT:
         doc["numeric_mode"] = t.numeric_mode
@@ -219,10 +206,7 @@ def theory_to_json(t: Theory) -> dict:
 def theory_from_json(doc: dict) -> Theory:
     try:
         mode = doc.get("numeric_mode", EXACT)
-        t = make_theory(doc["name"],
-                        [_coord_from_json(v, mode) for v in doc["unit"]],
-                        [[_coord_from_json(v, mode) for v in g] for g in doc["generators"]],
-                        numeric_mode=mode)
+        t = make_theory(doc["name"], doc["unit"], doc["generators"], numeric_mode=mode)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed theory JSON: {exc}") from exc
     if t.dim != doc["dim"]:
@@ -230,10 +214,29 @@ def theory_from_json(doc: dict) -> Theory:
     return t
 
 
+def write_json(doc, fh) -> None:
+    """The one JSON layout of every file and output: indent 2, sorted keys, final newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def save_json(doc, path) -> None:
+    """Write a per-process temporary file next to the target and rename it
+    into place, so a concurrent reader sees the old file or the new one,
+    never a partial one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write_json(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_theory(t: Theory, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(theory_to_json(t), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(theory_to_json(t), path)
 
 
 def load_theory(path) -> Theory:

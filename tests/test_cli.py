@@ -6,6 +6,7 @@ import pytest
 from polygpt import cli, discrimination, lp
 from polygpt.families import ngon_theory
 from polygpt.fixtures import fixtures
+from polygpt.hypergraph import hypergraph_from_json
 from polygpt.theory import DEFAULT_TOL, load_theory, save_theory, theory_from_json
 
 
@@ -162,6 +163,26 @@ def test_domain_errors_exit_1():
                     "--backend", "exact"]) == 1
 
 
+def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
+    # Node 5 does not exist and [1, 1] repeats a node; no search may
+    # answer from such a file.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"N": 2, "num_nodes": 3, "edges": [[0, 5], [1, 1]]}))
+    for method in ("exact", "greedy"):
+        assert cli.run(["maxclique", "--hypergraph", str(path), "--method", method]) == 2
+    for n, nodes, edges in ((1, 3, [[0]]), (2, -1, []), (2, 3, [[1, 0]]), (2, 3, [[0, 1, 2]]),
+                            (2, 3, [[-1, 0]]), (2, 3, [[0, 3]]), (2, 3, [[0.0, 1]])):
+        with pytest.raises(ValueError):
+            hypergraph_from_json({"N": n, "num_nodes": nodes, "edges": edges})
+
+
+def test_negative_trials_exit_1(tmp_path):
+    out = tmp_path / "out.json"
+    assert cli.run(["random-construction", "--N", "3", "--q", "9", "--l", "12", "--M", "8",
+                    "--trials", "-5", "--workers", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_float_backend_on_rational_theory(tmp_path):
     doc = run_json(tmp_path, ["distinguish", "--family", "hypercube:m=2",
                               "--states", "0,3", "--backend", "float"])
@@ -214,14 +235,14 @@ def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch,
     # test_reversed_resolve_alone_returns_checkable_evidence.
     args = ["distinguish", "--family", "ngon:n=5", "--states", states]
     plain = run_json(tmp_path, args, name="plain.json")
-    verdict = discrimination._float_verdict
+    verdict = discrimination._verdict
     calls = []
 
     def first_unclear(theory, states, prob):
         calls.append(states)
         return None if len(calls) == 1 else verdict(theory, states, prob)
 
-    monkeypatch.setattr(discrimination, "_float_verdict", first_unclear)
+    monkeypatch.setattr(discrimination, "_verdict", first_unclear)
     doc = run_json(tmp_path, args, name="reversed.json")
     assert len(calls) == 2
     if doc["perfect"]:

@@ -256,14 +256,14 @@ def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, 
     # Only the reversed-order re-solve gives a clear verdict; its evidence
     # must still re-check against the caller's states.
     states = [theory.generators[i] for i in indices]
-    verdict = discrimination._float_verdict
+    verdict = discrimination._verdict
     calls = []
 
     def first_unclear(theory, states, prob):
         calls.append(states)
         return None if len(calls) == 1 else verdict(theory, states, prob)
 
-    monkeypatch.setattr(discrimination, "_float_verdict", first_unclear)
+    monkeypatch.setattr(discrimination, "_verdict", first_unclear)
     answer = is_perfectly_distinguishable(theory, states, validate=False)
     assert len(calls) == 2
     if answer.distinguishable:
@@ -273,6 +273,13 @@ def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, 
         assert answer.problem == discrimination._feasibility_problem(
             theory, tuple(reversed(states)))
         assert lp.verify_farkas(answer.problem, answer.certificate, tol=theory.arith().tol)
+
+
+def test_exact_verdict_raises_on_an_unexpected_lp_status(monkeypatch):
+    sq = hypercube_theory(2)
+    monkeypatch.setattr(lp, "solve_exact", lambda prob: lp.LPOutcome(lp.LPStatus.UNBOUNDED))
+    with pytest.raises(RuntimeError, match="UNBOUNDED"):
+        is_perfectly_distinguishable(sq, sq.generators[:2], validate=False)
 
 
 def test_instance_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from polygpt.families import (build_family, classical_simplex, codeword_state_index,
                               hypercube_effect, hypercube_state, hypercube_theory,
-                              ngon_theory, parse_family_spec, prism_pair_index,
+                              FamilySpec, ngon_theory, parse_family_spec, prism_pair_index,
                               prism_product, simplex_power)
 from polygpt.linalg import dot
 from polygpt.theory import reduce_to_pure_states, validate_theory
@@ -155,3 +155,8 @@ def test_family_spec_parsing():
                 "simplex-power:q=3", "prism:simplex:d=2"):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
+
+
+def test_unknown_family_kind_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        FamilySpec("bogus", {}).build()

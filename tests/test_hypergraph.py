@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_planar_theory
+from polygpt import hypergraph
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.families import (classical_simplex, hypercube_theory, ngon_theory, prism_product,
                               simplex_power)
@@ -15,6 +16,7 @@ from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hype
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
                                 load_hypergraph, save_hypergraph)
 from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
+from polygpt.theory import load_theory, save_theory
 
 
 def brute_hypergraph(theory, n):
@@ -180,10 +182,16 @@ def test_json_roundtrip_and_files(tmp_path):
         hypergraph_from_json({"N": 2})
 
 
-def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(tmp_path, monkeypatch):
+@pytest.mark.parametrize("save,load,old,new", [
+    pytest.param(save_hypergraph, load_hypergraph, build_hypergraph(hypercube_theory(2), 2),
+                 build_hypergraph(hypercube_theory(2), 3), id="hypergraph"),
+    pytest.param(save_theory, load_theory, hypercube_theory(2), hypercube_theory(3),
+                 id="theory"),
+])
+def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(tmp_path, monkeypatch,
+                                                                  save, load, old, new):
     path = tmp_path / "square.json"
-    old = build_hypergraph(hypercube_theory(2), 2)
-    save_hypergraph(old, path)
+    save(old, path)
     before = path.read_bytes()
 
     def broken_dump(doc, fh, **kwargs):
@@ -192,11 +200,11 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(tmp_path, monk
 
     monkeypatch.setattr(json, "dump", broken_dump)
     with pytest.raises(OSError):
-        save_hypergraph(build_hypergraph(hypercube_theory(2), 3), path)
+        save(new, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
     monkeypatch.undo()
-    assert load_hypergraph(path) == old
+    assert load(path) == old
 
 
 def test_cache_roundtrip(tmp_path):
@@ -206,6 +214,25 @@ def test_cache_roundtrip(tmp_path):
     assert len(files) == 1
     again = build_hypergraph(t, 2, cache_dir=str(tmp_path))
     assert first == again
+
+
+def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
+    t = hypercube_theory(2)
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_hypergraph(path)
+
+    monkeypatch.setattr(hypergraph, "load_hypergraph", counting_load)
+    good = build_hypergraph(t, 2, cache_dir=str(tmp_path))
+    assert loads == []  # a plain miss reads nothing
+    [path] = tmp_path.iterdir()
+    healthy = path.read_bytes()
+    path.write_bytes(healthy[:len(healthy) // 2])  # truncated
+    assert build_hypergraph(t, 2, cache_dir=str(tmp_path)) == good
+    assert len(loads) == 1 and path.read_bytes() == healthy
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def _parallel_map_in_order(workers):
