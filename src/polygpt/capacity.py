@@ -26,6 +26,7 @@ from .linalg import rat
 from .parallel import parallel_map
 from .theory import Measurement, Theory, reduce_to_pure_states
 
+MAX_DIMENSION = 10 ** 6  # largest code dimension randomized_search accepts
 
 # --- compression factors ----------------------------------------------------
 
@@ -115,6 +116,8 @@ def probabilistic_params(n_arity: int, m: int) -> Tuple[int, int, int]:
 def failure_probability_bound(q: int, l: int, m_codewords: int, n_arity: int) -> Fraction:
     """Union bound on a random M-codeword code having some N-subset with
     no discriminating component: C(M,N) (1 - prod_k (1 - k/q))^l."""
+    if n_arity < 2:
+        raise ValueError("N must be >= 2")
     if n_arity > q:
         raise ValueError("bound is vacuous for N > q (the product is not positive)")
     if q < 1 or l < 0 or m_codewords < 0:
@@ -223,8 +226,8 @@ def _trial_fails(q: int, l: int, m_codewords: int, n_arity: int, seed: int) -> b
 
 def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
                       seed: int = 0, q: Optional[int] = None, l: Optional[int] = None,
-                      m_codewords: Optional[int] = None, workers: int = 1,
-                      max_dimension: int = 10 ** 6) -> RandomSearchReport:
+                      m_codewords: Optional[int] = None,
+                      workers: int = 1) -> RandomSearchReport:
     """Monte Carlo over random codes: empirical failure fraction of the
     component check next to the exact union bound."""
     if trials < 0:
@@ -238,7 +241,7 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
             raise ValueError("give m, or an explicit codeword count")
         m_codewords = 2 ** m
     dim = l * (q - 1) + 1
-    if dim > max_dimension or m_codewords > q ** l:
+    if dim > MAX_DIMENSION or m_codewords > q ** l:
         raise ValueError("parameters are beyond desk scale")
     if n_arity > q:
         raise ValueError("q < N: no component can ever discriminate")

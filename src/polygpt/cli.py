@@ -22,6 +22,7 @@ from .exactlog import PrecisionError
 from .families import build_family
 from .fixtures import fixtures
 from .linalg import rat, rat_str
+from .simplex import Arith
 from .theory import DEFAULT_TOL, EXACT, FLOAT, load_theory, make_theory, \
     reduce_to_pure_states, save_json, theory_from_json, theory_to_json, validate_theory, \
     write_json
@@ -61,7 +62,7 @@ def _load_theory_source(args):
         if fix is None:
             raise UsageError(f"unknown fixture {args.fixture!r}; try the 'fixtures' subcommand")
         return theory_from_json(fix["theory"]), fix
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -70,8 +71,10 @@ def _apply_backend(theory, args):
     float degrades a rational theory to the toleranced backend, and --tol
     becomes the returned theory's own tolerance."""
     tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0:
-        raise UsageError("tolerance must be positive")
+    try:
+        Arith(tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     backend = getattr(args, "backend", "auto")
     if backend == "exact" and theory.numeric_mode != EXACT:
         raise DomainError(f"exact backend rejected: '{theory.name}' has "
@@ -116,16 +119,19 @@ def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _selected_states(args, theory, fix):
+def _selected_states(args):
+    theory, fix = _load_theory_source(args)
+    theory = _apply_backend(theory, args)
     if args.states:
         indices = _parse_indices(args.states)
         for i in indices:
             if not 0 <= i < theory.num_generators:
                 raise UsageError(f"state index {i} out of range 0..{theory.num_generators - 1}")
-        return indices
-    if fix and "triple" in fix:
-        return [fix["state_indices"][label] for label in fix["triple"]]
-    raise UsageError("give --states (or a fixture that names a state set)")
+    elif fix and "triple" in fix:
+        indices = [fix["state_indices"][label] for label in fix["triple"]]
+    else:
+        raise UsageError("give --states (or a fixture that names a state set)")
+    return theory, indices, [theory.generators[i] for i in indices]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -147,10 +153,7 @@ def cmd_theory(args):
 
 
 def cmd_distinguish(args):
-    theory, fix = _load_theory_source(args)
-    theory = _apply_backend(theory, args)
-    indices = _selected_states(args, theory, fix)
-    states = [theory.generators[i] for i in indices]
+    theory, indices, states = _selected_states(args)
     try:
         answer = discrimination.is_perfectly_distinguishable(theory, states, validate=False)
         result = discrimination.max_success_probability(
@@ -176,10 +179,7 @@ def cmd_distinguish(args):
 
 
 def cmd_psuccess(args):
-    theory, fix = _load_theory_source(args)
-    theory = _apply_backend(theory, args)
-    indices = _selected_states(args, theory, fix)
-    states = [theory.generators[i] for i in indices]
+    theory, indices, states = _selected_states(args)
     priors = None
     if args.priors:
         priors = _parse_priors(args.priors, theory.numeric_mode == EXACT)
@@ -223,7 +223,7 @@ def cmd_maxclique(args):
     if args.hypergraph:
         try:
             h = hypergraph.load_hypergraph(args.hypergraph)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             raise UsageError(str(exc)) from exc
     else:
         h = _build_hypergraph(args)
@@ -274,13 +274,14 @@ def cmd_verify_hypercube(args):
 def cmd_kappa(args):
     if args.N != 2:
         raise DomainError("closed-form compression factors are only known for N = 2")
-    if args.m < 1:
-        raise DomainError("m must be >= 1")
+    try:
+        d = capacity.d_pairwise(args.m)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
     kappa = capacity.kappa_pairwise(args.m)
-    doc = {"N": 2, "m": args.m, "d": capacity.d_pairwise(args.m),
-           "kappa": float(_fmt12(kappa))}
+    doc = {"N": 2, "m": args.m, "d": d, "kappa": float(_fmt12(kappa))}
     header = ["N", "m", "d", "kappa"]
-    row = [str(2), str(args.m), str(capacity.d_pairwise(args.m)), _fmt12(kappa)]
+    row = [str(2), str(args.m), str(d), _fmt12(kappa)]
     _emit(doc, args, csv_row=row, csv_header=header)
     return 0
 
@@ -326,7 +327,7 @@ def cmd_dg_check(args):
         with open(args.points) as fh:
             raw = json.load(fh)
         points = [[rat(v) for v in p] for p in raw]
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed points file: {exc}") from exc
     try:
         holds = capacity.danzer_grunbaum_check(points)

@@ -53,10 +53,14 @@ def instance(theory: Theory, states: Sequence, priors: Optional[Sequence] = None
         priors = (Fraction(1, n),) * n if theory.numeric_mode == EXACT else (1.0 / n,) * n
     inst = DiscriminationInstance(theory, states, tuple(priors))
     if validate:
-        for s in states:
-            if not is_state(theory, s):
-                raise ValueError(f"not a state of '{theory.name}': {s}")
+        _require_states(theory, states)
     return inst
+
+
+def _require_states(theory: Theory, states) -> None:
+    for s in states:
+        if not is_state(theory, s):
+            raise ValueError(f"not a state of '{theory.name}': {s}")
 
 
 def instance_from_indices(theory: Theory, indices: Sequence[int],
@@ -171,9 +175,7 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
     states = tuple(tuple(s) for s in states)
     _check_distinct(theory, states)
     if validate:
-        for s in states:
-            if not is_state(theory, s):
-                raise ValueError(f"not a state of '{theory.name}': {s}")
+        _require_states(theory, states)
     if len(states) == 1:
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
     prob = _feasibility_problem(theory, states)
@@ -189,9 +191,7 @@ def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]
     out = _solve(theory, prob)
     if out.status == lp.LPStatus.OPTIMAL:
         meas = _assemble_measurement(theory, out.solution, len(states))
-        if exact or max(abs(dot(e, s) - (1.0 if i == j else 0.0))
-                        for i, e in enumerate(meas.effects)
-                        for j, s in enumerate(states)) <= CLEAR_RESIDUAL:
+        if exact or max(map(abs, _delta_residuals(meas, states))) <= CLEAR_RESIDUAL:
             return DistinguishabilityAnswer(True, witness=meas, problem=prob)
     elif out.status == lp.LPStatus.INFEASIBLE:
         # A float refusal also needs a clear optimality gap on the success probability.
@@ -210,18 +210,15 @@ def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAn
     # agreement before trusting a float answer near the boundary.
     rev = tuple(reversed(states))
     second = _verdict(theory, rev, _feasibility_problem(theory, rev))
-    if first is not None and second is not None:
-        if first.distinguishable == second.distinguishable:
-            return first
-        raise IndeterminateError("float backends disagree on distinguishability")
-    if first is not None:
-        return first
-    if second is not None:
-        if second.witness is None:
-            return second  # its certificate is for the reversed problem it carries
+    if second is not None and second.witness is not None:  # certificates keep their problem
         effects = tuple(reversed(second.witness.effects))  # back to the caller's order
-        return DistinguishabilityAnswer(True, witness=Measurement(effects), problem=prob)
-    raise IndeterminateError("distinguishability is numerically ambiguous at this tolerance")
+        second = DistinguishabilityAnswer(True, witness=Measurement(effects), problem=prob)
+    clear = [answer for answer in (first, second) if answer is not None]
+    if not clear:
+        raise IndeterminateError("distinguishability is numerically ambiguous at this tolerance")
+    if clear[0].distinguishable != clear[-1].distinguishable:
+        raise IndeterminateError("float backends disagree on distinguishability")
+    return clear[0]
 
 
 def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
@@ -231,13 +228,13 @@ def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
         return False
     if not is_measurement(theory, meas):
         return False
-    arith = theory.arith()
-    for i, e in enumerate(meas.effects):
-        for j, s in enumerate(states):
-            target = 1 if i == j else 0
-            if not arith.is_zero(dot(e, s) - target):
-                return False
-    return True
+    return all(map(theory.arith().is_zero, _delta_residuals(meas, states)))
+
+
+def _delta_residuals(meas: Measurement, states):
+    """dot(e_i, omega_j) - [i = j] for every effect e_i and state omega_j."""
+    return (dot(e, s) - (i == j) for i, e in enumerate(meas.effects)
+            for j, s in enumerate(states))
 
 
 def pairwise_distinguishable(theory: Theory, i: int, j: int) -> bool:

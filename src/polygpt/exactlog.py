@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
+MAX_BITS = 512  # precision cap of the certified floors
+
 
 class PrecisionError(ArithmeticError):
     """A floor stayed ambiguous at the precision cap."""
@@ -75,34 +77,32 @@ def certain_floor(lo: Fraction, hi: Fraction) -> Optional[int]:
     return flo if flo == math.floor(hi) else None
 
 
-def floor_of_log2_squared(x: Fraction, max_bits: int = 512) -> int:
-    """floor((log2 x)**2) for x >= 2, exact at power-of-two arguments."""
+def _floor_at_rising_precision(x: Fraction, enclose, what: str, max_bits: int) -> int:
+    """floor of the value that enclose(*log2_bounds(x, bits)) brackets, at doubling bits."""
     bits = 64
     while bits <= max_bits:
-        lo, hi = log2_bounds(x, bits)
-        f = certain_floor(lo * lo, hi * hi)
+        f = certain_floor(*enclose(*log2_bounds(x, bits)))
         if f is not None:
             return f
         bits *= 2
-    raise PrecisionError(f"floor((log2 {x})^2) ambiguous at {max_bits} bits")
+    raise PrecisionError(f"{what} ambiguous at {max_bits} bits")
 
 
-def floor_of_ratio_to_log2(numerator: Fraction, x: Fraction, max_bits: int = 512) -> int:
+def floor_of_log2_squared(x: Fraction, max_bits: int = MAX_BITS) -> int:
+    """floor((log2 x)**2) for x >= 2, exact at power-of-two arguments."""
+    return _floor_at_rising_precision(x, lambda lo, hi: (lo * lo, hi * hi),
+                                      f"floor((log2 {x})^2)", max_bits)
+
+
+def floor_of_ratio_to_log2(numerator: Fraction, x: Fraction) -> int:
     """floor(numerator / log2(x)) for x > 1, exact at power-of-two arguments."""
     if x <= 1:
         raise ValueError("denominator log needs an argument > 1")
-    bits = 64
-    while bits <= max_bits:
-        lo, hi = log2_bounds(x, bits)
-        f = certain_floor(numerator / hi, numerator / lo)
-        if f is not None:
-            return f
-        bits *= 2
-    raise PrecisionError(f"floor({numerator} / log2 {x}) ambiguous at {max_bits} bits")
+    return _floor_at_rising_precision(x, lambda lo, hi: (numerator / hi, numerator / lo),
+                                      f"floor({numerator} / log2 {x})", MAX_BITS)
 
 
-def log2_value(x: Fraction, digits: int = 15) -> float:
-    """Float log2 backed by a certified enclosure tight to ~10**-digits."""
-    bits = int(digits * 3.33) + 8
-    lo, hi = log2_bounds(x, bits)
+def log2_value(x: Fraction) -> float:
+    """Float log2 backed by a certified enclosure tight to ~10**-15."""
+    lo, hi = log2_bounds(x, 57)
     return float((lo + hi) / 2)

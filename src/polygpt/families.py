@@ -16,6 +16,8 @@ from typing import Sequence
 from .linalg import dot, unit_vector
 from .theory import EXACT, FLOAT, Theory
 
+MAX_GENERATORS = 4096  # largest simplex power built, in pure states
+
 
 def classical_simplex(d: int) -> Theory:
     """Classical d-outcome theory: the positive orthant with the summing unit."""
@@ -108,12 +110,12 @@ def prism_pair_index(a_index: int, b_index: int, b_count: int) -> int:
     return a_index * b_count + b_index
 
 
-def simplex_power(q: int, l: int, max_generators: int = 4096) -> Theory:
+def simplex_power(q: int, l: int) -> Theory:
     """l-fold prism product of the q-vertex simplex (q^l pure states)."""
     if q < 1 or l < 1:
         raise ValueError("q and l must be >= 1")
-    if q ** l > max_generators:
-        raise ValueError(f"q^l = {q ** l} generators exceed the cap {max_generators}")
+    if q ** l > MAX_GENERATORS:
+        raise ValueError(f"q^l = {q ** l} generators exceed the cap {MAX_GENERATORS}")
     t = classical_simplex(q)
     for _ in range(l - 1):
         t = prism_product(t, classical_simplex(q))

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple
-Matrix = list  # list of row tuples/lists
 
 
 def rat(value) -> Fraction:
@@ -34,10 +33,6 @@ def rat_str(value):
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(e) for e in entries)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -121,19 +116,3 @@ def _integer_scaled(values: Sequence):
     # on to more memory (measured as higher peak RSS in long runs).
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def invert(a: Sequence[Sequence]):
-    """Exact inverse of a square rational matrix; None when singular."""
-    n = len(a)
-    cols = []
-    for i in range(n):
-        col = solve_square(a, unit_vector(n, i))
-        if col is None:
-            return None
-        cols.append(col)
-    return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
-
-
-def mat_vec(a: Sequence[Sequence], x: Sequence) -> Vector:
-    return tuple(dot(row, x) for row in a)

@@ -144,8 +144,6 @@ def solve_exact(prob: LPProblem) -> LPOutcome:
 
 
 def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     fprob = LPProblem(tuple(float(v) for v in prob.objective),
                       tuple((tuple(float(v) for v in row), rel, float(b))
                             for row, rel, b in prob.constraints),
@@ -153,14 +151,14 @@ def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
     return _solve(fprob, Arith(tol))
 
 
-def check_solution(prob: LPProblem, x: Sequence, tol: float = 0) -> bool:
+def check_solution(prob: LPProblem, x: Sequence) -> bool:
     for row, rel, rhs in prob.constraints:
         lhs = sum(a * v for a, v in zip(row, x))
-        if rel == LE and not lhs <= rhs + tol:
+        if rel == LE and not lhs <= rhs:
             return False
-        if rel == GE and not lhs >= rhs - tol:
+        if rel == GE and not lhs >= rhs:
             return False
-        if rel == EQ and not abs(lhs - rhs) <= tol:
+        if rel == EQ and lhs != rhs:
             return False
     return True
 

@@ -19,6 +19,7 @@ Dash and Espinoza, Oper. Res. Lett. 35, 2007).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ STALLED = "stalled"
 
 # Comparison tolerance of the float run that guides the exact solver.
 GUIDE_TOL = 1e-9
+MAX_ITERATIONS = 50_000  # pivots per phase; a float run that needs more has stalled
 DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
 
 
@@ -39,6 +41,8 @@ class Arith:
     """Comparison context: tol == None means exact rational arithmetic."""
 
     def __init__(self, tol: Optional[float] = None):
+        if tol is not None and not 0 < tol < math.inf:
+            raise ValueError("tolerance must be a positive finite number")
         self.tol = tol
         self.exact = tol is None
 
@@ -79,8 +83,7 @@ class StandardResult:
 
 
 def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
-                       arith: Optional[Arith] = None,
-                       max_iterations: int = 50_000) -> StandardResult:
+                       arith: Optional[Arith] = None) -> StandardResult:
     arith = arith or Arith()
     n = len(costs)
     for row in rows:
@@ -89,15 +92,15 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     if arith.exact:
-        guide = _float_guide(costs, rows, rhs, max_iterations)
+        guide = _float_guide(costs, rows, rhs)
         if guide is not None:
             res = _certify_basis(costs, rows, rhs, *guide)
             if res is not None:
                 return res
-    return _bland(costs, rows, rhs, arith, max_iterations)[0]
+    return _bland(costs, rows, rhs, arith, MAX_ITERATIONS)[0]
 
 
-def _float_guide(costs, rows, rhs, max_iterations):
+def _float_guide(costs, rows, rhs):
     """Bland on a float copy of the data: (status, final basis, entering
     column of an unbounded ray), or None when the float run fails."""
     try:
@@ -106,7 +109,7 @@ def _float_guide(costs, rows, rhs, max_iterations):
         frhs = [float(b) for b in rhs]
     except OverflowError:
         return None
-    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL), max_iterations)
+    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL), MAX_ITERATIONS)
     if res.status == STALLED:
         return None
     return res.status, basis, entering
@@ -220,7 +223,7 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
             w_row[j] -= t[j]
         w_row[ncols] -= t[ncols]
 
-    def pivot(obj_rows, r, col):
+    def pivot(r, col):
         piv = tableau[r][col]
         tableau[r] = [v / piv for v in tableau[r]]
         prow = tableau[r]
@@ -229,15 +232,15 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
                 f = tableau[i][col]
                 if not arith.is_zero(f):
                     tableau[i] = [v - f * w for v, w in zip(tableau[i], prow)]
-        for obj in obj_rows:
+        for obj in (w_row, z_row):
             f = obj[col]
             if not arith.is_zero(f):
                 for j in range(ncols + 1):
                     obj[j] -= f * prow[j]
         basis[r] = col
 
-    def bland_entering(obj, allowed_cols):
-        for j in allowed_cols:
+    def bland_entering(obj):
+        for j in range(n):
             if arith.is_neg(obj[j]):
                 return j
         return None
@@ -253,18 +256,18 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
                     best = (ratio, i)
         return None if best is None else best[1]
 
-    def run_phase(obj, other_obj, allowed_cols, budget):
+    def run_phase(obj):
         iters = 0
         while True:
-            col = bland_entering(obj, allowed_cols)
+            col = bland_entering(obj)
             if col is None:
                 return OPTIMAL, iters
             r = bland_leaving(col)
             if r is None:
                 return UNBOUNDED, col
-            pivot([obj, other_obj], r, col)
+            pivot(r, col)
             iters += 1
-            if iters > budget:
+            if iters > max_iterations:
                 if arith.exact:
                     # Bland's rule terminates on exact data; running out of
                     # budget means a bug, not a hard instance.
@@ -272,7 +275,7 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
                 return STALLED, iters
 
     # Phase 1: minimize the artificial total.
-    status, _ = run_phase(w_row, z_row, range(n), max_iterations)
+    status, _ = run_phase(w_row)
     if status == STALLED:
         return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:
@@ -293,10 +296,10 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
         if basis[r] >= n:
             col = next((j for j in range(n) if not arith.is_zero(tableau[r][j])), None)
             if col is not None:
-                pivot([w_row, z_row], r, col)
+                pivot(r, col)
 
     # Phase 2 on the true costs, artificials barred from entering.
-    status, info = run_phase(z_row, w_row, range(n), max_iterations)
+    status, info = run_phase(z_row)
     if status == STALLED:
         return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:

@@ -12,7 +12,6 @@ import contextlib
 import json
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
@@ -39,6 +38,7 @@ class Theory:
             raise ValueError("unit length != dim")
         if self.numeric_mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown numeric_mode {self.numeric_mode!r}")
+        Arith(self.tol)  # the tolerance must be valid in both modes
         if not self.generators:
             raise ValueError("theory needs at least one generator")
         arith = self.arith()
@@ -120,6 +120,13 @@ def _combination_weights(vectors, target, arith: Arith, affine: bool):
     res = simplex.solve_standard_min(costs, rows, rhs, arith=arith)
     if res.status == simplex.STALLED:
         raise ArithmeticError("membership LP stalled in float mode")
+    # The certificate rule: an exact answer must pass substitution.
+    if arith.exact and not (
+            (res.status == simplex.OPTIMAL and min(res.x) >= 0
+             and all(dot(row, res.x) == b for row, b in zip(rows, rhs)))
+            or (res.status == simplex.INFEASIBLE and dot(res.farkas, rhs) > 0
+                and all(dot(res.farkas, col) <= 0 for col in zip(*rows)))):
+        raise RuntimeError("membership LP answer failed its substitution check (internal bug)")
     return res.x if res.status == simplex.OPTIMAL else None
 
 
@@ -182,11 +189,8 @@ def reduce_to_pure_states(t: Theory) -> Theory:
 
 
 def linearly_independent(states: Sequence[Sequence]) -> bool:
-    if not states:
-        return True
-    exact = all(isinstance(v, (int, Fraction)) for s in states for v in s)
-    tol = 0.0 if exact else DEFAULT_TOL
-    return rank(states, tol=tol) == len(states)
+    """Exact test; every entry must be an int, a Fraction or a "p/q" string."""
+    return rank([[rat(v) for v in s] for s in states]) == len(states)
 
 
 # --- JSON schema -----------------------------------------------------------
@@ -207,10 +211,11 @@ def theory_from_json(doc: dict) -> Theory:
     try:
         mode = doc.get("numeric_mode", EXACT)
         t = make_theory(doc["name"], doc["unit"], doc["generators"], numeric_mode=mode)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = doc["dim"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed theory JSON: {exc}") from exc
-    if t.dim != doc["dim"]:
-        raise ValueError(f"declared dim {doc['dim']} != coordinate length {t.dim}")
+    if t.dim != dim:
+        raise ValueError(f"declared dim {dim} != coordinate length {t.dim}")
     return t
 
 

@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polygpt import lp, simplex
-from polygpt.linalg import invert, solve_square
+from polygpt.linalg import dot, solve_square, unit_vector
 from polygpt.theory import Theory, reduce_to_pure_states
 
 
@@ -49,6 +49,22 @@ def random_lifted_theory(seed, dim_range=(3, 4), gens_range=(3, 6)):
     gens = tuple((Fraction(1),) + p for p in sorted(pts))
     unit = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
     return reduce_to_pure_states(Theory(f"random-{seed}", d, unit, gens))
+
+
+def invert(a):
+    """Exact inverse of a square rational matrix; None when singular."""
+    n = len(a)
+    cols = []
+    for i in range(n):
+        col = solve_square(a, unit_vector(n, i))
+        if col is None:
+            return None
+        cols.append(col)
+    return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
+
+
+def mat_vec(a, x):
+    return tuple(dot(row, x) for row in a)
 
 
 def random_invertible_matrix(rng, d):

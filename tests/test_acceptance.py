@@ -9,7 +9,8 @@ import time
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
-from conftest import random_lifted_theory, random_planar_theory, random_invertible_matrix
+from conftest import (mat_vec, random_lifted_theory, random_planar_theory,
+                      random_invertible_matrix)
 from polygpt import cli, lp
 from polygpt.capacity import (failure_probability_bound, kappa_pairwise,
                               nwise_distinguishable_by_lp, probabilistic_params,
@@ -20,7 +21,7 @@ from polygpt.discrimination import (instance_from_indices, is_perfectly_distingu
 from polygpt.families import (classical_simplex, codeword_state_index, hypercube_theory,
                               ngon_theory, prism_product, simplex_power)
 from polygpt.hypergraph import (build_hypergraph, exact_max_clique, greedy_max_clique)
-from polygpt.linalg import dot, mat_vec
+from polygpt.linalg import dot
 from polygpt.theory import (Measurement, Theory, conic_weights, is_measurement,
                             linearly_independent, reduce_to_pure_states)
 

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from polygpt import cli, discrimination, lp
-from polygpt.families import ngon_theory
+from polygpt.capacity import failure_probability_bound
+from polygpt.families import hypercube_theory, ngon_theory
 from polygpt.fixtures import fixtures
 from polygpt.hypergraph import hypergraph_from_json
 from polygpt.theory import DEFAULT_TOL, load_theory, save_theory, theory_from_json
@@ -174,6 +176,39 @@ def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
                             (2, 3, [[-1, 0]]), (2, 3, [[0, 3]]), (2, 3, [[0.0, 1]])):
         with pytest.raises(ValueError):
             hypergraph_from_json({"N": n, "num_nodes": nodes, "edges": edges})
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"name": "s", "unit": [1, 1],
+                                           "generators": [[1, 0], [0, 1]]}],
+                         ids=["list", "no-dim"])
+def test_malformed_theory_file_is_a_usage_error(tmp_path, doc):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        theory_from_json(doc)
+    assert cli.run(["theory", "--theory", str(path)]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # nan compares false with everything; inf makes every two vectors equal.
+    assert cli.run(["distinguish", "--family", "ngon:n=5", "--states", "0,2",
+                    "--tol", tol]) == 2
+    assert cli.run(["hypergraph", "--family", "ngon:n=5", "--N", "2", "--workers", "1",
+                    "--tol", tol]) == 2
+    for theory in (ngon_theory(5), hypercube_theory(2)):  # float and exact mode
+        with pytest.raises(ValueError, match="positive finite"):
+            replace(theory, tol=float(tol))
+
+
+@pytest.mark.parametrize("n_arity", [0, 1])
+def test_random_construction_needs_n_at_least_2(tmp_path, n_arity):
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        failure_probability_bound(3, 2, 4, n_arity)
+    out = tmp_path / "out.json"
+    assert cli.run(["random-construction", "--N", str(n_arity), "--q", "3", "--l", "2",
+                    "--M", "4", "--trials", "5", "--workers", "1", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_negative_trials_exit_1(tmp_path):

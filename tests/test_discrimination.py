@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (interior_angle_sum_exceeds_pi, ngon_pair_separable_by_direction,
+from conftest import (interior_angle_sum_exceeds_pi, mat_vec, ngon_pair_separable_by_direction,
                       random_invertible_matrix, random_lifted_theory)
 from polygpt import discrimination, lp
 from polygpt.discrimination import (IndeterminateError, instance, instance_from_indices,
@@ -16,7 +16,7 @@ from polygpt.discrimination import (IndeterminateError, instance, instance_from_
                                     verify_witness)
 from polygpt.families import (classical_simplex, codeword_state_index, hypercube_effect,
                               hypercube_theory, ngon_theory, simplex_power)
-from polygpt.linalg import dot, mat_vec
+from polygpt.linalg import dot
 from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, linearly_independent,
                             make_theory)
 

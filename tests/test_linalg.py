@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from polygpt.linalg import dot, invert, mat_vec, rank, rat, rat_str, solve_square, vec_sub
+from conftest import invert, mat_vec
+from polygpt.linalg import dot, rank, rat, rat_str, solve_square, vec_sub
 
 
 def test_rat_parsing_roundtrip():

@@ -106,10 +106,11 @@ def test_float_agrees_with_exact_on_100_seeded_instances():
     assert mismatches == 0
 
 
-def test_float_requires_positive_tolerance():
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_float_requires_positive_tolerance(tol):
     prob = boxed_random_lp(3)
     with pytest.raises(ValueError):
-        lp.solve_float(prob, tol=0.0)
+        lp.solve_float(prob, tol=tol)
 
 
 def test_farkas_rejects_bogus_certificates():

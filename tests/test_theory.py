@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import exact_bland_runs, plain_bland, random_lifted_theory
+from polygpt import simplex
 from polygpt.fixtures import fixtures
 from polygpt.families import classical_simplex, hypercube_effect, hypercube_theory
 from polygpt.theory import (Measurement, Theory, conic_weights, is_effect, is_measurement,
@@ -190,3 +191,21 @@ def test_json_rejects_malformed_documents():
     bad = dict(good, dim=5)
     with pytest.raises(ValueError):
         theory_from_json(bad)
+
+
+@pytest.mark.parametrize("bogus", [
+    lambda n, m: simplex.StandardResult(simplex.OPTIMAL, x=(F(0),) * (n - 1) + (F(1),)),
+    lambda n, m: simplex.StandardResult(simplex.OPTIMAL, x=(F(-1),) * n),
+    lambda n, m: simplex.StandardResult(simplex.INFEASIBLE, farkas=(F(0),) * m),
+    lambda n, m: simplex.StandardResult(simplex.INFEASIBLE, farkas=(F(1),) * m),
+], ids=["weights-miss-the-target", "negative-weights", "farkas-without-contradiction",
+        "farkas-positive-on-a-column"])
+def test_membership_answers_are_checked_by_substitution(monkeypatch, bogus):
+    t = classical_simplex(3)
+    monkeypatch.setattr(simplex, "solve_standard_min",
+                        lambda costs, rows, rhs, arith: bogus(len(costs), len(rows)))
+    for check in (lambda: is_state(t, (F(1), F(0), F(0))),
+                  lambda: conic_weights(t, (F(2), F(0), F(0))),
+                  lambda: reduce_to_pure_states(t)):
+        with pytest.raises(RuntimeError):
+            check()
