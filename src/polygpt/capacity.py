@@ -27,6 +27,7 @@ from .parallel import parallel_map
 from .theory import Measurement, Theory, reduce_to_pure_states
 
 MAX_DIMENSION = 10 ** 6  # largest code dimension randomized_search accepts
+MAX_CODEWORDS = 2 ** 12  # most codewords it draws; a trial checks all C(M, N) subsets
 
 # --- compression factors ----------------------------------------------------
 
@@ -241,7 +242,7 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
             raise ValueError("give m, or an explicit codeword count")
         m_codewords = 2 ** m
     dim = l * (q - 1) + 1
-    if dim > MAX_DIMENSION or m_codewords > q ** l:
+    if m_codewords > MAX_CODEWORDS or dim > MAX_DIMENSION or m_codewords > q ** l:
         raise ValueError("parameters are beyond desk scale")
     if n_arity > q:
         raise ValueError("q < N: no component can ever discriminate")

@@ -88,16 +88,15 @@ def _effect_rows(theory: Theory, n_states: int):
     """Cone-membership rows over the stacked variables e_1..e_{N-1}."""
     d = theory.dim
     nvars = d * (n_states - 1)
-    zero = theory.arith().zero()
     rows = []
     for i in range(n_states - 1):
         for v in theory.generators:
-            row = [zero] * nvars
+            row = [0] * nvars
             row[i * d:(i + 1) * d] = list(v)
-            rows.append((row, lp.GE, zero))
+            rows.append((row, lp.GE, 0))
     for v in theory.generators:  # e_N = u - sum(e_i) stays in the dual cone
         row = list(v) * (n_states - 1)
-        rows.append((row, lp.LE, zero + 1))
+        rows.append((row, lp.LE, 1))
     return nvars, rows
 
 
@@ -152,14 +151,13 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     n = len(states)
     nvars, rows = _effect_rows(theory, n)
     d = theory.dim
-    zero = theory.arith().zero()
     for i in range(n - 1):  # e_i . omega_i = 1
-        row = [zero] * nvars
+        row = [0] * nvars
         row[i * d:(i + 1) * d] = list(states[i])
-        rows.append((row, lp.EQ, zero + 1))
+        rows.append((row, lp.EQ, 1))
     # (u - sum e_i) . omega_N = 1  <=>  sum_i e_i . omega_N = 0
-    rows.append((list(states[n - 1]) * (n - 1), lp.EQ, zero))
-    return lp.problem([zero] * nvars, rows, nvars)
+    rows.append((list(states[n - 1]) * (n - 1), lp.EQ, 0))
+    return lp.problem([0] * nvars, rows, nvars)
 
 
 def _check_distinct(theory: Theory, states) -> None:
@@ -191,7 +189,7 @@ def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]
     out = _solve(theory, prob)
     if out.status == lp.LPStatus.OPTIMAL:
         meas = _assemble_measurement(theory, out.solution, len(states))
-        if exact or max(map(abs, _delta_residuals(meas, states))) <= CLEAR_RESIDUAL:
+        if exact or max(map(abs, _delta_residuals(theory, meas, states))) <= CLEAR_RESIDUAL:
             return DistinguishabilityAnswer(True, witness=meas, problem=prob)
     elif out.status == lp.LPStatus.INFEASIBLE:
         # A float refusal also needs a clear optimality gap on the success probability.
@@ -224,17 +222,17 @@ def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAn
 def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
     """Exact delta-condition check: the measurement must be valid and
     respond with certainty to each state in order."""
-    if len(meas.effects) != len(states):
-        return False
-    if not is_measurement(theory, meas):
-        return False
-    return all(map(theory.arith().is_zero, _delta_residuals(meas, states)))
+    return (len(meas.effects) == len(states) and is_measurement(theory, meas)
+            and all(map(theory.arith().is_zero, _delta_residuals(theory, meas, states))))
 
 
-def _delta_residuals(meas: Measurement, states):
-    """dot(e_i, omega_j) - [i = j] for every effect e_i and state omega_j."""
-    return (dot(e, s) - (i == j) for i, e in enumerate(meas.effects)
-            for j, s in enumerate(states))
+def _delta_residuals(theory: Theory, meas: Measurement, states):
+    """d * d * (dot(e_i, omega_j) - [i = j]) for every effect e_i and state
+    omega_j, with d from theory.scaled_rows (d = 1 in float mode)."""
+    n = len(meas.effects)
+    rows, d = theory.scaled_rows((*meas.effects, *states))
+    return (dot(e, s) - (i == j) * d * d for i, e in enumerate(rows[:n])
+            for j, s in enumerate(rows[n:]))
 
 
 def pairwise_distinguishable(theory: Theory, i: int, j: int) -> bool:

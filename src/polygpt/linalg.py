@@ -8,6 +8,7 @@ entries; float-mode theories reuse the same helpers with ``float`` entries
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +39,7 @@ def rat_str(value):
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
@@ -86,7 +87,7 @@ def solve_square(a: Sequence[Sequence], b: Sequence):
     an integer minor, and only the solution is built from Fractions.
     """
     n = len(a)
-    m = [_integer_scaled(list(row) + [rhs])[0] for row, rhs in zip(a, b)]
+    m, _ = integer_rows([[*row, rhs] for row, rhs in zip(a, b)])
     prev = 1
     for col in range(n):
         pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
@@ -109,10 +110,10 @@ def solve_square(a: Sequence[Sequence], b: Sequence):
     return tuple(Fraction(v, prev) for v in num)
 
 
-def _integer_scaled(values: Sequence):
-    """(integers, d) with integers[i] = d * values[i] and d > 0 the least
-    common denominator of the int or Fraction values."""
+def integer_rows(rows: Sequence[Sequence]):
+    """(integer rows, d): every int or Fraction entry times d > 0, their least common
+    denominator. The kernel of every exact check: signs and equalities stay."""
     # Unpack a list, not a generator: a tuple grown from a generator holds
     # on to more memory (measured as higher peak RSS in long runs).
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    den = math.lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den

@@ -13,17 +13,20 @@ variable count (the discrimination programs are exactly this shape).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from . import simplex
+from .linalg import dot, integer_rows
 from .simplex import DEFAULT_TOL, Arith
 
 LE = "<="
 EQ = "="
 GE = ">="
-_RELATIONS = (LE, EQ, GE)
+_RELATIONS = {LE: operator.le, EQ: operator.eq, GE: operator.ge}  # row . x REL rhs
 
 
 class LPStatus(Enum):
@@ -52,6 +55,12 @@ class LPProblem:
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
 
+    @functools.cached_property
+    def integer_form(self):
+        """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows)."""
+        rows, den = integer_rows([[*row, rhs] for row, _, rhs in self.constraints])
+        return tuple((tuple(r[:-1]), c[1], r[-1]) for r, c in zip(rows, self.constraints)), den
+
 
 def problem(objective: Sequence, constraints: Sequence, num_vars: int) -> LPProblem:
     return LPProblem(tuple(objective),
@@ -67,26 +76,22 @@ class LPOutcome:
     infeasibility_certificate: Optional[tuple] = None
 
 
-def _dual_columns(prob: LPProblem):
+def _dual_columns(constraints):
     """Columns of the dualized problem, one per primal row (split for =)."""
     cols = []   # (coefficient vector over primal vars, cost)
     backmap = []  # (row index, multiplier applied to recover certificate)
-    for i, (row, rel, rhs) in enumerate(prob.constraints):
-        if rel == EQ:
-            cols.append((row, rhs))
-            backmap.append((i, 1))
-            cols.append((tuple(-v for v in row), -rhs))
-            backmap.append((i, -1))
-        else:
-            s = 1 if rel == LE else -1
+    for i, (row, rel, rhs) in enumerate(constraints):
+        for s in (1, -1) if rel == EQ else (1 if rel == LE else -1,):
             cols.append((tuple(s * v for v in row), s * rhs))
             backmap.append((i, s))
     return cols, backmap
 
 
 def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
+    # Exact: rows times d (integer_form) keep x, value and certificates; rhs2 scales by d too.
     n = prob.num_vars
-    cols, backmap = _dual_columns(prob)
+    constraints, den = prob.integer_form if arith.exact else (prob.constraints, 1)
+    cols, backmap = _dual_columns(constraints)
     costs = [cost for _, cost in cols]
     rows = [[col[j] for col, _ in cols] for j in range(n)]
     res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith)
@@ -106,12 +111,9 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
 
     # Dual infeasible: primal is unbounded or infeasible. Search directly
     # for a Farkas certificate (a normalized improving ray).
-    zero = arith.zero()
-    one = zero + 1
-    rows2 = [r + [zero] for r in rows] + [costs + [one]]
-    costs2 = [zero] * (len(cols) + 1)
-    rhs2 = [zero] * n + [-one]
-    res2 = simplex.solve_standard_min(costs2, rows2, rhs2, arith=arith)
+    rows2 = [r + [0] for r in rows] + [costs + [1]]
+    rhs2 = [0] * n + [-den]
+    res2 = simplex.solve_standard_min([0] * (len(cols) + 1), rows2, rhs2, arith=arith)
     if res2.status == simplex.STALLED:
         return LPOutcome(LPStatus.STALLED)
     if res2.status == simplex.OPTIMAL:
@@ -134,8 +136,7 @@ def solve_exact(prob: LPProblem) -> LPOutcome:
     if out.status == LPStatus.OPTIMAL:
         if not check_solution(prob, out.solution):
             raise RuntimeError("simplex returned a non-feasible optimum (internal bug)")
-        obj = sum(c * x for c, x in zip(prob.objective, out.solution))
-        if obj != out.value:
+        if dot(prob.objective, out.solution) != out.value:
             raise RuntimeError("objective mismatch between primal and dual (internal bug)")
     elif out.status == LPStatus.INFEASIBLE:
         if not verify_farkas(prob, out.infeasibility_certificate):
@@ -152,26 +153,22 @@ def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
 
 
 def check_solution(prob: LPProblem, x: Sequence) -> bool:
-    for row, rel, rhs in prob.constraints:
-        lhs = sum(a * v for a, v in zip(row, x))
-        if rel == LE and not lhs <= rhs:
-            return False
-        if rel == GE and not lhs >= rhs:
-            return False
-        if rel == EQ and lhs != rhs:
-            return False
-    return True
+    """Exact substitution check, on integer_form and the integers d * x."""
+    (xs,), dx = integer_rows([x])
+    return all(_RELATIONS[rel](dot(row, xs), rhs * dx) for row, rel, rhs in prob.integer_form[0])
 
 
 def verify_farkas(prob: LPProblem, cert: Sequence, tol: float = 0) -> bool:
-    """Check the standard infeasibility certificate by substitution:
-    multipliers >= 0 on <= rows, <= 0 on >= rows, free on = rows, with
-    sum(y_i a_i) = 0 and sum(y_i b_i) < 0."""
+    """Check the standard infeasibility certificate by substitution (with tol
+    = 0 exactly, on integer_form and the integers d * y): multipliers >= 0 on
+    <= rows, <= 0 on >= rows, free on = rows, sum(y_i a_i) = 0, sum(y_i b_i) < 0."""
     if len(cert) != len(prob.constraints):
         return False
+    ys, constraints = (cert, prob.constraints) if tol else \
+        (integer_rows([cert])[0][0], prob.integer_form[0])
     combo = [0] * prob.num_vars
     total = 0
-    for y, (row, rel, rhs) in zip(cert, prob.constraints):
+    for y, (row, rel, rhs) in zip(ys, constraints):
         if rel == LE and y < -tol:
             return False
         if rel == GE and y > tol:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import _integer_scaled, solve_square
+from .linalg import dot, integer_rows, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -45,9 +45,6 @@ class Arith:
             raise ValueError("tolerance must be a positive finite number")
         self.tol = tol
         self.exact = tol is None
-
-    def zero(self):
-        return Fraction(0) if self.exact else 0.0
 
     def is_pos(self, x) -> bool:
         return x > (0 if self.exact else self.tol)
@@ -118,20 +115,20 @@ def _float_guide(costs, rows, rhs):
 def _certify_basis(costs, rows, rhs, status, basis, entering):
     """Rebuild the guide's answer from its basis in exact arithmetic.
 
-    Each row and its rhs are scaled to integers by their least common
-    denominator d_i, which leaves levels and rays unchanged and scales row
-    prices by 1/d_i; column n + i is row i's artificial, sign-flipped with
+    The rows and rhs are scaled to integers by their least common
+    denominator d, which leaves levels and rays unchanged and scales row
+    prices by 1/d; column n + i is row i's artificial, sign-flipped with
     the row as in the tableau. Returns None unless every condition of the
     reported status holds exactly."""
     n = len(costs)
-    scaled = [_integer_scaled(list(row) + [b]) for row, b in zip(rows, rhs)]
-    b = [ints[n] for ints, _ in scaled]
+    scaled, d = integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+    b = [ints[n] for ints in scaled]
 
     def column(j):
         if j < n:
-            return [ints[j] for ints, _ in scaled]
+            return [ints[j] for ints in scaled]
         return [(d if ints[n] >= 0 else -d) if i == j - n else 0
-                for i, (ints, d) in enumerate(scaled)]
+                for i, ints in enumerate(scaled)]
 
     basis_cols = [column(j) for j in basis]  # the rows of B^T
     bmat = [[col[i] for col in basis_cols] for i in range(len(rows))]
@@ -142,12 +139,8 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         y = solve_square(basis_cols, basic_costs)
         if y is None:
             return None
-        y, den = _integer_scaled(y)
-        total = [0] * (n + 1)
-        for yi, (ints, _) in zip(y, scaled):
-            if yi:
-                total = [t + yi * v for t, v in zip(total, ints)]
-        return total, y, den
+        (y,), den = integer_rows([y])
+        return [dot(y, col) for col in zip(*scaled)], y, den
 
     if status == INFEASIBLE:
         # Phase-1 prices: artificials cost 1, real columns 0.
@@ -158,7 +151,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         if total[n] <= 0 or any(v > 0 for v in total[:n]):
             return None
         return StandardResult(INFEASIBLE, farkas=tuple(
-            Fraction(v * d, den) for v, (_, d) in zip(y, scaled)))
+            Fraction(v * d, den) for v in y))
 
     level = solve_square(bmat, b)
     # Artificials may stay basic on redundant rows, but only at level zero.
@@ -183,7 +176,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
             return None
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
-    cost_ints, cost_den = _integer_scaled(costs)
+    (cost_ints,), cost_den = integer_rows([costs])
     priced = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
     if priced is None:
         return None
@@ -192,7 +185,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         return None
     value = sum((c * v for c, v in zip(costs, x)), zero)
     return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=tuple(
-        Fraction(v * d, den * cost_den) for v, (_, d) in zip(y, scaled)))
+        Fraction(v * d, den * cost_den) for v in y))
 
 
 def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
@@ -200,7 +193,7 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
     when unbounded)."""
     n = len(costs)
     m = len(rows)
-    zero = arith.zero()
+    zero = Fraction(0) if arith.exact else 0.0
     one = zero + 1
 
     # Flip rows so b >= 0; remember orientation for row-indexed outputs.

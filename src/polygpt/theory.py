@@ -9,13 +9,14 @@ coordinate tuples; validity is decided by the checking functions here
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import simplex
-from .linalg import dot, rat, rat_str, rank, vec_sub
+from .linalg import dot, integer_rows, rat, rat_str, rank, vec_sub
 from .simplex import DEFAULT_TOL, Arith
 
 EXACT = "exact"
@@ -50,6 +51,15 @@ class Theory:
 
     def arith(self) -> Arith:
         return Arith(None if self.numeric_mode == EXACT else self.tol)
+
+    def scaled_rows(self, rows):
+        """(rows, d): linalg.integer_rows in exact mode, (rows, 1) in float mode."""
+        return integer_rows(rows) if self.numeric_mode == EXACT else (rows, 1)
+
+    @functools.cached_property
+    def generator_rows(self):
+        """scaled_rows(generators), once per theory; not a field, so == and the hash skip it."""
+        return self.scaled_rows(self.generators)
 
     @property
     def num_generators(self) -> int:
@@ -108,25 +118,22 @@ def validate_theory(t: Theory) -> ValidationReport:
 def _combination_weights(vectors, target, arith: Arith, affine: bool):
     """Nonnegative weights a with sum(a_j vectors[j]) = target; with
     affine=True additionally sum(a) = 1. None when no such weights exist."""
-    d = len(target)
-    zero = arith.zero()
-    one = zero + 1
-    rows = [[zero + v[j] for v in vectors] for j in range(d)]
-    rhs = [zero + x for x in target]
+    rows = [[v[j] for v in vectors] + [x] for j, x in enumerate(target)]
     if affine:
-        rows.append([one] * len(vectors))
-        rhs.append(one)
-    costs = [zero] * len(vectors)
-    res = simplex.solve_standard_min(costs, rows, rhs, arith=arith)
+        rows.append([1] * (len(vectors) + 1))
+    if arith.exact:
+        rows, _ = integer_rows(rows)
+    rhs = [row.pop() for row in rows]
+    res = simplex.solve_standard_min([0] * len(vectors), rows, rhs, arith=arith)
     if res.status == simplex.STALLED:
         raise ArithmeticError("membership LP stalled in float mode")
-    # The certificate rule: an exact answer must pass substitution.
-    if arith.exact and not (
-            (res.status == simplex.OPTIMAL and min(res.x) >= 0
-             and all(dot(row, res.x) == b for row, b in zip(rows, rhs)))
-            or (res.status == simplex.INFEASIBLE and dot(res.farkas, rhs) > 0
-                and all(dot(res.farkas, col) <= 0 for col in zip(*rows)))):
-        raise RuntimeError("membership LP answer failed its substitution check (internal bug)")
+    # Certificate rule, in integers: d * x solves or d * y refutes (zero costs: never UNBOUNDED).
+    if arith.exact:
+        (v,), d = integer_rows([res.x or res.farkas])
+        if not (min(v) >= 0 and all(dot(row, v) == d * b for row, b in zip(rows, rhs))
+                if res.status == simplex.OPTIMAL else
+                dot(v, rhs) > 0 and all(dot(v, col) <= 0 for col in zip(*rows))):
+            raise RuntimeError("membership LP answer failed its substitution check (internal bug)")
     return res.x if res.status == simplex.OPTIMAL else None
 
 
@@ -155,9 +162,11 @@ def is_effect(t: Theory, e: Sequence) -> bool:
     if len(e) != t.dim:
         raise ValueError("dimension mismatch")
     arith = t.arith()
-    for g in t.generators:
+    (e,), den = t.scaled_rows([e])
+    gens, d = t.generator_rows
+    for g in gens:
         v = dot(e, g)
-        if arith.is_neg(v) or arith.is_pos(v - 1):
+        if arith.is_neg(v) or arith.is_pos(v - den * d):
             return False
     return True
 
@@ -166,10 +175,11 @@ def is_measurement(t: Theory, m: Measurement) -> bool:
     if not all(is_effect(t, e) for e in m.effects):
         return False
     arith = t.arith()
-    total = m.effects[0]
-    for e in m.effects[1:]:
+    (*effects, unit), _ = t.scaled_rows((*m.effects, t.unit))
+    total = effects[0]
+    for e in effects[1:]:
         total = tuple(a + b for a, b in zip(total, e))
-    return all(arith.is_zero(a - b) for a, b in zip(total, t.unit))
+    return all(arith.is_zero(a - b) for a, b in zip(total, unit))
 
 
 def reduce_to_pure_states(t: Theory) -> Theory:

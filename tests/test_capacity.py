@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_planar_points
-from polygpt.capacity import (CapacityReport, RandomCode, SplitMix64, component_discriminates,
+from polygpt import capacity
+from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64,
+                              component_discriminates,
                               d_pairwise, danzer_grunbaum_check, failure_probability_bound,
                               kappa_pairwise, nwise_distinguishable_by_lp,
                               probabilistic_params, randomized_search, sample_random_code,
@@ -171,6 +173,18 @@ def test_randomized_search_edge_cases():
         randomized_search(4, q=3, l=2, m_codewords=4, trials=5, seed=1)  # q < N
     with pytest.raises(ValueError):
         randomized_search(2, q=2, l=2, m_codewords=9, trials=5, seed=1)  # M > q^l
+
+
+def test_randomized_search_caps_the_codeword_count(monkeypatch):
+    # The cap is checked before any code is drawn; 2^40 codewords would
+    # never finish drawing.
+    def no_sampling(*args):
+        raise AssertionError("a code was drawn past the cap")
+
+    monkeypatch.setattr(capacity, "sample_random_code", no_sampling)
+    for kwargs in (dict(m=40), dict(q=9, l=12, m_codewords=MAX_CODEWORDS + 1)):
+        with pytest.raises(ValueError, match="beyond desk scale"):
+            randomized_search(2, trials=5, seed=1, **kwargs)
 
 
 def test_randomized_search_from_m():

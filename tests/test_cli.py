@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from polygpt import cli, discrimination, lp
+from polygpt import capacity, cli, discrimination, lp
 from polygpt.capacity import failure_probability_bound
 from polygpt.families import hypercube_theory, ngon_theory
 from polygpt.fixtures import fixtures
@@ -163,6 +163,17 @@ def test_domain_errors_exit_1():
     # exact backend is refused on irrational-coordinate theories
     assert cli.run(["distinguish", "--family", "ngon:n=5", "--states", "0,2",
                     "--backend", "exact"]) == 1
+
+
+@pytest.mark.parametrize("size", [["--m", "40"], ["--q", "9", "--l", "12", "--M", "5000"]],
+                         ids=["m", "M"])
+def test_random_construction_caps_the_codeword_count(monkeypatch, capsys, size):
+    # 2^40 (from --m) or 5000 codewords exceed capacity.MAX_CODEWORDS; a
+    # drawn code would mean the cap was missed.
+    monkeypatch.setattr(capacity, "sample_random_code", None)
+    assert cli.run(["random-construction", "--N", "2", *size, "--trials", "5",
+                    "--workers", "1"]) == 1
+    assert "beyond desk scale" in capsys.readouterr().err
 
 
 def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
