@@ -28,6 +28,7 @@ from .theory import Measurement, Theory, reduce_to_pure_states
 
 MAX_DIMENSION = 10 ** 6  # largest code dimension randomized_search accepts
 MAX_CODEWORDS = 2 ** 12  # most codewords it draws; a trial checks all C(M, N) subsets
+MAX_SYMBOLS = 2 ** 22  # most symbols M * l that one trial draws
 
 # --- compression factors ----------------------------------------------------
 
@@ -105,7 +106,7 @@ def probabilistic_params(n_arity: int, m: int) -> Tuple[int, int, int]:
         raise ValueError("N must be >= 2")
     if m < 2:
         raise ValueError("m must be >= 2 so that q >= 1")
-    if 2 ** m < n_arity:
+    if m < (n_arity - 1).bit_length():  # 2^m < N, without forming 2^m
         raise ValueError("need at least N states: 2^m >= N")
     q = floor_of_log2_squared(Fraction(m))
     ratio = Fraction(2 * q, n_arity * (n_arity - 1))
@@ -240,9 +241,12 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
     if m_codewords is None:
         if m is None:
             raise ValueError("give m, or an explicit codeword count")
+        if m >= MAX_CODEWORDS.bit_length():  # 2^m > MAX_CODEWORDS, without forming 2^m
+            raise ValueError("parameters are beyond desk scale")
         m_codewords = 2 ** m
     dim = l * (q - 1) + 1
-    if m_codewords > MAX_CODEWORDS or dim > MAX_DIMENSION or m_codewords > q ** l:
+    if (m_codewords > MAX_CODEWORDS or dim > MAX_DIMENSION or m_codewords * l > MAX_SYMBOLS
+            or m_codewords > q ** l):
         raise ValueError("parameters are beyond desk scale")
     if n_arity > q:
         raise ValueError("q < N: no component can ever discriminate")

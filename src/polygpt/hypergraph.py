@@ -41,6 +41,18 @@ class DistinguishabilityHypergraph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
+    @functools.cached_property
+    def links(self) -> dict:
+        """Each (N-1)-subset, as an increasing tuple, mapped to the bitmask
+        of the nodes that complete it to a hyperedge; not a field, so ==,
+        the hash and the JSON skip it."""
+        links: dict = {}
+        for e in self.edges:
+            for i, v in enumerate(e):
+                key = e[:i] + e[i + 1:]
+                links[key] = links.get(key, 0) | 1 << v
+        return links
+
 
 @dataclass(frozen=True)
 class Clique:
@@ -119,16 +131,9 @@ def is_fully_connected(node: int, clique: Sequence[int],
         raise ValueError("node already belongs to the clique")
     if len(members) < h.n_arity - 1:
         raise ValueError(f"clique must have at least {h.n_arity - 1} members")
-    return _extends(node, members, h)
-
-
-def _extends(node: int, members: Sequence[int], h: DistinguishabilityHypergraph) -> bool:
-    """is_fully_connected without its input checks; vacuously true with
-    fewer than N-1 members."""
-    for sub in itertools.combinations(members, h.n_arity - 1):
-        if tuple(sorted(sub + (node,))) not in h.edges:
-            return False
-    return True
+    # A node outside 0..num_nodes-1 lies on no hyperedge.
+    return 0 <= node and all(h.links.get(sub, 0) >> node & 1
+                             for sub in itertools.combinations(sorted(members), h.n_arity - 1))
 
 
 def clique_is_valid(h: DistinguishabilityHypergraph, clique: Clique) -> bool:
@@ -143,15 +148,35 @@ def _better(candidate: tuple, best: tuple) -> bool:
     return len(candidate) > len(best) or (len(candidate) == len(best) and candidate < best)
 
 
+def _completions(h: DistinguishabilityHypergraph, members: Sequence[int], node: int) -> int:
+    """Bitmask of the nodes that extend members + (node,), given that they
+    extend members: the AND over the (N-1)-subsets that contain node."""
+    links = h.links
+    mask = -1
+    for sub in itertools.combinations(members, h.n_arity - 2):
+        mask &= links.get(tuple(sorted(sub + (node,))), 0)
+    return mask
+
+
 def greedy_max_clique(h: DistinguishabilityHypergraph) -> Clique:
     """hClique-style expansion: grow each hyperedge once, scanning the
-    remaining nodes in ascending index order. Maximal, not maximum."""
+    remaining nodes in ascending index order. Maximal, not maximum.
+
+    The candidates are a bitmask of the nodes that extend the grown set.
+    A node that fails to extend it never extends a larger one, so taking
+    the lowest candidate bit each time adds what the ascending scan adds."""
     best: tuple = ()
+    links = h.links
     for edge in h.sorted_edges():
+        candidates = -1
+        for i in range(len(edge)):
+            candidates &= links[edge[:i] + edge[i + 1:]]
         grown = list(edge)
-        for node in range(h.num_nodes):
-            if node not in grown and _extends(node, grown, h):
-                grown.append(node)
+        while candidates:
+            low = candidates & -candidates
+            node = low.bit_length() - 1
+            candidates &= _completions(h, grown, node)
+            grown.append(node)
         grown = tuple(sorted(grown))
         if _better(grown, best):
             best = grown
@@ -159,28 +184,37 @@ def greedy_max_clique(h: DistinguishabilityHypergraph) -> Clique:
 
 
 def exact_max_clique(h: DistinguishabilityHypergraph, node_budget: int = 24) -> Clique:
-    """True maximum N-complete set by depth-first branch and bound."""
+    """True maximum N-complete set by depth-first branch and bound.
+
+    Nodes are tried in ascending order, so the first maximum clique found,
+    which is the one returned, is the lexicographically smallest. The
+    candidates at each depth are a bitmask of the higher nodes that extend
+    the current set."""
     if h.num_nodes > node_budget:
         raise ValueError(f"{h.num_nodes} nodes exceed the budget {node_budget}; use the greedy search")
     if not h.edges:
         return Clique(())
     n = h.n_arity
-    best: list = []
+    best: tuple = ()
 
-    def extend(q: list, candidates: list):
+    def extend(q: tuple, candidates: int):
         nonlocal best
         if len(q) >= n and len(q) > len(best):
-            best = list(q)
-        if len(q) + len(candidates) <= len(best):
+            best = q
+        left = candidates.bit_count()
+        if len(q) + left <= len(best):
             return
-        for i, v in enumerate(candidates):
-            rest = [w for w in candidates[i + 1:] if _extends(w, q + [v], h)]
-            extend(q + [v], rest)
-            if len(q) + len(candidates) - (i + 1) <= len(best):
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            candidates ^= low
+            extend(q + (v,), candidates & _completions(h, q, v))
+            left -= 1
+            if len(q) + left <= len(best):
                 return
 
-    extend([], list(range(h.num_nodes)))
-    return Clique(tuple(best))
+    extend((), (1 << h.num_nodes) - 1)
+    return Clique(best)
 
 
 # --- hypergraph JSON -------------------------------------------------------

@@ -174,3 +174,54 @@ def interior_angle_sum_exceeds_pi(n) -> bool:
     of neighbours needs alpha_i + alpha_{i+1} <= pi."""
     interior = math.pi * (n - 2) / n
     return 2 * interior > math.pi
+
+
+# --- clique-search oracles ---------------------------------------------------
+
+def _reference_extends(node, members, h):
+    for sub in itertools.combinations(members, h.n_arity - 1):
+        if tuple(sorted(sub + (node,))) not in h.edges:
+            return False
+    return True
+
+
+def _reference_better(candidate, best):
+    return len(candidate) > len(best) or (len(candidate) == len(best) and candidate < best)
+
+
+def reference_greedy_max_clique(h):
+    """The list-based greedy search: grow each hyperedge once, testing
+    every node in ascending order against the edge set itself."""
+    best = ()
+    for edge in h.sorted_edges():
+        grown = list(edge)
+        for node in range(h.num_nodes):
+            if node not in grown and _reference_extends(node, grown, h):
+                grown.append(node)
+        grown = tuple(sorted(grown))
+        if _reference_better(grown, best):
+            best = grown
+    return best
+
+
+def reference_exact_max_clique(h):
+    """The list-based branch and bound, with no node budget."""
+    if not h.edges:
+        return ()
+    n = h.n_arity
+    best = []
+
+    def extend(q, candidates):
+        nonlocal best
+        if len(q) >= n and len(q) > len(best):
+            best = list(q)
+        if len(q) + len(candidates) <= len(best):
+            return
+        for i, v in enumerate(candidates):
+            rest = [w for w in candidates[i + 1:] if _reference_extends(w, q + [v], h)]
+            extend(q + [v], rest)
+            if len(q) + len(candidates) - (i + 1) <= len(best):
+                return
+
+    extend([], list(range(h.num_nodes)))
+    return tuple(best)

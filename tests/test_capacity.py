@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -73,6 +74,21 @@ def test_probabilistic_params_rejections():
         probabilistic_params(2, 1)
     with pytest.raises(ValueError):
         probabilistic_params(9, 3)  # 2^3 < 9 states cannot exist
+    assert probabilistic_params(8, 3)[0] == 2  # 2^3 = 8 states
+
+
+def test_huge_m_is_refused_without_forming_2_to_the_m(monkeypatch):
+    # 2^m for m = 10^8 alone is a 12.5 MB integer.
+    monkeypatch.setattr(capacity, "sample_random_code", None)
+    assert probabilistic_params(2, 10 ** 12) == (1589, 376155382085, 597334746750981)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="beyond desk scale"):
+            randomized_search(2, m=10 ** 8, trials=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_failure_bound_exact_values():
@@ -182,7 +198,10 @@ def test_randomized_search_caps_the_codeword_count(monkeypatch):
         raise AssertionError("a code was drawn past the cap")
 
     monkeypatch.setattr(capacity, "sample_random_code", no_sampling)
-    for kwargs in (dict(m=40), dict(q=9, l=12, m_codewords=MAX_CODEWORDS + 1)):
+    for kwargs in (dict(m=40), dict(q=9, l=12, m_codewords=MAX_CODEWORDS + 1),
+                   # 4,096 codewords of 400,000 symbols each: within the
+                   # codeword and dimension caps, over MAX_SYMBOLS.
+                   dict(q=2, l=400_000, m_codewords=MAX_CODEWORDS)):
         with pytest.raises(ValueError, match="beyond desk scale"):
             randomized_search(2, trials=5, seed=1, **kwargs)
 

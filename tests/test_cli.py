@@ -165,11 +165,11 @@ def test_domain_errors_exit_1():
                     "--backend", "exact"]) == 1
 
 
-@pytest.mark.parametrize("size", [["--m", "40"], ["--q", "9", "--l", "12", "--M", "5000"]],
-                         ids=["m", "M"])
+@pytest.mark.parametrize("size", [["--m", "40"], ["--q", "9", "--l", "12", "--M", "5000"],
+                                  ["--m", "1000000000000"]], ids=["m", "M", "m-huge"])
 def test_random_construction_caps_the_codeword_count(monkeypatch, capsys, size):
-    # 2^40 (from --m) or 5000 codewords exceed capacity.MAX_CODEWORDS; a
-    # drawn code would mean the cap was missed.
+    # 2^40 or 2^(10^12) (from --m) or 5000 codewords exceed
+    # capacity.MAX_CODEWORDS; a drawn code would mean the cap was missed.
     monkeypatch.setattr(capacity, "sample_random_code", None)
     assert cli.run(["random-construction", "--N", "2", *size, "--trials", "5",
                     "--workers", "1"]) == 1

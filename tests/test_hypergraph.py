@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_planar_theory
+from conftest import random_planar_theory, reference_exact_max_clique, reference_greedy_max_clique
 from polygpt import hypergraph
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.families import (classical_simplex, hypercube_theory, ngon_theory, prism_product,
@@ -60,6 +60,8 @@ def test_fully_connected():
         is_fully_connected(0, (0, 1), h)
     with pytest.raises(ValueError):
         is_fully_connected(0, (), h)
+    for outside in (-1, -5, 4, 100):
+        assert is_fully_connected(outside, (0, 1), h) is False
 
 
 def test_greedy_on_empty_hypergraph():
@@ -143,6 +145,50 @@ def test_oracle_dominates_greedy_on_random_hypergraphs():
         x = exact_max_clique(h)
         assert len(x) >= len(g)
         assert clique_is_valid(h, g) and clique_is_valid(h, x)
+
+
+def _random_hypergraph(seed, n, nodes, p):
+    """Each N-subset is an edge with probability p; p = None gives the complete hypergraph."""
+    rng = random.Random(seed)
+    return DistinguishabilityHypergraph(n, nodes, frozenset(
+        s for s in itertools.combinations(range(nodes), n) if p is None or rng.random() < p))
+
+
+_SHAPES = [  # (N, nodes, edge probability, whether the exact search runs too)
+    *((n, nodes, 0.0, True) for n, nodes in ((2, 6), (3, 7), (4, 8))),
+    *((n, nodes, None, True) for n, nodes in ((2, 12), (3, 10), (4, 9))),
+    *((n, nodes, None, True) for n in (2, 3, 4) for nodes in range(n)),
+    # The clique-search benchmark's exact and greedy shapes.
+    (2, 24, 0.85, True), (3, 22, 0.85, True), (2, 64, 0.5, False), (3, 36, 0.6, False),
+]
+
+
+@pytest.mark.parametrize("n,nodes,p,exact", _SHAPES)
+def test_searches_match_the_list_based_reference_on_shapes(n, nodes, p, exact):
+    for seed in (1, 2):
+        h = _random_hypergraph(seed, n, nodes, p)
+        assert greedy_max_clique(h).members == reference_greedy_max_clique(h)
+        if exact:
+            assert exact_max_clique(h).members == reference_exact_max_clique(h)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_searches_match_the_list_based_reference_on_random_hypergraphs(n):
+    rng = random.Random(n)
+    for seed in range(40):
+        h = _random_hypergraph(seed, n, rng.randint(n, 14), rng.uniform(0.3, 0.95))
+        assert greedy_max_clique(h).members == reference_greedy_max_clique(h)
+        assert exact_max_clique(h).members == reference_exact_max_clique(h)
+
+
+def test_links_leave_equality_hash_and_json_unchanged():
+    h = DistinguishabilityHypergraph(3, 5, frozenset({(0, 1, 2), (0, 1, 3), (1, 2, 4)}))
+    fresh = DistinguishabilityHypergraph(3, 5, h.edges)
+    doc = hypergraph_to_json(fresh)
+    assert h.links == {(0, 1): 0b1100, (0, 2): 0b10, (1, 2): 0b10001, (0, 3): 0b10,
+                       (1, 3): 0b1, (1, 4): 0b100, (2, 4): 0b10}
+    assert "links" in vars(h) and "links" not in vars(fresh)
+    assert h == fresh and hash(h) == hash(fresh) and hypergraph_to_json(h) == doc
 
 
 def test_max_clique_monotone_in_edges():
