@@ -156,7 +156,8 @@ def cmd_distinguish(args):
     theory, indices, states = _selected_states(args)
     try:
         answer = discrimination.is_perfectly_distinguishable(theory, states, validate=False)
-        result = discrimination.max_success_probability(
+        # A float verdict has solved the same uniform-prior optimum already.
+        result = answer.success or discrimination.max_success_probability(
             discrimination.instance(theory, states, validate=False))
     except discrimination.IndeterminateError as exc:
         raise DomainError(str(exc)) from exc

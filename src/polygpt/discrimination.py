@@ -5,6 +5,10 @@ with e_N eliminated through the normalization sum; cone membership of
 every effect is imposed on the theory's generator rays. Perfect
 distinguishability adds the unit-response equalities and becomes a pure
 feasibility question whose no-answers carry Farkas certificates.
+
+In float mode the success-probability LP is solved first: an exact upper
+bound from its dual certifies most refusals with that one LP, and its
+optimum serves as the forward witness of a clear acceptance.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lp
-from .linalg import dot
+from .linalg import dot, integer_rows
 from .theory import EXACT, Measurement, Theory, is_measurement, is_state
 
 # Float-mode bands: answers whose delta-conditions land inside the gray
@@ -74,6 +78,7 @@ class DiscriminationResult:
     p_success: object
     measurement: Measurement
     perfect: bool
+    multipliers: Optional[tuple] = None  # float mode: the LP's row multipliers (lp.LPOutcome)
 
 
 @dataclass
@@ -82,6 +87,7 @@ class DistinguishabilityAnswer:
     witness: Optional[Measurement] = None
     certificate: Optional[tuple] = None  # Farkas multipliers for the feasibility LP
     problem: Optional[lp.LPProblem] = None
+    success: Optional[DiscriminationResult] = None  # float mode: the uniform-prior optimum
 
 
 def _effect_rows(theory: Theory, n_states: int):
@@ -144,7 +150,7 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
         perfect = p == 1
     else:
         perfect = p >= 1 - CLEAR_GAP
-    return DiscriminationResult(p, meas, perfect)
+    return DiscriminationResult(p, meas, perfect, out.multipliers)
 
 
 def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
@@ -189,7 +195,7 @@ def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]
     out = _solve(theory, prob)
     if out.status == lp.LPStatus.OPTIMAL:
         meas = _assemble_measurement(theory, out.solution, len(states))
-        if exact or max(map(abs, _delta_residuals(theory, meas, states))) <= CLEAR_RESIDUAL:
+        if exact or _clear(theory, meas, states):
             return DistinguishabilityAnswer(True, witness=meas, problem=prob)
     elif out.status == lp.LPStatus.INFEASIBLE:
         # A float refusal also needs a clear optimality gap on the success probability.
@@ -203,7 +209,13 @@ def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]
 
 
 def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAnswer:
-    first = _verdict(theory, states, prob)
+    success = max_success_probability(instance(theory, states, validate=False))
+    first = _success_verdict(theory, states, prob, success)
+    success.multipliers = None  # spent: answers that callers keep need not hold the dual
+    if first is None:
+        first = _verdict(theory, states, prob)
+    elif not first.distinguishable:
+        return first  # certified by the exact bound: one LP
     # Re-solve from a perturbed start (reversed state order) and require
     # agreement before trusting a float answer near the boundary.
     rev = tuple(reversed(states))
@@ -216,7 +228,62 @@ def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAn
         raise IndeterminateError("distinguishability is numerically ambiguous at this tolerance")
     if clear[0].distinguishable != clear[-1].distinguishable:
         raise IndeterminateError("float backends disagree on distinguishability")
+    clear[0].success = success
     return clear[0]
+
+
+def _success_verdict(theory: Theory, states, prob, success) -> Optional[DistinguishabilityAnswer]:
+    """The forward verdict of the uniform-prior success-probability optimum
+    alone: a refusal whose exact bound is at most 1 - CLEAR_GAP, a clear
+    acceptance, or None."""
+    if success.perfect:
+        if _clear(theory, success.measurement, states):
+            return DistinguishabilityAnswer(True, witness=success.measurement, problem=prob,
+                                            success=success)
+        return None
+    # Sign-correct the dual: >= rows (e_i . v >= 0) come first, then the <= rows.
+    split = (len(states) - 1) * theory.num_generators
+    y = [min(v, 0.0) if k < split else max(v, 0.0) for k, v in enumerate(success.multipliers)]
+    bound = _success_bound(theory, states, y)
+    if bound is None or bound > 1 - Fraction(CLEAR_GAP):
+        return None
+    # The same y refutes the feasibility LP: its e_i . omega_i = 1 rows take
+    # -1/N and its last row +1/N, so the rows combine to -(residual) and the
+    # right-hand sides to (bound without residual) - 1.
+    n = len(states)
+    cert = (*y, *[-1.0 / n] * (n - 1), 1.0 / n)
+    if not lp.verify_farkas(prob, cert, theory.arith().tol):  # evidence must re-check as given
+        return None
+    return DistinguishabilityAnswer(False, certificate=cert, problem=prob, success=success)
+
+
+def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
+    """Exact upper bound on the uniform-prior success probability over the
+    stored coordinates, from sign-correct multipliers y of
+    success_probability_problem (Neumaier and Shcherbina, "Safe bounds in
+    linear and mixed-integer linear programming", Math. Program. 99, 2004).
+
+    For feasible e, c . e = y.(A e) + r . e <= y.b + r . e with r = c - y A
+    exact. Block i of r is sum_k lambda_k g_k over theory.basis_inverse's
+    generators, and 0 <= e_i . g <= 1 on every generator, so r . e is at
+    most the sum of the positive lambda_k. None when there is no basis."""
+    if theory.basis_inverse is None:
+        return None
+    inverse, q = theory.basis_inverse
+    gens, d = theory.exact_generator_rows
+    n, g = len(states), len(gens)
+    # ys = e * y and omegas = e * states as integers; gens = d * generators.
+    (ys, *omegas), e = integer_rows([[Fraction(v) for v in row] for row in (y, *states)])
+    shared = ys[(n - 1) * g:]  # the <= rows, whose right-hand side is 1
+    columns = list(zip(*gens))
+    positive = 0
+    for i in range(n - 1):
+        coeffs = [a + b for a, b in zip(ys[i * g:(i + 1) * g], shared)]
+        # n * e * d * r_i = d * (omega_i - omega_N) - n * (e * d * (y A)_i)
+        r = [d * (a - b) - n * dot(coeffs, col)
+             for a, b, col in zip(omegas[i], omegas[-1], columns)]
+        positive += sum(max(dot(row, r), 0) for row in inverse)
+    return Fraction(1, n) + Fraction(sum(shared), e) + Fraction(positive, q * n * e * d)
 
 
 def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
@@ -224,6 +291,11 @@ def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
     respond with certainty to each state in order."""
     return (len(meas.effects) == len(states) and is_measurement(theory, meas)
             and all(map(theory.arith().is_zero, _delta_residuals(theory, meas, states))))
+
+
+def _clear(theory: Theory, meas: Measurement, states) -> bool:
+    """Float mode: every delta-condition of the measurement holds within CLEAR_RESIDUAL."""
+    return max(map(abs, _delta_residuals(theory, meas, states))) <= CLEAR_RESIDUAL
 
 
 def _delta_residuals(theory: Theory, meas: Measurement, states):

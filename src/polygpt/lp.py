@@ -74,6 +74,9 @@ class LPOutcome:
     value: object = None
     solution: Optional[tuple] = None
     infeasibility_certificate: Optional[tuple] = None
+    # Float optimum only: row multipliers y with y.A = objective and y.b =
+    # value, >= 0 on <= rows and <= 0 on >= rows, up to round-off.
+    multipliers: Optional[tuple] = None
 
 
 def _dual_columns(constraints):
@@ -100,9 +103,10 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
         return LPOutcome(LPStatus.STALLED)
 
     if res.status == simplex.OPTIMAL:
-        # Dual prices of the dualized problem are the primal solution.
-        x = res.duals
-        return LPOutcome(LPStatus.OPTIMAL, value=res.value, solution=x)
+        # Dual prices of the dualized problem are the primal solution, and
+        # its solution gives the row multipliers (built for float solves only).
+        y = None if arith.exact else _certificate_from(res.x, backmap, len(prob.constraints))
+        return LPOutcome(LPStatus.OPTIMAL, value=res.value, solution=res.duals, multipliers=y)
 
     if res.status == simplex.UNBOUNDED:
         # An improving dual ray is a Farkas certificate for the primal.

@@ -13,10 +13,11 @@ import functools
 import json
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .linalg import dot, integer_rows, rat, rat_str, rank, vec_sub
+from .linalg import dot, integer_rows, rat, rat_str, rank, solve_square, unit_vector, vec_sub
 from .simplex import DEFAULT_TOL, Arith
 
 EXACT = "exact"
@@ -60,6 +61,28 @@ class Theory:
     def generator_rows(self):
         """scaled_rows(generators), once per theory; not a field, so == and the hash skip it."""
         return self.scaled_rows(self.generators)
+
+    @functools.cached_property
+    def exact_generator_rows(self):
+        """integer_rows of the generators read exactly, a float as the binary
+        fraction it stores (Fraction(float) is exact); cached like generator_rows."""
+        return integer_rows([[Fraction(v) for v in g] for g in self.generators])
+
+    @functools.cached_property
+    def basis_inverse(self):
+        """(rows, q): (rows[k] . v) / q is the k-th coordinate of v in the basis of
+        the first dim linearly independent generators, read exactly; None when the
+        generators do not span. Cached like generator_rows."""
+        basis = []
+        for g in self.generators:
+            g = [Fraction(v) for v in g]
+            if len(basis) < self.dim and rank(basis + [g]) > len(basis):
+                basis.append(g)
+        if len(basis) < self.dim:
+            return None
+        transposed = list(zip(*basis))
+        columns = [solve_square(transposed, unit_vector(self.dim, k)) for k in range(self.dim)]
+        return integer_rows(list(zip(*columns)))
 
     @property
     def num_generators(self) -> int:

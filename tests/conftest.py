@@ -12,7 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polygpt import lp, simplex
+from polygpt import discrimination, lp, simplex
 from polygpt.linalg import dot, solve_square, unit_vector
 from polygpt.theory import Theory, reduce_to_pure_states
 
@@ -147,6 +147,35 @@ def exact_bland_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_bland", counted)
         yield runs
+
+
+# --- float decision paths ----------------------------------------------------
+
+def reference_float_distinguishable(theory, states, prob):
+    """The two-verdict float decision: the forward and the reversed
+    feasibility verdicts, each refusal backed by a success-probability gap
+    check, must agree."""
+    first = discrimination._verdict(theory, states, prob)
+    rev = tuple(reversed(states))
+    second = discrimination._verdict(theory, rev, discrimination._feasibility_problem(theory, rev))
+    if second is not None and second.witness is not None:
+        effects = tuple(reversed(second.witness.effects))
+        second = discrimination.DistinguishabilityAnswer(
+            True, witness=discrimination.Measurement(effects), problem=prob)
+    clear = [answer for answer in (first, second) if answer is not None]
+    if not clear:
+        raise discrimination.IndeterminateError("numerically ambiguous")
+    if clear[0].distinguishable != clear[-1].distinguishable:
+        raise discrimination.IndeterminateError("float backends disagree")
+    return clear[0]
+
+
+@contextlib.contextmanager
+def reference_float_path():
+    """Float decisions inside take the two-verdict path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrimination, "_float_distinguishable", reference_float_distinguishable)
+        yield
 
 
 # --- polygon oracle ----------------------------------------------------------

@@ -278,7 +278,9 @@ def test_cache_key_covers_the_tolerance(tmp_path):
 @pytest.mark.parametrize("states", ["0,2", "0,1"])
 def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch, states):
     # Only the reversed-order float re-solve gives a clear verdict, as in
-    # test_reversed_resolve_alone_returns_checkable_evidence.
+    # test_reversed_resolve_alone_returns_checkable_evidence: the
+    # success-probability optimum gives no verdict, so both feasibility
+    # verdicts run, and the forward one is unclear.
     args = ["distinguish", "--family", "ngon:n=5", "--states", states]
     plain = run_json(tmp_path, args, name="plain.json")
     verdict = discrimination._verdict
@@ -288,6 +290,7 @@ def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch,
         calls.append(states)
         return None if len(calls) == 1 else verdict(theory, states, prob)
 
+    monkeypatch.setattr(discrimination, "_success_verdict", lambda *args: None)
     monkeypatch.setattr(discrimination, "_verdict", first_unclear)
     doc = run_json(tmp_path, args, name="reversed.json")
     assert len(calls) == 2

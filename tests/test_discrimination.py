@@ -254,7 +254,8 @@ def _float_simplex(d):
                                             (_float_simplex(3), (2, 0, 1))])
 def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, indices):
     # Only the reversed-order re-solve gives a clear verdict; its evidence
-    # must still re-check against the caller's states.
+    # must still re-check against the caller's states. The success-probability
+    # optimum gives no verdict, so both feasibility verdicts run.
     states = [theory.generators[i] for i in indices]
     verdict = discrimination._verdict
     calls = []
@@ -263,6 +264,7 @@ def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, 
         calls.append(states)
         return None if len(calls) == 1 else verdict(theory, states, prob)
 
+    monkeypatch.setattr(discrimination, "_success_verdict", lambda *args: None)
     monkeypatch.setattr(discrimination, "_verdict", first_unclear)
     answer = is_perfectly_distinguishable(theory, states, validate=False)
     assert len(calls) == 2

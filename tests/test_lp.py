@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (boxed_random_lp, brute_force_optimum, exact_bland_runs, plain_bland,
                       random_lifted_theory, random_rational)
 from polygpt import discrimination, lp, simplex
+from polygpt.families import hypercube_theory, ngon_theory
+from polygpt.theory import FLOAT, make_theory
 
 
 def test_single_bound():
@@ -104,6 +106,32 @@ def test_float_agrees_with_exact_on_100_seeded_instances():
         elif exact.status == lp.LPStatus.OPTIMAL:
             assert abs(float(exact.value) - approx.value) <= 1e-6
     assert mismatches == 0
+
+
+def _float_success_problems():
+    float_cube = hypercube_theory(3)
+    float_cube = make_theory(float_cube.name, float_cube.unit, float_cube.generators,
+                             numeric_mode=FLOAT)
+    for theory, indices in ((ngon_theory(5), (0, 1)), (ngon_theory(5), (0, 2)),
+                            (ngon_theory(7), (0, 3)), (ngon_theory(12), (0, 1, 5)),
+                            (ngon_theory(24), (3, 15)), (float_cube, (0, 3, 5))):
+        inst = discrimination.instance_from_indices(theory, indices)
+        yield discrimination.success_probability_problem(inst)[0]
+
+
+def test_float_row_multipliers_solve_the_dual():
+    # y.A = objective and y.b = value within tol; y >= 0 on <= rows, <= 0 on >= rows.
+    tol = 1e-9
+    for prob in _float_success_problems():
+        out = lp.solve_float(prob, tol=tol)
+        y = out.multipliers
+        assert out.status == lp.LPStatus.OPTIMAL and len(y) == len(prob.constraints)
+        for j, c in enumerate(prob.objective):
+            assert abs(sum(v * row[j] for v, (row, _, _) in zip(y, prob.constraints)) - c) <= tol
+        assert abs(sum(v * b for v, (_, _, b) in zip(y, prob.constraints)) - out.value) <= tol
+        for v, (_, rel, _) in zip(y, prob.constraints):
+            assert (v >= -tol) if rel == lp.LE else (v <= tol)
+    assert lp.solve_exact(boxed_random_lp(3)).multipliers is None  # built for float solves only
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
