@@ -19,7 +19,7 @@ import sys
 
 from . import capacity, discrimination, hypergraph
 from .exactlog import PrecisionError
-from .families import build_family
+from .families import build_family, parse_family_spec
 from .fixtures import fixtures
 from .linalg import rat, rat_str
 from .simplex import Arith
@@ -208,9 +208,11 @@ def _build_hypergraph(args):
     theory, _ = _load_theory_source(args)
     theory = reduce_to_pure_states(_apply_backend(theory, args))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    # A family's group; build_hypergraph proves it, and only on an exact theory.
+    symmetries = parse_family_spec(args.family).symmetries() if args.family else ()
     try:
         return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
-                                           cache_dir=cache_dir)
+                                           cache_dir=cache_dir, symmetries=symmetries)
     except (ValueError, discrimination.IndeterminateError) as exc:
         raise DomainError(str(exc)) from exc
 

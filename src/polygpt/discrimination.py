@@ -166,6 +166,55 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     return lp.problem([0] * nvars, rows, nvars)
 
 
+def moved_evidence(theory: Theory, states, evidence, order, perm, matrix):
+    """Evidence for states, the image of a decided subset under a proven
+    symmetry: perm maps generator k to generator perm[k], matrix is
+    theory.induced_map of the inverse permutation, and the
+    subset's state i is states[order[i]]. evidence is the subset's witness
+    Measurement or its Farkas vector. The moved evidence is returned only
+    when it passes its re-check by substitution on these states; else None."""
+    if isinstance(evidence, Measurement):
+        moved = _moved_witness(evidence, order, matrix)
+        return moved if verify_witness(theory, states, moved) else None
+    moved = _moved_certificate(evidence, order, perm, theory.num_generators)
+    return moved if lp.verify_farkas(_feasibility_problem(theory, states), moved) else None
+
+
+def _moved_witness(meas: Measurement, order, matrix) -> Measurement:
+    """e_i . g_k = e_i . A^-1 g_perm[k], so effect i becomes e_i A^-1 and
+    answers the image state at position order[i]; the product runs on
+    integer rows, with matrix = (rows, den) for A^-1."""
+    rows, den = matrix
+    effects, e = integer_rows(meas.effects)
+    columns = list(zip(*rows))
+    moved = [None] * len(order)
+    for effect, p in zip(effects, order):
+        moved[p] = tuple(Fraction(dot(effect, col), e * den) for col in columns)
+    return Measurement(tuple(moved))
+
+
+def _moved_certificate(cert, order, perm, num_generators: int) -> tuple:
+    """A Farkas vector of _feasibility_problem moves by permuting indices
+    once it is in the symmetric N-effect form, where every state has a
+    block of >= rows (e_i . g_k >= 0) and a row e_i . omega_i = 1. There the
+    reduced form's <= rows are block N's >= rows with negated multipliers,
+    and its last row is state N's with a negated multiplier. The row layout
+    of _effect_rows and _feasibility_problem puts each at the same index,
+    so the form changes both ways by the same sign flips."""
+    n, v = len(order), num_generators
+
+    def flip(y):
+        return [-a if (n - 1) * v <= r < n * v or r == n * v + n - 1 else a
+                for r, a in enumerate(y)]
+
+    symmetric, moved = flip(cert), [0] * len(cert)
+    for i, p in enumerate(order):
+        for k, y in enumerate(symmetric[i * v:(i + 1) * v]):
+            moved[p * v + perm[k]] = y
+        moved[n * v + p] = symmetric[n * v + i]
+    return tuple(flip(moved))
+
+
 def _check_distinct(theory: Theory, states) -> None:
     arith = theory.arith()
     for i in range(len(states)):
@@ -188,9 +237,11 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
     return _float_distinguishable(theory, states, prob)
 
 
-def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]:
+def _verdict(theory: Theory, states, prob, success: Optional[DiscriminationResult] = None
+             ) -> Optional[DistinguishabilityAnswer]:
     """One solve of the feasibility LP. An exact answer is final; a float
-    answer is None when it sits in the gray zone."""
+    answer is None when it sits in the gray zone. success, when given, is
+    the uniform-prior optimum over these states in this order."""
     exact = theory.numeric_mode == EXACT
     out = _solve(theory, prob)
     if out.status == lp.LPStatus.OPTIMAL:
@@ -199,8 +250,8 @@ def _verdict(theory: Theory, states, prob) -> Optional[DistinguishabilityAnswer]
             return DistinguishabilityAnswer(True, witness=meas, problem=prob)
     elif out.status == lp.LPStatus.INFEASIBLE:
         # A float refusal also needs a clear optimality gap on the success probability.
-        if exact or max_success_probability(
-                instance(theory, states, validate=False)).p_success <= 1 - CLEAR_GAP:
+        if exact or (success or max_success_probability(
+                instance(theory, states, validate=False))).p_success <= 1 - CLEAR_GAP:
             return DistinguishabilityAnswer(False, certificate=out.infeasibility_certificate,
                                             problem=prob)
     elif exact:
@@ -213,11 +264,12 @@ def _float_distinguishable(theory: Theory, states, prob) -> DistinguishabilityAn
     first = _success_verdict(theory, states, prob, success)
     success.multipliers = None  # spent: answers that callers keep need not hold the dual
     if first is None:
-        first = _verdict(theory, states, prob)
+        first = _verdict(theory, states, prob, success)
     elif not first.distinguishable:
         return first  # certified by the exact bound: one LP
-    # Re-solve from a perturbed start (reversed state order) and require
-    # agreement before trusting a float answer near the boundary.
+    # Re-solve from a perturbed start (reversed state order), with its own
+    # success-probability solve, and require agreement before trusting a
+    # float answer near the boundary.
     rev = tuple(reversed(states))
     second = _verdict(theory, rev, _feasibility_problem(theory, rev))
     if second is not None and second.witness is not None:  # certificates keep their problem

@@ -17,9 +17,9 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .discrimination import is_perfectly_distinguishable
+from .discrimination import is_perfectly_distinguishable, moved_evidence
 from .parallel import parallel_map
-from .theory import FLOAT, Theory, save_json, theory_to_json
+from .theory import FLOAT, Theory, induced_map, save_json, theory_to_json
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,78 @@ class Clique:
         return len(self.members)
 
 
-def _subset_distinguishable(theory: Theory, subset) -> bool:
+def _subset_distinguishable(theory: Theory, subset) -> tuple:
+    """(distinguishable, its evidence: the witness or the Farkas vector)."""
     states = [theory.generators[i] for i in subset]
-    return is_perfectly_distinguishable(theory, states, validate=False).distinguishable
+    answer = is_perfectly_distinguishable(theory, states, validate=False)
+    return answer.distinguishable, answer.witness if answer.distinguishable else answer.certificate
 
 
-def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
-    keep = parallel_map(functools.partial(_subset_distinguishable, theory), subsets, workers)
+def _proven(theory: Theory, symmetries) -> list:
+    """(perm, A) for each offered permutation that theory.induced_map
+    proves, where A is the map of perm's inverse: proving the inverse
+    proves perm, and A moves a witness along perm. Others are dropped."""
+    proven = []
+    for perm in symmetries:
+        position = {p: k for k, p in enumerate(perm)}
+        matrix = induced_map(theory, [position.get(k, -1) for k in range(len(perm))])
+        if matrix is not None:
+            proven.append((tuple(perm), matrix))
+    return proven
+
+
+def _orbits(subsets: list, perms) -> tuple:
+    """(orbits, parent): a breadth-first search over each orbit of the
+    subsets under the permutations. Each orbit is a list of subset
+    indices, its representative (the first subset in input order) first;
+    parent[k] = (j, g) says that subsets[k] is subsets[j] mapped by
+    perms[g]. Images outside the list are not followed."""
+    index = {s: k for k, s in enumerate(subsets)}
+    parent: dict = {}
+    orbits = []
+    for rep in range(len(subsets)):
+        if rep in parent:
+            continue
+        orbit = [rep]
+        parent[rep] = None
+        for j in orbit:  # grows while it is read
+            for g, perm in enumerate(perms):
+                k = index.get(tuple(sorted(perm[x] for x in subsets[j])))
+                if k is not None and k not in parent:
+                    parent[k] = (j, g)
+                    orbit.append(k)
+        orbits.append(orbit)
+    return orbits, parent
+
+
+def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetries=()) -> list:
+    """The distinguishable subsets, in order. Under proven symmetries
+    (_proven) one subset per orbit is decided by LP; every other one takes
+    its parent's evidence, moved along the tree edge and re-checked by
+    substitution, and is decided directly when the re-check fails."""
+    orbits, parent = _orbits(subsets, [perm for perm, _ in symmetries])
+    decided = parallel_map(functools.partial(_subset_distinguishable, theory),
+                           [subsets[o[0]] for o in orbits], workers)
+    keep = [False] * len(subsets)
+    for orbit, answer in zip(orbits, decided):
+        answers = {orbit[0]: answer}
+        for k in orbit[1:]:
+            j, g = parent[k]
+            answers[k] = _moved(theory, subsets[j], subsets[k], answers[j], symmetries[g])
+        for k in orbit:
+            keep[k] = answers[k][0]
     return [s for s, k in zip(subsets, keep) if k]
+
+
+def _moved(theory: Theory, source, target, answer, symmetry) -> tuple:
+    """The answer for target, the image of source under the symmetry:
+    source's evidence moved and re-checked, or a direct decision."""
+    perm, matrix = symmetry
+    order = [target.index(perm[x]) for x in source]
+    states = [theory.generators[x] for x in target]
+    evidence = moved_evidence(theory, states, answer[1], order, perm, matrix)
+    return (answer[0], evidence) if evidence is not None else \
+        _subset_distinguishable(theory, target)
 
 
 def theory_digest(theory: Theory) -> str:
@@ -83,12 +147,18 @@ def theory_digest(theory: Theory) -> str:
 
 
 def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
-                     cache_dir: Optional[str] = None) -> DistinguishabilityHypergraph:
+                     cache_dir: Optional[str] = None,
+                     symmetries: Sequence = ()) -> DistinguishabilityHypergraph:
     """Enumerate all perfectly distinguishable N-subsets of the pure states.
 
     The theory must already be reduced to its pure states. Results can be
     cached on disk keyed by (theory digest, N), where the digest covers a
     float theory's tolerance.
+
+    symmetries are permutations of the generator indices that are claimed
+    to be symmetries of the theory (FamilySpec.symmetries). Each one that
+    theory.induced_map proves lets one LP decide a whole orbit of subsets;
+    float theories prove none. The edges never depend on them.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:
@@ -105,15 +175,16 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                 if h.num_nodes == v:
                     return h
 
-    pairs = _filter_distinguishable(theory, [tuple(p) for p in itertools.combinations(range(v), 2)],
-                                    workers)
+    proven = _proven(theory, symmetries)
+    pairs = _filter_distinguishable(theory, list(itertools.combinations(range(v), 2)),
+                                    workers, proven)
     if n_arity == 2:
         edges = pairs
     else:
         pair_set = set(pairs)
         candidates = [s for s in itertools.combinations(range(v), n_arity)
                       if all(p in pair_set for p in itertools.combinations(s, 2))]
-        edges = _filter_distinguishable(theory, candidates, workers)
+        edges = _filter_distinguishable(theory, candidates, workers, proven)
 
     h = DistinguishabilityHypergraph(n_arity, v, frozenset(edges))
     if cache_path:

@@ -69,24 +69,52 @@ class Theory:
         return integer_rows([[Fraction(v) for v in g] for g in self.generators])
 
     @functools.cached_property
-    def basis_inverse(self):
-        """(rows, q): (rows[k] . v) / q is the k-th coordinate of v in the basis of
-        the first dim linearly independent generators, read exactly; None when the
-        generators do not span. Cached like generator_rows."""
-        basis = []
-        for g in self.generators:
+    def basis(self):
+        """Indices of the first dim linearly independent generators, read
+        exactly; None when the generators do not span. Cached like generator_rows."""
+        indices, rows = [], []
+        for k, g in enumerate(self.generators):
             g = [Fraction(v) for v in g]
-            if len(basis) < self.dim and rank(basis + [g]) > len(basis):
-                basis.append(g)
-        if len(basis) < self.dim:
+            if len(rows) < self.dim and rank(rows + [g]) > len(rows):
+                indices.append(k)
+                rows.append(g)
+        return tuple(indices) if len(indices) == self.dim else None
+
+    @functools.cached_property
+    def basis_inverse(self):
+        """(rows, q): (rows[k] . v) / q is the k-th coordinate of v in the basis
+        of the generators at self.basis, read exactly; None when the
+        generators do not span. Cached like generator_rows."""
+        if self.basis is None:
             return None
-        transposed = list(zip(*basis))
+        transposed = list(zip(*[[Fraction(v) for v in self.generators[k]] for k in self.basis]))
         columns = [solve_square(transposed, unit_vector(self.dim, k)) for k in range(self.dim)]
         return integer_rows(list(zip(*columns)))
 
     @property
     def num_generators(self) -> int:
         return len(self.generators)
+
+
+def induced_map(t: Theory, perm: Sequence[int]):
+    """(rows, den): the matrix A = rows / den, rows integer, with
+    A g_k = g_perm[k] for every generator g_k of an exact theory; None when
+    perm is not a permutation of the generator indices, the theory is in
+    float mode, or no linear map does this. A is solved on t.basis and then
+    checked exactly on every generator. A map that permutes spanning
+    generators, all on u = 1, also fixes the unit: u A = u."""
+    if t.numeric_mode != EXACT or sorted(perm) != list(range(t.num_generators)) \
+            or t.basis is None:
+        return None
+    inverse, q = t.basis_inverse
+    # A = G B^-1, with G's columns the images of the basis generators.
+    images = [t.generators[perm[k]] for k in t.basis]
+    a = [[Fraction(sum(g[i] * row[j] for g, row in zip(images, inverse)), q)
+          for j in range(t.dim)] for i in range(t.dim)]
+    (rows, den), (gens, _) = integer_rows(a), t.generator_rows
+    if all([dot(r, g) for r in rows] == [den * v for v in gens[p]] for g, p in zip(gens, perm)):
+        return rows, den
+    return None
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],

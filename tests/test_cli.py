@@ -286,9 +286,9 @@ def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch,
     verdict = discrimination._verdict
     calls = []
 
-    def first_unclear(theory, states, prob):
+    def first_unclear(theory, states, prob, *known):
         calls.append(states)
-        return None if len(calls) == 1 else verdict(theory, states, prob)
+        return None if len(calls) == 1 else verdict(theory, states, prob, *known)
 
     monkeypatch.setattr(discrimination, "_success_verdict", lambda *args: None)
     monkeypatch.setattr(discrimination, "_verdict", first_unclear)

@@ -260,9 +260,9 @@ def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, 
     verdict = discrimination._verdict
     calls = []
 
-    def first_unclear(theory, states, prob):
+    def first_unclear(theory, states, prob, *known):
         calls.append(states)
-        return None if len(calls) == 1 else verdict(theory, states, prob)
+        return None if len(calls) == 1 else verdict(theory, states, prob, *known)
 
     monkeypatch.setattr(discrimination, "_success_verdict", lambda *args: None)
     monkeypatch.setattr(discrimination, "_verdict", first_unclear)

@@ -1,14 +1,17 @@
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
+from polygpt import hypergraph
 from polygpt.families import (build_family, classical_simplex, codeword_state_index,
-                              hypercube_effect, hypercube_state, hypercube_theory,
-                              FamilySpec, ngon_theory, parse_family_spec, prism_pair_index,
-                              prism_product, simplex_power)
+                              hypercube_effect, hypercube_state, hypercube_symmetries,
+                              hypercube_theory, FamilySpec, ngon_theory, parse_family_spec,
+                              prism_pair_index, prism_product, simplex_power,
+                              simplex_power_symmetries)
 from polygpt.linalg import dot
-from polygpt.theory import reduce_to_pure_states, validate_theory
+from polygpt.theory import induced_map, reduce_to_pure_states, validate_theory
 
 
 def test_simplex_shapes():
@@ -160,3 +163,57 @@ def test_family_spec_parsing():
 def test_unknown_family_kind_is_rejected():
     with pytest.raises(ValueError, match="bogus"):
         FamilySpec("bogus", {}).build()
+
+
+@pytest.mark.parametrize("spec", [f"hypercube:m={m}" for m in range(1, 7)]
+                         + [f"simplex:d={d}" for d in range(1, 7)]
+                         + [f"simplex-power:q={q},l={l}"
+                            for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
+                         + ["ngon:n=4"])
+def test_every_supplied_symmetry_is_proven(spec):
+    family = parse_family_spec(spec)
+    theory, symmetries = family.build(), family.symmetries()
+    for perm in symmetries:
+        rows, den = induced_map(theory, perm)
+        gens = [[F(v) for v in g] for g in theory.generators]
+        for g, p in zip(gens, perm):  # A g_k = g_perm[k], recomputed in plain Fractions
+            assert [F(dot(row, g), den) for row in rows] == gens[p]
+    # Proving each inverse, as build_hypergraph does, drops none either.
+    assert [perm for perm, _ in hypergraph._proven(theory, symmetries)] == list(symmetries)
+
+
+def test_symmetry_generators_follow_the_index_conventions():
+    # Bit m-1-i of a hypercube index is set when eps_i = -1.
+    swap, flip = hypercube_symmetries(2)
+    assert (swap, flip) == ((0, 2, 1, 3), (2, 3, 0, 1))
+    # A simplex-power index is the codeword read base q, factor 0 first.
+    q, l = 3, 2
+    moved = dict(zip(("symbol swap", "symbol cycle", "factor swap", "factor cycle"),
+                     simplex_power_symmetries(q, l)))
+    word = (1, 3)
+    index = codeword_state_index(q, word)
+    assert moved["symbol swap"][index] == codeword_state_index(q, (2, 3))
+    assert moved["symbol cycle"][index] == codeword_state_index(q, (2, 3))
+    assert moved["factor swap"][index] == codeword_state_index(q, (3, 1))
+    assert moved["factor cycle"][index] == codeword_state_index(q, (3, 1))
+    assert parse_family_spec("prism:simplex:d=2+simplex:d=2").symmetries() == ()
+
+
+@pytest.mark.parametrize("spec,n_arity,subsets,orbits", [
+    ("hypercube:m=5", 2, 496, 5),
+    ("hypercube:m=6", 2, 2016, 6),
+    ("hypercube:m=4", 3, 560, 6),
+    ("simplex-power:q=3,l=3", 3, 2925, 10),
+])
+def test_orbit_counts(spec, n_arity, subsets, orbits):
+    family = parse_family_spec(spec)
+    v, perms = family.build().num_generators, family.symmetries()
+    candidates = list(itertools.combinations(range(v), n_arity))
+    found, parent = hypergraph._orbits(candidates, perms)
+    assert len(candidates) == subsets and len(found) == orbits
+    assert sorted(k for orbit in found for k in orbit) == list(range(subsets))
+    for orbit in found:
+        assert parent[orbit[0]] is None
+        for k in orbit[1:]:
+            j, g = parent[k]
+            assert candidates[k] == tuple(sorted(perms[g][x] for x in candidates[j]))

@@ -169,13 +169,18 @@ def test_acceptance_keeps_the_reversed_verdict(monkeypatch):
         is_perfectly_distinguishable(theory, states, validate=False)
 
 
-def test_no_spanning_basis_falls_back():
+def test_no_spanning_basis_falls_back(monkeypatch):
     # Three collinear states span only a plane: there is no basis to write
     # the residual in, so the refusal comes from the two-verdict path.
     line = make_theory("line", (1, 0, 0), [(1, 0, 0), (1, 1, 0), (1, 2, 0)], numeric_mode=FLOAT)
     assert line.basis_inverse is None
     states = line.generators[:2]
+    calls, original = [], discrimination.max_success_probability
+    monkeypatch.setattr(discrimination, "max_success_probability",
+                        lambda inst: calls.append(inst.states) or original(inst))
     answer = is_perfectly_distinguishable(line, states, validate=False)
+    # The forward verdict reuses the first optimum; the reversed one solves its own.
+    assert calls == [tuple(states), tuple(reversed(states))]
     prob = discrimination._feasibility_problem(line, states)
     expected = reference_float_distinguishable(line, states, prob)
     assert not answer.distinguishable

@@ -1,5 +1,8 @@
+import contextlib
+import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -7,16 +10,17 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_planar_theory, reference_exact_max_clique, reference_greedy_max_clique
-from polygpt import hypergraph
+from polygpt import discrimination, hypergraph
 from polygpt.discrimination import is_perfectly_distinguishable
-from polygpt.families import (classical_simplex, hypercube_theory, ngon_theory, prism_product,
+from polygpt.families import (classical_simplex, hypercube_symmetries, hypercube_theory,
+                              ngon_symmetries, ngon_theory, parse_family_spec, prism_product,
                               simplex_power)
 from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hypergraph,
                                 clique_is_valid, exact_max_clique, greedy_max_clique,
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
                                 load_hypergraph, save_hypergraph)
 from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
-from polygpt.theory import load_theory, save_theory
+from polygpt.theory import FLOAT, induced_map, load_theory, make_theory, save_theory
 
 
 def brute_hypergraph(theory, n):
@@ -308,3 +312,109 @@ def test_parallel_workers_agree_with_sequential(run):
 def test_clique_invariant_rejects_non_complete_sets():
     h = build_hypergraph(ngon_theory(5), 2)
     assert not clique_is_valid(h, Clique((0, 1, 2)))
+
+
+# --- one LP per symmetry orbit ------------------------------------------------
+
+ORBIT_BUILDS = ([(f"hypercube:m={m}", 2) for m in range(1, 6)]
+                + [(f"hypercube:m={m}", 3) for m in range(2, 5)]
+                + [(f"simplex:d={d}", n) for d in range(3, 6) for n in (2, 3)]
+                + [(f"simplex-power:q={q},l={l}", n) for q, l in ((2, 2), (3, 2), (2, 3))
+                   for n in (2, 3)]
+                + [("ngon:n=4", 2), ("ngon:n=4", 3)])
+
+
+@functools.cache
+def direct_build(spec, n_arity):
+    return build_hypergraph(parse_family_spec(spec).build(), n_arity)
+
+
+@contextlib.contextmanager
+def counted_decisions():
+    """Counts hypergraph.is_perfectly_distinguishable calls made in this
+    process, and moved evidence that failed its re-check."""
+    counts = {"decided": 0, "failed moves": 0}
+    decide, move = hypergraph.is_perfectly_distinguishable, hypergraph.moved_evidence
+
+    def decided(*args, **kwargs):
+        counts["decided"] += 1
+        return decide(*args, **kwargs)
+
+    def moved(*args):
+        evidence = move(*args)
+        counts["failed moves"] += evidence is None
+        return evidence
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "is_perfectly_distinguishable", decided)
+        mp.setattr(hypergraph, "moved_evidence", moved)
+        yield counts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec,n_arity", ORBIT_BUILDS)
+def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
+    family = parse_family_spec(spec)
+    theory, symmetries = family.build(), family.symmetries()
+    with counted_decisions() as counts:
+        h = build_hypergraph(theory, n_arity, workers=workers, symmetries=symmetries)
+    assert h == direct_build(spec, n_arity)
+    # Every moved witness and Farkas vector re-checks: none is solved again.
+    assert counts["failed moves"] == 0
+    assert counts["decided"] < math.comb(theory.num_generators, 2) or theory.num_generators <= 2
+
+
+def test_a_non_symmetry_is_dropped():
+    cube = hypercube_theory(3)
+    swap = (1, 0, *range(2, 8))  # two vertices of the cube exchanged
+    assert induced_map(cube, swap) is None
+    assert [perm for perm, _ in hypergraph._proven(cube, (swap, *hypercube_symmetries(3)))] \
+        == list(hypercube_symmetries(3))
+    for n_arity in (2, 3):
+        with counted_decisions() as counts:
+            h = build_hypergraph(cube, n_arity, symmetries=(swap,))
+        assert h == direct_build("hypercube:m=3", n_arity)
+        assert counts["decided"] == 28 + (n_arity == 3) * 56  # one LP per subset, as without
+
+
+def test_a_corrupted_move_is_solved_directly(monkeypatch):
+    # Pairs of the 3-cube are accepted (witnesses move) and its triples
+    # are refused (Farkas vectors move); every move is corrupted here.
+    def sign_flipped(values):
+        k = next(k for k, v in enumerate(values) if v != 0)
+        return (*values[:k], -values[k], *values[k + 1:])
+
+    witness, certificate = discrimination._moved_witness, discrimination._moved_certificate
+    moves = []
+
+    def bad_witness(*args):
+        moves.append("witness")
+        meas = witness(*args)
+        return discrimination.Measurement((sign_flipped(meas.effects[0]), *meas.effects[1:]))
+
+    def bad_certificate(*args):
+        moves.append("certificate")
+        return sign_flipped(certificate(*args))
+
+    monkeypatch.setattr(discrimination, "_moved_witness", bad_witness)
+    monkeypatch.setattr(discrimination, "_moved_certificate", bad_certificate)
+    cube = hypercube_theory(3)
+    with counted_decisions() as counts:
+        h = build_hypergraph(cube, 3, symmetries=hypercube_symmetries(3))
+    assert h == direct_build("hypercube:m=3", 3)
+    assert {"witness", "certificate"} <= set(moves)
+    assert counts["failed moves"] == len(moves)
+    assert counts["decided"] == 28 + 56  # every subset decided by its own LP
+
+
+@pytest.mark.parametrize("theory,symmetries", [
+    (make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
+                 numeric_mode=FLOAT), hypercube_symmetries(3)),
+    (ngon_theory(7), ngon_symmetries(7)),
+], ids=["float-hypercube-m3", "ngon-n7"])
+def test_float_theories_keep_one_lp_per_pair(theory, symmetries):
+    assert hypergraph._proven(theory, symmetries) == []
+    with counted_decisions() as counts:
+        h = build_hypergraph(theory, 2, symmetries=symmetries)
+    assert h == build_hypergraph(theory, 2)
+    assert counts["decided"] == math.comb(theory.num_generators, 2)
