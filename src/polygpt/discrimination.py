@@ -166,53 +166,43 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     return lp.problem([0] * nvars, rows, nvars)
 
 
-def moved_evidence(theory: Theory, states, evidence, order, perm, matrix):
+def moved_evidence(theory: Theory, states, evidence, perm, matrix):
     """Evidence for states, the image of a decided subset under a proven
-    symmetry: perm maps generator k to generator perm[k], matrix is
-    theory.induced_map of the inverse permutation, and the
-    subset's state i is states[order[i]]. evidence is the subset's witness
-    Measurement or its Farkas vector. The moved evidence is returned only
-    when it passes its re-check by substitution on these states; else None."""
+    symmetry, state by state in the subset's order: perm maps generator k
+    to generator perm[k], and matrix is theory.induced_map of the inverse
+    permutation. evidence is the subset's witness Measurement or its Farkas
+    vector. The moved evidence is returned only when it passes its re-check
+    by substitution on these states; else None."""
     if isinstance(evidence, Measurement):
-        moved = _moved_witness(evidence, order, matrix)
+        moved = _moved_witness(evidence, matrix)
         return moved if verify_witness(theory, states, moved) else None
-    moved = _moved_certificate(evidence, order, perm, theory.num_generators)
+    moved = _moved_certificate(evidence, perm, theory.num_generators)
     return moved if lp.verify_farkas(_feasibility_problem(theory, states), moved) else None
 
 
-def _moved_witness(meas: Measurement, order, matrix) -> Measurement:
-    """e_i . g_k = e_i . A^-1 g_perm[k], so effect i becomes e_i A^-1 and
-    answers the image state at position order[i]; the product runs on
-    integer rows, with matrix = (rows, den) for A^-1."""
+def _moved_witness(meas: Measurement, matrix) -> Measurement:
+    """e_i . g_k = e_i A^-1 . g_perm[k], so effect i becomes e_i A^-1 and
+    answers the image of state i; the product runs on integer rows, with
+    matrix = (rows, den) for A^-1."""
     rows, den = matrix
     effects, e = integer_rows(meas.effects)
     columns = list(zip(*rows))
-    moved = [None] * len(order)
-    for effect, p in zip(effects, order):
-        moved[p] = tuple(Fraction(dot(effect, col), e * den) for col in columns)
-    return Measurement(tuple(moved))
+    return Measurement(tuple(tuple(Fraction(dot(effect, col), e * den) for col in columns)
+                             for effect in effects))
 
 
-def _moved_certificate(cert, order, perm, num_generators: int) -> tuple:
-    """A Farkas vector of _feasibility_problem moves by permuting indices
-    once it is in the symmetric N-effect form, where every state has a
-    block of >= rows (e_i . g_k >= 0) and a row e_i . omega_i = 1. There the
-    reduced form's <= rows are block N's >= rows with negated multipliers,
-    and its last row is state N's with a negated multiplier. The row layout
-    of _effect_rows and _feasibility_problem puts each at the same index,
-    so the form changes both ways by the same sign flips."""
-    n, v = len(order), num_generators
-
-    def flip(y):
-        return [-a if (n - 1) * v <= r < n * v or r == n * v + n - 1 else a
-                for r, a in enumerate(y)]
-
-    symmetric, moved = flip(cert), [0] * len(cert)
-    for i, p in enumerate(order):
-        for k, y in enumerate(symmetric[i * v:(i + 1) * v]):
-            moved[p * v + perm[k]] = y
-        moved[n * v + p] = symmetric[n * v + i]
-    return tuple(flip(moved))
+def _moved_certificate(cert, perm, num_generators: int) -> tuple:
+    """With e_i A^-1 for e_i (A g_k = g_perm[k]), row (i, k) of
+    _feasibility_problem over the source states, e_i . g_k, is row
+    (i, perm[k]) over their images in the same order. This holds for each
+    of the N - 1 blocks of >= rows and for the block of <= rows, and the N
+    state rows keep their indices; so a Farkas vector moves by permuting
+    the multipliers within each of the N generator blocks."""
+    v = num_generators
+    moved = list(cert)
+    for r in range(len(cert) // (v + 1) * v):  # N * v generator rows, then N state rows
+        moved[r - r % v + perm[r % v]] = cert[r]
+    return tuple(moved)
 
 
 def _check_distinct(theory: Theory, states) -> None:

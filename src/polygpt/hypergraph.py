@@ -63,10 +63,12 @@ class Clique:
 
 
 def _subset_distinguishable(theory: Theory, subset) -> tuple:
-    """(distinguishable, its evidence: the witness or the Farkas vector)."""
+    """(distinguishable, its evidence: the witness or the Farkas vector,
+    the subset in the order of the states that the evidence refers to)."""
     states = [theory.generators[i] for i in subset]
     answer = is_perfectly_distinguishable(theory, states, validate=False)
-    return answer.distinguishable, answer.witness if answer.distinguishable else answer.certificate
+    evidence = answer.witness if answer.distinguishable else answer.certificate
+    return answer.distinguishable, evidence, tuple(subset)
 
 
 def _proven(theory: Theory, symmetries) -> list:
@@ -106,7 +108,7 @@ def _orbits(subsets: list, perms) -> tuple:
     return orbits, parent
 
 
-def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetries=()) -> list:
+def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetries) -> list:
     """The distinguishable subsets, in order. Under proven symmetries
     (_proven) one subset per orbit is decided by LP; every other one takes
     its parent's evidence, moved along the tree edge and re-checked by
@@ -119,21 +121,24 @@ def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetr
         answers = {orbit[0]: answer}
         for k in orbit[1:]:
             j, g = parent[k]
-            answers[k] = _moved(theory, subsets[j], subsets[k], answers[j], symmetries[g])
+            answers[k] = _moved(theory, answers[j], symmetries[g])
         for k in orbit:
             keep[k] = answers[k][0]
     return [s for s, k in zip(subsets, keep) if k]
 
 
-def _moved(theory: Theory, source, target, answer, symmetry) -> tuple:
-    """The answer for target, the image of source under the symmetry:
-    source's evidence moved and re-checked, or a direct decision."""
+def _moved(theory: Theory, answer, symmetry) -> tuple:
+    """The answer for the image of answer's subset under the symmetry: the
+    evidence moved to the image, taken in the order perm gives it, and
+    re-checked there; or, when the re-check fails, a direct decision on
+    the sorted image."""
+    distinguishable, evidence, source = answer
     perm, matrix = symmetry
-    order = [target.index(perm[x]) for x in source]
+    target = tuple(perm[x] for x in source)
     states = [theory.generators[x] for x in target]
-    evidence = moved_evidence(theory, states, answer[1], order, perm, matrix)
-    return (answer[0], evidence) if evidence is not None else \
-        _subset_distinguishable(theory, target)
+    moved = moved_evidence(theory, states, evidence, perm, matrix)
+    return (distinguishable, moved, target) if moved is not None else \
+        _subset_distinguishable(theory, sorted(target))
 
 
 def theory_digest(theory: Theory) -> str:
@@ -172,7 +177,7 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
             # An unreadable file is a miss: the rebuild below overwrites it.
             with contextlib.suppress(ValueError, OSError):
                 h = load_hypergraph(cache_path)
-                if h.num_nodes == v:
+                if h.num_nodes == v and h.n_arity == n_arity:
                     return h
 
     proven = _proven(theory, symmetries)

@@ -149,11 +149,7 @@ def solve_exact(prob: LPProblem) -> LPOutcome:
 
 
 def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
-    fprob = LPProblem(tuple(float(v) for v in prob.objective),
-                      tuple((tuple(float(v) for v in row), rel, float(b))
-                            for row, rel, b in prob.constraints),
-                      prob.num_vars)
-    return _solve(fprob, Arith(tol))
+    return _solve(prob, Arith(tol))
 
 
 def check_solution(prob: LPProblem, x: Sequence) -> bool:

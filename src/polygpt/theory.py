@@ -106,12 +106,12 @@ def induced_map(t: Theory, perm: Sequence[int]):
     if t.numeric_mode != EXACT or sorted(perm) != list(range(t.num_generators)) \
             or t.basis is None:
         return None
-    inverse, q = t.basis_inverse
-    # A = G B^-1, with G's columns the images of the basis generators.
-    images = [t.generators[perm[k]] for k in t.basis]
-    a = [[Fraction(sum(g[i] * row[j] for g, row in zip(images, inverse)), q)
-          for j in range(t.dim)] for i in range(t.dim)]
-    (rows, den), (gens, _) = integer_rows(a), t.generator_rows
+    (inverse, q), (gens, d) = t.basis_inverse, t.generator_rows
+    # A = G B^-1 = rows / (d * q), with G's columns the images d * g of the basis generators.
+    images = [gens[perm[k]] for k in t.basis]
+    rows = [[sum(g[i] * row[j] for g, row in zip(images, inverse)) for j in range(t.dim)]
+            for i in range(t.dim)]
+    den = d * q
     if all([dot(r, g) for r in rows] == [den * v for v in gens[p]] for g, p in zip(gens, perm)):
         return rows, den
     return None

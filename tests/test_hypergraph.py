@@ -285,6 +285,17 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_a_cache_file_for_another_n_is_a_miss(tmp_path):
+    square = hypercube_theory(2)
+    pairs = build_hypergraph(square, 2, cache_dir=str(tmp_path))
+    [pair_file] = tmp_path.iterdir()
+    triple_file = tmp_path / pair_file.name.replace("-N2.json", "-N3.json")
+    triple_file.write_bytes(pair_file.read_bytes())  # the N=2 edges under the N=3 key
+    triples = build_hypergraph(square, 3, cache_dir=str(tmp_path))
+    assert pairs.edges and triples.n_arity == 3 and not triples.edges
+    assert load_hypergraph(triple_file) == triples  # the rebuild overwrote it
+
+
 def _parallel_map_in_order(workers):
     # Fewer items than the pool threshold run in-process; the descending
     # list shows that pooled chunks come back in input order.
@@ -362,6 +373,36 @@ def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
     # Every moved witness and Farkas vector re-checks: none is solved again.
     assert counts["failed moves"] == 0
     assert counts["decided"] < math.comb(theory.num_generators, 2) or theory.num_generators <= 2
+
+
+@pytest.mark.parametrize("spec,n_arity", [("hypercube:m=3", 2), ("hypercube:m=3", 3),
+                                           ("simplex-power:q=3,l=2", 3)])
+def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
+    family = parse_family_spec(spec)
+    theory, symmetries = family.build(), family.symmetries()
+    inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
+    forward, back = hypergraph._proven(theory, symmetries), hypergraph._proven(theory, inverses)
+    assert len(forward) == len(back) == len(symmetries)
+    reordered = 0
+    for subset in itertools.combinations(range(theory.num_generators), n_arity):
+        _, evidence, _ = hypergraph._subset_distinguishable(theory, subset)
+        for (perm, matrix), (inverse, inverse_matrix) in zip(forward, back):
+            image = tuple(perm[x] for x in subset)  # the moved order, not sorted
+            reordered += image != tuple(sorted(image))
+            moved = discrimination.moved_evidence(
+                theory, [theory.generators[x] for x in image], evidence, perm, matrix)
+            assert moved is not None
+            assert discrimination.moved_evidence(
+                theory, [theory.generators[x] for x in subset], moved, inverse,
+                inverse_matrix) == evidence
+    assert reordered > 0
+
+
+def test_the_identity_leaves_a_certificate_unchanged():
+    cube = hypercube_theory(3)
+    distinguishable, cert, _ = hypergraph._subset_distinguishable(cube, (0, 1, 2))
+    assert not distinguishable
+    assert discrimination._moved_certificate(cert, tuple(range(8)), 8) == cert
 
 
 def test_a_non_symmetry_is_dropped():
