@@ -5,7 +5,8 @@ verify-hypercube, kappa, random-construction, dg-check, fixtures.
 Output is machine-readable JSON (or CSV for the capacity reports) and is
 byte-identical across runs for a fixed configuration and seed.
 
-Exit codes: 0 success, 1 domain failure, 2 usage error.
+Exit codes: 0 success, 1 domain failure, 2 usage error (an unreadable
+input or an unwritable output path among them).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .exactlog import PrecisionError
 from .families import build_family, parse_family_spec
 from .fixtures import fixtures
 from .linalg import rat, rat_str
+from .parallel import usable_cpus as _default_workers
 from .simplex import Arith
 from .theory import DEFAULT_TOL, EXACT, FLOAT, load_theory, make_theory, \
     reduce_to_pure_states, save_json, theory_from_json, theory_to_json, validate_theory, \
@@ -36,13 +38,6 @@ class UsageError(Exception):
 
 class DomainError(Exception):
     exit_code = 1
-
-
-def _default_workers() -> int:
-    """CPUs this process may run on; all CPUs where affinity is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _vector_out(vec):
@@ -103,16 +98,22 @@ def _emit(doc, args, csv_row=None, csv_header=None):
     csv = getattr(args, "format", "json") == "csv"
     if csv and csv_row is None:
         raise UsageError("csv output is not available for this subcommand")
-    # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
-    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
-        if csv:
-            fh.write(",".join(csv_header) + "\n" + ",".join(csv_row) + "\n")
-        else:
-            write_json(doc, fh)
-    if csv and args.out:
-        # exact values ride along in a parallel JSON artifact
-        with open(os.path.splitext(args.out)[0] + ".json", "w") as fh:
-            write_json(doc, fh)
+    if csv and args.out and os.path.splitext(args.out)[1].lower() == ".json":
+        raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
+                         "must not end in .json")
+    try:
+        # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
+        with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
+            if csv:
+                fh.write(",".join(csv_header) + "\n" + ",".join(csv_row) + "\n")
+            else:
+                write_json(doc, fh)
+        if csv and args.out:
+            # exact values ride along in a parallel JSON artifact
+            with open(os.path.splitext(args.out)[0] + ".json", "w") as fh:
+                write_json(doc, fh)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _fmt12(x: float) -> str:
@@ -215,6 +216,8 @@ def _build_hypergraph(args):
                                            cache_dir=cache_dir, symmetries=symmetries)
     except (ValueError, discrimination.IndeterminateError) as exc:
         raise DomainError(str(exc)) from exc
+    except OSError as exc:  # the cache directory cannot be written
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_hypergraph(args):
@@ -343,12 +346,15 @@ def cmd_dg_check(args):
 
 def cmd_fixtures(args):
     table = fixtures()
-    os.makedirs(args.out_dir, exist_ok=True)
     index = {}
-    for name, doc in sorted(table.items()):
-        path = os.path.join(args.out_dir, f"{name}.json")
-        save_json(doc, path)
-        index[name] = path
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, doc in sorted(table.items()):
+            path = os.path.join(args.out_dir, f"{name}.json")
+            save_json(doc, path)
+            index[name] = path
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
     _emit({"fixtures": index}, args)
     return 0
 

@@ -1,9 +1,9 @@
 """Distinguishability hypergraphs and N-complete clique search.
 
 Nodes are pure-state indices of a reduced theory; hyperedges are the
-perfectly distinguishable N-subsets. Construction prunes through the
-pairwise graph first (a distinguishable N-set has all pairs
-distinguishable), then certifies surviving subsets with the full LP.
+perfectly distinguishable N-subsets. Construction goes level by level,
+k = 2..N: a k-subset reaches the LP only when its (k-1)-subsets are all
+edges of the level below, since subsets of a distinguishable set are.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                      symmetries: Sequence = ()) -> DistinguishabilityHypergraph:
     """Enumerate all perfectly distinguishable N-subsets of the pure states.
 
-    The theory must already be reduced to its pure states. Results can be
-    cached on disk keyed by (theory digest, N), where the digest covers a
-    float theory's tolerance.
+    The theory must already be reduced to its pure states. Level k = 2..N
+    decides the k-subsets whose (k-1)-subsets are all edges of level k-1,
+    level 1 being the single states. Results can be cached on disk keyed
+    by (theory digest, N), where the digest covers a float theory's tolerance.
 
     symmetries are permutations of the generator indices that are claimed
     to be symmetries of the theory (FamilySpec.symmetries). Each one that
@@ -181,14 +182,11 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                     return h
 
     proven = _proven(theory, symmetries)
-    pairs = _filter_distinguishable(theory, list(itertools.combinations(range(v), 2)),
-                                    workers, proven)
-    if n_arity == 2:
-        edges = pairs
-    else:
-        pair_set = set(pairs)
-        candidates = [s for s in itertools.combinations(range(v), n_arity)
-                      if all(p in pair_set for p in itertools.combinations(s, 2))]
+    edges = [(x,) for x in range(v)]
+    for k in range(2, n_arity + 1):
+        level = set(edges)
+        candidates = [e + (x,) for e in edges for x in range(e[-1] + 1, v)
+                      if all(s in level for s in itertools.combinations(e + (x,), k - 1))]
         edges = _filter_distinguishable(theory, candidates, workers, proven)
 
     h = DistinguishabilityHypergraph(n_arity, v, frozenset(edges))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from polygpt import capacity, cli, discrimination, lp
+from polygpt import capacity, cli, discrimination, lp, parallel
 from polygpt.capacity import failure_probability_bound
 from polygpt.families import hypercube_theory, ngon_theory
 from polygpt.fixtures import fixtures
@@ -94,6 +94,29 @@ def test_kappa_json_and_csv(tmp_path):
     assert row.startswith("2,6,7,2.13724312265")
     side = json.loads((tmp_path / "kappa.json").read_text())
     assert side["d"] == 7
+
+
+@pytest.mark.parametrize("name", ["r.json", "r.JSON"])
+def test_csv_out_ending_in_json_is_refused(tmp_path, capsys, name):
+    # The JSON side file would take the CSV's own path and overwrite it.
+    out = tmp_path / name
+    assert cli.run(["verify-hypercube", "--m", "2", "--workers", "1", "--format", "csv",
+                    "--out", str(out)]) == 2
+    assert "must not end in .json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--m", "3", "--out", "{tmp}/missing/x.json"],
+    ["fixtures", "--out-dir", "{tmp}/file"],
+    ["hypergraph", "--family", "simplex:d=3", "--N", "2", "--workers", "1",
+     "--cache-dir", "{tmp}/file"],
+], ids=["out-in-missing-dir", "out-dir-is-a-file", "cache-dir-is-a-file"])
+def test_unwritable_paths_are_usage_errors(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert cli.run([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
 
 
 def test_verify_hypercube_cli(tmp_path):
@@ -303,3 +326,30 @@ def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch,
     theory = ngon_theory(5)
     prob = discrimination._feasibility_problem(theory, [theory.generators[i] for i in order])
     assert lp.verify_farkas(prob, doc["farkas_certificate"], tol=theory.arith().tol)
+
+
+@pytest.mark.parametrize("cpus,pool_sizes", [({0, 1}, [2]), ({3}, [])])
+def test_pools_never_exceed_the_usable_cpus(tmp_path, monkeypatch, cpus, pool_sizes):
+    sizes = []
+
+    class RecordingPool:  # records max_workers and maps in-process; forks nothing
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    items = list(range(5 * parallel.MIN_POOLED_ITEMS))
+    assert parallel.parallel_map(hex, items, 5000) == [hex(x) for x in items]
+    assert sizes == pool_sizes
+    one = run_json(tmp_path, ["verify-hypercube", "--m", "3", "--workers", "1"], name="1.json")
+    many = run_json(tmp_path, ["verify-hypercube", "--m", "3", "--workers", "5000"])
+    assert one == many and sizes == pool_sizes * 2

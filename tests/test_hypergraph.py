@@ -19,8 +19,10 @@ from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hype
                                 clique_is_valid, exact_max_clique, greedy_max_clique,
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
                                 load_hypergraph, save_hypergraph)
+from polygpt.fixtures import fixtures
 from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
-from polygpt.theory import FLOAT, induced_map, load_theory, make_theory, save_theory
+from polygpt.theory import (FLOAT, induced_map, load_theory, make_theory, save_theory,
+                            theory_from_json)
 
 
 def brute_hypergraph(theory, n):
@@ -133,6 +135,42 @@ def test_pairwise_prefilter_matches_brute_force_up_to_10_nodes():
         assert t.num_generators <= 10
         pruned = build_hypergraph(t, n)
         assert pruned.edges == brute_hypergraph(t, n).edges
+
+
+def _float_cube():
+    cube = hypercube_theory(3)
+    return make_theory("cube", cube.unit, cube.generators, numeric_mode=FLOAT)
+
+
+@pytest.mark.parametrize("make,n,symmetries,size", [
+    (lambda: classical_simplex(5), 4, (), 5),
+    (lambda: classical_simplex(6), 5, (), 6),
+    (lambda: hypercube_theory(3), 4, hypercube_symmetries(3), 0),
+    (_float_cube, 4, (), 0),
+    (lambda: theory_from_json(fixtures()["cube"]["theory"]), 4, (), 0),
+    (lambda: theory_from_json(fixtures()["s3-prism-s3"]["theory"]), 4, (), 0),
+    (lambda: ngon_theory(8), 4, (), 0),
+], ids=["simplex-d5-N4", "simplex-d6-N5", "hypercube-m3-N4", "float-hypercube-m3-N4",
+        "cube-fixture-N4", "s3-prism-s3-N4", "ngon-n8-N4"])
+def test_level_by_level_build_matches_brute_force_beyond_triples(make, n, symmetries, size):
+    theory = make()
+    h = build_hypergraph(theory, n, symmetries=symmetries)
+    assert h == brute_hypergraph(theory, n) and len(h.edges) == size
+
+
+def test_no_4_subset_is_decided_when_no_triple_is_an_edge(monkeypatch):
+    # Every pair of the 3-cube is an edge and no triple is; pruning through
+    # the pairs alone would leave all 70 4-subsets to decide.
+    sizes = []
+    decide = hypergraph._subset_distinguishable
+
+    def counted(theory, subset):
+        sizes.append(len(subset))
+        return decide(theory, subset)
+
+    monkeypatch.setattr(hypergraph, "_subset_distinguishable", counted)
+    assert not build_hypergraph(hypercube_theory(3), 4).edges
+    assert sizes == [2] * 28 + [3] * 56
 
 
 def test_oracle_dominates_greedy_on_random_hypergraphs():
