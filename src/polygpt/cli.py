@@ -190,6 +190,8 @@ def cmd_psuccess(args):
     try:
         inst = discrimination.instance(theory, states, priors, validate=False)
         result = discrimination.max_success_probability(inst)
+    except discrimination.IndeterminateError as exc:
+        raise DomainError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = {
@@ -209,7 +211,7 @@ def _build_hypergraph(args):
     theory, _ = _load_theory_source(args)
     theory = reduce_to_pure_states(_apply_backend(theory, args))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    # A family's group; build_hypergraph proves it, and only on an exact theory.
+    # A family's group, as hints: build_hypergraph re-checks every moved answer.
     symmetries = parse_family_spec(args.family).symmetries() if args.family else ()
     try:
         return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,

@@ -28,7 +28,8 @@ CLEAR_GAP = 1e-6
 
 
 class IndeterminateError(RuntimeError):
-    """A float-mode answer sat on the feasibility boundary after re-solving."""
+    """A float-mode answer sat on the feasibility boundary after re-solving,
+    or a float LP stalled."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,8 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
                                     Measurement((theory.unit,)), True)
     prob, _ = success_probability_problem(inst)
     out = _solve(theory, prob)
+    if out.status == lp.LPStatus.STALLED and theory.numeric_mode != EXACT:
+        raise IndeterminateError("the success-probability LP did not converge at this tolerance")
     if out.status != lp.LPStatus.OPTIMAL:
         # (u, 0, ..., 0) is always feasible and the objective is capped by 1.
         raise RuntimeError(f"discrimination LP reported {out.status} (internal bug)")
@@ -167,17 +170,33 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
 
 
 def moved_evidence(theory: Theory, states, evidence, perm, matrix):
-    """Evidence for states, the image of a decided subset under a proven
-    symmetry, state by state in the subset's order: perm maps generator k
-    to generator perm[k], and matrix is theory.induced_map of the inverse
-    permutation. evidence is the subset's witness Measurement or its Farkas
-    vector. The moved evidence is returned only when it passes its re-check
+    """Evidence for states, the image of a decided subset under perm,
+    state by state in the subset's order: perm maps generator k to
+    generator perm[k], and matrix is witness_map(theory, perm). evidence is
+    the subset's witness Measurement or its Farkas vector. perm is only a
+    hint: the moved evidence is returned only when it passes its re-check
     by substitution on these states; else None."""
     if isinstance(evidence, Measurement):
         moved = _moved_witness(evidence, matrix)
         return moved if verify_witness(theory, states, moved) else None
     moved = _moved_certificate(evidence, perm, theory.num_generators)
     return moved if lp.verify_farkas(_feasibility_problem(theory, states), moved) else None
+
+
+def witness_map(theory: Theory, perm) -> tuple:
+    """(rows, den): the matrix M = rows / den, rows integer, with
+    M g_b = g_k for each generator g_b at theory.basis, where perm[k] = b.
+    When perm is a symmetry, M is A^-1 for the linear map A with
+    A g_k = g_perm[k]; when it is not, each move made with M stands or
+    falls by its re-check. The theory is exact and spanning, perm a
+    permutation."""
+    (inverse, q), (gens, d) = theory.basis_inverse, theory.generator_rows
+    source = {b: k for k, b in enumerate(perm)}
+    # M = G B^-1 = rows / (d * q), with G's columns d * g_k for the basis generators g_b.
+    images = [gens[source[b]] for b in theory.basis]
+    rows = [[sum(g[i] * row[j] for g, row in zip(images, inverse)) for j in range(theory.dim)]
+            for i in range(theory.dim)]
+    return rows, d * q
 
 
 def _moved_witness(meas: Measurement, matrix) -> Measurement:

@@ -135,8 +135,8 @@ def codeword_state_index(q: int, codeword: Sequence[int]) -> int:
 
 # --- symmetry generators -----------------------------------------------------
 # A few permutations of a family's generator indices that generate its
-# symmetry group. They are claims: build_hypergraph proves each one
-# (theory.induced_map) before using it.
+# symmetry group. They are hints: build_hypergraph re-checks every answer
+# it moves along them, so a wrong one costs LPs, not answers.
 
 def _index_permutations(points: Sequence, maps) -> tuple:
     """Each map on the points, as a permutation of the point indices."""
@@ -175,8 +175,8 @@ def simplex_symmetries(d: int) -> tuple:
 
 def ngon_symmetries(n: int) -> tuple:
     """The rotation and a reflection of the n vertices. Only an exact
-    theory can use them (n = 4): a rotation of rounded float coordinates
-    cannot be proven exactly."""
+    theory uses them (n = 4): build_hypergraph moves no answer between
+    float subsets."""
     return _index_permutations(range(n), [lambda k: (k + 1) % n, lambda k: -k % n])
 
 

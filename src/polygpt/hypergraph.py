@@ -17,9 +17,9 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .discrimination import is_perfectly_distinguishable, moved_evidence
+from .discrimination import is_perfectly_distinguishable, moved_evidence, witness_map
 from .parallel import parallel_map
-from .theory import FLOAT, Theory, induced_map, save_json, theory_to_json
+from .theory import EXACT, FLOAT, Theory, save_json, theory_to_json
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,6 @@ def _subset_distinguishable(theory: Theory, subset) -> tuple:
     return answer.distinguishable, evidence, tuple(subset)
 
 
-def _proven(theory: Theory, symmetries) -> list:
-    """(perm, A) for each offered permutation that theory.induced_map
-    proves, where A is the map of perm's inverse: proving the inverse
-    proves perm, and A moves a witness along perm. Others are dropped."""
-    proven = []
-    for perm in symmetries:
-        position = {p: k for k, p in enumerate(perm)}
-        matrix = induced_map(theory, [position.get(k, -1) for k in range(len(perm))])
-        if matrix is not None:
-            proven.append((tuple(perm), matrix))
-    return proven
-
-
 def _orbits(subsets: list, perms) -> tuple:
     """(orbits, parent): a breadth-first search over each orbit of the
     subsets under the permutations. Each orbit is a list of subset
@@ -109,10 +96,11 @@ def _orbits(subsets: list, perms) -> tuple:
 
 
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetries) -> list:
-    """The distinguishable subsets, in order. Under proven symmetries
-    (_proven) one subset per orbit is decided by LP; every other one takes
-    its parent's evidence, moved along the tree edge and re-checked by
-    substitution, and is decided directly when the re-check fails."""
+    """The distinguishable subsets, in order. symmetries are (perm,
+    witness_map) pairs; one subset per orbit under the perms is decided by
+    LP, and every other one takes its parent's evidence, moved along the
+    tree edge and re-checked by substitution, and is decided directly when
+    the re-check fails."""
     orbits, parent = _orbits(subsets, [perm for perm, _ in symmetries])
     decided = parallel_map(functools.partial(_subset_distinguishable, theory),
                            [subsets[o[0]] for o in orbits], workers)
@@ -161,10 +149,12 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     level 1 being the single states. Results can be cached on disk keyed
     by (theory digest, N), where the digest covers a float theory's tolerance.
 
-    symmetries are permutations of the generator indices that are claimed
-    to be symmetries of the theory (FamilySpec.symmetries). Each one that
-    theory.induced_map proves lets one LP decide a whole orbit of subsets;
-    float theories prove none. The edges never depend on them.
+    symmetries are permutations of the generator indices that are hinted
+    to be symmetries of the theory (FamilySpec.symmetries); one LP decides
+    a whole orbit of subsets under them. They are only hints: each moved
+    answer is re-checked, and a subset whose re-check fails gets its own
+    LP. Only an exact theory whose generators span uses them. The edges
+    never depend on them.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:
@@ -181,13 +171,15 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                 if h.num_nodes == v and h.n_arity == n_arity:
                     return h
 
-    proven = _proven(theory, symmetries)
+    moves = [(tuple(p), witness_map(theory, p)) for p in symmetries
+             if theory.numeric_mode == EXACT and theory.basis is not None
+             and sorted(p) == list(range(v))]
     edges = [(x,) for x in range(v)]
     for k in range(2, n_arity + 1):
         level = set(edges)
         candidates = [e + (x,) for e in edges for x in range(e[-1] + 1, v)
                       if all(s in level for s in itertools.combinations(e + (x,), k - 1))]
-        edges = _filter_distinguishable(theory, candidates, workers, proven)
+        edges = _filter_distinguishable(theory, candidates, workers, moves)
 
     h = DistinguishabilityHypergraph(n_arity, v, frozenset(edges))
     if cache_path:

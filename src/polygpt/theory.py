@@ -96,27 +96,6 @@ class Theory:
         return len(self.generators)
 
 
-def induced_map(t: Theory, perm: Sequence[int]):
-    """(rows, den): the matrix A = rows / den, rows integer, with
-    A g_k = g_perm[k] for every generator g_k of an exact theory; None when
-    perm is not a permutation of the generator indices, the theory is in
-    float mode, or no linear map does this. A is solved on t.basis and then
-    checked exactly on every generator. A map that permutes spanning
-    generators, all on u = 1, also fixes the unit: u A = u."""
-    if t.numeric_mode != EXACT or sorted(perm) != list(range(t.num_generators)) \
-            or t.basis is None:
-        return None
-    (inverse, q), (gens, d) = t.basis_inverse, t.generator_rows
-    # A = G B^-1 = rows / (d * q), with G's columns the images d * g of the basis generators.
-    images = [gens[perm[k]] for k in t.basis]
-    rows = [[sum(g[i] * row[j] for g, row in zip(images, inverse)) for j in range(t.dim)]
-            for i in range(t.dim)]
-    den = d * q
-    if all([dot(r, g) for r in rows] == [den * v for v in gens[p]] for g, p in zip(gens, perm)):
-        return rows, den
-    return None
-
-
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
                 numeric_mode: str = EXACT) -> Theory:
     """Coordinates may be ints, Fractions or "p/q" strings; float mode converts with float()."""

@@ -119,6 +119,20 @@ def test_unwritable_paths_are_usage_errors(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("polygpt: error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--family", "ngon:n=5", "--states", "0,1", "--tol", "1e-300"],
+    ["psuccess", "--family", "ngon:n=5", "--states", "0,1", "--tol", "1e-300"],
+    ["hypergraph", "--family", "ngon:n=5", "--N", "2", "--tol", "0.5", "--workers", "2"],
+    ["maxclique", "--family", "ngon:n=5", "--N", "2", "--tol", "0.5", "--workers", "2"],
+], ids=["distinguish", "psuccess", "hypergraph", "maxclique"])
+def test_a_stalled_float_lp_is_a_domain_error(tmp_path, capsys, argv):
+    # Tolerances this far from the default stall the float simplex.
+    assert cli.run(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_verify_hypercube_cli(tmp_path):
     doc = run_json(tmp_path, ["verify-hypercube", "--m", "2", "--workers", "1"])
     assert doc["verified"] is True

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import invert, mat_vec
 from polygpt import hypergraph
 from polygpt.families import (build_family, classical_simplex, codeword_state_index,
                               hypercube_effect, hypercube_state, hypercube_symmetries,
@@ -11,7 +12,7 @@ from polygpt.families import (build_family, classical_simplex, codeword_state_in
                               prism_pair_index, prism_product, simplex_power,
                               simplex_power_symmetries)
 from polygpt.linalg import dot
-from polygpt.theory import induced_map, reduce_to_pure_states, validate_theory
+from polygpt.theory import reduce_to_pure_states, validate_theory
 
 
 def test_simplex_shapes():
@@ -171,15 +172,18 @@ def test_unknown_family_kind_is_rejected():
                             for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
                          + ["ngon:n=4"])
 def test_every_supplied_symmetry_is_proven(spec):
+    # build_hypergraph only re-checks what it moves, so a wrong generator
+    # would cost LPs unseen: find A with A g_k = g_perm[k] on a basis of
+    # generators, in plain Fractions, and check it on every generator.
     family = parse_family_spec(spec)
     theory, symmetries = family.build(), family.symmetries()
+    gens = [tuple(F(v) for v in g) for g in theory.generators]
+    basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in theory.basis))])
+    assert basis_inverse is not None
     for perm in symmetries:
-        rows, den = induced_map(theory, perm)
-        gens = [[F(v) for v in g] for g in theory.generators]
-        for g, p in zip(gens, perm):  # A g_k = g_perm[k], recomputed in plain Fractions
-            assert [F(dot(row, g), den) for row in rows] == gens[p]
-    # Proving each inverse, as build_hypergraph does, drops none either.
-    assert [perm for perm, _ in hypergraph._proven(theory, symmetries)] == list(symmetries)
+        images = list(zip(*(gens[perm[b]] for b in theory.basis)))  # G: the images as columns
+        a = [[dot(row, col) for col in zip(*basis_inverse)] for row in images]  # A = G B^-1
+        assert all(mat_vec(a, g) == gens[p] for g, p in zip(gens, perm))
 
 
 def test_symmetry_generators_follow_the_index_conventions():

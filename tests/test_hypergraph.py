@@ -21,8 +21,7 @@ from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hype
                                 load_hypergraph, save_hypergraph)
 from polygpt.fixtures import fixtures
 from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
-from polygpt.theory import (FLOAT, induced_map, load_theory, make_theory, save_theory,
-                            theory_from_json)
+from polygpt.theory import FLOAT, Theory, load_theory, make_theory, save_theory, theory_from_json
 
 
 def brute_hypergraph(theory, n):
@@ -419,8 +418,8 @@ def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
     family = parse_family_spec(spec)
     theory, symmetries = family.build(), family.symmetries()
     inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
-    forward, back = hypergraph._proven(theory, symmetries), hypergraph._proven(theory, inverses)
-    assert len(forward) == len(back) == len(symmetries)
+    forward, back = ([(perm, discrimination.witness_map(theory, perm)) for perm in perms]
+                     for perms in (symmetries, inverses))
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
         _, evidence, _ = hypergraph._subset_distinguishable(theory, subset)
@@ -443,17 +442,18 @@ def test_the_identity_leaves_a_certificate_unchanged():
     assert discrimination._moved_certificate(cert, tuple(range(8)), 8) == cert
 
 
-def test_a_non_symmetry_is_dropped():
+def test_a_non_symmetry_only_costs_lps():
     cube = hypercube_theory(3)
-    swap = (1, 0, *range(2, 8))  # two vertices of the cube exchanged
-    assert induced_map(cube, swap) is None
-    assert [perm for perm, _ in hypergraph._proven(cube, (swap, *hypercube_symmetries(3)))] \
-        == list(hypercube_symmetries(3))
+    swap = (1, 0, *range(2, 8))  # two vertices of the cube exchanged: no symmetry
+    # Every pair of the cube is an edge, so each level's candidates are all its k-subsets.
+    representatives = [len(hypergraph._orbits(list(itertools.combinations(range(8), k)),
+                                              [swap])[0]) for k in (2, 3)]
     for n_arity in (2, 3):
         with counted_decisions() as counts:
             h = build_hypergraph(cube, n_arity, symmetries=(swap,))
         assert h == direct_build("hypercube:m=3", n_arity)
-        assert counts["decided"] == 28 + (n_arity == 3) * 56  # one LP per subset, as without
+        assert counts["failed moves"] > 0
+        assert counts["decided"] == sum(representatives[:n_arity - 1]) + counts["failed moves"]
 
 
 def test_a_corrupted_move_is_solved_directly(monkeypatch):
@@ -486,13 +486,18 @@ def test_a_corrupted_move_is_solved_directly(monkeypatch):
     assert counts["decided"] == 28 + 56  # every subset decided by its own LP
 
 
+# build_hypergraph uses no permutation on a float theory, on an exact one
+# whose generators do not span (the square in four dimensions), or of the
+# wrong length.
 @pytest.mark.parametrize("theory,symmetries", [
     (make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
                  numeric_mode=FLOAT), hypercube_symmetries(3)),
     (ngon_theory(7), ngon_symmetries(7)),
-], ids=["float-hypercube-m3", "ngon-n7"])
+    (Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
+            tuple(g + (F(0),) for g in hypercube_theory(2).generators)), hypercube_symmetries(2)),
+    (hypercube_theory(3), ((*range(1, 7), 0),)),
+], ids=["float-hypercube-m3", "ngon-n7", "non-spanning-exact", "wrong-length"])
 def test_float_theories_keep_one_lp_per_pair(theory, symmetries):
-    assert hypergraph._proven(theory, symmetries) == []
     with counted_decisions() as counts:
         h = build_hypergraph(theory, 2, symmetries=symmetries)
     assert h == build_hypergraph(theory, 2)
