@@ -473,6 +473,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "node_budget", 0) < 0:
+            raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
         return args.func(args)
     except (UsageError, DomainError) as exc:
         print(f"polygpt: error: {exc}", file=sys.stderr)

@@ -169,45 +169,35 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     return lp.problem([0] * nvars, rows, nvars)
 
 
-def moved_evidence(theory: Theory, states, evidence, perm, matrix):
+def moved_evidence(theory: Theory, states, evidence, perm):
     """Evidence for states, the image of a decided subset under perm,
     state by state in the subset's order: perm maps generator k to
-    generator perm[k], and matrix is witness_map(theory, perm). evidence is
-    the subset's witness Measurement or its Farkas vector. perm is only a
-    hint: the moved evidence is returned only when it passes its re-check
-    by substitution on these states; else None."""
+    generator perm[k]. evidence is the subset's witness Measurement or its
+    Farkas vector; the theory is exact and its generators span. perm is
+    only a hint: the moved evidence is returned only when it passes its
+    re-check by substitution on these states; else None."""
     if isinstance(evidence, Measurement):
-        moved = _moved_witness(evidence, matrix)
+        moved = _moved_witness(theory, evidence, perm)
         return moved if verify_witness(theory, states, moved) else None
     moved = _moved_certificate(evidence, perm, theory.num_generators)
     return moved if lp.verify_farkas(_feasibility_problem(theory, states), moved) else None
 
 
-def witness_map(theory: Theory, perm) -> tuple:
-    """(rows, den): the matrix M = rows / den, rows integer, with
-    M g_b = g_k for each generator g_b at theory.basis, where perm[k] = b.
-    When perm is a symmetry, M is A^-1 for the linear map A with
-    A g_k = g_perm[k]; when it is not, each move made with M stands or
-    falls by its re-check. The theory is exact and spanning, perm a
-    permutation."""
-    (inverse, q), (gens, d) = theory.basis_inverse, theory.generator_rows
-    source = {b: k for k, b in enumerate(perm)}
-    # M = G B^-1 = rows / (d * q), with G's columns d * g_k for the basis generators g_b.
-    images = [gens[source[b]] for b in theory.basis]
-    rows = [[sum(g[i] * row[j] for g, row in zip(images, inverse)) for j in range(theory.dim)]
-            for i in range(theory.dim)]
-    return rows, d * q
-
-
-def _moved_witness(meas: Measurement, matrix) -> Measurement:
-    """e_i . g_k = e_i A^-1 . g_perm[k], so effect i becomes e_i A^-1 and
-    answers the image of state i; the product runs on integer rows, with
-    matrix = (rows, den) for A^-1."""
-    rows, den = matrix
+def _moved_witness(theory: Theory, meas: Measurement, perm) -> Measurement:
+    """Effect i becomes e_i A^-1 for the linear map A with A g_k = g_perm[k]:
+    e_i A^-1 . g_perm[k] = e_i . g_k, so it answers the image of state i.
+    A^-1 takes each basis generator g_b to g_k, where perm[k] = b, so
+    e_i A^-1 is the sum over the basis of (e_i . g_k) times b's row of
+    theory.basis_inverse, over q; the products run on integer rows. When
+    perm is no symmetry, the re-check rejects the result."""
+    basis, inverse, q = theory.basis_inverse
+    gens, d = theory.generator_rows
+    images = [gens[perm.index(b)] for b in basis]  # d * A^-1 g_b
     effects, e = integer_rows(meas.effects)
-    columns = list(zip(*rows))
-    return Measurement(tuple(tuple(Fraction(dot(effect, col), e * den) for col in columns)
-                             for effect in effects))
+    coords = [[dot(effect, g) for g in images] for effect in effects]  # e * d * (e_i . A^-1 g_b)
+    columns = list(zip(*inverse))
+    return Measurement(tuple(tuple(Fraction(dot(c, col), e * d * q) for col in columns)
+                             for c in coords))
 
 
 def _moved_certificate(cert, perm, num_generators: int) -> tuple:
@@ -330,8 +320,8 @@ def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
     most the sum of the positive lambda_k. None when there is no basis."""
     if theory.basis_inverse is None:
         return None
-    inverse, q = theory.basis_inverse
-    gens, d = theory.exact_generator_rows
+    _, inverse, q = theory.basis_inverse
+    gens, d = theory.generator_rows
     n, g = len(states), len(gens)
     # ys = e * y and omegas = e * states as integers; gens = d * generators.
     (ys, *omegas), e = integer_rows([[Fraction(v) for v in row] for row in (y, *states)])

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .discrimination import is_perfectly_distinguishable, moved_evidence, witness_map
+from .discrimination import is_perfectly_distinguishable, moved_evidence
 from .parallel import parallel_map
 from .theory import EXACT, FLOAT, Theory, save_json, theory_to_json
 
@@ -95,13 +95,12 @@ def _orbits(subsets: list, perms) -> tuple:
     return orbits, parent
 
 
-def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetries) -> list:
-    """The distinguishable subsets, in order. symmetries are (perm,
-    witness_map) pairs; one subset per orbit under the perms is decided by
-    LP, and every other one takes its parent's evidence, moved along the
-    tree edge and re-checked by substitution, and is decided directly when
-    the re-check fails."""
-    orbits, parent = _orbits(subsets, [perm for perm, _ in symmetries])
+def _filter_distinguishable(theory: Theory, subsets: list, workers: int, perms) -> list:
+    """The distinguishable subsets, in order. One subset per orbit under
+    the permutations perms is decided by LP, and every other one takes its
+    parent's evidence, moved along the tree edge and re-checked by
+    substitution, and is decided directly when the re-check fails."""
+    orbits, parent = _orbits(subsets, perms)
     decided = parallel_map(functools.partial(_subset_distinguishable, theory),
                            [subsets[o[0]] for o in orbits], workers)
     keep = [False] * len(subsets)
@@ -109,22 +108,21 @@ def _filter_distinguishable(theory: Theory, subsets: list, workers: int, symmetr
         answers = {orbit[0]: answer}
         for k in orbit[1:]:
             j, g = parent[k]
-            answers[k] = _moved(theory, answers[j], symmetries[g])
+            answers[k] = _moved(theory, answers[j], perms[g])
         for k in orbit:
             keep[k] = answers[k][0]
     return [s for s, k in zip(subsets, keep) if k]
 
 
-def _moved(theory: Theory, answer, symmetry) -> tuple:
-    """The answer for the image of answer's subset under the symmetry: the
+def _moved(theory: Theory, answer, perm) -> tuple:
+    """The answer for the image of answer's subset under perm: the
     evidence moved to the image, taken in the order perm gives it, and
     re-checked there; or, when the re-check fails, a direct decision on
     the sorted image."""
     distinguishable, evidence, source = answer
-    perm, matrix = symmetry
     target = tuple(perm[x] for x in source)
     states = [theory.generators[x] for x in target]
-    moved = moved_evidence(theory, states, evidence, perm, matrix)
+    moved = moved_evidence(theory, states, evidence, perm)
     return (distinguishable, moved, target) if moved is not None else \
         _subset_distinguishable(theory, sorted(target))
 
@@ -153,8 +151,10 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     to be symmetries of the theory (FamilySpec.symmetries); one LP decides
     a whole orbit of subsets under them. They are only hints: each moved
     answer is re-checked, and a subset whose re-check fails gets its own
-    LP. Only an exact theory whose generators span uses them. The edges
-    never depend on them.
+    LP. Each stays a plain tuple down to moved_evidence, which moves a
+    witness through theory.basis_inverse. Only an exact theory whose
+    generators span (basis_inverse is not None) uses them. The edges never
+    depend on them.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:
@@ -171,15 +171,15 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                 if h.num_nodes == v and h.n_arity == n_arity:
                     return h
 
-    moves = [(tuple(p), witness_map(theory, p)) for p in symmetries
-             if theory.numeric_mode == EXACT and theory.basis is not None
+    perms = [tuple(p) for p in symmetries
+             if theory.numeric_mode == EXACT and theory.basis_inverse is not None
              and sorted(p) == list(range(v))]
     edges = [(x,) for x in range(v)]
     for k in range(2, n_arity + 1):
         level = set(edges)
         candidates = [e + (x,) for e in edges for x in range(e[-1] + 1, v)
                       if all(s in level for s in itertools.combinations(e + (x,), k - 1))]
-        edges = _filter_distinguishable(theory, candidates, workers, moves)
+        edges = _filter_distinguishable(theory, candidates, workers, perms)
 
     h = DistinguishabilityHypergraph(n_arity, v, frozenset(edges))
     if cache_path:
@@ -292,9 +292,12 @@ def hypergraph_to_json(h: DistinguishabilityHypergraph) -> dict:
 
 def hypergraph_from_json(doc: dict) -> DistinguishabilityHypergraph:
     try:
-        return DistinguishabilityHypergraph(
-            int(doc["N"]), int(doc["num_nodes"]),
-            frozenset(tuple(e) for e in doc["edges"]))
+        n_arity, num_nodes = doc["N"], doc["num_nodes"]
+        if type(n_arity) is not int or type(num_nodes) is not int:  # no float, str or bool
+            raise ValueError(f"N and num_nodes must be integers, got {n_arity!r} and "
+                             f"{num_nodes!r}")
+        return DistinguishabilityHypergraph(n_arity, num_nodes,
+                                            frozenset(tuple(e) for e in doc["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed hypergraph JSON: {exc}") from exc
 

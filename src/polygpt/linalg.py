@@ -16,10 +16,11 @@ Vector = tuple
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a "p/q" string."""
+    """Parse a rational from an int, a Fraction, or a "p/q" string; a bool
+    is refused, so JSON true and false are not read as 1 and 0."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -59,37 +59,28 @@ class Theory:
 
     @functools.cached_property
     def generator_rows(self):
-        """scaled_rows(generators), once per theory; not a field, so == and the hash skip it."""
-        return self.scaled_rows(self.generators)
-
-    @functools.cached_property
-    def exact_generator_rows(self):
         """integer_rows of the generators read exactly, a float as the binary
-        fraction it stores (Fraction(float) is exact); cached like generator_rows."""
+        fraction it stores (Fraction(float) is exact), once per theory; not
+        a field, so == and the hash skip it."""
         return integer_rows([[Fraction(v) for v in g] for g in self.generators])
 
     @functools.cached_property
-    def basis(self):
-        """Indices of the first dim linearly independent generators, read
-        exactly; None when the generators do not span. Cached like generator_rows."""
-        indices, rows = [], []
+    def basis_inverse(self):
+        """(basis, rows, q): basis holds the indices of the first dim
+        linearly independent generators, and (rows[k] . v) / q is the k-th
+        coordinate of v in their basis, all read exactly; None when the
+        generators do not span. Cached like generator_rows."""
+        basis, columns = [], []
         for k, g in enumerate(self.generators):
             g = [Fraction(v) for v in g]
-            if len(rows) < self.dim and rank(rows + [g]) > len(rows):
-                indices.append(k)
-                rows.append(g)
-        return tuple(indices) if len(indices) == self.dim else None
-
-    @functools.cached_property
-    def basis_inverse(self):
-        """(rows, q): (rows[k] . v) / q is the k-th coordinate of v in the basis
-        of the generators at self.basis, read exactly; None when the
-        generators do not span. Cached like generator_rows."""
-        if self.basis is None:
+            if len(basis) < self.dim and rank(columns + [g]) > len(basis):
+                basis.append(k)
+                columns.append(g)
+        if len(basis) < self.dim:
             return None
-        transposed = list(zip(*[[Fraction(v) for v in self.generators[k]] for k in self.basis]))
-        columns = [solve_square(transposed, unit_vector(self.dim, k)) for k in range(self.dim)]
-        return integer_rows(list(zip(*columns)))
+        transposed = list(zip(*columns))
+        inverse = [solve_square(transposed, unit_vector(self.dim, k)) for k in range(self.dim)]
+        return (tuple(basis), *integer_rows(list(zip(*inverse))))
 
     @property
     def num_generators(self) -> int:
@@ -98,8 +89,12 @@ class Theory:
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
                 numeric_mode: str = EXACT) -> Theory:
-    """Coordinates may be ints, Fractions or "p/q" strings; float mode converts with float()."""
-    conv = float if numeric_mode == FLOAT else rat
+    """Coordinates may be ints, Fractions or "p/q" strings; float mode
+    converts with float(). A bool (JSON true or false) is refused."""
+
+    def conv(v):  # rat refuses a bool, which float() would take
+        return float(v) if numeric_mode == FLOAT and not isinstance(v, bool) else rat(v)
+
     unit = tuple(conv(v) for v in unit)
     generators = tuple(tuple(conv(v) for v in g) for g in generators)
     return Theory(name, len(unit), unit, generators, numeric_mode)
@@ -193,12 +188,9 @@ def is_effect(t: Theory, e: Sequence) -> bool:
         raise ValueError("dimension mismatch")
     arith = t.arith()
     (e,), den = t.scaled_rows([e])
-    gens, d = t.generator_rows
-    for g in gens:
-        v = dot(e, g)
-        if arith.is_neg(v) or arith.is_pos(v - den * d):
-            return False
-    return True
+    gens, d = t.generator_rows if arith.exact else (t.generators, 1)
+    values = [dot(e, g) for g in gens]
+    return not (arith.is_neg(min(values)) or arith.is_pos(max(values) - den * d))
 
 
 def is_measurement(t: Theory, m: Measurement) -> bool:

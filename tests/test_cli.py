@@ -160,6 +160,15 @@ def test_dg_check_cli(tmp_path):
     assert doc["holds"] is True
 
 
+def test_dg_check_refuses_booleans(tmp_path, capsys):
+    # JSON true and false are no coordinates, not 1 and 0.
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[True], [False]]))
+    assert cli.run(["dg-check", "--points", str(pts)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+
+
 def test_fixtures_subcommand(tmp_path):
     doc = run_json(tmp_path, ["fixtures", "--out-dir", str(tmp_path / "fx")])
     assert set(doc["fixtures"]) == set(fixtures())
@@ -221,20 +230,46 @@ def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
     for method in ("exact", "greedy"):
         assert cli.run(["maxclique", "--hypergraph", str(path), "--method", method]) == 2
     for n, nodes, edges in ((1, 3, [[0]]), (2, -1, []), (2, 3, [[1, 0]]), (2, 3, [[0, 1, 2]]),
-                            (2, 3, [[-1, 0]]), (2, 3, [[0, 3]]), (2, 3, [[0.0, 1]])):
+                            (2, 3, [[-1, 0]]), (2, 3, [[0, 3]]), (2, 3, [[0.0, 1]]),
+                            (2.9, "3", [[0, 1], [1, 2], [0, 2]]), (2, 3.99, [[0, 1]]),
+                            (2, "3", [[0, 1]]), (2.0, 3, [[0, 1]]), (True, 3, [])):
         with pytest.raises(ValueError):
             hypergraph_from_json({"N": n, "num_nodes": nodes, "edges": edges})
+    # Neither value may be truncated to an integer.
+    path.write_text(json.dumps({"N": 2.9, "num_nodes": "3", "edges": [[0, 1], [1, 2], [0, 2]]}))
+    assert cli.run(["maxclique", "--hypergraph", str(path)]) == 2
 
 
 @pytest.mark.parametrize("doc", [[1, 2], {"name": "s", "unit": [1, 1],
-                                           "generators": [[1, 0], [0, 1]]}],
-                         ids=["list", "no-dim"])
+                                           "generators": [[1, 0], [0, 1]]},
+                                 {"name": "b", "dim": 2, "unit": [True, False],
+                                  "generators": [[True, False], [True, True]]},
+                                 {"name": "b", "dim": 2, "unit": [1, 0], "numeric_mode": "float",
+                                  "generators": [[1, 0], [1, True]]}],
+                         ids=["list", "no-dim", "booleans", "float-booleans"])
 def test_malformed_theory_file_is_a_usage_error(tmp_path, doc):
     path = tmp_path / "theory.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         theory_from_json(doc)
     assert cli.run(["theory", "--theory", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypergraph", "--family", "hypercube:m=2", "--N", "2", "--workers", "0"],
+    ["maxclique", "--family", "hypercube:m=2", "--N", "2", "--workers", "-3"],
+    ["maxclique", "--family", "hypercube:m=2", "--N", "2", "--workers", "1",
+     "--node-budget", "-1"],
+    ["verify-hypercube", "--m", "2", "--workers", "0"],
+    ["random-construction", "--N", "2", "--m", "3", "--trials", "5", "--workers", "-1"],
+], ids=["hypergraph-workers", "maxclique-workers", "node-budget", "verify-hypercube-workers",
+        "random-construction-workers"])
+def test_out_of_range_workers_and_node_budget_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

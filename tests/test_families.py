@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import invert, mat_vec
-from polygpt import hypergraph
+from polygpt import discrimination, hypergraph
 from polygpt.families import (build_family, classical_simplex, codeword_state_index,
                               hypercube_effect, hypercube_state, hypercube_symmetries,
                               hypercube_theory, FamilySpec, ngon_theory, parse_family_spec,
@@ -178,12 +178,20 @@ def test_every_supplied_symmetry_is_proven(spec):
     family = parse_family_spec(spec)
     theory, symmetries = family.build(), family.symmetries()
     gens = [tuple(F(v) for v in g) for g in theory.generators]
-    basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in theory.basis))])
+    basis, _, _ = theory.basis_inverse
+    basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in basis))])
     assert basis_inverse is not None
+    # The witness of a decided pair (the one state of a 1-simplex) moves to e A^-1.
+    states = theory.generators[:2]
+    witness = discrimination.is_perfectly_distinguishable(theory, states).witness
+    assert witness is not None
     for perm in symmetries:
-        images = list(zip(*(gens[perm[b]] for b in theory.basis)))  # G: the images as columns
+        images = list(zip(*(gens[perm[b]] for b in basis)))  # G: the images as columns
         a = [[dot(row, col) for col in zip(*basis_inverse)] for row in images]  # A = G B^-1
         assert all(mat_vec(a, g) == gens[p] for g, p in zip(gens, perm))
+        a_inverse = invert(a)
+        assert discrimination._moved_witness(theory, witness, perm).effects == tuple(
+            tuple(dot(e, col) for col in zip(*a_inverse)) for e in witness.effects)
 
 
 def test_symmetry_generators_follow_the_index_conventions():

@@ -189,8 +189,8 @@ def test_no_spanning_basis_falls_back(monkeypatch):
 
 def test_basis_inverse_gives_exact_coordinates():
     for theory in (ngon_theory(7), _float(hypercube_theory(3)), hypercube_theory(2)):
-        rows, q = theory.basis_inverse
-        gens, d = theory.exact_generator_rows
+        _, rows, q = theory.basis_inverse
+        gens, d = theory.generator_rows
         for g in gens:  # g = d * generator: its coordinates rebuild it exactly
             coords = [F(dot(row, g), q * d) for row in rows]
             rebuilt = [sum(c * F(v) for c, v in zip(coords, column))
@@ -207,11 +207,11 @@ def _basis(theory):
 def test_cached_rows_stay_out_of_equality_hash_and_json():
     pent = ngon_theory(5)
     fresh = ngon_theory(5)
-    assert pent.basis_inverse is not None and pent.exact_generator_rows
+    assert pent.basis_inverse is not None and pent.generator_rows
     assert pent == fresh and hash(pent) == hash(fresh)
     assert theory_to_json(pent) == theory_to_json(fresh)
     hexagon = replace(pent, generators=ngon_theory(6).generators)
-    assert hexagon.exact_generator_rows == ngon_theory(6).exact_generator_rows
+    assert hexagon.generator_rows == ngon_theory(6).generator_rows
 
 
 def test_distinguish_solves_the_success_probability_once(monkeypatch, capsys):
