@@ -217,7 +217,7 @@ class RandomSearchReport:
     bound: Fraction
     failures: int
     trials: int
-    empirical_failure: float
+    empirical_failure: Optional[float]  # None when no trial ran
     seed: int
 
 
@@ -261,7 +261,7 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
     kappa_lb = eff_m / log2_value(Fraction(dim)) if dim > 1 else None
     return RandomSearchReport(n_arity, eff_m, q, l, dim, kappa_lb, bound,
                               failures, trials,
-                              failures / trials if trials else 0.0, seed)
+                              failures / trials if trials else None, seed)
 
 
 def code_states_theory(code: RandomCode):

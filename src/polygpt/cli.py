@@ -89,7 +89,7 @@ def _parse_indices(text):
 def _parse_priors(text, exact):
     try:
         values = [rat(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"malformed priors {text!r}") from exc
     return values if exact else [float(v) for v in values]
 
@@ -324,7 +324,8 @@ def cmd_random_construction(args):
     row = [str(report.n_arity), _fmt12(report.m), str(report.q), str(report.l),
            str(report.dimension),
            "" if report.kappa_lower_bound is None else _fmt12(report.kappa_lower_bound),
-           _fmt12(float(report.bound)), _fmt12(report.empirical_failure),
+           _fmt12(float(report.bound)),
+           "" if report.empirical_failure is None else _fmt12(report.empirical_failure),
            str(report.trials), str(report.seed)]
     _emit(doc, args, csv_row=row, csv_header=header)
     return 0

@@ -16,13 +16,26 @@ from typing import Sequence
 from .linalg import dot, unit_vector
 from .theory import EXACT, FLOAT, Theory
 
-MAX_GENERATORS = 4096  # largest simplex power built, in pure states
+MAX_GENERATORS = 4096  # most generators any constructor builds
+
+
+def _refuse_above_cap(what: str, base: int, exponent: int = 1) -> None:
+    """Refuse base^exponent > MAX_GENERATORS generators, without forming the
+    power when the exponent alone puts it past the cap."""
+    if base > 1 and exponent >= MAX_GENERATORS.bit_length():
+        count = f"{base}^{exponent}"
+    elif base ** exponent > MAX_GENERATORS:
+        count = base ** exponent
+    else:
+        return
+    raise ValueError(f"{what} = {count} generators exceed the cap {MAX_GENERATORS}")
 
 
 def classical_simplex(d: int) -> Theory:
     """Classical d-outcome theory: the positive orthant with the summing unit."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    _refuse_above_cap("d", d)
     gens = [unit_vector(d, i) for i in range(d)]
     unit = (Fraction(1),) * d
     return Theory(f"simplex-{d}", d, unit, tuple(gens))
@@ -32,6 +45,7 @@ def hypercube_theory(m: int) -> Theory:
     """Cone x0 >= max |x_i| in dimension m+1; 2^m vertex states."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    _refuse_above_cap("2^m", 2, m)
     gens = [hypercube_state(eps) for eps in itertools.product((1, -1), repeat=m)]
     unit = unit_vector(m + 1, 0)
     return Theory(f"hypercube-{m}", m + 1, unit, tuple(gens))
@@ -60,6 +74,7 @@ def ngon_theory(n: int) -> Theory:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    _refuse_above_cap("n", n)
     if n == 4:
         gens = [(Fraction(1), Fraction(1), Fraction(0)),
                 (Fraction(1), Fraction(0), Fraction(1)),
@@ -88,6 +103,7 @@ def prism_product(a: Theory, b: Theory) -> Theory:
     """
     if a.numeric_mode != EXACT or b.numeric_mode != EXACT:
         raise ValueError("prism products require exact-mode factors")
+    _refuse_above_cap("|A| * |B|", a.num_generators * b.num_generators)
     ka = _kernel_drop_index(a.unit)
     kb = _kernel_drop_index(b.unit)
     base_a = a.generators[0]
@@ -114,8 +130,7 @@ def simplex_power(q: int, l: int) -> Theory:
     """l-fold prism product of the q-vertex simplex (q^l pure states)."""
     if q < 1 or l < 1:
         raise ValueError("q and l must be >= 1")
-    if q ** l > MAX_GENERATORS:
-        raise ValueError(f"q^l = {q ** l} generators exceed the cap {MAX_GENERATORS}")
+    _refuse_above_cap("q^l", q, l)
     t = classical_simplex(q)
     for _ in range(l - 1):
         t = prism_product(t, classical_simplex(q))

@@ -1,8 +1,9 @@
 """Exact rational vectors and dense linear algebra.
 
 Coordinates are plain tuples. Exact-mode code uses ``fractions.Fraction``
-entries; float-mode theories reuse the same helpers with ``float`` entries
-(Python's numeric protocols make the arithmetic generic).
+entries; float-mode theories reuse ``dot`` with ``float`` entries (Python's
+numeric protocols make the arithmetic generic), while ``rank`` and
+``pivot_columns`` read a float as the binary fraction it stores.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ Vector = tuple
 
 def rat(value) -> Fraction:
     """Parse a rational from an int, a Fraction, or a "p/q" string; a bool
-    is refused, so JSON true and false are not read as 1 and 0."""
+    is refused, so JSON true and false are not read as 1 and 0, and so is
+    a zero denominator (ValueError, like any other malformed string)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -43,64 +48,58 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def rank(rows: Sequence[Sequence], tol: float = 0.0) -> int:
-    """Row rank by Gaussian elimination.
-
-    With tol=0 comparisons are exact (rational entries); a positive tol
-    gives a partial-pivoting float rank for float-mode data.
-    """
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
+def _eliminate(m) -> tuple:
+    """(pivot columns, last pivot): m, a list of integer rows, brought to
+    echelon form in place, fraction-free (Bareiss, 1968). A column's pivot
+    is its first nonzero entry at or below the current row; a column with
+    none is skipped. Every entry stays an integer minor of the input, so
+    each division is exact."""
+    pivots, prev = [], 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
             break
-        pivot = max(range(r, nrows), key=lambda i: abs(m[i][col]))
-        if abs(m[pivot][col]) <= tol:
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(r + 1, nrows):
-            if m[i][col] != 0:
-                factor = m[i][col] / inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        prow = m[r]
+        p = prow[col]
+        for i in range(r + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(v * p - f * w) // prev for v, w in zip(m[i], prow)]
+        pivots.append(col)
+        prev = p
+    return pivots, prev
+
+
+def pivot_columns(rows: Sequence[Sequence]) -> list:
+    """Indices of the columns that are not combinations of the columns
+    before them, read exactly: an int or a Fraction as it is, a float as
+    the binary fraction it stores."""
+    return _eliminate(integer_rows([[Fraction(v) for v in row] for row in rows])[0])[0]
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank, read as pivot_columns reads its rows."""
+    return len(pivot_columns(rows))
 
 
 def solve_square(a: Sequence[Sequence], b: Sequence):
     """Solve the square exact system a x = b; None when singular.
 
     Entries are ints or Fractions. Each row is cleared of denominators and
-    eliminated fraction-free (Bareiss, 1968): every intermediate entry is
-    an integer minor, and only the solution is built from Fractions.
+    eliminated by _eliminate: only the solution is built from Fractions.
     """
     n = len(a)
     m, _ = integer_rows([[*row, rhs] for row, rhs in zip(a, b)])
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        prow = m[col]
-        p = prow[col]
-        for i in range(col + 1, n):
-            f = m[i][col]
-            m[i] = [(v * p - f * w) // prev for v, w in zip(m[i], prow)]
-        prev = p
+    pivots, prev = _eliminate(m)
+    if pivots[:n] != list(range(n)):
+        return None
     # prev = +-det; prev * x is integral (Cramer), so back substitution
     # divides exactly.
     num = [0] * n

@@ -67,6 +67,30 @@ def mat_vec(a, x):
     return tuple(dot(row, x) for row in a)
 
 
+def reference_rank(rows):
+    """Row rank by plain Fraction Gaussian elimination, with no tolerance:
+    a float is read as the binary fraction it stores."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is not None:
+            m[r], m[pivot] = m[pivot], m[r]
+            for i in range(r + 1, len(m)):
+                f = m[i][col] / m[r][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            r += 1
+    return r
+
+
+# Family specs that supply symmetries, each of them proven in test_families.
+SYMMETRIC_FAMILIES = ([f"hypercube:m={m}" for m in range(1, 7)]
+                      + [f"simplex:d={d}" for d in range(1, 7)]
+                      + [f"simplex-power:q={q},l={l}"
+                         for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
+                      + ["ngon:n=4"])
+
+
 def random_invertible_matrix(rng, d):
     while True:
         m = [[random_rational(rng, span=3, den=2) for _ in range(d)] for _ in range(d)]

@@ -169,6 +169,43 @@ def test_dg_check_refuses_booleans(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("polygpt: error: ")
 
 
+def test_dg_check_refuses_a_zero_denominator(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[0, "1/0"], [1, 1]]))
+    assert cli.run(["dg-check", "--points", str(pts)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+
+
+def test_float_theory_file_reads_fraction_strings(tmp_path):
+    # A "p/q" string is read exactly and rounded once, so it gives the
+    # same float as its decimal twin.
+    outputs = []
+    for half in ("1/2", "0.5"):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"name": "h", "dim": 2, "unit": [1, 0],
+                                    "numeric_mode": "float",
+                                    "generators": [[1, half], [1, "-" + half]]}))
+        out = tmp_path / f"out-{len(outputs)}.json"
+        assert cli.run(["theory", "--theory", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    for bad in ("nan", "1e400"):  # no rational; no float
+        path.write_text(json.dumps({"name": "h", "dim": 2, "unit": [1, 0],
+                                    "numeric_mode": "float", "generators": [[1, bad], [1, 0]]}))
+        assert cli.run(["theory", "--theory", str(path)]) == 2
+
+
+def test_random_construction_without_trials_measures_nothing(tmp_path):
+    args = ["random-construction", "--N", "2", "--m", "3", "--trials", "0", "--workers", "1"]
+    doc = run_json(tmp_path, args)
+    assert doc["trials"] == 0 and doc["empirical_failure"] is None
+    out = tmp_path / "mc.csv"
+    assert cli.run(args + ["--format", "csv", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    assert row[header.index("empirical_failure")] == ""
+
+
 def test_fixtures_subcommand(tmp_path):
     doc = run_json(tmp_path, ["fixtures", "--out-dir", str(tmp_path / "fx")])
     assert set(doc["fixtures"]) == set(fixtures())
@@ -245,8 +282,10 @@ def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
                                  {"name": "b", "dim": 2, "unit": [True, False],
                                   "generators": [[True, False], [True, True]]},
                                  {"name": "b", "dim": 2, "unit": [1, 0], "numeric_mode": "float",
-                                  "generators": [[1, 0], [1, True]]}],
-                         ids=["list", "no-dim", "booleans", "float-booleans"])
+                                  "generators": [[1, 0], [1, True]]},
+                                 {"name": "z", "dim": 2, "unit": [1, 0],
+                                  "generators": [[1, 0], [1, "1/0"]]}],
+                         ids=["list", "no-dim", "booleans", "float-booleans", "zero-denominator"])
 def test_malformed_theory_file_is_a_usage_error(tmp_path, doc):
     path = tmp_path / "theory.json"
     path.write_text(json.dumps(doc))

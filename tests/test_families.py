@@ -4,13 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import invert, mat_vec
-from polygpt import discrimination, hypergraph
-from polygpt.families import (build_family, classical_simplex, codeword_state_index,
-                              hypercube_effect, hypercube_state, hypercube_symmetries,
-                              hypercube_theory, FamilySpec, ngon_theory, parse_family_spec,
-                              prism_pair_index, prism_product, simplex_power,
-                              simplex_power_symmetries)
+from conftest import SYMMETRIC_FAMILIES, invert, mat_vec
+from polygpt import cli, discrimination, hypergraph
+from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
+                              codeword_state_index, hypercube_effect, hypercube_state,
+                              hypercube_symmetries, hypercube_theory, FamilySpec, ngon_theory,
+                              parse_family_spec, prism_pair_index, prism_product,
+                              simplex_power, simplex_power_symmetries)
 from polygpt.linalg import dot
 from polygpt.theory import reduce_to_pure_states, validate_theory
 
@@ -161,16 +161,31 @@ def test_family_spec_parsing():
             parse_family_spec(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: hypercube_theory(13),
+    lambda: hypercube_theory(10 ** 9),  # 2^m must not be formed to see it
+    lambda: classical_simplex(MAX_GENERATORS + 1),
+    lambda: ngon_theory(MAX_GENERATORS + 1),
+    lambda: prism_product(hypercube_theory(7), hypercube_theory(6)),
+    lambda: simplex_power(2, 10 ** 5),  # 2^100000 has too many digits to print
+], ids=["hypercube-13", "hypercube-huge", "simplex", "ngon", "prism", "simplex-power-huge"])
+def test_every_constructor_refuses_more_generators_than_the_cap(build):
+    with pytest.raises(ValueError, match=f"generators exceed the cap {MAX_GENERATORS}"):
+        build()
+
+
+def test_an_oversized_family_is_a_usage_error(capsys):
+    assert cli.run(["theory", "--family", f"ngon:n={MAX_GENERATORS + 1}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+
+
 def test_unknown_family_kind_is_rejected():
     with pytest.raises(ValueError, match="bogus"):
         FamilySpec("bogus", {}).build()
 
 
-@pytest.mark.parametrize("spec", [f"hypercube:m={m}" for m in range(1, 7)]
-                         + [f"simplex:d={d}" for d in range(1, 7)]
-                         + [f"simplex-power:q={q},l={l}"
-                            for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
-                         + ["ngon:n=4"])
+@pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
 def test_every_supplied_symmetry_is_proven(spec):
     # build_hypergraph only re-checks what it moves, so a wrong generator
     # would cost LPs unseen: find A with A g_k = g_perm[k] on a basis of

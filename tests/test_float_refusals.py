@@ -12,10 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import reference_float_distinguishable, reference_float_path
+from conftest import (SYMMETRIC_FAMILIES, reference_float_distinguishable, reference_float_path,
+                      reference_rank)
 from polygpt import cli, discrimination, lp
 from polygpt.discrimination import CLEAR_GAP, is_perfectly_distinguishable
-from polygpt.families import classical_simplex, hypercube_theory, ngon_theory
+from polygpt.families import build_family, classical_simplex, hypercube_theory, ngon_theory
 from polygpt.hypergraph import build_hypergraph, hypergraph_to_json
 from polygpt.linalg import dot, solve_square
 from polygpt.theory import FLOAT, make_theory, theory_to_json
@@ -188,20 +189,21 @@ def test_no_spanning_basis_falls_back(monkeypatch):
 
 
 def test_basis_inverse_gives_exact_coordinates():
-    for theory in (ngon_theory(7), _float(hypercube_theory(3)), hypercube_theory(2)):
-        _, rows, q = theory.basis_inverse
+    for theory in ([build_family(spec) for spec in SYMMETRIC_FAMILIES]
+                   + [ngon_theory(n) for n in range(5, 13)] + [_float(hypercube_theory(3))]):
+        basis, rows, q = theory.basis_inverse
+        # The basis is the first generators that raise the reference rank.
+        expected = []
+        for k, g in enumerate(theory.generators):
+            if reference_rank([theory.generators[j] for j in expected] + [g]) > len(expected):
+                expected.append(k)
+        assert list(basis) == expected, theory.name
+        columns = list(zip(*(theory.generators[k] for k in basis)))
         gens, d = theory.generator_rows
         for g in gens:  # g = d * generator: its coordinates rebuild it exactly
             coords = [F(dot(row, g), q * d) for row in rows]
-            rebuilt = [sum(c * F(v) for c, v in zip(coords, column))
-                       for column in zip(*_basis(theory))]
+            rebuilt = [sum(c * F(v) for c, v in zip(coords, column)) for column in columns]
             assert rebuilt == [F(v, d) for v in g]
-
-
-def _basis(theory):
-    exact = [[F(v) for v in g] for g in theory.generators]
-    return next(b for b in itertools.combinations(exact, theory.dim)
-                if solve_square(list(zip(*b)), [0] * theory.dim) is not None)
 
 
 def test_cached_rows_stay_out_of_equality_hash_and_json():

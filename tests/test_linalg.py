@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import invert, mat_vec
-from polygpt.linalg import dot, rank, rat, rat_str, solve_square, vec_sub
+from conftest import invert, mat_vec, random_rational, reference_rank
+from polygpt.linalg import dot, pivot_columns, rank, rat, rat_str, solve_square
 
 
 def test_rat_parsing_roundtrip():
@@ -33,8 +33,10 @@ def test_exact_rank():
 
 
 def test_float_rank_with_tolerance():
+    # No tolerance: the rows are read as the binary fractions they store,
+    # and 4.0 + 1e-13 is not 4.
     rows = [(1.0, 2.0), (2.0, 4.0 + 1e-13)]
-    assert rank(rows, tol=1e-9) == 1
+    assert rank(rows) == 2
 
 
 def test_solve_square_and_invert():
@@ -65,5 +67,44 @@ def test_solve_square_on_random_rational_systems():
                 assert all(isinstance(v, Fraction) for v in x)
 
 
-def test_vec_sub():
-    assert vec_sub((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1))) == (2, 0)
+def _check_against_reference(rows):
+    columns = [list(c) for c in zip(*rows)]
+    raising = [k for k in range(len(columns))
+               if reference_rank(columns[:k + 1]) > reference_rank(columns[:k])]
+    assert pivot_columns(rows) == raising
+    assert rank(rows) == reference_rank(rows) == len(raising)
+
+
+def test_rank_and_pivot_columns_match_the_reference():
+    rng = random.Random(14)
+    deficient = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[random_rational(rng, span=4, den=3) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.2:
+            # Column j and row i become combinations of the ones before them
+            # (zero when there are none), so the rank drops below both sizes.
+            j, i = rng.randrange(ncols), rng.randrange(nrows)
+            weights = [random_rational(rng, span=3, den=2) for _ in range(max(i, j))]
+            for row in rows:
+                row[j] = sum((w * row[k] for w, k in zip(weights, range(j))), Fraction(0))
+            rows[i] = [sum((w * rows[k][c] for w, k in zip(weights, range(i))), Fraction(0))
+                       for c in range(ncols)]
+            assert reference_rank(rows) < min(nrows, ncols)
+            deficient += 1
+        _check_against_reference(rows)
+    assert deficient > 50
+
+
+def test_float_rows_are_read_exactly():
+    rng = random.Random(15)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0.0, 0.1, 1.0, -2.5, 1e-12, rng.uniform(-1, 1)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            # Twice a row is stored exactly (dependent); a tenth of it is not.
+            factor = rng.choice((2.0, 0.1))
+            rows[-1] = [factor * v for v in rows[0]]
+        _check_against_reference(rows)

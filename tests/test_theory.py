@@ -8,7 +8,7 @@ from conftest import exact_bland_runs, plain_bland, random_lifted_theory
 from polygpt import simplex
 from polygpt.fixtures import fixtures
 from polygpt.families import classical_simplex, hypercube_effect, hypercube_theory
-from polygpt.theory import (Measurement, Theory, conic_weights, is_effect, is_measurement,
+from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, is_effect, is_measurement,
                             is_state, linearly_independent, make_theory,
                             reduce_to_pure_states, theory_from_json, theory_to_json,
                             validate_theory)
@@ -27,6 +27,19 @@ def test_subspace_generators_fail_spanning():
     report = validate_theory(t)
     assert not report.checks["spanning"]
     assert not report.ok
+
+
+def test_float_spanning_is_decided_exactly():
+    # 1e-12 is far below the float tolerance, but the stored coordinates
+    # span, as basis_inverse (which reads them exactly) already says.
+    thin = make_theory("thin", (1, 0, 0), [(1, 0, 0), (1, 1, 0), (1, 0, 1e-12)],
+                       numeric_mode=FLOAT)
+    assert thin.basis_inverse is not None
+    assert validate_theory(thin).checks == {"unit_normalization": True, "spanning": True,
+                                            "affine_rank": True}
+    line = make_theory("line", (1, 0, 0), [(1, 0, 0), (1, 1, 0), (1, 2, 0)], numeric_mode=FLOAT)
+    assert line.basis_inverse is None
+    assert not validate_theory(line).checks["spanning"]
 
 
 def test_hypercube_theory_valid():
