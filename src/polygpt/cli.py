@@ -75,7 +75,11 @@ def _apply_backend(theory, args):
         raise DomainError(f"exact backend rejected: '{theory.name}' has "
                           "irrational (float) coordinates")
     if backend == "float" and theory.numeric_mode == EXACT:
-        theory = make_theory(theory.name, theory.unit, theory.generators, numeric_mode=FLOAT)
+        try:
+            theory = make_theory(theory.name, theory.unit, theory.generators, numeric_mode=FLOAT)
+        except (OverflowError, ValueError) as exc:
+            # A coordinate beyond the float range, or u . g = 1 lost to rounding.
+            raise DomainError(f"float backend rejected: '{theory.name}': {exc}") from exc
     return theory if tol is None else dataclasses.replace(theory, tol=tol)
 
 

@@ -132,7 +132,8 @@ def simplex_power(q: int, l: int) -> Theory:
         raise ValueError("q and l must be >= 1")
     _refuse_above_cap("q^l", q, l)
     t = classical_simplex(q)
-    for _ in range(l - 1):
+    # Every prism power of the one-point theory (q = 1) is that theory.
+    for _ in range(l - 1 if q > 1 else 0):
         t = prism_product(t, classical_simplex(q))
     return Theory(f"simplex-{q}^x{l}", t.dim, t.unit, t.generators)
 
@@ -173,6 +174,8 @@ def simplex_power_symmetries(q: int, l: int) -> tuple:
     transposition and the l-cycle, which generate S_q wr S_l, on
     simplex_power(q, l)'s indices (codewords read base q, as in
     codeword_state_index)."""
+    if q == 1:
+        return ()  # one state: nothing to move
     words = list(itertools.product(range(q), repeat=l))
     maps = []
     if q >= 2:

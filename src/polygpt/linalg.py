@@ -90,24 +90,35 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def solve_square(a: Sequence[Sequence], b: Sequence):
-    """Solve the square exact system a x = b; None when singular.
+    """Solve the square exact system a x = b; None when singular."""
+    x = solve_columns(a, [b])
+    return None if x is None else x[0]
 
-    Entries are ints or Fractions. Each row is cleared of denominators and
-    eliminated by _eliminate: only the solution is built from Fractions.
+
+def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
+    """The solutions x of a x = b, one for each b in columns, from one
+    elimination; None when the square matrix a is singular.
+
+    Entries are ints or Fractions. The rows of [a | columns] are cleared of
+    denominators and eliminated by _eliminate: only the solutions are built
+    from Fractions.
     """
     n = len(a)
-    m, _ = integer_rows([[*row, rhs] for row, rhs in zip(a, b)])
+    m, _ = integer_rows([[*row, *rhs] for row, rhs in zip(a, zip(*columns))])
     pivots, prev = _eliminate(m)
     if pivots[:n] != list(range(n)):
         return None
     # prev = +-det; prev * x is integral (Cramer), so back substitution
     # divides exactly.
-    num = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = m[i]
-        acc = prev * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))
-        num[i] = acc // row[i]
-    return tuple(Fraction(v, prev) for v in num)
+    solutions = []
+    for c in range(n, n + len(columns)):
+        num = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = prev * row[c] - sum(row[j] * num[j] for j in range(i + 1, n))
+            num[i] = acc // row[i]
+        solutions.append(tuple(Fraction(v, prev) for v in num))
+    return solutions
 
 
 def integer_rows(rows: Sequence[Sequence]):

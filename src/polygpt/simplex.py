@@ -1,9 +1,18 @@
 """Two-phase tableau simplex for standard-form problems.
 
-Solves  min c.x  s.t.  A x = b, x >= 0  with Bland's anti-cycling rule.
-One implementation serves both backends: exact comparisons over Fractions,
-or toleranced comparisons over floats (in which case an iteration cap turns
-non-convergence into a distinct "stalled" status instead of a wrong answer).
+Solves  min c.x  s.t.  A x = b, x >= 0.  One implementation serves both
+backends: exact comparisons over Fractions, or toleranced comparisons over
+floats (in which case an iteration cap turns non-convergence into a
+distinct "stalled" status instead of a wrong answer).
+
+Pricing: exact runs and the float guide below choose the entering column
+by Bland's anti-cycling rule (the first negative reduced cost; Bland,
+Math. Oper. Res. 2, 1977). Float runs choose it by Dantzig's rule (the
+most negative reduced cost, the lowest index on ties) for at most ncols
+pivots per phase, then fall back to Bland's rule for the rest of that
+phase: Dantzig's rule takes far fewer pivots but can cycle, and Bland's
+terminates from any basis. The leaving row is chosen the same way in
+every run.
 
 Artificial columns are kept in the tableau after phase 1 (barred from
 entering) so row prices and Farkas multipliers can be read off the
@@ -40,6 +49,8 @@ DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
 class Arith:
     """Comparison context: tol == None means exact rational arithmetic."""
 
+    _dantzig = True  # float runs price by Dantzig's rule first; exact runs never do
+
     def __init__(self, tol: Optional[float] = None):
         if tol is not None and not 0 < tol < math.inf:
             raise ValueError("tolerance must be a positive finite number")
@@ -63,7 +74,10 @@ class Arith:
 class _GuideArith(Arith):
     """Float comparisons for the guide run. Ratio-test values within the
     tolerance tie, so round-off cannot break a tie that exact Bland breaks
-    by basis index; the guide then ends on the basis exact Bland finds."""
+    by basis index; the guide then ends on the basis exact Bland finds.
+    It prices by Bland's rule for the same reason."""
+
+    _dantzig = False
 
     def _compare_ratios(self, a, b) -> int:
         return 0 if self.is_zero(a - b) else (a > b) - (a < b)
@@ -189,8 +203,8 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
 
 
 def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
-    """The two-phase Bland loop: (result, final basis, entering column
-    when unbounded)."""
+    """The two-phase simplex loop, priced as the module docstring says:
+    (result, final basis, entering column when unbounded)."""
     n = len(costs)
     m = len(rows)
     zero = Fraction(0) if arith.exact else 0.0
@@ -238,6 +252,14 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
                 return j
         return None
 
+    def dantzig_entering(obj):
+        # The most negative reduced cost; min keeps the lowest index on ties.
+        j = min(range(n), key=obj.__getitem__, default=None)
+        return j if j is not None and arith.is_neg(obj[j]) else None
+
+    # Dantzig's rule can cycle; Bland's, after these pivots, terminates.
+    dantzig_pivots = ncols if arith._dantzig and not arith.exact else 0
+
     def bland_leaving(col):
         best = None
         for i in range(m):
@@ -252,7 +274,7 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
     def run_phase(obj):
         iters = 0
         while True:
-            col = bland_entering(obj)
+            col = (dantzig_entering if iters < dantzig_pivots else bland_entering)(obj)
             if col is None:
                 return OPTIMAL, iters
             r = bland_leaving(col)

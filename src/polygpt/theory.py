@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .linalg import dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_square, unit_vector
+from .linalg import dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_columns, unit_vector
 from .simplex import DEFAULT_TOL, Arith
 
 EXACT = "exact"
@@ -74,7 +74,7 @@ class Theory:
         if len(basis) < self.dim:
             return None
         transposed = list(zip(*([Fraction(v) for v in self.generators[k]] for k in basis)))
-        inverse = [solve_square(transposed, unit_vector(self.dim, k)) for k in range(self.dim)]
+        inverse = solve_columns(transposed, [unit_vector(self.dim, k) for k in range(self.dim)])
         return (tuple(basis), *integer_rows(list(zip(*inverse))))
 
     @property

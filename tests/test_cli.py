@@ -133,6 +133,24 @@ def test_a_stalled_float_lp_is_a_domain_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("unit,generators", [
+    ([1, 0], [[1, "1" + "0" * 400], [1, -1]]),  # a coordinate beyond the float range
+    ([1, 1], [[str(10 ** 20 + 1), str(-10 ** 20)], [1, 0], [0, 1]]),  # u . g = 0 once rounded
+], ids=["overflow", "unnormalized"])
+@pytest.mark.parametrize("command", [["distinguish", "--states", "0,1"],
+                                     ["hypergraph", "--N", "2", "--workers", "1"]])
+def test_an_exact_theory_without_a_float_form_is_a_domain_error(tmp_path, capsys, unit,
+                                                                 generators, command):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"name": "wide", "dim": 2, "unit": unit,
+                                "generators": generators, "numeric_mode": "exact"}))
+    assert cli.run(["theory", "--theory", str(path)]) == 0  # valid exactly
+    capsys.readouterr()
+    assert cli.run([command[0], "--theory", str(path), "--backend", "float", *command[1:]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: float backend rejected")
+
+
 def test_verify_hypercube_cli(tmp_path):
     doc = run_json(tmp_path, ["verify-hypercube", "--m", "2", "--workers", "1"])
     assert doc["verified"] is True

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -178,6 +179,22 @@ def test_an_oversized_family_is_a_usage_error(capsys):
     assert cli.run(["theory", "--family", f"ngon:n={MAX_GENERATORS + 1}"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+
+
+def test_a_power_of_the_one_point_theory_returns_at_once(capsys):
+    point = classical_simplex(1)
+    product = prism_product(prism_product(point, point), point)
+    big = simplex_power(1, 10 ** 7)
+    assert (big.name, big.dim, big.unit, big.generators) == \
+        ("simplex-1^x10000000", 1, point.unit, point.generators) == \
+        ("simplex-1^x10000000", product.dim, product.unit, product.generators)
+    assert simplex_power_symmetries(1, 10 ** 7) == ()
+    family = "simplex-power:q=1,l=10000000"
+    assert cli.run(["theory", "--family", family]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    # The family's symmetries are built before the request is refused.
+    assert cli.run(["hypergraph", "--family", family, "--N", "2", "--workers", "1"]) == 1
+    assert capsys.readouterr().err == "polygpt: error: N must lie in 2..1\n"
 
 
 def test_unknown_family_kind_is_rejected():

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (SYMMETRIC_FAMILIES, reference_float_distinguishable, reference_float_path,
                       reference_rank)
-from polygpt import cli, discrimination, lp
+from polygpt import cli, discrimination, lp, simplex
 from polygpt.discrimination import CLEAR_GAP, is_perfectly_distinguishable
 from polygpt.families import build_family, classical_simplex, hypercube_theory, ngon_theory
 from polygpt.hypergraph import build_hypergraph, hypergraph_to_json
@@ -97,6 +97,27 @@ def test_hypergraph_matches_the_two_verdict_path(certified, theory, n_arity):
     with reference_float_path():
         reference = build_hypergraph(theory, n_arity)
     assert json.dumps(hypergraph_to_json(h)) == json.dumps(hypergraph_to_json(reference))
+
+
+def _pair_answers(theory):
+    return [is_perfectly_distinguishable(theory, (theory.generators[i], theory.generators[j]),
+                                         validate=False)
+            for i, j in itertools.combinations(range(theory.num_generators), 2)]
+
+
+PAIR_CASES = [c for c in CASES if c[2] == 2 and "simplex" not in c[0]]  # n-gons, float 5-cube
+
+
+@pytest.mark.parametrize("theory", [c[1] for c in PAIR_CASES], ids=[c[0] for c in PAIR_CASES])
+def test_dantzig_pricing_keeps_every_pair_verdict(monkeypatch, theory):
+    # Float LPs price by Dantzig's rule first; a Bland-only run may stop on
+    # another optimal basis, but not on another verdict or optimum.
+    priced = _pair_answers(theory)
+    monkeypatch.setattr(simplex.Arith, "_dantzig", False)
+    bland = _pair_answers(theory)
+    assert [a.distinguishable for a in priced] == [b.distinguishable for b in bland]
+    for a, b in zip(priced, bland):
+        assert abs(a.success.p_success - b.success.p_success) <= theory.tol
 
 
 @pytest.mark.parametrize("forge", ["double", "flip"])

@@ -108,6 +108,49 @@ def test_float_agrees_with_exact_on_100_seeded_instances():
     assert mismatches == 0
 
 
+def _degenerate_lp(seed):
+    """Standard form with most right-hand sides zero, so many pivots are degenerate."""
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(4, 9)
+    rows = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(rng.randint(-4, 4)) if rng.random() < 0.2 else F(0) for _ in range(m)]
+    costs = [F(rng.randint(-4, 4)) for _ in range(n)]
+    return costs, rows, rhs
+
+
+def test_float_pricing_agrees_with_exact_on_degenerate_lps():
+    statuses = set()
+    for seed in range(300):
+        costs, rows, rhs = _degenerate_lp(seed)
+        exact = simplex.solve_standard_min(costs, rows, rhs)
+        approx = simplex.solve_standard_min(costs, rows, rhs, simplex.Arith(1e-9))
+        assert approx.status == exact.status
+        if exact.status == simplex.OPTIMAL:
+            assert abs(approx.value - exact.value) <= 1e-9
+        statuses.add(exact.status)
+    assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
+    # Without constraint rows the dual has no column to price.
+    for objective, status in (([1], lp.LPStatus.UNBOUNDED), ([0], lp.LPStatus.OPTIMAL)):
+        prob = lp.problem(objective, [], 1)
+        assert lp.solve_float(prob).status == lp.solve_exact(prob).status == status
+
+
+def test_float_pricing_terminates_on_chvatals_cycling_example():
+    # Chvatal, Linear Programming (1983), section 3: min -10x1 + 57x2 + 9x3
+    # + 24x4 with slacks x5..x7. Dantzig's rule alone cycles here from the
+    # tableau's artificial start (it stalls at any pivot budget); the switch
+    # to Bland's rule after ncols pivots reaches the optimum.
+    costs = [-10, 57, 9, 24, 0, 0, 0]
+    rows = [[F(1, 2), F(-11, 2), F(-5, 2), 9, 1, 0, 0],
+            [F(1, 2), F(-3, 2), F(-1, 2), 1, 0, 1, 0],
+            [1, 0, 0, 0, 0, 0, 1]]
+    rhs = [0, 0, 1]
+    exact = simplex.solve_standard_min(costs, rows, rhs)
+    approx = simplex.solve_standard_min(costs, rows, rhs, simplex.Arith(1e-9))
+    assert exact.status == approx.status == simplex.OPTIMAL
+    assert exact.value == -1 and abs(approx.value + 1) <= 1e-9
+
+
 def _float_success_problems():
     float_cube = hypercube_theory(3)
     float_cube = make_theory(float_cube.name, float_cube.unit, float_cube.generators,
