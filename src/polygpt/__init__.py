@@ -12,9 +12,9 @@ from .families import (FamilySpec, build_family, classical_simplex, codeword_sta
 from .hypergraph import (Clique, DistinguishabilityHypergraph, build_hypergraph,
                          exact_max_clique, greedy_max_clique, is_fully_connected)
 from .lp import LPOutcome, LPProblem, LPStatus, solve_exact, solve_float, verify_farkas
-from .theory import (Measurement, Theory, is_effect, is_measurement, is_state,
-                     linearly_independent, load_theory, make_theory, reduce_to_pure_states,
-                     save_theory, theory_from_json, theory_to_json, validate_theory)
+from .theory import (Measurement, Theory, is_effect, is_measurement, is_state, load_theory,
+                     make_theory, reduce_to_pure_states, save_theory, theory_from_json,
+                     theory_to_json, validate_theory)
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,8 @@ __all__ = [
     "exact_max_clique", "greedy_max_clique", "hypercube_effect", "hypercube_state",
     "hypercube_theory", "instance", "instance_from_indices", "is_effect",
     "is_fully_connected", "is_measurement", "is_perfectly_distinguishable", "is_state",
-    "linearly_independent", "load_theory", "make_theory", "max_success_probability",
-    "ngon_theory", "pairwise_distinguishable", "parse_family_spec", "prism_product",
-    "reduce_to_pure_states", "save_theory", "simplex_power", "solve_exact", "solve_float",
-    "theory_from_json", "theory_to_json", "validate_theory", "verify_farkas",
-    "verify_witness",
+    "load_theory", "make_theory", "max_success_probability", "ngon_theory",
+    "pairwise_distinguishable", "parse_family_spec", "prism_product", "reduce_to_pure_states",
+    "save_theory", "simplex_power", "solve_exact", "solve_float", "theory_from_json",
+    "theory_to_json", "validate_theory", "verify_farkas", "verify_witness",
 ]

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .discrimination import is_perfectly_distinguishable, pairwise_distinguishable, \
-    verify_witness
+from .discrimination import pairwise_distinguishable, verify_witness
 from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
-from .families import codeword_state_index, hypercube_effect, hypercube_theory, \
-    simplex_power
+from .families import hypercube_effect, hypercube_theory
 from .linalg import rat
 from .parallel import parallel_map
 from .theory import Measurement, Theory, reduce_to_pure_states
@@ -42,14 +40,6 @@ def d_pairwise(m: int) -> int:
 def kappa_pairwise(m: int) -> float:
     """Pairwise compression factor m / log2(m + 1), certified to ~15 digits."""
     return m / log2_value(Fraction(d_pairwise(m)))
-
-
-def tournament_count(n: int, n_arity: int = 2) -> int:
-    """Measurements needed to single out one of n states that are mutually
-    N-wise distinguishable: ceil((n-1)/(N-1))."""
-    if n < 1 or n_arity < 2:
-        raise ValueError("need n >= 1 and N >= 2")
-    return -((-(n - 1)) // (n_arity - 1))
 
 
 # --- hypercube verification --------------------------------------------------
@@ -262,25 +252,6 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
     return RandomSearchReport(n_arity, eff_m, q, l, dim, kappa_lb, bound,
                               failures, trials,
                               failures / trials if trials else None, seed)
-
-
-def code_states_theory(code: RandomCode):
-    """Materialize the simplex-power theory and the generator indices of the
-    codewords (desk-scale instances only)."""
-    theory = simplex_power(code.q, code.l)
-    indices = [codeword_state_index(code.q, w) for w in code.codewords]
-    return theory, indices
-
-
-def nwise_distinguishable_by_lp(code: RandomCode, n_arity: int) -> bool:
-    """Ground-truth N-wise mutual distinguishability of the codeword states
-    by the exact LP over every N-subset."""
-    theory, indices = code_states_theory(code)
-    for subset in itertools.combinations(indices, n_arity):
-        states = [theory.generators[i] for i in subset]
-        if not is_perfectly_distinguishable(theory, states, validate=False).distinguishable:
-            return False
-    return True
 
 
 # --- parallel supporting hyperplanes ------------------------------------------

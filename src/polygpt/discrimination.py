@@ -152,6 +152,7 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
     if theory.numeric_mode == EXACT:
         perfect = p == 1
     else:
+        p = min(p, 1.0)  # round-off can lift a float optimum past 1
         perfect = p >= 1 - CLEAR_GAP
     return DiscriminationResult(p, meas, perfect, out.multipliers)
 

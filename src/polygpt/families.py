@@ -121,11 +121,6 @@ def prism_product(a: Theory, b: Theory) -> Theory:
     return Theory(f"{a.name}*{b.name}", dim, unit, gens)
 
 
-def prism_pair_index(a_index: int, b_index: int, b_count: int) -> int:
-    """Generator index of the (a, b) pair in a prism product (A-major)."""
-    return a_index * b_count + b_index
-
-
 def simplex_power(q: int, l: int) -> Theory:
     """l-fold prism product of the q-vertex simplex (q^l pure states)."""
     if q < 1 or l < 1:

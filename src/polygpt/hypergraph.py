@@ -63,68 +63,60 @@ class Clique:
 
 
 def _subset_distinguishable(theory: Theory, subset) -> tuple:
-    """(distinguishable, its evidence: the witness or the Farkas vector,
-    the subset in the order of the states that the evidence refers to)."""
+    """(distinguishable, its evidence: the witness or the Farkas vector for
+    the states in the subset's order)."""
     states = [theory.generators[i] for i in subset]
     answer = is_perfectly_distinguishable(theory, states, validate=False)
-    evidence = answer.witness if answer.distinguishable else answer.certificate
-    return answer.distinguishable, evidence, tuple(subset)
+    return answer.distinguishable, answer.witness if answer.distinguishable else answer.certificate
 
 
-def _orbits(subsets: list, perms) -> tuple:
-    """(orbits, parent): a breadth-first search over each orbit of the
-    subsets under the permutations. Each orbit is a list of subset
-    indices, its representative (the first subset in input order) first;
-    parent[k] = (j, g) says that subsets[k] is subsets[j] mapped by
-    perms[g]. Images outside the list are not followed."""
-    index = {s: k for k, s in enumerate(subsets)}
-    parent: dict = {}
+def _orbits(subsets: list, perms) -> list:
+    """The orbits of the subsets under the permutations, found breadth
+    first, each a list of (subset, perm) pairs: its representative (the
+    first subset in input order) comes first with None, and perm maps the
+    representative onto each other member element by element. Images
+    outside the list are not followed."""
+    unvisited = set(subsets)
     orbits = []
-    for rep in range(len(subsets)):
-        if rep in parent:
+    for rep in subsets:
+        if rep not in unvisited:
             continue
-        orbit = [rep]
-        parent[rep] = None
-        for j in orbit:  # grows while it is read
-            for g, perm in enumerate(perms):
-                k = index.get(tuple(sorted(perm[x] for x in subsets[j])))
-                if k is not None and k not in parent:
-                    parent[k] = (j, g)
-                    orbit.append(k)
+        unvisited.remove(rep)
+        orbit = [(rep, None)]
+        for subset, path in orbit:  # grows while it is read
+            for perm in perms:
+                image = tuple(sorted(perm[x] for x in subset))
+                if image in unvisited:
+                    unvisited.remove(image)
+                    orbit.append((image, perm if path is None else tuple(perm[x] for x in path)))
         orbits.append(orbit)
-    return orbits, parent
+    return orbits
+
+
+def _decide_orbit(theory: Theory, orbit) -> list:
+    """The verdict on each member of the orbit, in order. The
+    representative is decided by LP; every other member takes its evidence,
+    moved along the member's permutation and re-checked by substitution,
+    and is decided directly when the re-check fails."""
+    (rep, _), *members = orbit
+    distinguishable, evidence = _subset_distinguishable(theory, rep)
+    verdicts = [distinguishable]
+    for subset, perm in members:
+        states = [theory.generators[perm[x]] for x in rep]
+        moved = moved_evidence(theory, states, evidence, perm)
+        verdicts.append(distinguishable if moved is not None else
+                        _subset_distinguishable(theory, subset)[0])
+    return verdicts
 
 
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int, perms) -> list:
-    """The distinguishable subsets, in order. One subset per orbit under
-    the permutations perms is decided by LP, and every other one takes its
-    parent's evidence, moved along the tree edge and re-checked by
-    substitution, and is decided directly when the re-check fails."""
-    orbits, parent = _orbits(subsets, perms)
-    decided = parallel_map(functools.partial(_subset_distinguishable, theory),
-                           [subsets[o[0]] for o in orbits], workers)
-    keep = [False] * len(subsets)
-    for orbit, answer in zip(orbits, decided):
-        answers = {orbit[0]: answer}
-        for k in orbit[1:]:
-            j, g = parent[k]
-            answers[k] = _moved(theory, answers[j], perms[g])
-        for k in orbit:
-            keep[k] = answers[k][0]
-    return [s for s, k in zip(subsets, keep) if k]
-
-
-def _moved(theory: Theory, answer, perm) -> tuple:
-    """The answer for the image of answer's subset under perm: the
-    evidence moved to the image, taken in the order perm gives it, and
-    re-checked there; or, when the re-check fails, a direct decision on
-    the sorted image."""
-    distinguishable, evidence, source = answer
-    target = tuple(perm[x] for x in source)
-    states = [theory.generators[x] for x in target]
-    moved = moved_evidence(theory, states, evidence, perm)
-    return (distinguishable, moved, target) if moved is not None else \
-        _subset_distinguishable(theory, sorted(target))
+    """The distinguishable subsets, in order. Each orbit under the
+    permutations perms is one work item of the pool (_decide_orbit)."""
+    orbits = _orbits(subsets, perms)
+    decided = parallel_map(functools.partial(_decide_orbit, theory), orbits, workers)
+    keep = {subset for orbit, verdicts in zip(orbits, decided)
+            for (subset, _), verdict in zip(orbit, verdicts) if verdict}
+    return [s for s in subsets if s in keep]
 
 
 def theory_digest(theory: Theory) -> str:
@@ -149,12 +141,12 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
 
     symmetries are permutations of the generator indices that are hinted
     to be symmetries of the theory (FamilySpec.symmetries); one LP decides
-    a whole orbit of subsets under them. They are only hints: each moved
-    answer is re-checked, and a subset whose re-check fails gets its own
-    LP. Each stays a plain tuple down to moved_evidence, which moves a
-    witness through theory.basis_inverse. Only an exact theory whose
-    generators span (basis_inverse is not None) uses them. The edges never
-    depend on them.
+    a whole orbit of subsets under them, and each orbit is one work item
+    of the pool. They are only hints: each moved answer is re-checked, and
+    a subset whose re-check fails gets its own LP. Each stays a plain
+    tuple down to moved_evidence, which moves a witness through
+    theory.basis_inverse. Only an exact theory whose generators span
+    (basis_inverse is not None) uses them. The edges never depend on them.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:

@@ -215,11 +215,6 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     return replace(t, generators=tuple(keep))
 
 
-def linearly_independent(states: Sequence[Sequence]) -> bool:
-    """Exact test; every entry must be an int, a Fraction or a "p/q" string."""
-    return rank([[rat(v) for v in s] for s in states]) == len(states)
-
-
 # --- JSON schema -----------------------------------------------------------
 
 def theory_to_json(t: Theory) -> dict:

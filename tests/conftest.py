@@ -13,7 +13,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polygpt import discrimination, lp, simplex
-from polygpt.linalg import dot, solve_square, unit_vector
+from polygpt.families import codeword_state_index, simplex_power
+from polygpt.linalg import dot, rank, rat, solve_square, unit_vector
 from polygpt.theory import Theory, reduce_to_pure_states
 
 
@@ -81,6 +82,35 @@ def reference_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             r += 1
     return r
+
+
+def linearly_independent(states):
+    """Exact test; every entry must be an int, a Fraction or a "p/q" string."""
+    return rank([[rat(v) for v in s] for s in states]) == len(states)
+
+
+def tournament_count(n, n_arity=2):
+    """Measurements needed to single out one of n states that are mutually
+    N-wise distinguishable: ceil((n-1)/(N-1))."""
+    if n < 1 or n_arity < 2:
+        raise ValueError("need n >= 1 and N >= 2")
+    return -((-(n - 1)) // (n_arity - 1))
+
+
+def prism_pair_index(a_index, b_index, b_count):
+    """Generator index of the (a, b) pair in a prism product (A-major)."""
+    return a_index * b_count + b_index
+
+
+def nwise_distinguishable_by_lp(code, n_arity):
+    """Ground-truth N-wise mutual distinguishability of a random code's
+    codeword states in the simplex-power theory, by the exact LP over every
+    N-subset (desk-scale codes only)."""
+    theory = simplex_power(code.q, code.l)
+    indices = [codeword_state_index(code.q, w) for w in code.codewords]
+    return all(discrimination.is_perfectly_distinguishable(
+        theory, [theory.generators[i] for i in subset], validate=False).distinguishable
+        for subset in itertools.combinations(indices, n_arity))
 
 
 # Family specs that supply symmetries, each of them proven in test_families.

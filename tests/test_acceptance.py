@@ -9,11 +9,10 @@ import time
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
-from conftest import (mat_vec, random_lifted_theory, random_planar_theory,
-                      random_invertible_matrix)
+from conftest import (linearly_independent, mat_vec, nwise_distinguishable_by_lp,
+                      random_lifted_theory, random_planar_theory, random_invertible_matrix)
 from polygpt import cli, lp
-from polygpt.capacity import (failure_probability_bound, kappa_pairwise,
-                              nwise_distinguishable_by_lp, probabilistic_params,
+from polygpt.capacity import (failure_probability_bound, kappa_pairwise, probabilistic_params,
                               randomized_search, sample_random_code,
                               verify_hypercube_memory, verify_nwise_by_components)
 from polygpt.discrimination import (instance_from_indices, is_perfectly_distinguishable,
@@ -23,7 +22,7 @@ from polygpt.families import (classical_simplex, codeword_state_index, hypercube
 from polygpt.hypergraph import (build_hypergraph, exact_max_clique, greedy_max_clique)
 from polygpt.linalg import dot
 from polygpt.theory import (Measurement, Theory, conic_weights, is_measurement,
-                            linearly_independent, reduce_to_pure_states)
+                            reduce_to_pure_states)
 
 
 def _report(label, ok):

@@ -6,14 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_planar_points
+from conftest import nwise_distinguishable_by_lp, random_planar_points, tournament_count
 from polygpt import capacity
 from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64,
                               component_discriminates,
                               d_pairwise, danzer_grunbaum_check, failure_probability_bound,
-                              kappa_pairwise, nwise_distinguishable_by_lp,
-                              probabilistic_params, randomized_search, sample_random_code,
-                              tournament_count, verify_hypercube_memory,
+                              kappa_pairwise, probabilistic_params, randomized_search,
+                              sample_random_code, verify_hypercube_memory,
                               verify_nwise_by_components)
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.exactlog import PrecisionError

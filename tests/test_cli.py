@@ -365,6 +365,13 @@ def test_float_backend_on_rational_theory(tmp_path):
     assert doc["p_success"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["distinguish", "psuccess"])
+def test_float_p_success_is_at_most_1(tmp_path, command):
+    # The unclamped float optimum of these two 11-gon vertices is 1.0000000000000002.
+    doc = run_json(tmp_path, [command, "--family", "ngon:n=11", "--states", "0,5"])
+    assert doc["perfect"] is True and doc["p_success"] == 1.0
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv(cli.CACHE_ENV, str(cache))

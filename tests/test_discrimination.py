@@ -7,8 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (interior_angle_sum_exceeds_pi, mat_vec, ngon_pair_separable_by_direction,
-                      random_invertible_matrix, random_lifted_theory)
+from conftest import (interior_angle_sum_exceeds_pi, linearly_independent, mat_vec,
+                      ngon_pair_separable_by_direction, random_invertible_matrix,
+                      random_lifted_theory)
 from polygpt import discrimination, lp
 from polygpt.discrimination import (IndeterminateError, instance, instance_from_indices,
                                     is_perfectly_distinguishable, max_success_probability,
@@ -17,8 +18,7 @@ from polygpt.discrimination import (IndeterminateError, instance, instance_from_
 from polygpt.families import (classical_simplex, codeword_state_index, hypercube_effect,
                               hypercube_theory, ngon_theory, simplex_power)
 from polygpt.linalg import dot
-from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, linearly_independent,
-                            make_theory)
+from polygpt.theory import FLOAT, Measurement, Theory, conic_weights, make_theory
 
 
 def cube_vertex(theory, coords):

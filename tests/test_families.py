@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import SYMMETRIC_FAMILIES, invert, mat_vec
+from conftest import SYMMETRIC_FAMILIES, invert, mat_vec, prism_pair_index
 from polygpt import cli, discrimination, hypergraph
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
                               hypercube_symmetries, hypercube_theory, FamilySpec, ngon_theory,
-                              parse_family_spec, prism_pair_index, prism_product,
+                              parse_family_spec, prism_product,
                               simplex_power, simplex_power_symmetries)
 from polygpt.linalg import dot
 from polygpt.theory import reduce_to_pure_states, validate_theory
@@ -253,11 +253,10 @@ def test_orbit_counts(spec, n_arity, subsets, orbits):
     family = parse_family_spec(spec)
     v, perms = family.build().num_generators, family.symmetries()
     candidates = list(itertools.combinations(range(v), n_arity))
-    found, parent = hypergraph._orbits(candidates, perms)
+    found = hypergraph._orbits(candidates, perms)
     assert len(candidates) == subsets and len(found) == orbits
-    assert sorted(k for orbit in found for k in orbit) == list(range(subsets))
-    for orbit in found:
-        assert parent[orbit[0]] is None
-        for k in orbit[1:]:
-            j, g = parent[k]
-            assert candidates[k] == tuple(sorted(perms[g][x] for x in candidates[j]))
+    assert sorted(s for orbit in found for s, _ in orbit) == candidates
+    for (rep, none), *members in found:
+        assert none is None
+        for subset, perm in members:
+            assert subset == tuple(sorted(perm[x] for x in rep))

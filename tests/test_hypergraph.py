@@ -380,7 +380,10 @@ def direct_build(spec, n_arity):
 @contextlib.contextmanager
 def counted_decisions():
     """Counts hypergraph.is_perfectly_distinguishable calls made in this
-    process, and moved evidence that failed its re-check."""
+    process, and moved evidence that failed its re-check. Calls made in
+    pool workers are not seen, so the counts are complete only when no
+    pool starts: at 1 worker, or with fewer than MIN_POOLED_ITEMS orbits
+    in every level."""
     counts = {"decided": 0, "failed moves": 0}
     decide, move = hypergraph.is_perfectly_distinguishable, hypergraph.moved_evidence
 
@@ -420,7 +423,7 @@ def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
     inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
-        _, evidence, _ = hypergraph._subset_distinguishable(theory, subset)
+        _, evidence = hypergraph._subset_distinguishable(theory, subset)
         for perm, inverse in zip(symmetries, inverses):
             image = tuple(perm[x] for x in subset)  # the moved order, not sorted
             reordered += image != tuple(sorted(image))
@@ -434,7 +437,7 @@ def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
 
 def test_the_identity_leaves_a_certificate_unchanged():
     cube = hypercube_theory(3)
-    distinguishable, cert, _ = hypergraph._subset_distinguishable(cube, (0, 1, 2))
+    distinguishable, cert = hypergraph._subset_distinguishable(cube, (0, 1, 2))
     assert not distinguishable
     assert discrimination._moved_certificate(cert, tuple(range(8)), 8) == cert
 
@@ -443,14 +446,47 @@ def test_a_non_symmetry_only_costs_lps():
     cube = hypercube_theory(3)
     swap = (1, 0, *range(2, 8))  # two vertices of the cube exchanged: no symmetry
     # Every pair of the cube is an edge, so each level's candidates are all its k-subsets.
-    representatives = [len(hypergraph._orbits(list(itertools.combinations(range(8), k)),
-                                              [swap])[0]) for k in (2, 3)]
+    representatives = [len(hypergraph._orbits(list(itertools.combinations(range(8), k)), [swap]))
+                       for k in (2, 3)]
     for n_arity in (2, 3):
         with counted_decisions() as counts:
             h = build_hypergraph(cube, n_arity, symmetries=(swap,))
         assert h == direct_build("hypercube:m=3", n_arity)
         assert counts["failed moves"] > 0
         assert counts["decided"] == sum(representatives[:n_arity - 1]) + counts["failed moves"]
+
+
+# The levels below have at least MIN_POOLED_ITEMS orbits, so at 2 workers
+# the orbits are decided in the pool, where counted_decisions sees nothing.
+def test_a_pooled_orbit_build_equals_the_one_worker_build():
+    family = parse_family_spec("simplex-power:q=3,l=3")
+    theory, symmetries = family.build(), family.symmetries()
+    # Every pair is an edge, so the triple candidates are all 2,925 triples.
+    triples = list(itertools.combinations(range(27), 3))
+    assert len(hypergraph._orbits(triples, symmetries)) == 10 >= MIN_POOLED_ITEMS
+    pooled, single = (build_hypergraph(theory, 3, workers=w, symmetries=symmetries) for w in (2, 1))
+    assert pooled == single and len(pooled.edges) == 1737
+
+
+def test_a_non_symmetry_in_the_pool_keeps_the_edges():
+    cube = hypercube_theory(3)
+    swap = (1, 0, *range(2, 8))
+    assert [len(hypergraph._orbits(list(itertools.combinations(range(8), k)), [swap]))
+            for k in (2, 3)] == [22, 41]
+    for n_arity in (2, 3):
+        h = build_hypergraph(cube, n_arity, workers=2, symmetries=(swap,))
+        assert h == direct_build("hypercube:m=3", n_arity)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
+    # The 9-cycle on the generators of simplex-power(3,2) is no symmetry:
+    # some of its 10 triple orbits hold edges and non-edges alike.
+    cycle = (*range(1, 9), 0)
+    h = build_hypergraph(simplex_power(3, 2), 3, workers=workers, symmetries=(cycle,))
+    assert h == direct_build("simplex-power:q=3,l=2", 3) and len(h.edges) == 48
+    orbits = hypergraph._orbits(list(itertools.combinations(range(9), 3)), [cycle])
+    assert len(orbits) == 10 and any(len({s in h.edges for s, _ in o}) == 2 for o in orbits)
 
 
 def test_a_corrupted_move_is_solved_directly(monkeypatch):

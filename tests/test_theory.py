@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import exact_bland_runs, plain_bland, random_lifted_theory
+from conftest import exact_bland_runs, linearly_independent, plain_bland, random_lifted_theory
 from polygpt import simplex
 from polygpt.fixtures import fixtures
 from polygpt.families import classical_simplex, hypercube_effect, hypercube_theory
 from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, is_effect, is_measurement,
-                            is_state, linearly_independent, make_theory,
+                            is_state, make_theory,
                             reduce_to_pure_states, theory_from_json, theory_to_json,
                             validate_theory)
 
