@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -241,6 +242,11 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
     if n_arity > q:
         raise ValueError("q < N: no component can ever discriminate")
     bound = failure_probability_bound(q, l, m_codewords, n_arity)
+    # The report prints the bound exactly; refuse one that Python cannot print.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and max(bound.numerator, bound.denominator) >= 10 ** digits:
+        raise ValueError(f"the exact union bound has more than {digits} digits, "
+                         "the interpreter's limit for printing an integer")
 
     root = SplitMix64(seed)
     trial_seeds = [root.derive(i).next_u64() for i in range(trials)]

@@ -98,10 +98,16 @@ def _parse_priors(text, exact):
     return values if exact else [float(v) for v in values]
 
 
-def _emit(doc, args, csv_row=None, csv_header=None):
+def _cell(value) -> str:
+    """A CSV cell: empty for null, 12 significant digits for a float or an
+    exact "p/q" string, str for the rest."""
+    if isinstance(value, (float, str)):
+        return _fmt12(float(rat(value) if isinstance(value, str) else value))
+    return "" if value is None else str(value)
+
+
+def _emit(doc, args, columns=()):
     csv = getattr(args, "format", "json") == "csv"
-    if csv and csv_row is None:
-        raise UsageError("csv output is not available for this subcommand")
     if csv and args.out and os.path.splitext(args.out)[1].lower() == ".json":
         raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
                          "must not end in .json")
@@ -109,7 +115,7 @@ def _emit(doc, args, csv_row=None, csv_header=None):
         # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
         with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
             if csv:
-                fh.write(",".join(csv_header) + "\n" + ",".join(csv_row) + "\n")
+                fh.write(",".join(columns) + "\n" + ",".join(_cell(doc[c]) for c in columns) + "\n")
             else:
                 write_json(doc, fh)
         if csv and args.out:
@@ -276,10 +282,7 @@ def cmd_verify_hypercube(args):
         "pairs_checked": report.achieved_set_size * (report.achieved_set_size - 1) // 2,
         "verified": report.verified,
     }
-    header = ["N", "m", "dimension", "kappa", "achieved_set_size", "verified"]
-    row = [str(report.n_arity), str(report.m), str(report.dimension),
-           _fmt12(report.kappa), str(report.achieved_set_size), str(report.verified)]
-    _emit(doc, args, csv_row=row, csv_header=header)
+    _emit(doc, args, ("N", "m", "dimension", "kappa", "achieved_set_size", "verified"))
     return 0
 
 
@@ -292,9 +295,7 @@ def cmd_kappa(args):
         raise DomainError(str(exc)) from exc
     kappa = capacity.kappa_pairwise(args.m)
     doc = {"N": 2, "m": args.m, "d": d, "kappa": float(_fmt12(kappa))}
-    header = ["N", "m", "d", "kappa"]
-    row = [str(2), str(args.m), str(d), _fmt12(kappa)]
-    _emit(doc, args, csv_row=row, csv_header=header)
+    _emit(doc, args, ("N", "m", "d", "kappa"))
     return 0
 
 
@@ -323,15 +324,8 @@ def cmd_random_construction(args):
         "trials": report.trials,
         "seed": report.seed,
     }
-    header = ["N", "m", "q", "l", "dim", "kappa_lower_bound", "bound",
-              "empirical_failure", "trials", "seed"]
-    row = [str(report.n_arity), _fmt12(report.m), str(report.q), str(report.l),
-           str(report.dimension),
-           "" if report.kappa_lower_bound is None else _fmt12(report.kappa_lower_bound),
-           _fmt12(float(report.bound)),
-           "" if report.empirical_failure is None else _fmt12(report.empirical_failure),
-           str(report.trials), str(report.seed)]
-    _emit(doc, args, csv_row=row, csv_header=header)
+    _emit(doc, args, ("N", "m", "q", "l", "dim", "kappa_lower_bound", "bound",
+                      "empirical_failure", "trials", "seed"))
     return 0
 
 

@@ -140,14 +140,14 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
     if n == 1:
         return DiscriminationResult(priors[0] * dot(theory.unit, states[0]),
                                     Measurement((theory.unit,)), True)
-    prob, _ = success_probability_problem(inst)
+    prob, offset = success_probability_problem(inst)
     out = _solve(theory, prob)
     if out.status == lp.LPStatus.STALLED and theory.numeric_mode != EXACT:
         raise IndeterminateError("the success-probability LP did not converge at this tolerance")
     if out.status != lp.LPStatus.OPTIMAL:
         # (u, 0, ..., 0) is always feasible and the objective is capped by 1.
         raise RuntimeError(f"discrimination LP reported {out.status} (internal bug)")
-    p = out.value + priors[n - 1]
+    p = out.value + offset
     meas = _assemble_measurement(theory, out.solution, n)
     if theory.numeric_mode == EXACT:
         perfect = p == 1

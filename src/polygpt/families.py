@@ -67,20 +67,26 @@ def hypercube_effect(m: int, i: int) -> tuple:
 
 
 def ngon_theory(n: int) -> Theory:
-    """Regular n-gon state space on the unit circle, first vertex at angle 0.
+    """Regular n-gon state space, vertex k at angle k theta = 2 pi k / n.
 
-    Coordinates are exact only for n = 4 (the one case where every vertex
-    is rational); all other n come out in float mode.
+    For n = 3, 4 and 6, c = 2 cos theta is an integer, and vertex k is
+    (1, T_k(c/2), U_{k-1}(c/2)) = (1, cos k theta, sin k theta / sin theta)
+    in exact Fractions, by the Chebyshev recurrences T_{k+1} = c T_k - T_{k-1}
+    and U_k = c U_{k-1} - U_{k-2}: the circle's vertices under a linear map
+    that fixes the unit, which keeps every verdict. All other n come out in
+    float mode, on the unit circle.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     _refuse_above_cap("n", n)
-    if n == 4:
-        gens = [(Fraction(1), Fraction(1), Fraction(0)),
-                (Fraction(1), Fraction(0), Fraction(1)),
-                (Fraction(1), Fraction(-1), Fraction(0)),
-                (Fraction(1), Fraction(0), Fraction(-1))]
-        return Theory(f"ngon-{n}", 3, (Fraction(1), Fraction(0), Fraction(0)), tuple(gens))
+    c = {3: -1, 4: 0, 6: 1}.get(n)
+    if c is not None:
+        t, u = [Fraction(1), Fraction(c, 2)], [Fraction(0), Fraction(1)]  # T_0, T_1; U_-1, U_0
+        while len(t) < n:
+            t.append(c * t[-1] - t[-2])
+            u.append(c * u[-1] - u[-2])
+        gens = tuple((Fraction(1), t[k], u[k]) for k in range(n))
+        return Theory(f"ngon-{n}", 3, (Fraction(1), Fraction(0), Fraction(0)), gens)
     gens = [(1.0, math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
             for k in range(n)]
     return Theory(f"ngon-{n}", 3, (1.0, 0.0, 0.0), tuple(gens), numeric_mode=FLOAT)
@@ -188,8 +194,9 @@ def simplex_symmetries(d: int) -> tuple:
 
 def ngon_symmetries(n: int) -> tuple:
     """The rotation and a reflection of the n vertices. Only an exact
-    theory uses them (n = 4): build_hypergraph moves no answer between
-    float subsets."""
+    theory uses them (n = 3, 4 and 6, where ngon_theory's linear map
+    carries them along): build_hypergraph moves no answer between float
+    subsets."""
     return _index_permutations(range(n), [lambda k: (k + 1) % n, lambda k: -k % n])
 
 

@@ -135,12 +135,10 @@ def validate_theory(t: Theory) -> ValidationReport:
     })
 
 
-def _combination_weights(vectors, target, arith: Arith, affine: bool):
-    """Nonnegative weights a with sum(a_j vectors[j]) = target; with
-    affine=True additionally sum(a) = 1. None when no such weights exist."""
+def _combination_weights(vectors, target, arith: Arith):
+    """Nonnegative weights a with sum(a_j vectors[j]) = target; None when
+    no such weights exist."""
     rows = [[v[j] for v in vectors] + [x] for j, x in enumerate(target)]
-    if affine:
-        rows.append([1] * (len(vectors) + 1))
     if arith.exact:
         rows, _ = integer_rows(rows)
     rhs = [row.pop() for row in rows]
@@ -157,24 +155,24 @@ def _combination_weights(vectors, target, arith: Arith, affine: bool):
     return res.x if res.status == simplex.OPTIMAL else None
 
 
-def convex_weights(t: Theory, x: Sequence):
-    if len(x) != t.dim:
-        raise ValueError("dimension mismatch")
-    return _combination_weights(t.generators, x, t.arith(), affine=True)
-
-
 def conic_weights(t: Theory, x: Sequence):
     """Weights showing x lies in the cone spanned by the generators."""
     if len(x) != t.dim:
         raise ValueError("dimension mismatch")
-    return _combination_weights(t.generators, x, t.arith(), affine=False)
+    return _combination_weights(t.generators, x, t.arith())
 
 
-def is_state(t: Theory, x: Sequence) -> bool:
+def convex_weights(t: Theory, x: Sequence):
+    """Conic weights of a normalized x, which sum to 1: u . x = sum(a_k u . g_k)
+    = sum(a_k), since every generator has u . g = 1. None when u . x != 1."""
     if len(x) != t.dim:
         raise ValueError("dimension mismatch")
     if not t.arith().is_zero(dot(t.unit, x) - 1):
-        return False
+        return None
+    return conic_weights(t, x)
+
+
+def is_state(t: Theory, x: Sequence) -> bool:
     return convex_weights(t, x) is not None
 
 
@@ -200,8 +198,8 @@ def is_measurement(t: Theory, m: Measurement) -> bool:
 
 
 def reduce_to_pure_states(t: Theory) -> Theory:
-    """Drop every generator that is a convex combination of the others;
-    the survivors are exactly the extreme points of the state space."""
+    """Drop every generator in the cone of the others (its weights sum to 1,
+    as in convex_weights); the survivors are the extreme points of the state space."""
     arith = t.arith()
     unique = []
     for g in t.generators:
@@ -210,7 +208,7 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     keep = []
     for i, g in enumerate(unique):
         others = unique[:i] + unique[i + 1:]
-        if not others or _combination_weights(others, g, arith, affine=True) is None:
+        if not others or _combination_weights(others, g, arith) is None:
             keep.append(g)
     return replace(t, generators=tuple(keep))
 

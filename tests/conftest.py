@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from polygpt import discrimination, lp, simplex
 from polygpt.families import codeword_state_index, simplex_power
 from polygpt.linalg import dot, rank, rat, solve_square, unit_vector
-from polygpt.theory import Theory, reduce_to_pure_states
+from polygpt.theory import FLOAT, Theory, reduce_to_pure_states
 
 
 def random_rational(rng, span=12, den=4):
@@ -118,7 +118,41 @@ SYMMETRIC_FAMILIES = ([f"hypercube:m={m}" for m in range(1, 7)]
                       + [f"simplex:d={d}" for d in range(1, 7)]
                       + [f"simplex-power:q={q},l={l}"
                          for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
-                      + ["ngon:n=4"])
+                      + ["ngon:n=3", "ngon:n=4", "ngon:n=6"])
+
+
+def float_ngon(n):
+    """The regular n-gon on the unit circle in float mode, as ngon_theory
+    builds it for every n but 3, 4 and 6."""
+    gens = tuple((1.0, math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+                 for k in range(n))
+    return Theory(f"ngon-{n}", 3, (1.0, 0.0, 0.0), gens, numeric_mode=FLOAT)
+
+
+# --- membership with the sum row stated --------------------------------------
+
+def reference_convex_weights(vectors, target, arith):
+    """Nonnegative a with sum(a_j vectors[j]) = target and the row sum(a) = 1
+    stated; None when no such weights exist."""
+    rows = [[v[j] for v in vectors] for j in range(len(target))] + [[1] * len(vectors)]
+    res = simplex.solve_standard_min([0] * len(vectors), rows, [*target, 1], arith=arith)
+    return res.x if res.status == simplex.OPTIMAL else None
+
+
+def reference_is_state(t, x):
+    return (t.arith().is_zero(dot(t.unit, x) - 1)
+            and reference_convex_weights(t.generators, x, t.arith()) is not None)
+
+
+def reference_pure_states(t):
+    """The generators reduce_to_pure_states keeps, by the program with the sum row."""
+    arith = t.arith()
+    unique = []
+    for g in t.generators:
+        if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
+            unique.append(g)
+    return tuple(g for i, g in enumerate(unique) if len(unique) == 1
+                 or reference_convex_weights(unique[:i] + unique[i + 1:], g, arith) is None)
 
 
 def random_invertible_matrix(rng, d):

@@ -1,6 +1,8 @@
 import json
 import os
+import sys
 from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
@@ -222,6 +224,41 @@ def test_random_construction_without_trials_measures_nothing(tmp_path):
     assert cli.run(args + ["--format", "csv", "--out", str(out)]) == 0
     header, row = (line.split(",") for line in out.read_text().splitlines())
     assert row[header.index("empirical_failure")] == ""
+
+
+def test_a_bound_past_the_digit_limit_is_refused_before_any_trial(monkeypatch, capsys, tmp_path):
+    # 1/2^20000 has a 6,021-digit denominator; 1/2^14000 has 4,215 digits.
+    monkeypatch.setattr(capacity, "_trial_fails", None)  # a trial would fail
+    args = ["random-construction", "--N", "2", "--q", "2", "--M", "2", "--trials", "1",
+            "--workers", "1"]
+    assert cli.run(args + ["--l", "20000"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error:")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err[0]
+    monkeypatch.undo()
+    doc = run_json(tmp_path, args + ["--l", "14000"])
+    assert doc["bound"] == f"1/{2 ** 14000}"
+
+
+@pytest.mark.parametrize("limit,l,refused", [(10, 33, False), (10, 34, True), (0, 20000, False)])
+def test_the_digit_limit_is_the_interpreters(monkeypatch, limit, l, refused):
+    # 2^33 has 10 digits and 2^34 has 11; a limit of 0 is no limit.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    search = lambda: capacity.randomized_search(2, trials=0, q=2, l=l, m_codewords=2)
+    if refused:
+        with pytest.raises(ValueError, match="more than 10 digits"):
+            search()
+    else:
+        assert search().bound == F(1, 2 ** l)
+
+
+@pytest.mark.parametrize("spec,unit", [("simplex:d=3", [1, 1, 1]), ("ngon:n=5", [1.0, 0.0, 0.0])])
+def test_one_state_is_singled_out_by_the_unit(tmp_path, spec, unit):
+    psuccess = run_json(tmp_path, ["psuccess", "--family", spec, "--states", "0"])
+    assert psuccess == {"states": [0], "priors": [1], "p_success": 1, "perfect": True,
+                        "measurement": [unit]}
+    distinguish = run_json(tmp_path, ["distinguish", "--family", spec, "--states", "0"])
+    assert distinguish == {"states": [0], "perfect": True, "p_success": 1, "witness": [unit]}
 
 
 def test_fixtures_subcommand(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (interior_angle_sum_exceeds_pi, linearly_independent, mat_vec,
+from conftest import (float_ngon, interior_angle_sum_exceeds_pi, linearly_independent, mat_vec,
                       ngon_pair_separable_by_direction, random_invertible_matrix,
                       random_lifted_theory)
 from polygpt import discrimination, lp
@@ -250,7 +250,7 @@ def _float_simplex(d):
 
 
 @pytest.mark.parametrize("theory,indices", [(ngon_theory(5), (0, 2)), (ngon_theory(5), (0, 1)),
-                                            (ngon_theory(6), (0, 1, 3)),
+                                            (float_ngon(6), (0, 1, 3)),
                                             (_float_simplex(3), (2, 0, 1))])
 def test_reversed_resolve_alone_returns_checkable_evidence(monkeypatch, theory, indices):
     # Only the reversed-order re-solve gives a clear verdict; its evidence

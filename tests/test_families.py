@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import SYMMETRIC_FAMILIES, invert, mat_vec, prism_pair_index
+from conftest import SYMMETRIC_FAMILIES, float_ngon, invert, mat_vec, prism_pair_index
 from polygpt import cli, discrimination, hypergraph
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
@@ -60,6 +60,24 @@ def test_ngon_four_is_exact_and_square_like():
     assert t.numeric_mode == "exact"
     assert t.num_generators == 4
     assert validate_theory(t).ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_ngon_is_exact_in_the_chebyshev_frame(n):
+    # Vertex k is (1, cos k theta, sin k theta / sin theta), theta = 2 pi / n:
+    # the float vertex under a linear map that fixes the unit.
+    t = ngon_theory(n)
+    assert t.numeric_mode == "exact" and validate_theory(t).ok
+    theta = 2 * math.pi / n
+    for k, (one, x, y) in enumerate(t.generators):
+        assert isinstance(x, F) and isinstance(y, F) and one == 1
+        assert math.isclose(x, math.cos(k * theta), abs_tol=1e-12)
+        assert math.isclose(y, math.sin(k * theta) / math.sin(theta), abs_tol=1e-12)
+
+
+def test_every_other_ngon_is_the_float_circle():
+    for n in (5, 7, 8, 12, 40):
+        assert ngon_theory(n) == float_ngon(n)
 
 
 def test_ngon_float_vertices_on_unit_circle():
@@ -213,9 +231,12 @@ def test_every_supplied_symmetry_is_proven(spec):
     basis, _, _ = theory.basis_inverse
     basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in basis))])
     assert basis_inverse is not None
-    # The witness of a decided pair (the one state of a 1-simplex) moves to e A^-1.
-    states = theory.generators[:2]
-    witness = discrimination.is_perfectly_distinguishable(theory, states).witness
+    # The witness of the first decided pair (0, k), or of the one state of a
+    # 1-simplex, moves to e A^-1; the hexagon's pair (0, 1) is not decided.
+    pairs = [theory.generators[:1] + theory.generators[k:k + 1]
+             for k in range(1, max(2, theory.num_generators))]
+    answers = (discrimination.is_perfectly_distinguishable(theory, states) for states in pairs)
+    witness = next(answer.witness for answer in answers if answer.distinguishable)
     assert witness is not None
     for perm in symmetries:
         images = list(zip(*(gens[perm[b]] for b in basis)))  # G: the images as columns

@@ -12,8 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (SYMMETRIC_FAMILIES, reference_float_distinguishable, reference_float_path,
-                      reference_rank)
+from conftest import (SYMMETRIC_FAMILIES, float_ngon, reference_float_distinguishable,
+                      reference_float_path, reference_rank)
 from polygpt import cli, discrimination, lp, simplex
 from polygpt.discrimination import CLEAR_GAP, is_perfectly_distinguishable
 from polygpt.families import build_family, classical_simplex, hypercube_theory, ngon_theory
@@ -78,9 +78,10 @@ def _check_certified_refusal(theory, states, p_float, answer):
     assert lp.verify_farkas(answer.problem, answer.certificate, tol=theory.arith().tol)
 
 
-CASES = [(f"ngon:n={n}", ngon_theory(n), 2) for n in range(5, 41)] + [
+# The hexagon is exact in ngon_theory; these cases keep its float form.
+CASES = [(f"ngon:n={n}", float_ngon(n) if n == 6 else ngon_theory(n), 2) for n in range(5, 41)] + [
     ("float hypercube:m=5", _float(hypercube_theory(5)), 2),
-    ("ngon:n=6 N=3", ngon_theory(6), 3),
+    ("ngon:n=6 N=3", float_ngon(6), 3),
     ("float simplex:d=3 N=2", _float(classical_simplex(3)), 2),
     ("float simplex:d=3 N=3", _float(classical_simplex(3)), 3),
 ]

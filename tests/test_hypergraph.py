@@ -357,6 +357,13 @@ def test_parallel_workers_agree_with_sequential(run):
     assert run(2) == run(1)
 
 
+@pytest.mark.parametrize("n,n_arity,edges", [(3, 2, 3), (3, 3, 1), (6, 2, 9), (6, 3, 0)])
+def test_exact_triangle_and_hexagon(n, n_arity, edges):
+    # Every pair of the triangle; the hexagon's opposite and next-but-one pairs.
+    h = build_hypergraph(ngon_theory(n), n_arity)
+    assert ngon_theory(n).numeric_mode == "exact" and len(h.edges) == edges
+
+
 def test_clique_invariant_rejects_non_complete_sets():
     h = build_hypergraph(ngon_theory(5), 2)
     assert not clique_is_valid(h, Clique((0, 1, 2)))
@@ -369,7 +376,7 @@ ORBIT_BUILDS = ([(f"hypercube:m={m}", 2) for m in range(1, 6)]
                 + [(f"simplex:d={d}", n) for d in range(3, 6) for n in (2, 3)]
                 + [(f"simplex-power:q={q},l={l}", n) for q, l in ((2, 2), (3, 2), (2, 3))
                    for n in (2, 3)]
-                + [("ngon:n=4", 2), ("ngon:n=4", 3)])
+                + [(f"ngon:n={n}", k) for n in (3, 4, 6) for k in (2, 3)])
 
 
 @functools.cache

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import exact_bland_runs, linearly_independent, plain_bland, random_lifted_theory
+from conftest import (SYMMETRIC_FAMILIES, exact_bland_runs, linearly_independent, plain_bland,
+                      random_lifted_theory, random_planar_theory, reference_is_state,
+                      reference_pure_states)
 from polygpt import simplex
 from polygpt.fixtures import fixtures
-from polygpt.families import classical_simplex, hypercube_effect, hypercube_theory
-from polygpt.theory import (FLOAT, Measurement, Theory, conic_weights, is_effect, is_measurement,
-                            is_state, make_theory,
+from polygpt.families import build_family, classical_simplex, hypercube_effect, hypercube_theory
+from polygpt.theory import (EXACT, FLOAT, Measurement, Theory, conic_weights, is_effect,
+                            is_measurement, is_state, make_theory,
                             reduce_to_pure_states, theory_from_json, theory_to_json,
                             validate_theory)
 
@@ -134,6 +136,39 @@ def test_reduce_preserves_membership_answers():
         assert is_state(fat, p) == is_state(reduced, p)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("seed", range(8))
+def test_membership_without_the_sum_row_matches_the_reference(seed, mode):
+    # u . g = 1 for every generator, so sum(a) = 1 follows from u . x = 1:
+    # dropping that row changes no answer.
+    rng = random.Random(seed)
+    answers = set()
+    for base in (random_lifted_theory(seed), random_planar_theory(seed)):
+        gens = list(base.generators)
+        centroid = tuple(sum(col) / len(gens) for col in zip(*gens))
+        midpoints = [tuple((a + b) / 2 for a, b in zip(g, h)) for g, h in zip(gens, gens[1:])]
+        beyond = [tuple(2 * a - c for a, c in zip(g, centroid)) for g in gens]  # past a vertex
+        doubled = [tuple(2 * a for a in g) for g in gens[:2]]  # u . x = 2
+        fat = gens + [rng.choice(gens) for _ in range(2)] + [centroid] + midpoints
+        rng.shuffle(fat)
+        fat = make_theory(base.name, base.unit, fat, numeric_mode=mode)
+        t = make_theory(base.name, base.unit, gens, numeric_mode=mode)
+        kept = reduce_to_pure_states(fat).generators
+        assert kept == reference_pure_states(fat)
+        assert sorted(kept) == sorted(t.generators)
+        for x in gens + midpoints + [centroid] + beyond + doubled:
+            x = tuple(map(float, x)) if mode == FLOAT else x
+            answers.add(is_state(t, x))
+            assert is_state(t, x) == reference_is_state(t, x)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
+def test_reduction_keeps_every_family_vertex(spec):
+    t = build_family(spec)
+    assert reduce_to_pure_states(t).generators == reference_pure_states(t) == t.generators
+
+
 def _fixture_theories_with_centroids():
     """Every bundled fixture theory, plus a copy with its centroid added so
     that reduction has a generator to drop."""
@@ -155,8 +190,7 @@ def test_guided_reduction_matches_plain_bland_on_fixtures():
         plain = [reduce_to_pure_states(t) for t in theories]
     assert guided == plain
     assert [t.num_generators for t in guided[1::2]] == [t.num_generators for t in guided[::2]]
-    # The affine membership LP always has one redundant row; its artificial
-    # stays basic at level zero and the guide's basis is still certified.
+    # Every membership LP is certified on the guide's basis: none falls back.
     assert fallbacks == []
 
 
