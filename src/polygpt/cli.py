@@ -100,9 +100,15 @@ def _parse_priors(text, exact):
 
 def _cell(value) -> str:
     """A CSV cell: empty for null, 12 significant digits for a float or an
-    exact "p/q" string, str for the rest."""
-    if isinstance(value, (float, str)):
-        return _fmt12(float(rat(value) if isinstance(value, str) else value))
+    exact "p/q" string, the string itself when it lies beyond the float
+    range, str for the rest."""
+    if isinstance(value, str):
+        try:
+            value = float(rat(value))
+        except OverflowError:
+            return value
+    if isinstance(value, float):
+        return _fmt12(value)
     return "" if value is None else str(value)
 
 
@@ -318,7 +324,8 @@ def cmd_random_construction(args):
         "kappa_lower_bound": None if report.kappa_lower_bound is None
         else float(_fmt12(report.kappa_lower_bound)),
         "bound": rat_str(report.bound),
-        "bound_float": float(_fmt12(min(1.0, float(report.bound)))),
+        # Clamped exactly, then converted: a bound beyond the float range reads 1.0.
+        "bound_float": float(_fmt12(float(min(report.bound, 1)))),
         "failures": report.failures,
         "empirical_failure": report.empirical_failure,
         "trials": report.trials,

@@ -13,8 +13,9 @@ optimum serves as the forward witness of a clear acceptance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
@@ -170,35 +171,63 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     return lp.problem([0] * nvars, rows, nvars)
 
 
-def moved_evidence(theory: Theory, states, evidence, perm):
-    """Evidence for states, the image of a decided subset under perm,
-    state by state in the subset's order: perm maps generator k to
-    generator perm[k]. evidence is the subset's witness Measurement or its
-    Farkas vector; the theory is exact and its generators span. perm is
+@dataclass(frozen=True)
+class ScaledEvidence:
+    """Evidence over integers: a witness's effect i is rows[i] / den, a
+    Farkas vector is rows[0] / den. Moves and re-checks run on these
+    integers; fractions() builds the Fraction form for a caller that asks."""
+
+    witness: bool
+    rows: tuple
+    den: int
+
+    def fractions(self):
+        values = tuple(tuple(Fraction(v, self.den) for v in row) for row in self.rows)
+        return Measurement(values) if self.witness else values[0]
+
+
+def scale_evidence(evidence) -> ScaledEvidence:
+    """A witness Measurement or a Farkas vector as ScaledEvidence, over its
+    least common denominator."""
+    witness = isinstance(evidence, Measurement)
+    rows, den = integer_rows(evidence.effects if witness else [evidence])
+    return ScaledEvidence(witness, tuple(map(tuple, rows)), den)
+
+
+def moved_evidence(theory: Theory, indices, evidence: ScaledEvidence, perm):
+    """Evidence for the generators at indices, the image of a decided
+    subset under perm, state by state in the subset's order: perm maps
+    generator k to generator perm[k]. evidence is the subset's
+    ScaledEvidence; the theory is exact and its generators span. perm is
     only a hint: the moved evidence is returned only when it passes its
-    re-check by substitution on these states; else None."""
-    if isinstance(evidence, Measurement):
-        moved = _moved_witness(theory, evidence, perm)
-        return moved if verify_witness(theory, states, moved) else None
-    moved = _moved_certificate(evidence, perm, theory.num_generators)
-    return moved if lp.verify_farkas(_feasibility_problem(theory, states), moved) else None
+    re-check by substitution on these states (_rechecks); else None."""
+    moved = _moved(theory, evidence, perm)
+    return moved if _rechecks(theory, indices, moved) else None
 
 
-def _moved_witness(theory: Theory, meas: Measurement, perm) -> Measurement:
+def _moved(theory: Theory, evidence: ScaledEvidence, perm) -> ScaledEvidence:
+    if evidence.witness:
+        return _moved_witness(theory, evidence, perm)
+    return replace(evidence, rows=(
+        _moved_certificate(evidence.rows[0], perm, theory.num_generators),))
+
+
+def _moved_witness(theory: Theory, evidence: ScaledEvidence, perm) -> ScaledEvidence:
     """Effect i becomes e_i A^-1 for the linear map A with A g_k = g_perm[k]:
     e_i A^-1 . g_perm[k] = e_i . g_k, so it answers the image of state i.
     A^-1 takes each basis generator g_b to g_k, where perm[k] = b, so
     e_i A^-1 is the sum over the basis of (e_i . g_k) times b's row of
-    theory.basis_inverse, over q; the products run on integer rows. When
+    theory.basis_inverse, over q: an integer row over den * d * q. When
     perm is no symmetry, the re-check rejects the result."""
     basis, inverse, q = theory.basis_inverse
     gens, d = theory.generator_rows
     images = [gens[perm.index(b)] for b in basis]  # d * A^-1 g_b
-    effects, e = integer_rows(meas.effects)
-    coords = [[dot(effect, g) for g in images] for effect in effects]  # e * d * (e_i . A^-1 g_b)
     columns = list(zip(*inverse))
-    return Measurement(tuple(tuple(Fraction(dot(c, col), e * d * q) for col in columns)
-                             for c in coords))
+    rows = []
+    for row in evidence.rows:
+        coords = [sum(map(mul, row, g)) for g in images]  # den * d * (e_i . A^-1 g_b)
+        rows.append(tuple(sum(map(mul, coords, col)) for col in columns))
+    return ScaledEvidence(True, tuple(rows), evidence.den * d * q)
 
 
 def _moved_certificate(cert, perm, num_generators: int) -> tuple:
@@ -213,6 +242,67 @@ def _moved_certificate(cert, perm, num_generators: int) -> tuple:
     for r in range(len(cert) // (v + 1) * v):  # N * v generator rows, then N state rows
         moved[r - r % v + perm[r % v]] = cert[r]
     return tuple(moved)
+
+
+def _rechecks(theory: Theory, indices, evidence: ScaledEvidence) -> bool:
+    """The substitution check of evidence for the generators at indices, in
+    that order, on theory.generator_rows G_k = d * g_k: condition for
+    condition what verify_witness, or exact lp.verify_farkas on
+    _feasibility_problem, checks of evidence.fractions(), scaled by the
+    positive den * d.
+
+    A witness W (den * the effects) needs 0 <= W_i . G_k <= den * d on every
+    generator, sum_i W_i = den * u and W_i . G_{indices[j]} = [i = j] * den * d.
+
+    A Farkas vector y needs y <= 0 on the N - 1 blocks of >= rows and
+    y >= 0 on the block of <= rows (the shared block); for each block i,
+    sum_k (y_ik + y_shared,k) G_k + y_state_i G_{indices[i]}
+    + y_state_last G_{indices[-1]} = 0; and the right-hand sides,
+    sum_k y_shared,k + sum_{i < N-1} y_state_i, summing below 0."""
+    gens, d = theory.generator_rows
+    n = len(indices)
+    if evidence.witness:
+        top = evidence.den * d
+        (unit,), du = integer_rows([theory.unit])
+        if (len(evidence.rows) != n or [sum(col) * du for col in zip(*evidence.rows)]
+                != [evidence.den * x for x in unit]):
+            return False
+        rest = [top] * len(gens)  # den * u . G_k less the values found so far
+        for i, row in enumerate(evidence.rows):
+            # W_i . G_k for every k; the sum leaves the last effect the rest.
+            values = rest if i == n - 1 else _generator_values(theory, row)
+            if (min(values) < 0 or max(values) > top
+                    or any(values[k] != (i == j) * top for j, k in enumerate(indices))):
+                return False
+            rest = [a - b for a, b in zip(rest, values)]
+        return True
+    y, v = evidence.rows[0], len(gens)
+    if len(y) != n * v + n:
+        return False
+    shared, states = y[(n - 1) * v:n * v], y[n * v:]
+    if max(y[:(n - 1) * v]) > 0 or min(shared) < 0 or sum(shared) + sum(states[:-1]) >= 0:
+        return False
+    for i in range(n - 1):
+        terms = [(a + b, g) for a, b, g in zip(y[i * v:(i + 1) * v], shared, gens)]
+        terms += [(states[i], gens[indices[i]]), (states[-1], gens[indices[-1]])]
+        combo = [0] * theory.dim
+        for c, g in terms:
+            if c:
+                combo = [x + c * a for x, a in zip(combo, g)]
+        if any(combo):
+            return False
+    return True
+
+
+def _generator_values(theory: Theory, row) -> list:
+    """row . G_k for every generator row G_k of theory.generator_rows,
+    summed over the nonzero entries of theory.generator_columns."""
+    values = [0] * theory.num_generators
+    for w, column in zip(row, theory.generator_columns):
+        if w:
+            for k, a in column:
+                values[k] += w * a
+    return values
 
 
 def _check_distinct(theory: Theory, states) -> None:

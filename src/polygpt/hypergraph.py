@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .discrimination import is_perfectly_distinguishable, moved_evidence
+from .discrimination import is_perfectly_distinguishable, moved_evidence, scale_evidence
 from .parallel import parallel_map
 from .theory import EXACT, FLOAT, Theory, save_json, theory_to_json
 
@@ -97,13 +97,14 @@ def _decide_orbit(theory: Theory, orbit) -> list:
     """The verdict on each member of the orbit, in order. The
     representative is decided by LP; every other member takes its evidence,
     moved along the member's permutation and re-checked by substitution,
-    and is decided directly when the re-check fails."""
+    and is decided directly when the re-check fails. The evidence is
+    scaled to integers once per orbit; no member builds a Fraction."""
     (rep, _), *members = orbit
     distinguishable, evidence = _subset_distinguishable(theory, rep)
     verdicts = [distinguishable]
+    scaled = scale_evidence(evidence) if members else None
     for subset, perm in members:
-        states = [theory.generators[perm[x]] for x in rep]
-        moved = moved_evidence(theory, states, evidence, perm)
+        moved = moved_evidence(theory, [perm[x] for x in rep], scaled, perm)
         verdicts.append(distinguishable if moved is not None else
                         _subset_distinguishable(theory, subset)[0])
     return verdicts

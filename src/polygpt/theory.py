@@ -65,6 +65,14 @@ class Theory:
         return integer_rows([[Fraction(v) for v in g] for g in self.generators])
 
     @functools.cached_property
+    def generator_columns(self) -> tuple:
+        """Column j of generator_rows as the pairs (k, G_kj) with G_kj != 0,
+        so that a covector's values on all the generators are built from
+        the nonzero entries alone. Cached like generator_rows."""
+        return tuple(tuple((k, a) for k, a in enumerate(column) if a)
+                     for column in zip(*self.generator_rows[0]))
+
+    @functools.cached_property
     def basis_inverse(self):
         """(basis, rows, q): basis holds the indices of the first dim
         linearly independent generators, and (rows[k] . v) / q is the k-th

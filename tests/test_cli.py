@@ -226,6 +226,20 @@ def test_random_construction_without_trials_measures_nothing(tmp_path):
     assert row[header.index("empirical_failure")] == ""
 
 
+def test_a_bound_beyond_the_float_range_prints_exactly(tmp_path):
+    # C(4096, 400) times a probability near 1 is far above the largest float.
+    args = ["random-construction", "--N", "400", "--q", "4096", "--l", "1", "--M", "4096",
+            "--trials", "0", "--workers", "1"]
+    doc = run_json(tmp_path, args)
+    bound = failure_probability_bound(4096, 1, 4096, 400)
+    assert bound > sys.float_info.max
+    assert doc["bound_float"] == 1.0 and F(doc["bound"]) == bound
+    out = tmp_path / "bound.csv"
+    assert cli.run(args + ["--format", "csv", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    assert row[header.index("bound")] == doc["bound"]  # exact: no float holds it
+
+
 def test_a_bound_past_the_digit_limit_is_refused_before_any_trial(monkeypatch, capsys, tmp_path):
     # 1/2^20000 has a 6,021-digit denominator; 1/2^14000 has 4,215 digits.
     monkeypatch.setattr(capacity, "_trial_fails", None)  # a trial would fail

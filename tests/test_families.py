@@ -243,7 +243,8 @@ def test_every_supplied_symmetry_is_proven(spec):
         a = [[dot(row, col) for col in zip(*basis_inverse)] for row in images]  # A = G B^-1
         assert all(mat_vec(a, g) == gens[p] for g, p in zip(gens, perm))
         a_inverse = invert(a)
-        assert discrimination._moved_witness(theory, witness, perm).effects == tuple(
+        moved = discrimination._moved_witness(theory, discrimination.scale_evidence(witness), perm)
+        assert moved.fractions().effects == tuple(
             tuple(dot(e, col) for col in zip(*a_inverse)) for e in witness.effects)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_planar_theory, reference_exact_max_clique, reference_greedy_max_clique
-from polygpt import discrimination, hypergraph
+from polygpt import discrimination, hypergraph, lp
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.families import (classical_simplex, hypercube_symmetries, hypercube_theory,
                               ngon_symmetries, ngon_theory, parse_family_spec, prism_product,
@@ -20,6 +20,7 @@ from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hype
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
                                 load_hypergraph, save_hypergraph)
 from polygpt.fixtures import fixtures
+from polygpt.linalg import integer_rows
 from polygpt.parallel import MIN_POOLED_ITEMS, parallel_map
 from polygpt.theory import FLOAT, Theory, load_theory, make_theory, save_theory, theory_from_json
 
@@ -431,14 +432,14 @@ def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
         _, evidence = hypergraph._subset_distinguishable(theory, subset)
+        scaled = discrimination.scale_evidence(evidence)
         for perm, inverse in zip(symmetries, inverses):
             image = tuple(perm[x] for x in subset)  # the moved order, not sorted
             reordered += image != tuple(sorted(image))
-            moved = discrimination.moved_evidence(
-                theory, [theory.generators[x] for x in image], evidence, perm)
+            moved = discrimination.moved_evidence(theory, image, scaled, perm)
             assert moved is not None
-            assert discrimination.moved_evidence(
-                theory, [theory.generators[x] for x in subset], moved, inverse) == evidence
+            back = discrimination.moved_evidence(theory, subset, moved, inverse)
+            assert back.fractions() == evidence
     assert reordered > 0
 
 
@@ -498,7 +499,7 @@ def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
 
 def test_a_corrupted_move_is_solved_directly(monkeypatch):
     # Pairs of the 3-cube are accepted (witnesses move) and its triples
-    # are refused (Farkas vectors move); every move is corrupted here.
+    # are refused (Farkas vectors move); every integer move is corrupted here.
     def sign_flipped(values):
         k = next(k for k, v in enumerate(values) if v != 0)
         return (*values[:k], -values[k], *values[k + 1:])
@@ -508,8 +509,8 @@ def test_a_corrupted_move_is_solved_directly(monkeypatch):
 
     def bad_witness(*args):
         moves.append("witness")
-        meas = witness(*args)
-        return discrimination.Measurement((sign_flipped(meas.effects[0]), *meas.effects[1:]))
+        moved = witness(*args)  # integer effect rows
+        return replace(moved, rows=(sign_flipped(moved.rows[0]), *moved.rows[1:]))
 
     def bad_certificate(*args):
         moves.append("certificate")
@@ -524,6 +525,94 @@ def test_a_corrupted_move_is_solved_directly(monkeypatch):
     assert {"witness", "certificate"} <= set(moves)
     assert counts["failed moves"] == len(moves)
     assert counts["decided"] == 28 + 56  # every subset decided by its own LP
+
+
+def corruptions(scaled):
+    """scaled with one entry changed (in each row, the first nonzero entry
+    negated, or the last entry raised by one); a witness with its effects
+    reversed or its last effect dropped; a Farkas vector without its last
+    entry or with a zero inserted before it (one state row too many)."""
+    for r, row in enumerate(scaled.rows):
+        k = next(k for k, v in enumerate(row) if v != 0)
+        for j, value in ((k, -row[k]), (len(row) - 1, row[-1] + 1)):
+            rows = list(scaled.rows)
+            rows[r] = (*row[:j], value, *row[j + 1:])
+            yield replace(scaled, rows=tuple(rows))
+    if scaled.witness:
+        yield from (replace(scaled, rows=scaled.rows[::-1]), replace(scaled, rows=scaled.rows[:-1]))
+    else:
+        yield from (replace(scaled, rows=(scaled.rows[0][:-1],)),
+                    replace(scaled, rows=(scaled.rows[0][:-1] + (0,) + scaled.rows[0][-1:],)))
+
+
+def extrapolations(theory, indices, moved):
+    """2x - y and 3x - 2y for the moved evidence x and the LP's own
+    evidence y on the same states, when both are witnesses or both Farkas
+    vectors. Affine combinations keep the sum of the effects, the delta
+    conditions and a Farkas vector's combination of rows, so they test the
+    bounds, the signs and the right-hand side alone."""
+    _, own = hypergraph._subset_distinguishable(theory, indices)
+    own = discrimination.scale_evidence(own)
+    if own.witness != moved.witness:
+        return
+    for a in (2, 3):
+        rows, den = integer_rows([[a * F(x, moved.den) - (a - 1) * F(y, own.den)
+                                   for x, y in zip(r, s)] for r, s in zip(moved.rows, own.rows)])
+        yield replace(moved, rows=tuple(map(tuple, rows)), den=den)
+
+
+@pytest.mark.parametrize("spec,n_arity,hint", [
+    ("hypercube:m=3", 2, None), ("hypercube:m=3", 3, None),
+    ("hypercube:m=3", 2, (1, 0, *range(2, 8))), ("hypercube:m=3", 3, (1, 0, *range(2, 8))),
+    ("simplex-power:q=3,l=2", 3, None), ("simplex-power:q=3,l=2", 3, (*range(1, 9), 0)),
+    ("ngon:n=6", 2, None),
+], ids=["cube-N2", "cube-N3", "cube-swap-N2", "cube-swap-N3", "simplex-power-N3",
+        "simplex-power-9-cycle-N3", "hexagon-N2"])
+def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, hint):
+    # Every orbit member's moved evidence, along the family's generators or
+    # a false hint, its corruptions and its extrapolations: the integer
+    # re-check answers as verify_witness or exact lp.verify_farkas does on
+    # the same evidence in Fractions.
+    family = parse_family_spec(spec)
+    theory = family.build()
+    perms = family.symmetries() if hint is None else (hint,)
+    subsets = list(itertools.combinations(range(theory.num_generators), n_arity))
+    verdicts = {True: 0, False: 0}
+    for (rep, _), *members in hypergraph._orbits(subsets, perms):
+        _, evidence = hypergraph._subset_distinguishable(theory, rep)
+        scaled = discrimination.scale_evidence(evidence)
+        for _, perm in members:
+            indices = [perm[x] for x in rep]
+            states = [theory.generators[k] for k in indices]
+            moved = discrimination._moved(theory, scaled, perm)
+            for candidate in (moved, *corruptions(moved),
+                              *extrapolations(theory, indices, moved)):
+                fractions = candidate.fractions()
+                expected = (discrimination.verify_witness(theory, states, fractions)
+                            if candidate.witness else lp.verify_farkas(
+                                discrimination._feasibility_problem(theory, states), fractions))
+                assert discrimination._rechecks(theory, indices, candidate) == expected
+                verdicts[expected] += 1
+    # Each comparison above saw a failing check; the true generators' moves
+    # pass too, while the swap fails every move of a triple.
+    assert verdicts[False] > 0 and (verdicts[True] > 0 or hint is not None)
+
+
+@pytest.mark.parametrize("last,expected", [
+    ((0, 0, 1), True), ((F(1, 2), F(1, 2), 0), True),
+    ((F(-1, 2), F(3, 4), F(3, 4)), False),  # only e_1 . g_3 >= 0 fails
+    ((1, 1, -1), False),  # only e_3 . g_3 >= 0 fails
+])
+def test_the_witness_recheck_bounds_every_effect(last, expected):
+    # States 0, 1, 2 of the tetrahedron; effect i is 1 on g_i and last[i]
+    # on g_3, so the effects sum to u and answer their states exactly.
+    tetrahedron = classical_simplex(4)
+    effects = [tuple(F(i == j) for j in range(3)) + (F(a),) for i, a in enumerate(last)]
+    meas = discrimination.Measurement(tuple(effects))
+    scaled = discrimination.scale_evidence(meas)
+    states = tetrahedron.generators[:3]
+    assert discrimination.verify_witness(tetrahedron, states, meas) == expected
+    assert discrimination._rechecks(tetrahedron, (0, 1, 2), scaled) == expected
 
 
 # build_hypergraph uses no permutation on a float theory, on an exact one
