@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import lp
 from .linalg import dot, integer_rows
-from .theory import EXACT, Measurement, Theory, is_measurement, is_state
+from .theory import EXACT, Measurement, Theory, is_state, responds
 
 # Float-mode bands: answers whose delta-conditions land inside the gray
 # zone are re-solved from a perturbed start and, failing that, refused.
@@ -246,36 +246,20 @@ def _moved_certificate(cert, perm, num_generators: int) -> tuple:
 
 def _rechecks(theory: Theory, indices, evidence: ScaledEvidence) -> bool:
     """The substitution check of evidence for the generators at indices, in
-    that order, on theory.generator_rows G_k = d * g_k: condition for
-    condition what verify_witness, or exact lp.verify_farkas on
-    _feasibility_problem, checks of evidence.fractions(), scaled by the
-    positive den * d.
-
-    A witness W (den * the effects) needs 0 <= W_i . G_k <= den * d on every
-    generator, sum_i W_i = den * u and W_i . G_{indices[j]} = [i = j] * den * d.
-
-    A Farkas vector y needs y <= 0 on the N - 1 blocks of >= rows and
-    y >= 0 on the block of <= rows (the shared block); for each block i,
+    that order, on theory.generator_rows G_k = d * g_k. A witness goes
+    through theory.responds, as verify_witness does. A Farkas vector y is
+    checked condition for condition as exact lp.verify_farkas checks
+    evidence.fractions() on _feasibility_problem, scaled by the positive
+    den: y <= 0 on the N - 1 blocks of >= rows and y >= 0 on the block of
+    <= rows (the shared block); for each block i,
     sum_k (y_ik + y_shared,k) G_k + y_state_i G_{indices[i]}
     + y_state_last G_{indices[-1]} = 0; and the right-hand sides,
     sum_k y_shared,k + sum_{i < N-1} y_state_i, summing below 0."""
     gens, d = theory.generator_rows
     n = len(indices)
     if evidence.witness:
-        top = evidence.den * d
-        (unit,), du = integer_rows([theory.unit])
-        if (len(evidence.rows) != n or [sum(col) * du for col in zip(*evidence.rows)]
-                != [evidence.den * x for x in unit]):
-            return False
-        rest = [top] * len(gens)  # den * u . G_k less the values found so far
-        for i, row in enumerate(evidence.rows):
-            # W_i . G_k for every k; the sum leaves the last effect the rest.
-            values = rest if i == n - 1 else _generator_values(theory, row)
-            if (min(values) < 0 or max(values) > top
-                    or any(values[k] != (i == j) * top for j, k in enumerate(indices))):
-                return False
-            rest = [a - b for a, b in zip(rest, values)]
-        return True
+        return (len(evidence.rows) == n and all(len(row) == theory.dim for row in evidence.rows)
+                and responds(theory, evidence.rows, evidence.den, [gens[k] for k in indices], d))
     y, v = evidence.rows[0], len(gens)
     if len(y) != n * v + n:
         return False
@@ -292,17 +276,6 @@ def _rechecks(theory: Theory, indices, evidence: ScaledEvidence) -> bool:
         if any(combo):
             return False
     return True
-
-
-def _generator_values(theory: Theory, row) -> list:
-    """row . G_k for every generator row G_k of theory.generator_rows,
-    summed over the nonzero entries of theory.generator_columns."""
-    values = [0] * theory.num_generators
-    for w, column in zip(row, theory.generator_columns):
-        if w:
-            for k, a in column:
-                values[k] += w * a
-    return values
 
 
 def _check_distinct(theory: Theory, states) -> None:
@@ -429,24 +402,16 @@ def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
 
 
 def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:
-    """Exact delta-condition check: the measurement must be valid and
-    respond with certainty to each state in order."""
-    return (len(meas.effects) == len(states) and is_measurement(theory, meas)
-            and all(map(theory.arith().is_zero, _delta_residuals(theory, meas, states))))
+    """Substitution check of a witness: the measurement must be valid and
+    respond with certainty to each state in order (theory.responds)."""
+    return len(meas.effects) == len(states) and responds(
+        theory, *theory.scaled_rows(meas.effects), *theory.scaled_rows(states))
 
 
 def _clear(theory: Theory, meas: Measurement, states) -> bool:
     """Float mode: every delta-condition of the measurement holds within CLEAR_RESIDUAL."""
-    return max(map(abs, _delta_residuals(theory, meas, states))) <= CLEAR_RESIDUAL
-
-
-def _delta_residuals(theory: Theory, meas: Measurement, states):
-    """d * d * (dot(e_i, omega_j) - [i = j]) for every effect e_i and state
-    omega_j, with d from theory.scaled_rows (d = 1 in float mode)."""
-    n = len(meas.effects)
-    rows, d = theory.scaled_rows((*meas.effects, *states))
-    return (dot(e, s) - (i == j) * d * d for i, e in enumerate(rows[:n])
-            for j, s in enumerate(rows[n:]))
+    return max(abs(dot(e, s) - (i == j)) for i, e in enumerate(meas.effects)
+               for j, s in enumerate(states)) <= CLEAR_RESIDUAL
 
 
 def pairwise_distinguishable(theory: Theory, i: int, j: int) -> bool:

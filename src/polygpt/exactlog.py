@@ -77,21 +77,21 @@ def certain_floor(lo: Fraction, hi: Fraction) -> Optional[int]:
     return flo if flo == math.floor(hi) else None
 
 
-def _floor_at_rising_precision(x: Fraction, enclose, what: str, max_bits: int) -> int:
+def _floor_at_rising_precision(x: Fraction, enclose, what: str) -> int:
     """floor of the value that enclose(*log2_bounds(x, bits)) brackets, at doubling bits."""
     bits = 64
-    while bits <= max_bits:
+    while bits <= MAX_BITS:
         f = certain_floor(*enclose(*log2_bounds(x, bits)))
         if f is not None:
             return f
         bits *= 2
-    raise PrecisionError(f"{what} ambiguous at {max_bits} bits")
+    raise PrecisionError(f"{what} ambiguous at {MAX_BITS} bits")
 
 
-def floor_of_log2_squared(x: Fraction, max_bits: int = MAX_BITS) -> int:
+def floor_of_log2_squared(x: Fraction) -> int:
     """floor((log2 x)**2) for x >= 2, exact at power-of-two arguments."""
     return _floor_at_rising_precision(x, lambda lo, hi: (lo * lo, hi * hi),
-                                      f"floor((log2 {x})^2)", max_bits)
+                                      f"floor((log2 {x})^2)")
 
 
 def floor_of_ratio_to_log2(numerator: Fraction, x: Fraction) -> int:
@@ -99,7 +99,7 @@ def floor_of_ratio_to_log2(numerator: Fraction, x: Fraction) -> int:
     if x <= 1:
         raise ValueError("denominator log needs an argument > 1")
     return _floor_at_rising_precision(x, lambda lo, hi: (numerator / hi, numerator / lo),
-                                      f"floor({numerator} / log2 {x})", MAX_BITS)
+                                      f"floor({numerator} / log2 {x})")
 
 
 def log2_value(x: Fraction) -> float:

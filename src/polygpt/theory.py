@@ -65,6 +65,11 @@ class Theory:
         return integer_rows([[Fraction(v) for v in g] for g in self.generators])
 
     @functools.cached_property
+    def unit_row(self):
+        """scaled_rows([unit]), once per theory; cached like generator_rows."""
+        return self.scaled_rows([self.unit])
+
+    @functools.cached_property
     def generator_columns(self) -> tuple:
         """Column j of generator_rows as the pairs (k, G_kj) with G_kj != 0,
         so that a covector's values on all the generators are built from
@@ -185,24 +190,50 @@ def is_state(t: Theory, x: Sequence) -> bool:
 
 
 def is_effect(t: Theory, e: Sequence) -> bool:
-    if len(e) != t.dim:
-        raise ValueError("dimension mismatch")
-    arith = t.arith()
-    (e,), den = t.scaled_rows([e])
-    gens, d = t.generator_rows if arith.exact else (t.generators, 1)
-    values = [dot(e, g) for g in gens]
-    return not (arith.is_neg(min(values)) or arith.is_pos(max(values) - den * d))
+    return _bounded(t, *t.scaled_rows([e]))
 
 
 def is_measurement(t: Theory, m: Measurement) -> bool:
-    if not all(is_effect(t, e) for e in m.effects):
-        return False
+    return responds(t, *t.scaled_rows(m.effects))
+
+
+def responds(t: Theory, rows, den, states=(), sden=1) -> bool:
+    """Whether the effects rows[i] / den form a measurement of t that
+    answers the states states[j] / sden with certainty, checked in order:
+    0 <= e . g <= 1 on every generator g, the effects sum to u, and
+    e_i . omega_j = [i = j]. Rows come from t.scaled_rows: integers in
+    exact mode, compared exactly; floats with den = sden = 1 in float
+    mode, compared within t.tol."""
     arith = t.arith()
-    (*effects, unit), _ = t.scaled_rows((*m.effects, t.unit))
-    total = effects[0]
-    for e in effects[1:]:
-        total = tuple(a + b for a, b in zip(total, e))
-    return all(arith.is_zero(a - b) for a, b in zip(total, unit))
+    (unit,), du = t.unit_row
+    return (_bounded(t, rows, den)
+            and all(arith.is_zero(sum(col) * du - den * x) for col, x in zip(zip(*rows), unit))
+            and all(arith.is_zero(dot(e, s) - (i == j) * den * sden)
+                    for i, e in enumerate(rows) for j, s in enumerate(states)))
+
+
+def _bounded(t: Theory, rows, den) -> bool:
+    """0 <= e . g <= 1 on every generator g for every effect e = row / den of rows."""
+    if any(len(row) != t.dim for row in rows):
+        raise ValueError("dimension mismatch")
+    arith = t.arith()
+    values = [v for row in rows for v in _generator_values(t, row)]
+    top = den * t.generator_rows[1] if arith.exact else den
+    return not (arith.is_neg(min(values)) or arith.is_pos(max(values) - top))
+
+
+def _generator_values(t: Theory, row) -> list:
+    """row . G_k for every generator row G_k = d * g_k of t.generator_rows,
+    summed over the nonzero entries of t.generator_columns; row . g_k in
+    float mode."""
+    if t.numeric_mode != EXACT:
+        return [dot(row, g) for g in t.generators]
+    values = [0] * t.num_generators
+    for w, column in zip(row, t.generator_columns):
+        if w:
+            for k, a in column:
+                values[k] += w * a
+    return values
 
 
 def reduce_to_pure_states(t: Theory) -> Theory:
@@ -240,6 +271,8 @@ def theory_from_json(doc: dict) -> Theory:
         mode = doc.get("numeric_mode", EXACT)
         t = make_theory(doc["name"], doc["unit"], doc["generators"], numeric_mode=mode)
         dim = doc["dim"]
+        if type(dim) is not int:  # no float, str or bool
+            raise ValueError(f"dim must be an integer, got {dim!r}")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed theory JSON: {exc}") from exc
     if t.dim != dim:

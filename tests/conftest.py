@@ -163,6 +163,28 @@ def random_invertible_matrix(rng, d):
             return m, inv
 
 
+# --- witness oracles ---------------------------------------------------------
+
+def plain_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def plain_is_effect(t, e):
+    return all(0 <= plain_dot(e, g) <= 1 for g in t.generators)
+
+
+def plain_is_measurement(t, m):
+    total = tuple(sum(col) for col in zip(*m.effects))
+    return all(plain_is_effect(t, e) for e in m.effects) and total == t.unit
+
+
+def plain_verify_witness(t, states, m):
+    """verify_witness by the plain Fraction formula, for exact theories."""
+    return (len(m.effects) == len(states) and plain_is_measurement(t, m)
+            and all(plain_dot(e, s) == (i == j) for i, e in enumerate(m.effects)
+                    for j, s in enumerate(states)))
+
+
 # --- LP oracles --------------------------------------------------------------
 
 def boxed_random_lp(seed, num_vars=None, extra_rows=None, box=6):

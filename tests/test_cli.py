@@ -85,6 +85,20 @@ def test_maxclique_empty_note(tmp_path):
     assert "note" in doc
 
 
+def test_maxclique_greedy_on_request(tmp_path):
+    doc = run_json(tmp_path, ["maxclique", "--family", "hypercube:m=3", "--N", "2",
+                              "--workers", "1", "--method", "greedy"])
+    assert doc["method"] == "greedy"
+    assert doc["size"] == 8 and doc["members"] == list(range(8))
+
+
+def test_exact_maxclique_above_the_node_budget_is_a_domain_error(capsys):
+    assert cli.run(["maxclique", "--family", "hypercube:m=3", "--N", "2", "--workers", "1",
+                    "--method", "exact", "--node-budget", "7"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "exceed the budget 7" in err[0]
+
+
 def test_kappa_json_and_csv(tmp_path):
     doc = run_json(tmp_path, ["kappa", "--N", "2", "--m", "3"])
     assert doc == {"N": 2, "d": 4, "kappa": 1.5, "m": 3}
@@ -195,6 +209,14 @@ def test_dg_check_refuses_a_zero_denominator(tmp_path, capsys):
     assert cli.run(["dg-check", "--points", str(pts)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+
+
+def test_dg_check_refuses_duplicate_points(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[0, 0], [1, 0], ["0/1", 0]]))
+    assert cli.run(["dg-check", "--points", str(pts)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["polygpt: error: points must be distinct"]
 
 
 def test_float_theory_file_reads_fraction_strings(tmp_path):
@@ -361,6 +383,20 @@ def test_malformed_theory_file_is_a_usage_error(tmp_path, doc):
     with pytest.raises(ValueError):
         theory_from_json(doc)
     assert cli.run(["theory", "--theory", str(path)]) == 2
+
+
+@pytest.mark.parametrize("dim,unit,generators", [
+    (True, [1], [[1]]), (1.0, [1], [[1]]),
+    ("3", [1, 0, 0], [[1, 0, 0], [1, 1, 0], [1, 0, 1]]),
+], ids=["bool", "float", "string"])
+def test_a_theory_dim_must_be_an_integer(tmp_path, capsys, dim, unit, generators):
+    # The first two would load as dimension 1 if dim were only compared with !=.
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"name": "t", "dim": dim, "unit": unit,
+                                "generators": generators}))
+    assert cli.run(["theory", "--theory", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: malformed theory JSON")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polygpt import exactlog
 from polygpt.exactlog import (PrecisionError, certain_floor, floor_of_log2_squared,
                               floor_of_ratio_to_log2, log2_bounds, log2_value,
                               power_of_two_exponent)
@@ -66,9 +67,12 @@ def test_floor_of_ratio_values():
         floor_of_ratio_to_log2(F(1), F(1))
 
 
-def test_ambiguity_raises_instead_of_guessing():
+def test_ambiguity_raises_instead_of_guessing(monkeypatch):
+    monkeypatch.setattr(exactlog, "MAX_BITS", 1)
     with pytest.raises(PrecisionError):
-        floor_of_log2_squared(F(10), max_bits=1)
+        floor_of_log2_squared(F(10))
+    with pytest.raises(PrecisionError):
+        floor_of_ratio_to_log2(F(96), F(16, 3))
 
 
 def test_log2_value_precision():

@@ -121,11 +121,13 @@ def test_dantzig_pricing_keeps_every_pair_verdict(monkeypatch, theory):
         assert abs(a.success.p_success - b.success.p_success) <= theory.tol
 
 
-@pytest.mark.parametrize("forge", ["double", "flip"])
+@pytest.mark.parametrize("forge", ["double", "flip", "scale"])
 def test_forged_dual_is_not_certified(monkeypatch, forge):
     # The largest multiplier on a <= row, doubled or with its sign flipped
     # (then zeroed as a wrong sign), no longer bounds the pentagon's
-    # adjacent pair below 1; the decision falls back to two verdicts.
+    # adjacent pair below 1; every multiplier scaled by 1.001 still bounds
+    # it below 1 - CLEAR_GAP, but no longer combines the rows to zero, so
+    # it is no Farkas certificate. Each decision falls back to two verdicts.
     theory = ngon_theory(5)
     states = tuple(theory.generators[:2])
     split = theory.num_generators
@@ -136,7 +138,8 @@ def test_forged_dual_is_not_certified(monkeypatch, forge):
         y = list(result.multipliers)
         k = max(range(split, len(y)), key=lambda i: abs(y[i]))
         y[k] = 2 * y[k] if forge == "double" else -y[k]
-        return replace(result, multipliers=tuple(y))
+        scaled = [1.001 * v for v in result.multipliers]
+        return replace(result, multipliers=tuple(scaled if forge == "scale" else y))
 
     bounds, verdicts = [], []
     bound, verdict = discrimination._success_bound, discrimination._verdict
@@ -146,12 +149,23 @@ def test_forged_dual_is_not_certified(monkeypatch, forge):
     monkeypatch.setattr(discrimination, "_verdict",
                         lambda *args: verdicts.append(args[1]) or verdict(*args))
     answer = is_perfectly_distinguishable(theory, states, validate=False)
-    assert len(bounds) == 1 and bounds[0] > 1 - F(CLEAR_GAP)
+    assert len(bounds) == 1 and (bounds[0] > 1 - F(CLEAR_GAP)) == (forge != "scale")
     assert verdicts == [states, states[::-1]]
     prob = discrimination._feasibility_problem(theory, states)
     expected = reference_float_distinguishable(theory, states, prob)
     assert not answer.distinguishable
     assert (answer.certificate, answer.problem) == (expected.certificate, expected.problem)
+
+
+def test_no_clear_verdict_is_numerically_ambiguous(monkeypatch):
+    # With no delta-condition clear, neither the optimum nor either
+    # feasibility verdict accepts the pentagon's distant pair, and none
+    # refuses it: the answer is refused as ambiguous, not guessed.
+    theory = ngon_theory(5)
+    states = (theory.generators[0], theory.generators[2])
+    monkeypatch.setattr(discrimination, "_clear", lambda *args: False)
+    with pytest.raises(discrimination.IndeterminateError, match="numerically ambiguous"):
+        is_perfectly_distinguishable(theory, states, validate=False)
 
 
 def test_wrong_sign_multipliers_are_zeroed(monkeypatch):

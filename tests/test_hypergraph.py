@@ -9,7 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_planar_theory, reference_exact_max_clique, reference_greedy_max_clique
+from conftest import (plain_verify_witness, random_planar_theory, reference_exact_max_clique,
+                      reference_greedy_max_clique)
 from polygpt import discrimination, hypergraph, lp
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.families import (classical_simplex, hypercube_symmetries, hypercube_theory,
@@ -571,8 +572,8 @@ def extrapolations(theory, indices, moved):
 def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, hint):
     # Every orbit member's moved evidence, along the family's generators or
     # a false hint, its corruptions and its extrapolations: the integer
-    # re-check answers as verify_witness or exact lp.verify_farkas does on
-    # the same evidence in Fractions.
+    # re-check answers as the plain Fraction formula of a witness, or exact
+    # lp.verify_farkas, does on the same evidence in Fractions.
     family = parse_family_spec(spec)
     theory = family.build()
     perms = family.symmetries() if hint is None else (hint,)
@@ -588,7 +589,7 @@ def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, h
             for candidate in (moved, *corruptions(moved),
                               *extrapolations(theory, indices, moved)):
                 fractions = candidate.fractions()
-                expected = (discrimination.verify_witness(theory, states, fractions)
+                expected = (plain_verify_witness(theory, states, fractions)
                             if candidate.witness else lp.verify_farkas(
                                 discrimination._feasibility_problem(theory, states), fractions))
                 assert discrimination._rechecks(theory, indices, candidate) == expected
@@ -611,6 +612,7 @@ def test_the_witness_recheck_bounds_every_effect(last, expected):
     meas = discrimination.Measurement(tuple(effects))
     scaled = discrimination.scale_evidence(meas)
     states = tetrahedron.generators[:3]
+    assert plain_verify_witness(tetrahedron, states, meas) == expected
     assert discrimination.verify_witness(tetrahedron, states, meas) == expected
     assert discrimination._rechecks(tetrahedron, (0, 1, 2), scaled) == expected
 

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import boxed_random_lp, random_lifted_theory
+from conftest import (boxed_random_lp, plain_dot, plain_is_effect, plain_is_measurement,
+                      plain_verify_witness, random_lifted_theory)
 from polygpt import lp, simplex
 from polygpt.capacity import verify_hypercube_memory
 from polygpt.discrimination import is_perfectly_distinguishable, verify_witness
@@ -23,10 +24,6 @@ from polygpt.theory import (Measurement, conic_weights, convex_weights, is_effec
 # Perturbations: one step of a small denominator, and one far below any
 # coordinate's own denominator.
 STEPS = (F(1, 7), F(-1, 7), F(1, 10 ** 12), F(-1, 10 ** 12))
-
-
-def plain_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 # --- the plain Fraction formulas ----------------------------------------------
@@ -50,21 +47,6 @@ def plain_verify_farkas(prob, y):
     if any(plain_dot(y, col) != 0 for col in zip(*rows)):
         return False
     return plain_dot(y, [rhs for _, _, rhs in prob.constraints]) < 0
-
-
-def plain_is_effect(t, e):
-    return all(0 <= plain_dot(e, g) <= 1 for g in t.generators)
-
-
-def plain_is_measurement(t, m):
-    total = tuple(sum(col) for col in zip(*m.effects))
-    return all(plain_is_effect(t, e) for e in m.effects) and total == t.unit
-
-
-def plain_verify_witness(t, states, m):
-    return (len(m.effects) == len(states) and plain_is_measurement(t, m)
-            and all(plain_dot(e, s) == (i == j) for i, e in enumerate(m.effects)
-                    for j, s in enumerate(states)))
 
 
 def plain_membership(vectors, target, affine, res):
