@@ -24,7 +24,7 @@ from .families import build_family, parse_family_spec
 from .fixtures import fixtures
 from .linalg import rat, rat_str
 from .parallel import usable_cpus as _default_workers
-from .simplex import Arith
+from .simplex import Arith, IndeterminateError
 from .theory import DEFAULT_TOL, EXACT, FLOAT, load_theory, make_theory, \
     reduce_to_pure_states, save_json, theory_from_json, theory_to_json, validate_theory, \
     write_json
@@ -176,8 +176,6 @@ def cmd_distinguish(args):
         # A float verdict has solved the same uniform-prior optimum already.
         result = answer.success or discrimination.max_success_probability(
             discrimination.instance(theory, states, validate=False))
-    except discrimination.IndeterminateError as exc:
-        raise DomainError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = {
@@ -206,8 +204,6 @@ def cmd_psuccess(args):
     try:
         inst = discrimination.instance(theory, states, priors, validate=False)
         result = discrimination.max_success_probability(inst)
-    except discrimination.IndeterminateError as exc:
-        raise DomainError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     doc = {
@@ -232,7 +228,7 @@ def _build_hypergraph(args):
     try:
         return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
                                            cache_dir=cache_dir, symmetries=symmetries)
-    except (ValueError, discrimination.IndeterminateError) as exc:
+    except ValueError as exc:
         raise DomainError(str(exc)) from exc
     except OSError as exc:  # the cache directory cannot be written
         raise UsageError(str(exc)) from exc
@@ -313,7 +309,7 @@ def cmd_random_construction(args):
         report = capacity.randomized_search(
             args.N, m=args.m, trials=args.trials, seed=args.seed,
             q=args.q, l=args.l, m_codewords=args.M, workers=args.workers)
-    except (ValueError, PrecisionError) as exc:
+    except ValueError as exc:
         raise DomainError(str(exc)) from exc
     doc = {
         "N": report.n_arity,
@@ -340,6 +336,8 @@ def cmd_dg_check(args):
     try:
         with open(args.points) as fh:
             raw = json.load(fh)
+        if type(raw) is not list or not all(type(p) is list for p in raw):
+            raise TypeError("points must be a list of coordinate lists")
         points = [[rat(v) for v in p] for p in raw]
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed points file: {exc}") from exc
@@ -484,9 +482,10 @@ def run(argv=None) -> int:
         if getattr(args, "node_budget", 0) < 0:
             raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
         return args.func(args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, IndeterminateError, PrecisionError) as exc:
+        # Undecided at the float tolerance or at exactlog.MAX_BITS: a domain failure.
         print(f"polygpt: error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", 1)
 
 
 def main() -> None:

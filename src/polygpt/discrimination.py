@@ -20,17 +20,13 @@ from typing import Optional, Sequence
 
 from . import lp
 from .linalg import dot, integer_rows
+from .simplex import IndeterminateError
 from .theory import EXACT, Measurement, Theory, is_state, responds
 
 # Float-mode bands: answers whose delta-conditions land inside the gray
 # zone are re-solved from a perturbed start and, failing that, refused.
 CLEAR_RESIDUAL = 1e-7
 CLEAR_GAP = 1e-6
-
-
-class IndeterminateError(RuntimeError):
-    """A float-mode answer sat on the feasibility boundary after re-solving,
-    or a float LP stalled."""
 
 
 @dataclass(frozen=True)
@@ -143,11 +139,11 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
                                     Measurement((theory.unit,)), True)
     prob, offset = success_probability_problem(inst)
     out = _solve(theory, prob)
-    if out.status == lp.LPStatus.STALLED and theory.numeric_mode != EXACT:
-        raise IndeterminateError("the success-probability LP did not converge at this tolerance")
     if out.status != lp.LPStatus.OPTIMAL:
         # (u, 0, ..., 0) is always feasible and the objective is capped by 1.
-        raise RuntimeError(f"discrimination LP reported {out.status} (internal bug)")
+        if theory.numeric_mode == EXACT:
+            raise RuntimeError(f"discrimination LP reported {out.status} (internal bug)")
+        raise IndeterminateError("the success-probability LP did not converge at this tolerance")
     p = out.value + offset
     meas = _assemble_measurement(theory, out.solution, n)
     if theory.numeric_mode == EXACT:
@@ -175,15 +171,11 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
 class ScaledEvidence:
     """Evidence over integers: a witness's effect i is rows[i] / den, a
     Farkas vector is rows[0] / den. Moves and re-checks run on these
-    integers; fractions() builds the Fraction form for a caller that asks."""
+    integers."""
 
     witness: bool
     rows: tuple
     den: int
-
-    def fractions(self):
-        values = tuple(tuple(Fraction(v, self.den) for v in row) for row in self.rows)
-        return Measurement(values) if self.witness else values[0]
 
 
 def scale_evidence(evidence) -> ScaledEvidence:
@@ -249,7 +241,7 @@ def _rechecks(theory: Theory, indices, evidence: ScaledEvidence) -> bool:
     that order, on theory.generator_rows G_k = d * g_k. A witness goes
     through theory.responds, as verify_witness does. A Farkas vector y is
     checked condition for condition as exact lp.verify_farkas checks
-    evidence.fractions() on _feasibility_problem, scaled by the positive
+    evidence's Fraction form on _feasibility_problem, scaled by the positive
     den: y <= 0 on the N - 1 blocks of >= rows and y >= 0 on the block of
     <= rows (the shared block); for each block i,
     sum_k (y_ik + y_shared,k) G_k + y_state_i G_{indices[i]}

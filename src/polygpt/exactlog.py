@@ -44,10 +44,8 @@ def log2_bounds(x: Fraction, bits: int = 64) -> Tuple[Fraction, Fraction]:
         return Fraction(exp), Fraction(exp)
 
     k = x.numerator.bit_length() - x.denominator.bit_length()
-    while x < Fraction(2) ** k:
+    if x < Fraction(2) ** k:  # bit lengths give 2**(k-1) < x < 2**(k+1)
         k -= 1
-    while x >= Fraction(2) ** (k + 1):
-        k += 1
 
     guard = bits + 32
     scale = 1 << guard

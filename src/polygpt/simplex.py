@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import dot, integer_rows, solve_square
+from .linalg import dot, integer_rows, solve_columns, solve_square
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -44,6 +44,10 @@ STALLED = "stalled"
 GUIDE_TOL = 1e-9
 MAX_ITERATIONS = 50_000  # pivots per phase; a float run that needs more has stalled
 DEFAULT_TOL = 1e-9  # float-mode tolerance unless a theory carries another
+
+
+class IndeterminateError(RuntimeError):
+    """A float computation could not decide at its tolerance."""
 
 
 class Arith:
@@ -108,7 +112,7 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
             res = _certify_basis(costs, rows, rhs, *guide)
             if res is not None:
                 return res
-    return _bland(costs, rows, rhs, arith, MAX_ITERATIONS)[0]
+    return _bland(costs, rows, rhs, arith)[0]
 
 
 def _float_guide(costs, rows, rhs):
@@ -120,7 +124,7 @@ def _float_guide(costs, rows, rhs):
         frhs = [float(b) for b in rhs]
     except OverflowError:
         return None
-    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL), MAX_ITERATIONS)
+    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL))
     if res.status == STALLED:
         return None
     return res.status, basis, entering
@@ -167,7 +171,9 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         return StandardResult(INFEASIBLE, farkas=tuple(
             Fraction(v * d, den) for v in y))
 
-    level = solve_square(bmat, b)
+    # One elimination gives the levels and, for a ray, the entering column's step.
+    solved = solve_columns(bmat, [b, column(entering)] if status == UNBOUNDED else [b])
+    level = solved and solved[0]
     # Artificials may stay basic on redundant rows, but only at level zero.
     if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
         return None
@@ -178,8 +184,8 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
             x[j] = v
 
     if status == UNBOUNDED:
-        step = solve_square(bmat, column(entering))
-        if step is None or any((v > 0) if j < n else (v != 0) for j, v in zip(basis, step)):
+        step = solved[1]
+        if any((v > 0) if j < n else (v != 0) for j, v in zip(basis, step)):
             return None
         ray = [zero] * n
         ray[entering] = Fraction(1)
@@ -202,7 +208,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         Fraction(v * d, den * cost_den) for v in y))
 
 
-def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
+def _bland(costs, rows, rhs, arith: Arith):
     """The two-phase simplex loop, priced as the module docstring says:
     (result, final basis, entering column when unbounded)."""
     n = len(costs)
@@ -282,7 +288,7 @@ def _bland(costs, rows, rhs, arith: Arith, max_iterations: int):
                 return UNBOUNDED, col
             pivot(r, col)
             iters += 1
-            if iters > max_iterations:
+            if iters > MAX_ITERATIONS:
                 if arith.exact:
                     # Bland's rule terminates on exact data; running out of
                     # budget means a bug, not a hard instance.

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import simplex
 from .linalg import dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_columns, unit_vector
-from .simplex import DEFAULT_TOL, Arith
+from .simplex import DEFAULT_TOL, Arith, IndeterminateError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -157,7 +157,7 @@ def _combination_weights(vectors, target, arith: Arith):
     rhs = [row.pop() for row in rows]
     res = simplex.solve_standard_min([0] * len(vectors), rows, rhs, arith=arith)
     if res.status == simplex.STALLED:
-        raise ArithmeticError("membership LP stalled in float mode")
+        raise IndeterminateError("membership LP stalled in float mode")
     # Certificate rule, in integers: d * x solves or d * y refutes (zero costs: never UNBOUNDED).
     if arith.exact:
         (v,), d = integer_rows([res.x or res.farkas])
@@ -249,6 +249,8 @@ def reduce_to_pure_states(t: Theory) -> Theory:
         others = unique[:i] + unique[i + 1:]
         if not others or _combination_weights(others, g, arith) is None:
             keep.append(g)
+    if not keep:  # each in the others' cone within tol: only float round-off can land here
+        raise IndeterminateError("no generator is extreme at this tolerance")
     return replace(t, generators=tuple(keep))
 
 
@@ -269,6 +271,10 @@ def theory_to_json(t: Theory) -> dict:
 def theory_from_json(doc: dict) -> Theory:
     try:
         mode = doc.get("numeric_mode", EXACT)
+        if type(doc["name"]) is not str:
+            raise TypeError(f"name must be a string, got {doc['name']!r}")
+        if not all(type(v) is list for v in (doc["unit"], doc["generators"], *doc["generators"])):
+            raise TypeError("unit, generators and each generator must be lists")
         t = make_theory(doc["name"], doc["unit"], doc["generators"], numeric_mode=mode)
         dim = doc["dim"]
         if type(dim) is not int:  # no float, str or bool

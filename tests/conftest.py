@@ -231,7 +231,27 @@ def brute_force_optimum(prob):
     return best
 
 
+def evidence_fractions(evidence):
+    """The Fraction form of discrimination.ScaledEvidence: a Measurement
+    for a witness, a tuple for a Farkas vector."""
+    values = tuple(tuple(Fraction(v, evidence.den) for v in row) for row in evidence.rows)
+    return discrimination.Measurement(values) if evidence.witness else values[0]
+
+
 # --- exact simplex paths -----------------------------------------------------
+
+# The regular 11-gon, vertex k at (cos, sin)(2 pi k / 11) rounded with
+# Fraction.limit_denominator(1000), as an exact theory file. Its integer-scaled
+# rows reach about 10^17, beyond what the float guide's absolute tolerance can
+# pivot on, so every guide stalls (ROADMAP item 8). Written out as "p/q"
+# literals, so no platform's cos and sin enter.
+ROUNDED_11GON = {"name": "ngon-11-rounded", "dim": 3, "unit": [1, 0, 0], "generators": [
+    [1, x, y] for x, y in (
+        ("1", "0"), ("832/989", "439/812"), ("415/999", "765/841"), ("-75/527", "389/393"),
+        ("-647/988", "690/913"), ("-379/395", "91/323"), ("-379/395", "-91/323"),
+        ("-647/988", "-690/913"), ("-75/527", "-389/393"), ("415/999", "-765/841"),
+        ("832/989", "-439/812"))]}
+
 
 @contextlib.contextmanager
 def plain_bland():
@@ -249,10 +269,10 @@ def exact_bland_runs():
     runs = []
     bland = simplex._bland
 
-    def counted(costs, rows, rhs, arith, max_iterations):
+    def counted(costs, rows, rhs, arith):
         if arith.exact:
             runs.append(len(rows))
-        return bland(costs, rows, rhs, arith, max_iterations)
+        return bland(costs, rows, rhs, arith)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_bland", counted)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polygpt import capacity, cli, discrimination, lp, parallel
+from polygpt import capacity, cli, discrimination, exactlog, lp, parallel
 from polygpt.capacity import failure_probability_bound
 from polygpt.families import hypercube_theory, ngon_theory
 from polygpt.fixtures import fixtures
@@ -140,13 +140,34 @@ def test_unwritable_paths_are_usage_errors(tmp_path, capsys, argv):
     ["psuccess", "--family", "ngon:n=5", "--states", "0,1", "--tol", "1e-300"],
     ["hypergraph", "--family", "ngon:n=5", "--N", "2", "--tol", "0.5", "--workers", "2"],
     ["maxclique", "--family", "ngon:n=5", "--N", "2", "--tol", "0.5", "--workers", "2"],
-], ids=["distinguish", "psuccess", "hypergraph", "maxclique"])
+    # The membership LP of the pure-state reduction stalls.
+    ["hypergraph", "--family", "ngon:n=5", "--N", "2", "--workers", "1", "--tol", "1"],
+    # Every generator lies in the others' cone within tol: none is kept.
+    ["maxclique", "--family", "ngon:n=16", "--N", "2", "--workers", "2", "--tol", "0.3"],
+    # The success-probability LP ends INFEASIBLE, then UNBOUNDED, in floats.
+    ["hypergraph", "--family", "hypercube:m=3", "--N", "3", "--workers", "1", "--tol", "0.5",
+     "--backend", "float"],
+    ["psuccess", "--family", "simplex-power:q=2,l=2", "--states", "0,1", "--priors", "1/3,2/3",
+     "--tol", "1e-300", "--backend", "float"],
+], ids=["distinguish", "psuccess", "hypergraph", "maxclique", "reduction-stalls",
+        "reduction-keeps-nothing", "success-lp-infeasible", "success-lp-unbounded"])
 def test_a_stalled_float_lp_is_a_domain_error(tmp_path, capsys, argv):
-    # Tolerances this far from the default stall the float simplex.
+    # Tolerances this far from the default leave a float computation undecided.
     assert cli.run(argv + ["--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polygpt: error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_an_ambiguous_floor_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    # At a 1-bit cap no floor of a log is certain: exactlog.PrecisionError.
+    monkeypatch.setattr(exactlog, "MAX_BITS", 1)
+    out = tmp_path / "out.json"
+    assert cli.run(["random-construction", "--N", "2", "--m", "3", "--trials", "1",
+                    "--workers", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ") and "ambiguous" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("unit,generators", [
@@ -375,14 +396,31 @@ def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):
                                  {"name": "b", "dim": 2, "unit": [1, 0], "numeric_mode": "float",
                                   "generators": [[1, 0], [1, True]]},
                                  {"name": "z", "dim": 2, "unit": [1, 0],
-                                  "generators": [[1, 0], [1, "1/0"]]}],
-                         ids=["list", "no-dim", "booleans", "float-booleans", "zero-denominator"])
-def test_malformed_theory_file_is_a_usage_error(tmp_path, doc):
+                                  "generators": [[1, 0], [1, "1/0"]]},
+                                 # Strings and objects where JSON lists belong would be
+                                 # read through their characters or keys.
+                                 {"name": "s", "dim": 2, "unit": "11", "generators": ["10", "01"]},
+                                 {"name": "s", "dim": 2, "unit": [1, 1],
+                                  "generators": [[1, 0], "01"]},
+                                 {"name": "s", "dim": 2, "unit": {"1": 0, "1/1": 0},
+                                  "generators": [{"1": 0, "0": 0}, {"0": 0, "1": 0}]},
+                                 {"name": "s", "dim": 2, "unit": [1, 1],
+                                  "generators": {"10": [1, 0], "01": [0, 1]}},
+                                 {"name": ["x"], "dim": 2, "unit": [1, 1],
+                                  "generators": [[1, 0], [0, 1]]},
+                                 {"name": 7, "dim": 2, "unit": [1, 1],
+                                  "generators": [[1, 0], [0, 1]]}],
+                         ids=["list", "no-dim", "booleans", "float-booleans", "zero-denominator",
+                              "strings", "string-generator", "objects", "generators-object",
+                              "list-name", "number-name"])
+def test_malformed_theory_file_is_a_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "theory.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         theory_from_json(doc)
     assert cli.run(["theory", "--theory", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: malformed theory JSON")
 
 
 @pytest.mark.parametrize("dim,unit,generators", [
@@ -397,6 +435,17 @@ def test_a_theory_dim_must_be_an_integer(tmp_path, capsys, dim, unit, generators
     assert cli.run(["theory", "--theory", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("polygpt: error: malformed theory JSON")
+
+
+@pytest.mark.parametrize("points", [
+    ["00", "10", "01"], {"00": 0, "10": 0, "01": 0}, [{"0": 0, "1": 0}, [1, 0], [0, 1]],
+], ids=["strings", "object", "object-point"])
+def test_a_points_file_holds_lists_where_lists_belong(tmp_path, capsys, points):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    assert cli.run(["dg-check", "--points", str(pts)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: malformed points file")
 
 
 @pytest.mark.parametrize("argv", [

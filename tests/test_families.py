@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import SYMMETRIC_FAMILIES, float_ngon, invert, mat_vec, prism_pair_index
+from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, float_ngon, invert, mat_vec,
+                      prism_pair_index)
 from polygpt import cli, discrimination, hypergraph
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
@@ -244,7 +245,7 @@ def test_every_supplied_symmetry_is_proven(spec):
         assert all(mat_vec(a, g) == gens[p] for g, p in zip(gens, perm))
         a_inverse = invert(a)
         moved = discrimination._moved_witness(theory, discrimination.scale_evidence(witness), perm)
-        assert moved.fractions().effects == tuple(
+        assert evidence_fractions(moved).effects == tuple(
             tuple(dot(e, col) for col in zip(*a_inverse)) for e in witness.effects)
 
 

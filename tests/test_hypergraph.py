@@ -9,8 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (plain_verify_witness, random_planar_theory, reference_exact_max_clique,
-                      reference_greedy_max_clique)
+from conftest import (evidence_fractions, plain_verify_witness, random_planar_theory,
+                      reference_exact_max_clique, reference_greedy_max_clique)
 from polygpt import discrimination, hypergraph, lp
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.families import (classical_simplex, hypercube_symmetries, hypercube_theory,
@@ -440,7 +440,7 @@ def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
             moved = discrimination.moved_evidence(theory, image, scaled, perm)
             assert moved is not None
             back = discrimination.moved_evidence(theory, subset, moved, inverse)
-            assert back.fractions() == evidence
+            assert evidence_fractions(back) == evidence
     assert reordered > 0
 
 
@@ -588,7 +588,7 @@ def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, h
             moved = discrimination._moved(theory, scaled, perm)
             for candidate in (moved, *corruptions(moved),
                               *extrapolations(theory, indices, moved)):
-                fractions = candidate.fractions()
+                fractions = evidence_fractions(candidate)
                 expected = (plain_verify_witness(theory, states, fractions)
                             if candidate.witness else lp.verify_farkas(
                                 discrimination._feasibility_problem(theory, states), fractions))

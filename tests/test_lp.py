@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boxed_random_lp, brute_force_optimum, exact_bland_runs, plain_bland,
-                      random_lifted_theory, random_rational)
+from conftest import (ROUNDED_11GON, boxed_random_lp, brute_force_optimum, exact_bland_runs,
+                      plain_bland, random_lifted_theory, random_rational)
 from polygpt import discrimination, lp, simplex
 from polygpt.families import hypercube_theory, ngon_theory
-from polygpt.theory import FLOAT, make_theory
+from polygpt.simplex import IndeterminateError
+from polygpt.theory import FLOAT, is_state, make_theory, reduce_to_pure_states, theory_from_json
 
 
 def test_single_bound():
@@ -287,7 +288,7 @@ def test_basis_certification_accepts_only_true_reports():
     for seed in range(40):
         costs, rows, rhs = _standard_form(seed)
         m, n = len(rows), len(costs)
-        truth = simplex._bland(costs, rows, rhs, simplex.Arith(), 1000)[0]
+        truth = simplex._bland(costs, rows, rhs, simplex.Arith())[0]
 
         def col(j):
             return [row[j] for row in rows]
@@ -317,3 +318,68 @@ def test_basis_certification_accepts_only_true_reports():
                                for j in range(n))
                     assert sum(y * b for y, b in zip(res.farkas, rhs)) > 0
     assert accepted == {simplex.OPTIMAL, simplex.UNBOUNDED, simplex.INFEASIBLE}
+
+
+def test_a_stalled_guide_falls_back_to_exact_bland(monkeypatch):
+    # ROADMAP item 8: every pair decision on the rounded 11-gon stalls its
+    # float guide, and exact Bland, run cold, gives the answers.
+    theory = theory_from_json(ROUNDED_11GON)
+    pairs = [[theory.generators[i], theory.generators[j]]
+             for i, j in itertools.combinations(range(theory.num_generators), 2)]
+    guide = simplex._float_guide
+    guides = []
+
+    def recorded(*args):
+        guides.append(guide(*args))
+        return guides[-1]
+
+    monkeypatch.setattr(simplex, "_float_guide", recorded)
+    with exact_bland_runs() as fallbacks:
+        guided = [discrimination.is_perfectly_distinguishable(theory, states, validate=False)
+                  for states in pairs]
+    assert len(guides) >= len(pairs) == 55
+    assert guides == [None] * len(guides) and len(fallbacks) == len(guides)
+    with plain_bland():
+        plain = [discrimination.is_perfectly_distinguishable(theory, states, validate=False)
+                 for states in pairs]
+    assert guided == plain
+    assert sum(answer.distinguishable for answer in guided) == 11
+
+
+# min -2 x3 - 3 x4 - 3 x5 over 3 x1 + x2 + 2 x3 + 2 x4 = 3, x1 + x3 + 3 x4 + x5 = 2,
+# x >= 0: phase 1 takes two pivots, and phase 2, from the basis phase 1 ends on,
+# three more.
+_BUDGET_LP = ([0, 0, -2, -3, -3], [[3, 1, 2, 2, 0], [1, 0, 1, 3, 1]], [3, 2])
+
+
+def _budget_run(costs, budget, arith, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", budget)
+    return simplex.solve_standard_min(costs, _BUDGET_LP[1], _BUDGET_LP[2], arith)
+
+
+def test_float_runs_stall_past_the_budget_in_either_phase(monkeypatch):
+    costs, zero = _BUDGET_LP[0], [0] * len(_BUDGET_LP[0])
+    arith = simplex.Arith(1e-9)
+    assert _budget_run(costs, 10, arith, monkeypatch).status == simplex.OPTIMAL
+    # Phase 1 reads no costs: a stall with zero costs is a phase-1 stall.
+    assert _budget_run(zero, 1, arith, monkeypatch).status == simplex.STALLED
+    # Phase 1 fits this budget, so the stall with the true costs is in phase 2.
+    assert _budget_run(zero, 2, arith, monkeypatch).status == simplex.OPTIMAL
+    assert _budget_run(costs, 2, arith, monkeypatch).status == simplex.STALLED
+
+
+def test_an_exact_run_past_the_budget_is_a_bug(monkeypatch):
+    # The guide stalls too, so exact Bland runs, and it must never stall.
+    with pytest.raises(RuntimeError, match="exceeded its budget on exact data"):
+        _budget_run(_BUDGET_LP[0], 1, None, monkeypatch)
+
+
+def test_float_callers_of_a_stalled_run(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
+    prob = lp.problem([F(1), F(1)], [([F(1), F(2)], lp.LE, F(4)), ([F(3), F(1)], lp.LE, F(6))], 2)
+    assert lp.solve_float(prob).status == lp.LPStatus.STALLED
+    pentagon = ngon_theory(5)
+    with pytest.raises(IndeterminateError, match="membership LP stalled"):
+        is_state(pentagon, pentagon.generators[0])
+    with pytest.raises(IndeterminateError, match="membership LP stalled"):
+        reduce_to_pure_states(pentagon)
