@@ -19,7 +19,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
-from .linalg import dot, integer_rows
+from .linalg import dot, exact_integer_rows, integer_rows
 from .simplex import IndeterminateError
 from .theory import EXACT, Measurement, Theory, is_state, responds
 
@@ -88,20 +88,32 @@ class DistinguishabilityAnswer:
     success: Optional[DiscriminationResult] = None  # float mode: the uniform-prior optimum
 
 
-def _effect_rows(theory: Theory, n_states: int):
-    """Cone-membership rows over the stacked variables e_1..e_{N-1}."""
-    d = theory.dim
-    nvars = d * (n_states - 1)
-    rows = []
-    for i in range(n_states - 1):
-        for v in theory.generators:
-            row = [0] * nvars
-            row[i * d:(i + 1) * d] = list(v)
-            rows.append((row, lp.GE, 0))
-    for v in theory.generators:  # e_N = u - sum(e_i) stays in the dual cone
-        row = list(v) * (n_states - 1)
-        rows.append((row, lp.LE, 1))
-    return nvars, rows
+def _cone_rows(gens, n_states: int, top) -> tuple:
+    """Cone-membership rows over the stacked variables e_1..e_{N-1}:
+    e_i . g >= 0 for each i < N and generator g, then sum_i e_i . g <= top,
+    which keeps e_N = u - sum(e_i) in the dual cone when top = u . g."""
+    d = len(gens[0])
+    zeros = (0,) * (d * (n_states - 1))
+    rows = [(zeros[:i * d] + tuple(g) + zeros[(i + 1) * d:], lp.GE, 0)
+            for i in range(n_states - 1) for g in gens]
+    rows += [(tuple(g) * (n_states - 1), lp.LE, top) for g in gens]
+    return tuple(rows)
+
+
+def _generator_block(theory: Theory, n_states: int) -> lp.LPBlock:
+    """The cone-membership rows that lead every discrimination LP of N
+    states on the theory, built once per N and kept in theory.lp_blocks.
+    An exact theory's integer form is theory.generator_rows, d * g, placed
+    the same way, with the right-hand side 1 scaled to d."""
+    blocks = theory.lp_blocks
+    if n_states not in blocks:
+        integer = None
+        if theory.numeric_mode == EXACT:
+            gens, d = theory.generator_rows
+            integer = _cone_rows(gens, n_states, d), d
+        blocks[n_states] = lp.LPBlock(_cone_rows(theory.generators, n_states, 1),
+                                      theory.dim * (n_states - 1), integer)
+    return blocks[n_states]
 
 
 def _solve(theory: Theory, prob: lp.LPProblem) -> lp.LPOutcome:
@@ -122,13 +134,13 @@ def success_probability_problem(inst: DiscriminationInstance):
     offset), with p_success = offset + optimal value."""
     theory, states, priors = inst.theory, inst.states, inst.priors
     n = len(states)
-    nvars, rows = _effect_rows(theory, n)
+    block = _generator_block(theory, n)
     d = theory.dim
     objective = []
     for i in range(n - 1):
         objective.extend(priors[i] * states[i][j] - priors[n - 1] * states[n - 1][j]
                          for j in range(d))
-    return lp.problem(objective, rows, nvars), priors[n - 1]
+    return lp.problem(objective, (), block.num_vars, block), priors[n - 1]
 
 
 def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResult:
@@ -156,15 +168,14 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
 
 def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     n = len(states)
-    nvars, rows = _effect_rows(theory, n)
-    d = theory.dim
-    for i in range(n - 1):  # e_i . omega_i = 1
-        row = [0] * nvars
-        row[i * d:(i + 1) * d] = list(states[i])
-        rows.append((row, lp.EQ, 1))
-    # (u - sum e_i) . omega_N = 1  <=>  sum_i e_i . omega_N = 0
-    rows.append((list(states[n - 1]) * (n - 1), lp.EQ, 0))
-    return lp.problem([0] * nvars, rows, nvars)
+    block = _generator_block(theory, n)
+    nvars, d = block.num_vars, theory.dim
+    zeros = (0,) * nvars
+    # e_i . omega_i = 1, then (u - sum e_i) . omega_N = 1  <=>  sum_i e_i . omega_N = 0
+    rows = [(zeros[:i * d] + tuple(states[i]) + zeros[(i + 1) * d:], lp.EQ, 1)
+            for i in range(n - 1)]
+    rows.append((tuple(states[n - 1]) * (n - 1), lp.EQ, 0))
+    return lp.problem(zeros, rows, nvars, block)
 
 
 @dataclass(frozen=True)
@@ -377,18 +388,18 @@ def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
     if theory.basis_inverse is None:
         return None
     _, inverse, q = theory.basis_inverse
-    gens, d = theory.generator_rows
-    n, g = len(states), len(gens)
-    # ys = e * y and omegas = e * states as integers; gens = d * generators.
-    (ys, *omegas), e = integer_rows([[Fraction(v) for v in row] for row in (y, *states)])
+    d = theory.generator_rows[1]
+    n, g = len(states), theory.num_generators
+    # ys = e * y and omegas = e * states as integers; the columns of
+    # theory.generator_columns are those of d * generators.
+    (ys, *omegas), e = exact_integer_rows((y, *states))
     shared = ys[(n - 1) * g:]  # the <= rows, whose right-hand side is 1
-    columns = list(zip(*gens))
     positive = 0
     for i in range(n - 1):
         coeffs = [a + b for a, b in zip(ys[i * g:(i + 1) * g], shared)]
         # n * e * d * r_i = d * (omega_i - omega_N) - n * (e * d * (y A)_i)
-        r = [d * (a - b) - n * dot(coeffs, col)
-             for a, b, col in zip(omegas[i], omegas[-1], columns)]
+        r = [d * (a - b) - n * sum([coeffs[k] * c for k, c in column])
+             for a, b, column in zip(omegas[i], omegas[-1], theory.generator_columns)]
         positive += sum(max(dot(row, r), 0) for row in inverse)
     return Fraction(1, n) + Fraction(sum(shared), e) + Fraction(positive, q * n * e * d)
 

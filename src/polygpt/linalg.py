@@ -81,7 +81,7 @@ def pivot_columns(rows: Sequence[Sequence]) -> list:
     """Indices of the columns that are not combinations of the columns
     before them, read exactly: an int or a Fraction as it is, a float as
     the binary fraction it stores."""
-    return _eliminate(integer_rows([[Fraction(v) for v in row] for row in rows])[0])[0]
+    return _eliminate(exact_integer_rows(rows)[0])[0]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -121,10 +121,19 @@ def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
     return solutions
 
 
-def integer_rows(rows: Sequence[Sequence]):
-    """(integer rows, d): every int or Fraction entry times d > 0, their least common
-    denominator. The kernel of every exact check: signs and equalities stay."""
+def integer_rows(rows: Sequence[Sequence], den: int = 1):
+    """(integer rows, d): every int or Fraction entry times d > 0, the least common
+    multiple of den and their denominators. The kernel of every exact check:
+    signs and equalities stay."""
     # Unpack a list, not a generator: a tuple grown from a generator holds
     # on to more memory (measured as higher peak RSS in long runs).
-    den = math.lcm(*[v.denominator for row in rows for v in row])
+    den = math.lcm(den, *[v.denominator for row in rows for v in row])
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def exact_integer_rows(rows: Sequence[Sequence]):
+    """integer_rows of entries read exactly: an int or a Fraction as it is,
+    a float as the binary fraction it stores."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    den = math.lcm(*[q for row in ratios for _, q in row])
+    return [[p * (den // q) for p, q in row] for row in ratios], den

@@ -9,13 +9,15 @@ Internally every problem is dualized before hitting the simplex engine:
 the dual of a few-variables/many-rows problem has one equality row per
 primal variable, so the tableau basis stays as small as the problem's
 variable count (the discrimination programs are exactly this shape).
+A problem's leading constraints may be an ``LPBlock`` that many problems
+share; its part of the dual is built once and joined to each problem's own.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -36,36 +38,96 @@ class LPStatus(Enum):
     STALLED = "stalled"  # float backend only: numerical non-convergence
 
 
+def _check_rows(constraints, num_vars: int) -> None:
+    for row, rel, _ in constraints:
+        if len(row) != num_vars:
+            raise ValueError(f"constraint row has length {len(row)}, expected {num_vars}")
+        if rel not in _RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+
+
+class LPBlock:
+    """Leading constraints that many problems over the same variables
+    share. They are validated when the block is built, and dualized,
+    transposed and scaled to integers at most once, however many problems
+    they lead. integer_form, when given, must equal what LPProblem's
+    integer_form makes of these constraints alone."""
+
+    def __init__(self, constraints: tuple, num_vars: int, integer_form=None):
+        _check_rows(constraints, num_vars)
+        self.constraints = constraints
+        self.num_vars = num_vars
+        if integer_form is not None:  # fills the cached property below
+            self.__dict__["integer_form"] = integer_form
+
+    @functools.cached_property
+    def integer_form(self):
+        """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows)."""
+        return _integer_form(self.constraints)
+
+    @functools.cached_property
+    def dual(self):
+        """_dual of the constraints as given: the float solver's part."""
+        return _dual(self.constraints, self.num_vars)
+
+    @functools.cached_property
+    def integer_dual(self):
+        """_dual of integer_form: the exact solver's part."""
+        return _dual(self.integer_form[0], self.num_vars)
+
+
 @dataclass(frozen=True)
 class LPProblem:
-    """maximize objective . x  subject to  row . x REL rhs, x free."""
+    """maximize objective . x  subject to  row . x REL rhs, x free.
+
+    The constraints start with those of block, which other problems may
+    share; without a block, that block is empty."""
 
     objective: tuple
     constraints: tuple  # of (row, relation, rhs)
     num_vars: int
+    block: Optional[LPBlock] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be positive")
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length != num_vars")
-        for row, rel, _ in self.constraints:
-            if len(row) != self.num_vars:
-                raise ValueError(f"constraint row has length {len(row)}, expected {self.num_vars}")
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
+        if self.block is None:
+            object.__setattr__(self, "block", LPBlock((), self.num_vars))
+        shared = self.block.constraints
+        if self.block.num_vars != self.num_vars or self.constraints[:len(shared)] != shared:
+            raise ValueError("the constraints must start with the block's")
+        _check_rows(self.own_constraints, self.num_vars)
+
+    @property
+    def own_constraints(self) -> tuple:
+        """The constraints after the block's."""
+        return self.constraints[len(self.block.constraints):]
 
     @functools.cached_property
     def integer_form(self):
-        """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows)."""
-        rows, den = integer_rows([[*row, rhs] for row, _, rhs in self.constraints])
-        return tuple((tuple(r[:-1]), c[1], r[-1]) for r, c in zip(rows, self.constraints)), den
+        """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows).
+        The block's integer rows are reused, times k = d / (the block's d)."""
+        shared, block_den = self.block.integer_form
+        own, den = _integer_form(self.own_constraints, block_den)
+        k = den // block_den
+        if k != 1:
+            shared = tuple((tuple(v * k for v in row), rel, rhs * k) for row, rel, rhs in shared)
+        return shared + own, den
 
 
-def problem(objective: Sequence, constraints: Sequence, num_vars: int) -> LPProblem:
-    return LPProblem(tuple(objective),
-                     tuple((tuple(r), rel, b) for r, rel, b in constraints),
-                     num_vars)
+def _integer_form(constraints, den: int = 1):
+    rows, den = integer_rows([[*row, rhs] for row, _, rhs in constraints], den)
+    return tuple((tuple(r[:-1]), c[1], r[-1]) for r, c in zip(rows, constraints)), den
+
+
+def problem(objective: Sequence, constraints: Sequence, num_vars: int,
+            block: Optional[LPBlock] = None) -> LPProblem:
+    """The problem whose constraints are the block's, if any, then these."""
+    own = tuple((tuple(r), rel, b) for r, rel, b in constraints)
+    return LPProblem(tuple(objective), block.constraints + own if block else own,
+                     num_vars, block)
 
 
 @dataclass
@@ -79,24 +141,38 @@ class LPOutcome:
     multipliers: Optional[tuple] = None
 
 
-def _dual_columns(constraints):
-    """Columns of the dualized problem, one per primal row (split for =)."""
-    cols = []   # (coefficient vector over primal vars, cost)
-    backmap = []  # (row index, multiplier applied to recover certificate)
-    for i, (row, rel, rhs) in enumerate(constraints):
+def _dual(constraints, num_vars: int, start: int = 0):
+    """(costs, rows, backmap) of the dualized problem: one column per primal
+    row (split in two for =) with the row's rhs as its cost, rows[j] the
+    columns' entries for primal variable j, and backmap each column's (row
+    index, multiplier applied to recover a certificate), counting rows
+    from start."""
+    costs, columns, backmap = [], [], []
+    for i, (row, rel, rhs) in enumerate(constraints, start):
         for s in (1, -1) if rel == EQ else (1 if rel == LE else -1,):
-            cols.append((tuple(s * v for v in row), s * rhs))
+            columns.append(row if s == 1 else [-v for v in row])
+            costs.append(s * rhs)
             backmap.append((i, s))
-    return cols, backmap
+    return costs, list(zip(*columns)) if columns else [()] * num_vars, backmap
 
 
 def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     # Exact: rows times d (integer_form) keep x, value and certificates; rhs2 scales by d too.
-    n = prob.num_vars
-    constraints, den = prob.integer_form if arith.exact else (prob.constraints, 1)
-    cols, backmap = _dual_columns(constraints)
-    costs = [cost for _, cost in cols]
-    rows = [[col[j] for col, _ in cols] for j in range(n)]
+    # The block's dual columns come first, then the own constraints'.
+    n, start = prob.num_vars, len(prob.block.constraints)
+    if arith.exact:
+        constraints, den = prob.integer_form
+        own, k = constraints[start:], den // prob.block.integer_form[1]
+        costs, rows, backmap = prob.block.integer_dual
+        if k != 1:  # the own rows brought a new denominator
+            costs, rows = [c * k for c in costs], [tuple(v * k for v in r) for r in rows]
+    else:
+        own, den = prob.own_constraints, 1
+        costs, rows, backmap = prob.block.dual
+    own_costs, own_rows, own_backmap = _dual(own, n, start)
+    costs, backmap = costs + own_costs, backmap + own_backmap
+    rows = [a + b for a, b in zip(rows, own_rows)]
+    num_rows = len(prob.constraints)
     res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith)
 
     if res.status == simplex.STALLED:
@@ -105,23 +181,23 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     if res.status == simplex.OPTIMAL:
         # Dual prices of the dualized problem are the primal solution, and
         # its solution gives the row multipliers (built for float solves only).
-        y = None if arith.exact else _certificate_from(res.x, backmap, len(prob.constraints))
+        y = None if arith.exact else _certificate_from(res.x, backmap, num_rows)
         return LPOutcome(LPStatus.OPTIMAL, value=res.value, solution=res.duals, multipliers=y)
 
     if res.status == simplex.UNBOUNDED:
         # An improving dual ray is a Farkas certificate for the primal.
-        cert = _certificate_from(res.ray, backmap, len(prob.constraints))
+        cert = _certificate_from(res.ray, backmap, num_rows)
         return LPOutcome(LPStatus.INFEASIBLE, infeasibility_certificate=cert)
 
     # Dual infeasible: primal is unbounded or infeasible. Search directly
     # for a Farkas certificate (a normalized improving ray).
-    rows2 = [r + [0] for r in rows] + [costs + [1]]
+    rows2 = [[*r, 0] for r in rows] + [costs + [1]]
     rhs2 = [0] * n + [-den]
-    res2 = simplex.solve_standard_min([0] * (len(cols) + 1), rows2, rhs2, arith=arith)
+    res2 = simplex.solve_standard_min([0] * (len(costs) + 1), rows2, rhs2, arith=arith)
     if res2.status == simplex.STALLED:
         return LPOutcome(LPStatus.STALLED)
     if res2.status == simplex.OPTIMAL:
-        cert = _certificate_from(res2.x, backmap, len(prob.constraints))
+        cert = _certificate_from(res2.x, backmap, num_rows)
         return LPOutcome(LPStatus.INFEASIBLE, infeasibility_certificate=cert)
     return LPOutcome(LPStatus.UNBOUNDED)
 

@@ -245,11 +245,10 @@ def _bland(costs, rows, rhs, arith: Arith):
                 f = tableau[i][col]
                 if not arith.is_zero(f):
                     tableau[i] = [v - f * w for v, w in zip(tableau[i], prow)]
-        for obj in (w_row, z_row):
+        for obj in (w_row, z_row):  # updated in place: the phases hold these lists
             f = obj[col]
             if not arith.is_zero(f):
-                for j in range(ncols + 1):
-                    obj[j] -= f * prow[j]
+                obj[:] = [v - f * w for v, w in zip(obj, prow)]
         basis[r] = col
 
     def bland_entering(obj):

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .linalg import dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_columns, unit_vector
+from .linalg import (dot, exact_integer_rows, integer_rows, pivot_columns, rat, rat_str, rank,
+                     solve_columns, unit_vector)
 from .simplex import DEFAULT_TOL, Arith, IndeterminateError
 
 EXACT = "exact"
@@ -59,10 +60,10 @@ class Theory:
 
     @functools.cached_property
     def generator_rows(self):
-        """integer_rows of the generators read exactly, a float as the binary
-        fraction it stores (Fraction(float) is exact), once per theory; not
-        a field, so == and the hash skip it."""
-        return integer_rows([[Fraction(v) for v in g] for g in self.generators])
+        """linalg.exact_integer_rows of the generators, a float read as the
+        binary fraction it stores, once per theory; not a field, so == and
+        the hash skip it."""
+        return exact_integer_rows(self.generators)
 
     @functools.cached_property
     def unit_row(self):
@@ -89,6 +90,21 @@ class Theory:
         transposed = list(zip(*([Fraction(v) for v in self.generators[k]] for k in basis)))
         inverse = solve_columns(transposed, [unit_vector(self.dim, k) for k in range(self.dim)])
         return (tuple(basis), *integer_rows(list(zip(*inverse))))
+
+    @functools.cached_property
+    def lp_blocks(self) -> dict:
+        """The constraint blocks that discrimination's LPs share, keyed by
+        the number of states and filled on first use. Cached like
+        generator_rows, and left out of a pickle (__getstate__)."""
+        return {}
+
+    def __getstate__(self):
+        # A pool worker receives the theory with every chunk of work, and
+        # building the one block its chunk needs takes less time than
+        # pickling and unpickling the parent's blocks with each chunk.
+        state = dict(self.__dict__)
+        state.pop("lp_blocks", None)
+        return state
 
     @property
     def num_generators(self) -> int:

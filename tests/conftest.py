@@ -238,6 +238,46 @@ def evidence_fractions(evidence):
     return discrimination.Measurement(values) if evidence.witness else values[0]
 
 
+# --- discrimination LPs built row by row ------------------------------------
+
+def reference_effect_rows(theory, n_states):
+    """The cone-membership rows over e_1..e_{N-1}, each row built fresh for
+    one problem: e_i . g >= 0 block by block, then sum_i e_i . g <= 1."""
+    d = theory.dim
+    nvars = d * (n_states - 1)
+    rows = []
+    for i in range(n_states - 1):
+        for v in theory.generators:
+            row = [0] * nvars
+            row[i * d:(i + 1) * d] = list(v)
+            rows.append((row, lp.GE, 0))
+    for v in theory.generators:
+        rows.append((list(v) * (n_states - 1), lp.LE, 1))
+    return nvars, rows
+
+
+def reference_feasibility_problem(theory, states):
+    """discrimination._feasibility_problem with no shared block."""
+    n = len(states)
+    nvars, rows = reference_effect_rows(theory, n)
+    d = theory.dim
+    for i in range(n - 1):
+        row = [0] * nvars
+        row[i * d:(i + 1) * d] = list(states[i])
+        rows.append((row, lp.EQ, 1))
+    rows.append((list(states[n - 1]) * (n - 1), lp.EQ, 0))
+    return lp.problem([0] * nvars, rows, nvars)
+
+
+def reference_success_problem(theory, states, priors):
+    """discrimination.success_probability_problem's problem with no shared block."""
+    n = len(states)
+    nvars, rows = reference_effect_rows(theory, n)
+    objective = [priors[i] * states[i][j] - priors[n - 1] * states[n - 1][j]
+                 for i in range(n - 1) for j in range(theory.dim)]
+    return lp.problem(objective, rows, nvars)
+
+
 # --- exact simplex paths -----------------------------------------------------
 
 # The regular 11-gon, vertex k at (cos, sin)(2 pi k / 11) rounded with
