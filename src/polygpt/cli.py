@@ -6,7 +6,10 @@ Output is machine-readable JSON (or CSV for the capacity reports) and is
 byte-identical across runs for a fixed configuration and seed.
 
 Exit codes: 0 success, 1 domain failure, 2 usage error (an unreadable
-input or an unwritable output path among them).
+input or an unwritable output path among them). A value that a library
+call rejects (ValueError) means what its subcommand declares beside its
+func (rejects): a usage error for theory, distinguish, psuccess, dg-check
+and fixtures, a domain failure for the rest; run applies it.
 """
 
 from __future__ import annotations
@@ -171,13 +174,10 @@ def cmd_theory(args):
 
 def cmd_distinguish(args):
     theory, indices, states = _selected_states(args)
-    try:
-        answer = discrimination.is_perfectly_distinguishable(theory, states, validate=False)
-        # A float verdict has solved the same uniform-prior optimum already.
-        result = answer.success or discrimination.max_success_probability(
-            discrimination.instance(theory, states, validate=False))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    answer = discrimination.is_perfectly_distinguishable(theory, states, validate=False)
+    # A float verdict has solved the same uniform-prior optimum already.
+    result = answer.success or discrimination.max_success_probability(
+        discrimination.instance(theory, states, validate=False))
     doc = {
         "states": indices,
         "perfect": answer.distinguishable,
@@ -201,11 +201,8 @@ def cmd_psuccess(args):
         priors = _parse_priors(args.priors, theory.numeric_mode == EXACT)
         if len(priors) != len(states):
             raise UsageError("need as many priors as states")
-    try:
-        inst = discrimination.instance(theory, states, priors, validate=False)
-        result = discrimination.max_success_probability(inst)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    inst = discrimination.instance(theory, states, priors, validate=False)
+    result = discrimination.max_success_probability(inst)
     doc = {
         "states": indices,
         "priors": _vector_out(inst.priors),
@@ -228,8 +225,6 @@ def _build_hypergraph(args):
     try:
         return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
                                            cache_dir=cache_dir, symmetries=symmetries)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
     except OSError as exc:  # the cache directory cannot be written
         raise UsageError(str(exc)) from exc
 
@@ -250,13 +245,10 @@ def cmd_maxclique(args):
     method = args.method
     if method == "auto":
         method = "exact" if h.num_nodes <= args.node_budget else "greedy"
-    try:
-        if method == "exact":
-            clique = hypergraph.exact_max_clique(h, node_budget=args.node_budget)
-        else:
-            clique = hypergraph.greedy_max_clique(h)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    if method == "exact":
+        clique = hypergraph.exact_max_clique(h, node_budget=args.node_budget)
+    else:
+        clique = hypergraph.greedy_max_clique(h)
     doc = {
         "N": h.n_arity,
         "num_nodes": h.num_nodes,
@@ -271,10 +263,7 @@ def cmd_maxclique(args):
 
 
 def cmd_verify_hypercube(args):
-    try:
-        report = capacity.verify_hypercube_memory(args.m, workers=args.workers)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = capacity.verify_hypercube_memory(args.m, workers=args.workers)
     doc = {
         "N": report.n_arity,
         "m": report.m,
@@ -291,10 +280,7 @@ def cmd_verify_hypercube(args):
 def cmd_kappa(args):
     if args.N != 2:
         raise DomainError("closed-form compression factors are only known for N = 2")
-    try:
-        d = capacity.d_pairwise(args.m)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    d = capacity.d_pairwise(args.m)
     kappa = capacity.kappa_pairwise(args.m)
     doc = {"N": 2, "m": args.m, "d": d, "kappa": float(_fmt12(kappa))}
     _emit(doc, args, ("N", "m", "d", "kappa"))
@@ -305,12 +291,9 @@ def cmd_random_construction(args):
     explicit = [args.q, args.l, args.M]
     if any(v is not None for v in explicit) and not all(v is not None for v in explicit):
         raise UsageError("give all of --q, --l, --M or none of them")
-    try:
-        report = capacity.randomized_search(
-            args.N, m=args.m, trials=args.trials, seed=args.seed,
-            q=args.q, l=args.l, m_codewords=args.M, workers=args.workers)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = capacity.randomized_search(
+        args.N, m=args.m, trials=args.trials, seed=args.seed,
+        q=args.q, l=args.l, m_codewords=args.M, workers=args.workers)
     doc = {
         "N": report.n_arity,
         "m": report.m,
@@ -341,10 +324,7 @@ def cmd_dg_check(args):
         points = [[rat(v) for v in p] for p in raw]
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed points file: {exc}") from exc
-    try:
-        holds = capacity.danzer_grunbaum_check(points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    holds = capacity.danzer_grunbaum_check(points)
     _emit({"holds": holds, "num_points": len(points),
            "space_dimension": len(points[0]) if points else 0}, args)
     return 0
@@ -395,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("theory", help="validate a theory and emit canonical JSON")
     _add_source_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_theory)
+    p.set_defaults(func=cmd_theory, rejects=UsageError)
 
     p = subs.add_parser("distinguish", help="decide perfect distinguishability of a state set")
     _add_source_flags(p)
     _add_backend_flags(p)
     p.add_argument("--states", help="comma-separated pure-state indices, e.g. 0,3,5")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_distinguish)
+    p.set_defaults(func=cmd_distinguish, rejects=UsageError)
 
     p = subs.add_parser("psuccess", help="maximal discrimination success probability")
     _add_source_flags(p)
@@ -410,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", help="comma-separated pure-state indices")
     p.add_argument("--priors", help="comma-separated rationals, e.g. 3/10,7/10")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_psuccess)
+    p.set_defaults(func=cmd_psuccess, rejects=UsageError)
 
     p = subs.add_parser("hypergraph", help="build the N-distinguishability hypergraph")
     _add_source_flags(p)
@@ -419,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--cache-dir", help=f"on-disk cache (default: ${CACHE_ENV})")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_hypergraph)
+    p.set_defaults(func=cmd_hypergraph, rejects=DomainError)
 
     p = subs.add_parser("maxclique", help="largest N-wise mutually distinguishable set")
     _add_source_flags(p)
@@ -431,19 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--cache-dir", help=f"on-disk cache (default: ${CACHE_ENV})")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_maxclique)
+    p.set_defaults(func=cmd_maxclique, rejects=DomainError)
 
     p = subs.add_parser("verify-hypercube", help="verify all vertex pairs of the m-cube theory")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--workers", type=int, default=_default_workers())
     _add_output_flags(p, csv_ok=True)
-    p.set_defaults(func=cmd_verify_hypercube)
+    p.set_defaults(func=cmd_verify_hypercube, rejects=DomainError)
 
     p = subs.add_parser("kappa", help="pairwise compression factor")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--m", type=int, required=True)
     _add_output_flags(p, csv_ok=True)
-    p.set_defaults(func=cmd_kappa)
+    p.set_defaults(func=cmd_kappa, rejects=DomainError)
 
     p = subs.add_parser("random-construction", help="Monte Carlo over random codes vs the union bound")
     p.add_argument("--N", type=int, required=True)
@@ -455,17 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=_default_workers())
     _add_output_flags(p, csv_ok=True)
-    p.set_defaults(func=cmd_random_construction)
+    p.set_defaults(func=cmd_random_construction, rejects=DomainError)
 
     p = subs.add_parser("dg-check", help="parallel-supporting-hyperplanes check for a point set")
     p.add_argument("--points", required=True, help="JSON file: list of rational coordinate lists")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_dg_check)
+    p.set_defaults(func=cmd_dg_check, rejects=UsageError)
 
     p = subs.add_parser("fixtures", help="write the bundled fixtures as JSON files")
     p.add_argument("--out-dir", default="fixtures")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_fixtures)
+    p.set_defaults(func=cmd_fixtures, rejects=UsageError)
 
     return parser
 
@@ -482,9 +462,12 @@ def run(argv=None) -> int:
         if getattr(args, "node_budget", 0) < 0:
             raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
         return args.func(args)
-    except (UsageError, DomainError, IndeterminateError, PrecisionError) as exc:
-        # Undecided at the float tolerance or at exactlog.MAX_BITS: a domain failure.
+    except (UsageError, DomainError, ValueError, IndeterminateError, PrecisionError) as exc:
+        # A value a library call rejected means what the subcommand declares;
+        # undecided at the float tolerance or at exactlog.MAX_BITS: a domain failure.
         print(f"polygpt: error: {exc}", file=sys.stderr)
+        if isinstance(exc, ValueError):
+            return args.rejects.exit_code
         return getattr(exc, "exit_code", 1)
 
 

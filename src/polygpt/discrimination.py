@@ -19,7 +19,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
-from .linalg import dot, exact_integer_rows, integer_rows
+from .linalg import dot, integer_rows
 from .simplex import IndeterminateError
 from .theory import EXACT, Measurement, Theory, is_state, responds
 
@@ -88,31 +88,25 @@ class DistinguishabilityAnswer:
     success: Optional[DiscriminationResult] = None  # float mode: the uniform-prior optimum
 
 
-def _cone_rows(gens, n_states: int, top) -> tuple:
+def _cone_rows(gens, n_states: int) -> tuple:
     """Cone-membership rows over the stacked variables e_1..e_{N-1}:
-    e_i . g >= 0 for each i < N and generator g, then sum_i e_i . g <= top,
-    which keeps e_N = u - sum(e_i) in the dual cone when top = u . g."""
+    e_i . g >= 0 for each i < N and generator g, then sum_i e_i . g <= 1,
+    which keeps e_N = u - sum(e_i) in the dual cone, as u . g = 1."""
     d = len(gens[0])
     zeros = (0,) * (d * (n_states - 1))
     rows = [(zeros[:i * d] + tuple(g) + zeros[(i + 1) * d:], lp.GE, 0)
             for i in range(n_states - 1) for g in gens]
-    rows += [(tuple(g) * (n_states - 1), lp.LE, top) for g in gens]
+    rows += [(tuple(g) * (n_states - 1), lp.LE, 1) for g in gens]
     return tuple(rows)
 
 
 def _generator_block(theory: Theory, n_states: int) -> lp.LPBlock:
     """The cone-membership rows that lead every discrimination LP of N
-    states on the theory, built once per N and kept in theory.lp_blocks.
-    An exact theory's integer form is theory.generator_rows, d * g, placed
-    the same way, with the right-hand side 1 scaled to d."""
+    states on the theory, built once per N and kept in theory.lp_blocks."""
     blocks = theory.lp_blocks
     if n_states not in blocks:
-        integer = None
-        if theory.numeric_mode == EXACT:
-            gens, d = theory.generator_rows
-            integer = _cone_rows(gens, n_states, d), d
-        blocks[n_states] = lp.LPBlock(_cone_rows(theory.generators, n_states, 1),
-                                      theory.dim * (n_states - 1), integer)
+        blocks[n_states] = lp.LPBlock(_cone_rows(theory.generators, n_states),
+                                      theory.dim * (n_states - 1))
     return blocks[n_states]
 
 
@@ -392,7 +386,7 @@ def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
     n, g = len(states), theory.num_generators
     # ys = e * y and omegas = e * states as integers; the columns of
     # theory.generator_columns are those of d * generators.
-    (ys, *omegas), e = exact_integer_rows((y, *states))
+    (ys, *omegas), e = integer_rows((y, *states))
     shared = ys[(n - 1) * g:]  # the <= rows, whose right-hand side is 1
     positive = 0
     for i in range(n - 1):

@@ -2,8 +2,9 @@
 
 Coordinates are plain tuples. Exact-mode code uses ``fractions.Fraction``
 entries; float-mode theories reuse ``dot`` with ``float`` entries (Python's
-numeric protocols make the arithmetic generic), while ``rank`` and
-``pivot_columns`` read a float as the binary fraction it stores.
+numeric protocols make the arithmetic generic), while ``integer_rows``, and
+with it every routine that eliminates, reads a float as the binary fraction
+it stores.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ def _eliminate(m) -> tuple:
 
 def pivot_columns(rows: Sequence[Sequence]) -> list:
     """Indices of the columns that are not combinations of the columns
-    before them, read exactly: an int or a Fraction as it is, a float as
-    the binary fraction it stores."""
-    return _eliminate(exact_integer_rows(rows)[0])[0]
+    before them, read exactly (integer_rows)."""
+    return _eliminate(integer_rows(rows)[0])[0]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -99,9 +99,9 @@ def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
     """The solutions x of a x = b, one for each b in columns, from one
     elimination; None when the square matrix a is singular.
 
-    Entries are ints or Fractions. The rows of [a | columns] are cleared of
-    denominators and eliminated by _eliminate: only the solutions are built
-    from Fractions.
+    Entries are read as integer_rows reads them. The rows of [a | columns]
+    are cleared of denominators and eliminated by _eliminate: only the
+    solutions are built from Fractions.
     """
     n = len(a)
     m, _ = integer_rows([[*row, *rhs] for row, rhs in zip(a, zip(*columns))])
@@ -122,18 +122,12 @@ def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
 
 
 def integer_rows(rows: Sequence[Sequence], den: int = 1):
-    """(integer rows, d): every int or Fraction entry times d > 0, the least common
-    multiple of den and their denominators. The kernel of every exact check:
-    signs and equalities stay."""
+    """(integer rows, d): every entry times d > 0, the least common multiple
+    of den and the entries' denominators, each entry read exactly: an int or
+    a Fraction as it is, a float as the binary fraction it stores. The
+    kernel of every exact check: signs and equalities stay."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     # Unpack a list, not a generator: a tuple grown from a generator holds
     # on to more memory (measured as higher peak RSS in long runs).
-    den = math.lcm(den, *[v.denominator for row in rows for v in row])
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
-
-
-def exact_integer_rows(rows: Sequence[Sequence]):
-    """integer_rows of entries read exactly: an int or a Fraction as it is,
-    a float as the binary fraction it stores."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    den = math.lcm(*[q for row in ratios for _, q in row])
+    den = math.lcm(den, *[q for row in ratios for _, q in row])
     return [[p * (den // q) for p, q in row] for row in ratios], den

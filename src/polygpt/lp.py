@@ -50,15 +50,12 @@ class LPBlock:
     """Leading constraints that many problems over the same variables
     share. They are validated when the block is built, and dualized,
     transposed and scaled to integers at most once, however many problems
-    they lead. integer_form, when given, must equal what LPProblem's
-    integer_form makes of these constraints alone."""
+    they lead."""
 
-    def __init__(self, constraints: tuple, num_vars: int, integer_form=None):
+    def __init__(self, constraints: tuple, num_vars: int):
         _check_rows(constraints, num_vars)
         self.constraints = constraints
         self.num_vars = num_vars
-        if integer_form is not None:  # fills the cached property below
-            self.__dict__["integer_form"] = integer_form
 
     @functools.cached_property
     def integer_form(self):

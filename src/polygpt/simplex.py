@@ -203,7 +203,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
     total, y, den = priced
     if any(den * c < t for c, t in zip(cost_ints, total)):
         return None
-    value = sum((c * v for c, v in zip(costs, x)), zero)
+    value = sum((costs[j] * v for j, v in zip(basis, level) if j < n), zero)
     return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=tuple(
         Fraction(v * d, den * cost_den) for v in y))
 

@@ -13,12 +13,11 @@ import functools
 import json
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .linalg import (dot, exact_integer_rows, integer_rows, pivot_columns, rat, rat_str, rank,
-                     solve_columns, unit_vector)
+from .linalg import (dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_columns,
+                     unit_vector)
 from .simplex import DEFAULT_TOL, Arith, IndeterminateError
 
 EXACT = "exact"
@@ -60,10 +59,10 @@ class Theory:
 
     @functools.cached_property
     def generator_rows(self):
-        """linalg.exact_integer_rows of the generators, a float read as the
+        """linalg.integer_rows of the generators, a float read as the
         binary fraction it stores, once per theory; not a field, so == and
         the hash skip it."""
-        return exact_integer_rows(self.generators)
+        return integer_rows(self.generators)
 
     @functools.cached_property
     def unit_row(self):
@@ -87,7 +86,7 @@ class Theory:
         basis = pivot_columns(list(zip(*self.generators)))
         if len(basis) < self.dim:
             return None
-        transposed = list(zip(*([Fraction(v) for v in self.generators[k]] for k in basis)))
+        transposed = list(zip(*(self.generators[k] for k in basis)))
         inverse = solve_columns(transposed, [unit_vector(self.dim, k) for k in range(self.dim)])
         return (tuple(basis), *integer_rows(list(zip(*inverse))))
 

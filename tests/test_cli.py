@@ -99,6 +99,31 @@ def test_exact_maxclique_above_the_node_budget_is_a_domain_error(capsys):
     assert len(err) == 1 and "exceed the budget 7" in err[0]
 
 
+def _reject(*args, **kwargs):
+    raise ValueError("rejected value")
+
+
+@pytest.mark.parametrize("module,name,argv,code", [
+    (cli, "validate_theory", ["theory", "--family", "hypercube:m=2"], 2),
+    (capacity, "kappa_pairwise", ["kappa", "--m", "3"], 1),
+])
+def test_a_rejected_value_gets_the_subcommands_exit_code(monkeypatch, capsys, module, name,
+                                                         argv, code):
+    # No handler of the subcommand wraps either call: cli.run maps the
+    # ValueError to the exit code the subcommand declares.
+    monkeypatch.setattr(module, name, _reject)
+    assert cli.run(argv) == code
+    assert capsys.readouterr().err.splitlines() == ["polygpt: error: rejected value"]
+
+
+def test_every_subcommand_declares_what_a_rejected_value_means():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    usage = {"theory", "distinguish", "psuccess", "dg-check", "fixtures"}
+    assert {name: p.get_default("rejects") for name, p in subs.choices.items()} == {
+        name: cli.UsageError if name in usage else cli.DomainError for name in subs.choices}
+    assert len(subs.choices) == 10
+
+
 def test_kappa_json_and_csv(tmp_path):
     doc = run_json(tmp_path, ["kappa", "--N", "2", "--m", "3"])
     assert doc == {"N": 2, "d": 4, "kappa": 1.5, "m": 3}

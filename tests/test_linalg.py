@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import invert, mat_vec, random_rational, reference_rank
-from polygpt.linalg import dot, pivot_columns, rank, rat, rat_str, solve_square
+from conftest import float_ngon, invert, mat_vec, random_rational, reference_rank
+from polygpt.linalg import dot, integer_rows, pivot_columns, rank, rat, rat_str, solve_square
+from polygpt.theory import EXACT, Theory
 
 
 def test_rat_parsing_roundtrip():
@@ -108,3 +110,37 @@ def test_float_rows_are_read_exactly():
             factor = rng.choice((2.0, 0.1))
             rows[-1] = [factor * v for v in rows[0]]
         _check_against_reference(rows)
+
+
+def _reference_integer_rows(rows, den=1):
+    """integer_rows read through a Fraction copy of every entry."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    den = math.lcm(den, *[v.denominator for row in rows for v in row])
+    return [[int(v * den) for v in row] for row in rows], den
+
+
+@pytest.mark.parametrize("den", [1, 7, 5**30])
+def test_integer_rows_read_ints_fractions_and_floats_exactly(den):
+    rows = [[0.1, -2.5, 1e-300, 2.0**60],
+            [3, Fraction(-7, 12), 0, Fraction(5)],
+            [Fraction(1, 3), 0.0, -4, 0.75]]
+    got = integer_rows(rows, den)
+    assert got == _reference_integer_rows(rows, den)
+    assert all(type(v) is int for row in got[0] for v in row)
+    assert got[1] % den == 0 and got[1] % 2**1000 == 0  # 1e-300's denominator
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_a_float_theory_reads_as_its_fraction_copy(n):
+    theory = float_ngon(n)
+    copy = Theory(theory.name, theory.dim, tuple(map(Fraction, theory.unit)),
+                  tuple(tuple(map(Fraction, g)) for g in theory.generators), EXACT)
+    assert theory.generator_rows == _reference_integer_rows(copy.generators)
+    _check_against_reference(theory.generators)
+    assert pivot_columns(theory.generators) == pivot_columns(copy.generators)
+    independent = [k for k in range(n)
+                   if reference_rank(copy.generators[:k + 1]) > reference_rank(copy.generators[:k])]
+    basis, rows, q = theory.basis_inverse
+    assert list(basis) == independent
+    inverse = invert([list(r) for r in zip(*(copy.generators[k] for k in basis))])
+    assert (rows, q) == _reference_integer_rows(inverse)
