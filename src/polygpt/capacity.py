@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 from .discrimination import pairwise_distinguishable, verify_witness
 from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
 from .families import hypercube_effect, hypercube_theory
+from .hypergraph import build_hypergraph
 from .linalg import rat
 from .parallel import parallel_map
 from .theory import Measurement, Theory, reduce_to_pure_states
@@ -265,8 +266,9 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
 def danzer_grunbaum_check(points: Sequence[Sequence]) -> bool:
     """Whether every pair of the (rational) points admits two parallel
     hyperplanes supporting the set, one through each point. Non-extreme
-    points fail immediately; extreme pairs are decided by the pairwise LP
-    on the lifted theory."""
+    points fail immediately; the extreme points hold when every pair is an
+    edge of the lifted theory's N = 2 hypergraph, one LP per orbit of its
+    symmetry group."""
     pts = [tuple(rat(v) for v in p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
@@ -281,7 +283,4 @@ def danzer_grunbaum_check(points: Sequence[Sequence]) -> bool:
     reduced = reduce_to_pure_states(theory)
     if reduced.num_generators < len(pts):
         return False  # some point is a convex combination of the others
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        if not pairwise_distinguishable(theory, i, j):
-            return False
-    return True
+    return len(pts) == 1 or len(build_hypergraph(reduced, 2).edges) == math.comb(len(pts), 2)

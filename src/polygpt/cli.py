@@ -23,7 +23,7 @@ import sys
 
 from . import capacity, discrimination, hypergraph
 from .exactlog import PrecisionError
-from .families import build_family, parse_family_spec
+from .families import build_family
 from .fixtures import fixtures
 from .linalg import rat, rat_str
 from .parallel import usable_cpus as _default_workers
@@ -220,11 +220,9 @@ def _build_hypergraph(args):
     theory, _ = _load_theory_source(args)
     theory = reduce_to_pure_states(_apply_backend(theory, args))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    # A family's group, as hints: build_hypergraph re-checks every moved answer.
-    symmetries = parse_family_spec(args.family).symmetries() if args.family else ()
     try:
         return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
-                                           cache_dir=cache_dir, symmetries=symmetries)
+                                           cache_dir=cache_dir)
     except OSError as exc:  # the cache directory cannot be written
         raise UsageError(str(exc)) from exc
 

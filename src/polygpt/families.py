@@ -2,7 +2,8 @@
 
 Simplices, hypercube theories, regular n-gons, prism (Cartesian) products,
 and iterated simplex powers. All constructors emit generators already
-normalized to the unit hyperplane.
+normalized to the unit hyperplane. None states its theory's symmetry
+group: Theory.symmetries computes it from the generators.
 """
 
 from __future__ import annotations
@@ -150,64 +151,15 @@ def codeword_state_index(q: int, codeword: Sequence[int]) -> int:
     return idx
 
 
-# --- symmetry generators -----------------------------------------------------
-# A few permutations of a family's generator indices that generate its
-# symmetry group. They are hints: build_hypergraph re-checks every answer
-# it moves along them, so a wrong one costs LPs, not answers.
-
-def _index_permutations(points: Sequence, maps) -> tuple:
-    """Each map on the points, as a permutation of the point indices."""
-    index = {p: k for k, p in enumerate(points)}
-    return tuple(tuple(index[f(p)] for p in points) for f in maps)
-
-
-def hypercube_symmetries(m: int) -> tuple:
-    """Adjacent coordinate swaps and one sign flip, which generate the
-    hyperoctahedral group, on hypercube_theory(m)'s vertex indices."""
-    patterns = list(itertools.product((1, -1), repeat=m))
-    maps = [lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2:] for i in range(m - 1)]
-    maps.append(lambda p: (-p[0],) + p[1:])
-    return _index_permutations(patterns, maps)
-
-
-def simplex_power_symmetries(q: int, l: int) -> tuple:
-    """On factor 0 a symbol transposition and the q-cycle, then a factor
-    transposition and the l-cycle, which generate S_q wr S_l, on
-    simplex_power(q, l)'s indices (codewords read base q, as in
-    codeword_state_index)."""
-    if q == 1:
-        return ()  # one state: nothing to move
-    words = list(itertools.product(range(q), repeat=l))
-    maps = []
-    if q >= 2:
-        swap = (1, 0, *range(2, q))
-        maps += [lambda w: (swap[w[0]],) + w[1:], lambda w: ((w[0] + 1) % q,) + w[1:]]
-    if l >= 2:
-        maps += [lambda w: (w[1], w[0]) + w[2:], lambda w: w[1:] + w[:1]]
-    return _index_permutations(words, maps)
-
-
-def simplex_symmetries(d: int) -> tuple:
-    """One transposition and the d-cycle of the d vertices."""
-    return simplex_power_symmetries(d, 1)  # simplex_power(d, 1) is classical_simplex(d)
-
-
-def ngon_symmetries(n: int) -> tuple:
-    """The rotation and a reflection of the n vertices. Only an exact
-    theory uses them (n = 3, 4 and 6, where ngon_theory's linear map
-    carries them along): build_hypergraph moves no answer between float
-    subsets."""
-    return _index_permutations(range(n), [lambda k: (k + 1) % n, lambda k: -k % n])
-
-
 # --- family specs ------------------------------------------------------------
 
-# kind -> (constructor, its integer parameters in call order, symmetry
-# generators for the same parameters); prism is built apart.
-FAMILIES = {"simplex": (classical_simplex, ("d",), simplex_symmetries),
-            "hypercube": (hypercube_theory, ("m",), hypercube_symmetries),
-            "ngon": (ngon_theory, ("n",), ngon_symmetries),
-            "simplex-power": (simplex_power, ("q", "l"), simplex_power_symmetries)}
+# kind -> (constructor, its integer parameters in call order); prism is
+# built apart. A theory's symmetry group comes from the theory itself
+# (Theory.symmetries), for every kind.
+FAMILIES = {"simplex": (classical_simplex, ("d",)),
+            "hypercube": (hypercube_theory, ("m",)),
+            "ngon": (ngon_theory, ("n",)),
+            "simplex-power": (simplex_power, ("q", "l"))}
 
 
 @dataclass(frozen=True)
@@ -221,16 +173,8 @@ class FamilySpec:
             return prism_product(p["a"].build(), p["b"].build())
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        constructor, names, _ = FAMILIES[self.kind]
+        constructor, names = FAMILIES[self.kind]
         return constructor(*(p[k] for k in names))
-
-    def symmetries(self) -> tuple:
-        """Permutations of build()'s generator indices that generate the
-        family's symmetry group; none for a prism."""
-        if self.kind not in FAMILIES:
-            return ()
-        _, names, symmetries = FAMILIES[self.kind]
-        return symmetries(*(self.params[k] for k in names))
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -15,11 +15,12 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .discrimination import is_perfectly_distinguishable, moved_evidence, scale_evidence
 from .parallel import parallel_map
-from .theory import EXACT, FLOAT, Theory, save_json, theory_to_json
+from .theory import FLOAT, Theory, save_json, theory_to_json
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,12 @@ def _orbits(subsets: list, perms) -> list:
         unvisited.remove(rep)
         orbit = [(rep, None)]
         for subset, path in orbit:  # grows while it is read
+            images = itemgetter(*subset)  # of at least 2 elements: returns a tuple
             for perm in perms:
-                image = tuple(sorted(perm[x] for x in subset))
+                image = tuple(sorted(images(perm)))
                 if image in unvisited:
                     unvisited.remove(image)
-                    orbit.append((image, perm if path is None else tuple(perm[x] for x in path)))
+                    orbit.append((image, perm if path is None else itemgetter(*path)(perm)))
         orbits.append(orbit)
     return orbits
 
@@ -110,10 +112,10 @@ def _decide_orbit(theory: Theory, orbit) -> list:
     return verdicts
 
 
-def _filter_distinguishable(theory: Theory, subsets: list, workers: int, perms) -> list:
-    """The distinguishable subsets, in order. Each orbit under the
-    permutations perms is one work item of the pool (_decide_orbit)."""
-    orbits = _orbits(subsets, perms)
+def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
+    """The distinguishable subsets, in order. Each orbit under
+    theory.symmetries is one work item of the pool (_decide_orbit)."""
+    orbits = _orbits(subsets, theory.symmetries)
     decided = parallel_map(functools.partial(_decide_orbit, theory), orbits, workers)
     keep = {subset for orbit, verdicts in zip(orbits, decided)
             for (subset, _), verdict in zip(orbit, verdicts) if verdict}
@@ -131,8 +133,7 @@ def theory_digest(theory: Theory) -> str:
 
 
 def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
-                     cache_dir: Optional[str] = None,
-                     symmetries: Sequence = ()) -> DistinguishabilityHypergraph:
+                     cache_dir: Optional[str] = None) -> DistinguishabilityHypergraph:
     """Enumerate all perfectly distinguishable N-subsets of the pure states.
 
     The theory must already be reduced to its pure states. Level k = 2..N
@@ -140,14 +141,12 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     level 1 being the single states. Results can be cached on disk keyed
     by (theory digest, N), where the digest covers a float theory's tolerance.
 
-    symmetries are permutations of the generator indices that are hinted
-    to be symmetries of the theory (FamilySpec.symmetries); one LP decides
-    a whole orbit of subsets under them, and each orbit is one work item
-    of the pool. They are only hints: each moved answer is re-checked, and
-    a subset whose re-check fails gets its own LP. Each stays a plain
-    tuple down to moved_evidence, which moves a witness through
-    theory.basis_inverse. Only an exact theory whose generators span
-    (basis_inverse is not None) uses them. The edges never depend on them.
+    One LP decides a whole orbit of subsets under theory.symmetries, the
+    group computed from the theory itself on a cache miss, and each orbit is
+    one work item of the pool. Each moved answer is re-checked, and a
+    subset whose re-check fails gets its own LP, so the edges never depend
+    on the group. A float theory, or one whose generators do not span, has
+    no group: one LP per subset.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:
@@ -164,15 +163,12 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
                 if h.num_nodes == v and h.n_arity == n_arity:
                     return h
 
-    perms = [tuple(p) for p in symmetries
-             if theory.numeric_mode == EXACT and theory.basis_inverse is not None
-             and sorted(p) == list(range(v))]
     edges = [(x,) for x in range(v)]
     for k in range(2, n_arity + 1):
         level = set(edges)
         candidates = [e + (x,) for e in edges for x in range(e[-1] + 1, v)
                       if all(s in level for s in itertools.combinations(e + (x,), k - 1))]
-        edges = _filter_distinguishable(theory, candidates, workers, perms)
+        edges = _filter_distinguishable(theory, candidates, workers)
 
     h = DistinguishabilityHypergraph(n_arity, v, frozenset(edges))
     if cache_path:

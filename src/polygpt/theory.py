@@ -91,6 +91,16 @@ class Theory:
         return (tuple(basis), *integer_rows(list(zip(*inverse))))
 
     @functools.cached_property
+    def symmetries(self) -> tuple:
+        """Generators of the group of the generator-index permutations that
+        extend to linear maps, each map fixing the unit since u . g = 1 on
+        every generator; () for a float theory or one whose generators do
+        not span. Cached like generator_rows."""
+        if self.numeric_mode != EXACT or self.basis_inverse is None:
+            return ()
+        return _symmetry_generators(self)
+
+    @functools.cached_property
     def lp_blocks(self) -> dict:
         """The constraint blocks that discrimination's LPs share, keyed by
         the number of states and filled on first use. Cached like
@@ -108,6 +118,55 @@ class Theory:
     @property
     def num_generators(self) -> int:
         return len(self.generators)
+
+
+def _symmetry_generators(t: Theory) -> tuple:
+    """A permutation of spanning generators extends to a linear map exactly
+    when it keeps W = G Q^-1 G^T, Q = sum g g^T (Bremner, Dutour Sikiric,
+    Pasechnik, Rehn and Schuermann, LMS J. Comput. Math. 17, 2014). The
+    search assigns images to the basis of t.basis_inverse in order, pruned
+    by W, and reads each full assignment's permutation off the linear map
+    it fixes. Basis index k is searched with the indices before it fixed,
+    deepest k first, skipping images already in its orbit under the
+    generators found so far; so each new generator at least doubles the
+    group, and there are at most log2 |group| of them."""
+    basis, inverse, q = t.basis_inverse
+    gens, d = t.generator_rows
+    gram = [[sum(g[i] * g[j] for g in gens) for j in range(t.dim)] for i in range(t.dim)]
+    solved, _ = integer_rows(solve_columns(gram, gens))
+    w = [[dot(g, x) for x in solved] for g in gens]  # W times a positive integer
+    coords = [[(i, c) for i, c in enumerate(dot(row, g) for row in inverse) if c] for g in gens]
+    index = {tuple(q * d * a for a in g): k for k, g in enumerate(gens)}  # keys: q * d * G_k
+
+    def fits(images, x):  # W agrees on basis[:j+1] and images + (x,), j = len(images)
+        return x not in images and all(w[x][y] == w[basis[len(images)]][b]
+                                       for b, y in zip(basis, images + (x,)))
+
+    def extend(images):  # a symmetry taking basis[i] to images[i] for the prefix given
+        if len(images) == len(basis):
+            # A g = sum_i coord_i(g) g_images[i] keeps the definite form Q^-1
+            # on the basis (W), so A is invertible and perm is one-to-one.
+            cols = [gens[k] for k in images]
+            perm = tuple(index.get(tuple(sum(c * cols[i][s] for i, c in row)
+                                         for s in range(t.dim))) for row in coords)
+            return None if None in perm else perm
+        return next(filter(None, (extend(images + (x,)) for x in range(len(gens))
+                                  if fits(images, x))), None)
+
+    found = []
+    for k in reversed(range(len(basis))):
+        orbit = {basis[k]}
+        for c in range(len(gens)):
+            perm = None if c in orbit or not fits(basis[:k], c) else extend(basis[:k] + (c,))
+            if perm:
+                found.append(perm)
+                stack = list(orbit)
+                while stack:
+                    y = stack.pop()
+                    for image in {p[y] for p in found} - orbit:
+                        orbit.add(image)
+                        stack.append(image)
+    return tuple(found)
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polygpt import discrimination, lp, simplex
-from polygpt.families import codeword_state_index, simplex_power
+from polygpt.families import FAMILIES, codeword_state_index, parse_family_spec, simplex_power
 from polygpt.linalg import dot, rank, rat, solve_square, unit_vector
 from polygpt.theory import FLOAT, Theory, reduce_to_pure_states
 
@@ -113,12 +114,118 @@ def nwise_distinguishable_by_lp(code, n_arity):
         for subset in itertools.combinations(indices, n_arity))
 
 
-# Family specs that supply symmetries, each of them proven in test_families.
+# Family specs with a known symmetry group and reference hints
+# (reference_hints); test_families proves every computed generator.
 SYMMETRIC_FAMILIES = ([f"hypercube:m={m}" for m in range(1, 7)]
                       + [f"simplex:d={d}" for d in range(1, 7)]
                       + [f"simplex-power:q={q},l={l}"
                          for q, l in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4))]
                       + ["ngon:n=3", "ngon:n=4", "ngon:n=6"])
+
+
+# --- reference symmetry groups -----------------------------------------------
+# A few permutations of a family's generator indices, written by hand from
+# each constructor's index convention, that generate its symmetry group.
+
+def _index_permutations(points, maps):
+    """Each map on the points, as a permutation of the point indices."""
+    index = {p: k for k, p in enumerate(points)}
+    return tuple(tuple(index[f(p)] for p in points) for f in maps)
+
+
+def hypercube_symmetries(m):
+    """Adjacent coordinate swaps and one sign flip, which generate the
+    hyperoctahedral group, on hypercube_theory(m)'s vertex indices."""
+    patterns = list(itertools.product((1, -1), repeat=m))
+    maps = [lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2:] for i in range(m - 1)]
+    maps.append(lambda p: (-p[0],) + p[1:])
+    return _index_permutations(patterns, maps)
+
+
+def simplex_power_symmetries(q, l):
+    """On factor 0 a symbol transposition and the q-cycle, then a factor
+    transposition and the l-cycle, which generate S_q wr S_l, on
+    simplex_power(q, l)'s indices (codewords read base q, as in
+    codeword_state_index)."""
+    if q == 1:
+        return ()  # one state: nothing to move
+    words = list(itertools.product(range(q), repeat=l))
+    swap = (1, 0, *range(2, q))
+    maps = [lambda w: (swap[w[0]],) + w[1:], lambda w: ((w[0] + 1) % q,) + w[1:]]
+    if l >= 2:
+        maps += [lambda w: (w[1], w[0]) + w[2:], lambda w: w[1:] + w[:1]]
+    return _index_permutations(words, maps)
+
+
+def simplex_symmetries(d):
+    """One transposition and the d-cycle of the d vertices."""
+    return simplex_power_symmetries(d, 1)  # simplex_power(d, 1) is classical_simplex(d)
+
+
+def ngon_symmetries(n):
+    """The rotation and a reflection of the n vertices."""
+    return _index_permutations(range(n), [lambda k: (k + 1) % n, lambda k: -k % n])
+
+
+REFERENCE_HINTS = {"simplex": simplex_symmetries, "hypercube": hypercube_symmetries,
+                   "ngon": ngon_symmetries, "simplex-power": simplex_power_symmetries}
+
+
+def reference_hints(spec):
+    """The hand-written generators of a SYMMETRIC_FAMILIES spec's group."""
+    family = parse_family_spec(spec)
+    return REFERENCE_HINTS[family.kind](*(family.params[k] for k in FAMILIES[family.kind][1]))
+
+
+def known_group_order(spec):
+    """d!, 2^m m!, (q!)^l l! or 2n: the order of a SYMMETRIC_FAMILIES spec's group."""
+    family = parse_family_spec(spec)
+    p = family.params
+    return {"simplex": lambda: math.factorial(p["d"]),
+            "hypercube": lambda: 2 ** p["m"] * math.factorial(p["m"]),
+            "simplex-power": lambda: math.factorial(p["q"]) ** p["l"] * math.factorial(p["l"]),
+            "ngon": lambda: 2 * p["n"]}[family.kind]()
+
+
+def planted(theory, perms):
+    """A fresh copy of theory whose cached Theory.symmetries is perms, so
+    that build_hypergraph moves answers along them in place of the
+    computed group: true generators, false hints or none at all."""
+    fresh = replace(theory)
+    vars(fresh)["symmetries"] = tuple(perms)
+    return fresh
+
+
+def stabilizer_chain(base, perms, v):
+    """For each base point b_k, its orbit under the perms (of 0..v-1) that
+    fix b_0..b_{k-1}, each orbit point mapped to a perm that takes b_k to
+    it. When perms are a strong generating set for the base, the product
+    of the orbit sizes is the group's order, and sifts decides membership;
+    else the product is at most the order."""
+    chain = []
+    for k, b in enumerate(base):
+        level = [p for p in perms if all(p[x] == x for x in base[:k])]
+        transversal = {b: tuple(range(v))}
+        stack = [b]
+        while stack:
+            y = stack.pop()
+            for p in level:
+                if p[y] not in transversal:
+                    transversal[p[y]] = tuple(p[x] for x in transversal[y])
+                    stack.append(p[y])
+        chain.append(transversal)
+    return chain
+
+
+def sifts(chain, base, perm):
+    """Whether perm reduces to the identity through the chain's transversals."""
+    for b, transversal in zip(base, chain):
+        t = transversal.get(perm[b])
+        if t is None:
+            return False
+        inverse = {image: x for x, image in enumerate(t)}
+        perm = tuple(inverse[y] for y in perm)  # t^-1 perm fixes b
+    return perm == tuple(range(len(perm)))
 
 
 def float_ngon(n):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import nwise_distinguishable_by_lp, random_planar_points, tournament_count
-from polygpt import capacity
+from polygpt import capacity, hypergraph
 from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64,
                               component_discriminates,
                               d_pairwise, danzer_grunbaum_check, failure_probability_bound,
@@ -227,6 +227,22 @@ def test_dg_check_on_squares_and_pentagons():
     assert danzer_grunbaum_check([(0, 0, 0), (3, 1, 2)])
     with pytest.raises(ValueError):
         danzer_grunbaum_check([(0, 0), (0, 0)])
+
+
+def test_dg_check_decides_one_lp_per_orbit(monkeypatch):
+    # The 3-cube's 28 vertex pairs fall into 3 orbits of its group (one per
+    # Hamming distance): one LP each, counted in this process (no pool).
+    decided = []
+    decide = hypergraph.is_perfectly_distinguishable
+
+    def counted(*args, **kwargs):
+        decided.append(args[1])
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(hypergraph, "is_perfectly_distinguishable", counted)
+    assert danzer_grunbaum_check(list(itertools.product((1, -1), repeat=3)))
+    assert len(decided) == 3
+    assert danzer_grunbaum_check([(F(1, 3), 2)])  # a single point holds
 
 
 def test_dg_check_fails_on_interior_points():

@@ -5,14 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, float_ngon, invert, mat_vec,
-                      prism_pair_index)
+from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, float_ngon,
+                      hypercube_symmetries, invert, known_group_order, mat_vec,
+                      prism_pair_index, reference_hints, sifts, simplex_power_symmetries,
+                      stabilizer_chain)
 from polygpt import cli, discrimination, hypergraph
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
-                              hypercube_symmetries, hypercube_theory, FamilySpec, ngon_theory,
-                              parse_family_spec, prism_product,
-                              simplex_power, simplex_power_symmetries)
+                              hypercube_theory, FamilySpec, ngon_theory,
+                              parse_family_spec, prism_product, simplex_power)
 from polygpt.linalg import dot
 from polygpt.theory import reduce_to_pure_states, validate_theory
 
@@ -207,11 +208,10 @@ def test_a_power_of_the_one_point_theory_returns_at_once(capsys):
     assert (big.name, big.dim, big.unit, big.generators) == \
         ("simplex-1^x10000000", 1, point.unit, point.generators) == \
         ("simplex-1^x10000000", product.dim, product.unit, product.generators)
-    assert simplex_power_symmetries(1, 10 ** 7) == ()
+    assert big.symmetries == ()  # one state: nothing to move
     family = "simplex-power:q=1,l=10000000"
     assert cli.run(["theory", "--family", family]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
-    # The family's symmetries are built before the request is refused.
     assert cli.run(["hypergraph", "--family", family, "--N", "2", "--workers", "1"]) == 1
     assert capsys.readouterr().err == "polygpt: error: N must lie in 2..1\n"
 
@@ -223,11 +223,11 @@ def test_unknown_family_kind_is_rejected():
 
 @pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
 def test_every_supplied_symmetry_is_proven(spec):
-    # build_hypergraph only re-checks what it moves, so a wrong generator
-    # would cost LPs unseen: find A with A g_k = g_perm[k] on a basis of
-    # generators, in plain Fractions, and check it on every generator.
-    family = parse_family_spec(spec)
-    theory, symmetries = family.build(), family.symmetries()
+    # build_hypergraph only re-checks what it moves, so a wrong computed
+    # generator would cost LPs unseen: find A with A g_k = g_perm[k] on a
+    # basis of generators, in plain Fractions, and check it on every generator.
+    theory = build_family(spec)
+    symmetries = theory.symmetries
     gens = [tuple(F(v) for v in g) for g in theory.generators]
     basis, _, _ = theory.basis_inverse
     basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in basis))])
@@ -263,7 +263,23 @@ def test_symmetry_generators_follow_the_index_conventions():
     assert moved["symbol cycle"][index] == codeword_state_index(q, (2, 3))
     assert moved["factor swap"][index] == codeword_state_index(q, (3, 1))
     assert moved["factor cycle"][index] == codeword_state_index(q, (3, 1))
-    assert parse_family_spec("prism:simplex:d=2+simplex:d=2").symmetries() == ()
+    # A prism has no hints; its computed group is the square's, of order 8.
+    square = build_family("prism:simplex:d=2+simplex:d=2")
+    chain = stabilizer_chain(square.basis_inverse[0], square.symmetries, 4)
+    assert math.prod(map(len, chain)) == 8
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
+def test_the_computed_group_has_the_known_order_and_every_hint(spec):
+    # Every computed generator is proven above, so the group they generate
+    # has at most the known order; reaching it, the generators are a strong
+    # generating set for the basis, and each reference hint sifts through.
+    theory = build_family(spec)
+    base, order = theory.basis_inverse[0], known_group_order(spec)
+    chain = stabilizer_chain(base, theory.symmetries, theory.num_generators)
+    assert math.prod(map(len, chain)) == order
+    assert len(theory.symmetries) <= order.bit_length() - 1  # at most log2 of the order
+    assert all(sifts(chain, base, hint) for hint in reference_hints(spec))
 
 
 @pytest.mark.parametrize("spec,n_arity,subsets,orbits", [
@@ -273,8 +289,8 @@ def test_symmetry_generators_follow_the_index_conventions():
     ("simplex-power:q=3,l=3", 3, 2925, 10),
 ])
 def test_orbit_counts(spec, n_arity, subsets, orbits):
-    family = parse_family_spec(spec)
-    v, perms = family.build().num_generators, family.symmetries()
+    theory = build_family(spec)
+    v, perms = theory.num_generators, theory.symmetries
     candidates = list(itertools.combinations(range(v), n_arity))
     found = hypergraph._orbits(candidates, perms)
     assert len(candidates) == subsets and len(found) == orbits

@@ -9,13 +9,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (evidence_fractions, plain_verify_witness, random_planar_theory,
-                      reference_exact_max_clique, reference_greedy_max_clique)
+from conftest import (evidence_fractions, hypercube_symmetries, plain_verify_witness, planted,
+                      random_planar_theory, reference_exact_max_clique,
+                      reference_greedy_max_clique, reference_hints)
 from polygpt import discrimination, hypergraph, lp
+from polygpt import theory as theory_module
 from polygpt.discrimination import is_perfectly_distinguishable
-from polygpt.families import (classical_simplex, hypercube_symmetries, hypercube_theory,
-                              ngon_symmetries, ngon_theory, parse_family_spec, prism_product,
-                              simplex_power)
+from polygpt.families import (build_family, classical_simplex, hypercube_theory, ngon_theory,
+                              prism_product, simplex_power)
 from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hypergraph,
                                 clique_is_valid, exact_max_clique, greedy_max_clique,
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
@@ -143,25 +144,26 @@ def _float_cube():
     return make_theory("cube", cube.unit, cube.generators, numeric_mode=FLOAT)
 
 
-@pytest.mark.parametrize("make,n,symmetries,size", [
-    (lambda: classical_simplex(5), 4, (), 5),
-    (lambda: classical_simplex(6), 5, (), 6),
-    (lambda: hypercube_theory(3), 4, hypercube_symmetries(3), 0),
-    (_float_cube, 4, (), 0),
-    (lambda: theory_from_json(fixtures()["cube"]["theory"]), 4, (), 0),
-    (lambda: theory_from_json(fixtures()["s3-prism-s3"]["theory"]), 4, (), 0),
-    (lambda: ngon_theory(8), 4, (), 0),
+@pytest.mark.parametrize("make,n,size", [
+    (lambda: classical_simplex(5), 4, 5),
+    (lambda: classical_simplex(6), 5, 6),
+    (lambda: hypercube_theory(3), 4, 0),
+    (_float_cube, 4, 0),
+    (lambda: theory_from_json(fixtures()["cube"]["theory"]), 4, 0),
+    (lambda: theory_from_json(fixtures()["s3-prism-s3"]["theory"]), 4, 0),
+    (lambda: ngon_theory(8), 4, 0),
 ], ids=["simplex-d5-N4", "simplex-d6-N5", "hypercube-m3-N4", "float-hypercube-m3-N4",
         "cube-fixture-N4", "s3-prism-s3-N4", "ngon-n8-N4"])
-def test_level_by_level_build_matches_brute_force_beyond_triples(make, n, symmetries, size):
+def test_level_by_level_build_matches_brute_force_beyond_triples(make, n, size):
     theory = make()
-    h = build_hypergraph(theory, n, symmetries=symmetries)
+    h = build_hypergraph(theory, n)
     assert h == brute_hypergraph(theory, n) and len(h.edges) == size
 
 
 def test_no_4_subset_is_decided_when_no_triple_is_an_edge(monkeypatch):
     # Every pair of the 3-cube is an edge and no triple is; pruning through
-    # the pairs alone would leave all 70 4-subsets to decide.
+    # the pairs alone would leave all 70 4-subsets to decide. No group is
+    # planted, so each candidate subset is decided on its own.
     sizes = []
     decide = hypergraph._subset_distinguishable
 
@@ -170,7 +172,7 @@ def test_no_4_subset_is_decided_when_no_triple_is_an_edge(monkeypatch):
         return decide(theory, subset)
 
     monkeypatch.setattr(hypergraph, "_subset_distinguishable", counted)
-    assert not build_hypergraph(hypercube_theory(3), 4).edges
+    assert not build_hypergraph(planted(hypercube_theory(3), ()), 4).edges
     assert sizes == [2] * 28 + [3] * 56
 
 
@@ -305,6 +307,20 @@ def test_cache_roundtrip(tmp_path):
     assert first == again
 
 
+def test_a_cache_hit_computes_no_group(tmp_path, monkeypatch):
+    missed = build_hypergraph(hypercube_theory(3), 2, cache_dir=str(tmp_path))
+
+    def no_search(theory):
+        raise AssertionError("a cache hit searched for the symmetry group")
+
+    monkeypatch.setattr(theory_module, "_symmetry_generators", no_search)
+    fresh = hypercube_theory(3)  # its group is not cached yet
+    assert build_hypergraph(fresh, 2, cache_dir=str(tmp_path)) == missed
+    assert "symmetries" not in vars(fresh)
+    with pytest.raises(AssertionError, match="searched"):
+        build_hypergraph(hypercube_theory(3), 2)
+
+
 def test_unreadable_cache_file_is_a_miss(tmp_path, monkeypatch):
     t = hypercube_theory(2)
     loads = []
@@ -378,12 +394,14 @@ ORBIT_BUILDS = ([(f"hypercube:m={m}", 2) for m in range(1, 6)]
                 + [(f"simplex:d={d}", n) for d in range(3, 6) for n in (2, 3)]
                 + [(f"simplex-power:q={q},l={l}", n) for q, l in ((2, 2), (3, 2), (2, 3))
                    for n in (2, 3)]
-                + [(f"ngon:n={n}", k) for n in (3, 4, 6) for k in (2, 3)])
+                + [(f"ngon:n={n}", k) for n in (3, 4, 6) for k in (2, 3)]
+                + [("prism:simplex:d=3+hypercube:m=2", n) for n in (2, 3)])
 
 
 @functools.cache
 def direct_build(spec, n_arity):
-    return build_hypergraph(parse_family_spec(spec).build(), n_arity)
+    """The build with one LP per subset: no group planted."""
+    return build_hypergraph(planted(build_family(spec), ()), n_arity)
 
 
 @contextlib.contextmanager
@@ -414,10 +432,9 @@ def counted_decisions():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec,n_arity", ORBIT_BUILDS)
 def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
-    family = parse_family_spec(spec)
-    theory, symmetries = family.build(), family.symmetries()
+    theory = build_family(spec)
     with counted_decisions() as counts:
-        h = build_hypergraph(theory, n_arity, workers=workers, symmetries=symmetries)
+        h = build_hypergraph(theory, n_arity, workers=workers)
     assert h == direct_build(spec, n_arity)
     # Every moved witness and Farkas vector re-checks: none is solved again.
     assert counts["failed moves"] == 0
@@ -427,8 +444,8 @@ def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
 @pytest.mark.parametrize("spec,n_arity", [("hypercube:m=3", 2), ("hypercube:m=3", 3),
                                            ("simplex-power:q=3,l=2", 3)])
 def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
-    family = parse_family_spec(spec)
-    theory, symmetries = family.build(), family.symmetries()
+    theory = build_family(spec)
+    symmetries = theory.symmetries
     inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
@@ -459,7 +476,7 @@ def test_a_non_symmetry_only_costs_lps():
                        for k in (2, 3)]
     for n_arity in (2, 3):
         with counted_decisions() as counts:
-            h = build_hypergraph(cube, n_arity, symmetries=(swap,))
+            h = build_hypergraph(planted(cube, (swap,)), n_arity)
         assert h == direct_build("hypercube:m=3", n_arity)
         assert counts["failed moves"] > 0
         assert counts["decided"] == sum(representatives[:n_arity - 1]) + counts["failed moves"]
@@ -468,12 +485,13 @@ def test_a_non_symmetry_only_costs_lps():
 # The levels below have at least MIN_POOLED_ITEMS orbits, so at 2 workers
 # the orbits are decided in the pool, where counted_decisions sees nothing.
 def test_a_pooled_orbit_build_equals_the_one_worker_build():
-    family = parse_family_spec("simplex-power:q=3,l=3")
-    theory, symmetries = family.build(), family.symmetries()
+    spec = "simplex-power:q=3,l=3"
+    symmetries = reference_hints(spec)
     # Every pair is an edge, so the triple candidates are all 2,925 triples.
     triples = list(itertools.combinations(range(27), 3))
     assert len(hypergraph._orbits(triples, symmetries)) == 10 >= MIN_POOLED_ITEMS
-    pooled, single = (build_hypergraph(theory, 3, workers=w, symmetries=symmetries) for w in (2, 1))
+    pooled, single = (build_hypergraph(planted(build_family(spec), symmetries), 3, workers=w)
+                      for w in (2, 1))
     assert pooled == single and len(pooled.edges) == 1737
 
 
@@ -483,7 +501,7 @@ def test_a_non_symmetry_in_the_pool_keeps_the_edges():
     assert [len(hypergraph._orbits(list(itertools.combinations(range(8), k)), [swap]))
             for k in (2, 3)] == [22, 41]
     for n_arity in (2, 3):
-        h = build_hypergraph(cube, n_arity, workers=2, symmetries=(swap,))
+        h = build_hypergraph(planted(cube, (swap,)), n_arity, workers=2)
         assert h == direct_build("hypercube:m=3", n_arity)
 
 
@@ -492,7 +510,7 @@ def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
     # The 9-cycle on the generators of simplex-power(3,2) is no symmetry:
     # some of its 10 triple orbits hold edges and non-edges alike.
     cycle = (*range(1, 9), 0)
-    h = build_hypergraph(simplex_power(3, 2), 3, workers=workers, symmetries=(cycle,))
+    h = build_hypergraph(planted(simplex_power(3, 2), (cycle,)), 3, workers=workers)
     assert h == direct_build("simplex-power:q=3,l=2", 3) and len(h.edges) == 48
     orbits = hypergraph._orbits(list(itertools.combinations(range(9), 3)), [cycle])
     assert len(orbits) == 10 and any(len({s in h.edges for s, _ in o}) == 2 for o in orbits)
@@ -521,7 +539,7 @@ def test_a_corrupted_move_is_solved_directly(monkeypatch):
     monkeypatch.setattr(discrimination, "_moved_certificate", bad_certificate)
     cube = hypercube_theory(3)
     with counted_decisions() as counts:
-        h = build_hypergraph(cube, 3, symmetries=hypercube_symmetries(3))
+        h = build_hypergraph(planted(cube, hypercube_symmetries(3)), 3)
     assert h == direct_build("hypercube:m=3", 3)
     assert {"witness", "certificate"} <= set(moves)
     assert counts["failed moves"] == len(moves)
@@ -574,9 +592,8 @@ def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, h
     # a false hint, its corruptions and its extrapolations: the integer
     # re-check answers as the plain Fraction formula of a witness, or exact
     # lp.verify_farkas, does on the same evidence in Fractions.
-    family = parse_family_spec(spec)
-    theory = family.build()
-    perms = family.symmetries() if hint is None else (hint,)
+    theory = build_family(spec)
+    perms = theory.symmetries if hint is None else (hint,)
     subsets = list(itertools.combinations(range(theory.num_generators), n_arity))
     verdicts = {True: 0, False: 0}
     for (rep, _), *members in hypergraph._orbits(subsets, perms):
@@ -617,19 +634,18 @@ def test_the_witness_recheck_bounds_every_effect(last, expected):
     assert discrimination._rechecks(tetrahedron, (0, 1, 2), scaled) == expected
 
 
-# build_hypergraph uses no permutation on a float theory, on an exact one
-# whose generators do not span (the square in four dimensions), or of the
-# wrong length.
-@pytest.mark.parametrize("theory,symmetries", [
-    (make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
-                 numeric_mode=FLOAT), hypercube_symmetries(3)),
-    (ngon_theory(7), ngon_symmetries(7)),
-    (Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
-            tuple(g + (F(0),) for g in hypercube_theory(2).generators)), hypercube_symmetries(2)),
-    (hypercube_theory(3), ((*range(1, 7), 0),)),
-], ids=["float-hypercube-m3", "ngon-n7", "non-spanning-exact", "wrong-length"])
-def test_float_theories_keep_one_lp_per_pair(theory, symmetries):
+# A float theory, or an exact one whose generators do not span (the square
+# in four dimensions), has no group: build_hypergraph makes one LP per pair.
+@pytest.mark.parametrize("theory", [
+    make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
+                numeric_mode=FLOAT),
+    ngon_theory(7),
+    Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
+           tuple(g + (F(0),) for g in hypercube_theory(2).generators)),
+], ids=["float-hypercube-m3", "ngon-n7", "non-spanning-exact"])
+def test_float_theories_keep_one_lp_per_pair(theory):
+    assert theory.symmetries == ()
     with counted_decisions() as counts:
-        h = build_hypergraph(theory, 2, symmetries=symmetries)
-    assert h == build_hypergraph(theory, 2)
+        h = build_hypergraph(theory, 2)
+    assert h == build_hypergraph(planted(theory, ()), 2)
     assert counts["decided"] == math.comb(theory.num_generators, 2)

@@ -8,10 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (SYMMETRIC_FAMILIES, reference_feasibility_problem,
-                      reference_success_problem)
+from conftest import (SYMMETRIC_FAMILIES, planted, reference_feasibility_problem,
+                      reference_hints, reference_success_problem)
 from polygpt import discrimination, lp
-from polygpt.families import hypercube_theory, parse_family_spec
+from polygpt.families import build_family, hypercube_theory, parse_family_spec
 from polygpt.hypergraph import build_hypergraph, hypergraph_to_json, theory_digest
 from polygpt.theory import EXACT, FLOAT, make_theory, theory_to_json
 
@@ -98,7 +98,7 @@ def test_the_block_cache_is_invisible():
     family = parse_family_spec("simplex-power:q=3,l=2")
     served, fresh = family.build(), family.build()
     before = (theory_digest(served), theory_to_json(served), hash(served))
-    build_hypergraph(served, 3, symmetries=family.symmetries())
+    build_hypergraph(served, 3)
     discrimination.max_success_probability(
         discrimination.instance(served, served.generators[:2], (F(1, 3), F(2, 3))))
     assert set(served.lp_blocks) == {2, 3}
@@ -109,14 +109,13 @@ def test_the_block_cache_is_invisible():
 
 
 def test_a_pooled_build_with_a_theory_that_served_decisions_equals_the_one_worker_build():
-    family = parse_family_spec("simplex-power:q=3,l=3")
-    symmetries = family.symmetries()
-    served = family.build()
-    build_hypergraph(served, 2, workers=1, symmetries=symmetries)
+    spec = "simplex-power:q=3,l=3"
+    served = planted(build_family(spec), reference_hints(spec))
+    build_hypergraph(served, 2, workers=1)
     assert 2 in served.lp_blocks
     # The blocks stay home: each pool chunk receives the theory without them.
     assert "lp_blocks" not in vars(pickle.loads(pickle.dumps(served)))
-    pooled = build_hypergraph(served, 3, workers=2, symmetries=symmetries)
-    single = build_hypergraph(family.build(), 3, workers=1, symmetries=symmetries)
+    pooled = build_hypergraph(served, 3, workers=2)
+    single = build_hypergraph(planted(build_family(spec), reference_hints(spec)), 3, workers=1)
     assert hypergraph_to_json(pooled) == hypergraph_to_json(single)
     assert len(pooled.edges) == 1737
