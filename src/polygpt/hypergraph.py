@@ -39,9 +39,6 @@ class DistinguishabilityHypergraph:
                 raise ValueError(f"edge {e} is not an increasing {self.n_arity}-tuple "
                                  f"of nodes 0..{self.num_nodes - 1}")
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
     @functools.cached_property
     def links(self) -> dict:
         """Each (N-1)-subset, as an increasing tuple, mapped to the bitmask
@@ -222,7 +219,7 @@ def greedy_max_clique(h: DistinguishabilityHypergraph) -> Clique:
     the lowest candidate bit each time adds what the ascending scan adds."""
     best: tuple = ()
     links = h.links
-    for edge in h.sorted_edges():
+    for edge in sorted(h.edges):
         candidates = -1
         for i in range(len(edge)):
             candidates &= links[edge[:i] + edge[i + 1:]]
@@ -276,7 +273,7 @@ def exact_max_clique(h: DistinguishabilityHypergraph, node_budget: int = 24) -> 
 
 def hypergraph_to_json(h: DistinguishabilityHypergraph) -> dict:
     return {"N": h.n_arity, "num_nodes": h.num_nodes,
-            "edges": [list(e) for e in h.sorted_edges()]}
+            "edges": [list(e) for e in sorted(h.edges)]}
 
 
 def hypergraph_from_json(doc: dict) -> DistinguishabilityHypergraph:

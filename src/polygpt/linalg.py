@@ -84,17 +84,6 @@ def pivot_columns(rows: Sequence[Sequence]) -> list:
     return _eliminate(integer_rows(rows)[0])[0]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank, read as pivot_columns reads its rows."""
-    return len(pivot_columns(rows))
-
-
-def solve_square(a: Sequence[Sequence], b: Sequence):
-    """Solve the square exact system a x = b; None when singular."""
-    x = solve_columns(a, [b])
-    return None if x is None else x[0]
-
-
 def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
     """The solutions x of a x = b, one for each b in columns, from one
     elimination; None when the square matrix a is singular.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import dot, integer_rows, solve_columns, solve_square
+from .linalg import dot, integer_rows, solve_columns
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -154,10 +154,10 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
     def priced_rows(basic_costs):
         """(y . [A | b], y, den) for the prices y / den of the scaled rows
         (y integral, den > 0), or None when B is singular."""
-        y = solve_square(basis_cols, basic_costs)
-        if y is None:
+        solved = solve_columns(basis_cols, [basic_costs])
+        if solved is None:
             return None
-        (y,), den = integer_rows([y])
+        (y,), den = integer_rows(solved)
         return [dot(y, col) for col in zip(*scaled)], y, den
 
     if status == INFEASIBLE:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import simplex
-from .linalg import (dot, integer_rows, pivot_columns, rat, rat_str, rank, solve_columns,
-                     unit_vector)
+from .linalg import dot, integer_rows, pivot_columns, rat, rat_str, solve_columns, unit_vector
 from .simplex import DEFAULT_TOL, Arith, IndeterminateError
 
 EXACT = "exact"
@@ -104,16 +103,8 @@ class Theory:
     def lp_blocks(self) -> dict:
         """The constraint blocks that discrimination's LPs share, keyed by
         the number of states and filled on first use. Cached like
-        generator_rows, and left out of a pickle (__getstate__)."""
+        generator_rows."""
         return {}
-
-    def __getstate__(self):
-        # A pool worker receives the theory with every chunk of work, and
-        # building the one block its chunk needs takes less time than
-        # pickling and unpickling the parent's blocks with each chunk.
-        state = dict(self.__dict__)
-        state.pop("lp_blocks", None)
-        return state
 
     @property
     def num_generators(self) -> int:
@@ -211,10 +202,10 @@ class ValidationReport:
 
 
 def validate_theory(t: Theory) -> ValidationReport:
-    """One exact rank decides all three checks: construction holds each
-    generator to u . g = 1, and generators on that hyperplane span the
+    """One exact elimination decides all three checks: construction holds
+    each generator to u . g = 1, and generators on that hyperplane span the
     space exactly when they span it affinely."""
-    spanning = rank(t.generators) == t.dim
+    spanning = len(pivot_columns(t.generators)) == t.dim
     return ValidationReport({
         "unit_normalization": True,
         "spanning": spanning,

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polygpt import discrimination, lp, simplex
 from polygpt.families import FAMILIES, codeword_state_index, parse_family_spec, simplex_power
-from polygpt.linalg import dot, rank, rat, solve_square, unit_vector
+from polygpt.linalg import dot, pivot_columns, rat, solve_columns, unit_vector
 from polygpt.theory import FLOAT, Theory, reduce_to_pure_states
 
 
@@ -56,13 +56,8 @@ def random_lifted_theory(seed, dim_range=(3, 4), gens_range=(3, 6)):
 def invert(a):
     """Exact inverse of a square rational matrix; None when singular."""
     n = len(a)
-    cols = []
-    for i in range(n):
-        col = solve_square(a, unit_vector(n, i))
-        if col is None:
-            return None
-        cols.append(col)
-    return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
+    cols = solve_columns(a, [unit_vector(n, i) for i in range(n)])
+    return None if cols is None else [tuple(col[i] for col in cols) for i in range(n)]
 
 
 def mat_vec(a, x):
@@ -87,7 +82,7 @@ def reference_rank(rows):
 
 def linearly_independent(states):
     """Exact test; every entry must be an int, a Fraction or a "p/q" string."""
-    return rank([[rat(v) for v in s] for s in states]) == len(states)
+    return len(pivot_columns([[rat(v) for v in s] for s in states])) == len(states)
 
 
 def tournament_count(n, n_arity=2):
@@ -322,9 +317,9 @@ def enumerate_feasible_vertices(prob):
     for subset in itertools.combinations(range(len(prob.constraints)), n):
         a = [prob.constraints[i][0] for i in subset]
         b = [prob.constraints[i][2] for i in subset]
-        x = solve_square(a, b)
-        if x is not None and lp.check_solution(prob, x):
-            vertices.append(x)
+        solved = solve_columns(a, [b])
+        if solved is not None and lp.check_solution(prob, solved[0]):
+            vertices.append(solved[0])
     return vertices
 
 
@@ -499,7 +494,7 @@ def reference_greedy_max_clique(h):
     """The list-based greedy search: grow each hyperedge once, testing
     every node in ascending order against the edge set itself."""
     best = ()
-    for edge in h.sorted_edges():
+    for edge in sorted(h.edges):
         grown = list(edge)
         for node in range(h.num_nodes):
             if node not in grown and _reference_extends(node, grown, h):

@@ -217,7 +217,7 @@ def test_criterion_9_property_suites():
     for theory, n in fleet:
         h = build_hypergraph(theory, n)
         pair_graph = build_hypergraph(theory, 2)
-        for edge in h.sorted_edges():
+        for edge in sorted(h.edges):
             states = [theory.generators[i] for i in edge]
             independence_ok &= linearly_independent(states)
             distinguishable_sets.append(states)

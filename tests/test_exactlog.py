@@ -1,6 +1,8 @@
 """The log2 enclosures are the load-bearing piece under every floor."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +31,46 @@ def test_bounds_bracket_the_true_log(p, q):
     lo, hi = log2_bounds(x, bits=16)
     assert lo <= hi
     assert hi - lo <= F(1, 2 ** 15)
+    _assert_brackets(x, lo, hi)
+
+
+def _assert_brackets(x, lo, hi):
     # Exact verification: 2^(a/2^t) <= x  <=>  2^a <= x^(2^t).
     for bound, lower in ((lo, True), (hi, False)):
         e = bound.denominator  # a power of two by construction
         lhs = F(2) ** bound.numerator
         rhs = x ** e
         assert lhs <= rhs if lower else lhs >= rhs
+
+
+# 2 sqrt(2) to about 200 bits, from below: log2 is 3/2 less about 2^-200, so
+# 3 / log2 exceeds 2 by about 1.6e-61.
+_NEAR_2_SQRT_2 = F(isqrt(8 << 400), 1 << 200)
+
+
+def test_bounds_that_straddle_2_stop_early_and_still_bracket():
+    # Rounding the first square up reaches 2, rounding it down does not:
+    # the digit loop stops with a bracket wider than asked for.
+    lo, hi = log2_bounds(_NEAR_2_SQRT_2, 64)
+    assert hi - lo > F(1, 2 ** 64)
+    _assert_brackets(_NEAR_2_SQRT_2, lo, hi)
+
+
+def test_a_floor_near_its_boundary_doubles_the_precision(monkeypatch):
+    bounds, widths = exactlog.log2_bounds, []
+
+    def recorded(x, bits):
+        widths.append(bits)
+        return bounds(x, bits)
+
+    monkeypatch.setattr(exactlog, "log2_bounds", recorded)
+    floor = floor_of_ratio_to_log2(F(3), _NEAR_2_SQRT_2)
+    with localcontext() as ctx:
+        ctx.prec = 300
+        x = Decimal(_NEAR_2_SQRT_2.numerator) / Decimal(_NEAR_2_SQRT_2.denominator)
+        reference = Decimal(3) / (x.ln() / Decimal(2).ln())
+    assert floor == int(reference) == 2
+    assert len(widths) > 1 and widths == [64 * 2 ** k for k in range(len(widths))]
 
 
 def test_bounds_exact_on_powers_of_two():

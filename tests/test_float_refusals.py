@@ -18,7 +18,7 @@ from polygpt import cli, discrimination, lp, simplex
 from polygpt.discrimination import CLEAR_GAP, is_perfectly_distinguishable
 from polygpt.families import build_family, classical_simplex, hypercube_theory, ngon_theory
 from polygpt.hypergraph import build_hypergraph, hypergraph_to_json
-from polygpt.linalg import dot, solve_square
+from polygpt.linalg import dot, solve_columns
 from polygpt.theory import FLOAT, make_theory, theory_to_json
 
 
@@ -42,9 +42,9 @@ def exact_success_bound(theory, states, y):
             total += yk * rhs
     gens = [[F(v) for v in g] for g in theory.generators]
     columns = next(cols for cols in (list(zip(*b)) for b in itertools.combinations(gens, d))
-                   if solve_square(cols, [0] * d) is not None)
-    for i in range(n - 1):
-        total += sum(v for v in solve_square(columns, r[i * d:(i + 1) * d]) if v > 0)
+                   if solve_columns(cols, [[0] * d]) is not None)
+    for x in solve_columns(columns, [r[i * d:(i + 1) * d] for i in range(n - 1)]):
+        total += sum(v for v in x if v > 0)
     return total
 
 

@@ -39,7 +39,7 @@ def brute_hypergraph(theory, n):
 
 def test_square_pairwise_graph_is_complete():
     h = build_hypergraph(hypercube_theory(2), 2)
-    assert h.sorted_edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert sorted(h.edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_square_triples_are_empty():
@@ -49,7 +49,7 @@ def test_square_triples_are_empty():
 
 def test_simplex4_triples_all_present():
     h = build_hypergraph(classical_simplex(4), 3)
-    assert h.sorted_edges() == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert sorted(h.edges) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
 def test_n_range_is_enforced():

@@ -346,6 +346,25 @@ def test_a_stalled_guide_falls_back_to_exact_bland(monkeypatch):
     assert sum(answer.distinguishable for answer in guided) == 11
 
 
+def test_a_coefficient_beyond_the_float_range_skips_the_guide(monkeypatch):
+    # float(10**400) overflows, so the guide returns None before any float
+    # pivot, and exact Bland decides every LP of the pair.
+    theory = make_theory("huge", (1, 0), [(1, 0), (1, 10 ** 400)])
+    guide = simplex._float_guide
+    guides = []
+
+    def recorded(*args):
+        guides.append(guide(*args))
+        return guides[-1]
+
+    monkeypatch.setattr(simplex, "_float_guide", recorded)
+    with exact_bland_runs() as fallbacks:
+        answer = discrimination.is_perfectly_distinguishable(theory, theory.generators)
+    assert answer.distinguishable
+    assert discrimination.verify_witness(theory, theory.generators, answer.witness)
+    assert guides and guides == [None] * len(guides) and len(fallbacks) == len(guides)
+
+
 # min -2 x3 - 3 x4 - 3 x5 over 3 x1 + x2 + 2 x3 + 2 x4 = 3, x1 + x3 + 3 x4 + x5 = 2,
 # x >= 0: phase 1 takes two pivots, and phase 2, from the basis phase 1 ends on,
 # three more.

