@@ -63,11 +63,8 @@ def _closed_form_pair_witness(theory: Theory, i: int, j: int) -> bool:
     m = theory.dim - 1
     k = next(pos for pos in range(1, m + 1) if a[pos] != b[pos])
     e = hypercube_effect(m, k)
-    complement = tuple(u - v for u, v in zip(theory.unit, e))
-    if a[k] == 1:
-        meas = Measurement((e, complement))
-    else:
-        meas = Measurement((complement, e))
+    # hypercube_theory lists +1 before -1, so for i < j the face effect is a's.
+    meas = Measurement((e, tuple(u - v for u, v in zip(theory.unit, e))))
     return verify_witness(theory, [a, b], meas)
 
 
@@ -224,6 +221,8 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
                       workers: int = 1) -> RandomSearchReport:
     """Monte Carlo over random codes: empirical failure fraction of the
     component check next to the exact union bound."""
+    if m is not None and m_codewords is not None:
+        raise ValueError("give m or an explicit codeword count, not both")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if q is None or l is None:

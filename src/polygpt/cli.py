@@ -115,7 +115,7 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(doc, args, columns=()):
+def _emit(doc, args):
     csv = getattr(args, "format", "json") == "csv"
     if csv and args.out and os.path.splitext(args.out)[1].lower() == ".json":
         raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
@@ -124,7 +124,8 @@ def _emit(doc, args, columns=()):
         # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
         with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
             if csv:
-                fh.write(",".join(columns) + "\n" + ",".join(_cell(doc[c]) for c in columns) + "\n")
+                cells = [_cell(doc[c]) for c in args.columns]
+                fh.write(",".join(args.columns) + "\n" + ",".join(cells) + "\n")
             else:
                 write_json(doc, fh)
         if csv and args.out:
@@ -159,7 +160,7 @@ def _selected_states(args):
 def cmd_theory(args):
     theory, _ = _load_theory_source(args)
     report = validate_theory(theory)
-    doc = {
+    return {
         "name": theory.name,
         "dim": theory.dim,
         "num_generators": theory.num_generators,
@@ -168,8 +169,6 @@ def cmd_theory(args):
         "valid": report.ok,
         "theory": theory_to_json(theory),
     }
-    _emit(doc, args)
-    return 0
 
 
 def cmd_distinguish(args):
@@ -190,8 +189,7 @@ def cmd_distinguish(args):
             # Only the reversed float re-solve was clear: the certificate
             # is for the feasibility LP over the states in this order.
             doc["certificate_states"] = indices[::-1]
-    _emit(doc, args)
-    return 0
+    return doc
 
 
 def cmd_psuccess(args):
@@ -203,15 +201,13 @@ def cmd_psuccess(args):
             raise UsageError("need as many priors as states")
     inst = discrimination.instance(theory, states, priors, validate=False)
     result = discrimination.max_success_probability(inst)
-    doc = {
+    return {
         "states": indices,
         "priors": _vector_out(inst.priors),
         "p_success": rat_str(result.p_success),
         "perfect": result.perfect,
         "measurement": [_vector_out(e) for e in result.measurement.effects],
     }
-    _emit(doc, args)
-    return 0
 
 
 def _build_hypergraph(args):
@@ -228,8 +224,7 @@ def _build_hypergraph(args):
 
 
 def cmd_hypergraph(args):
-    _emit(hypergraph.hypergraph_to_json(_build_hypergraph(args)), args)
-    return 0
+    return hypergraph.hypergraph_to_json(_build_hypergraph(args))
 
 
 def cmd_maxclique(args):
@@ -256,13 +251,12 @@ def cmd_maxclique(args):
     }
     if not clique.members:
         doc["note"] = "no N-complete set of size >= N exists (empty hyperedge set)"
-    _emit(doc, args)
-    return 0
+    return doc
 
 
 def cmd_verify_hypercube(args):
     report = capacity.verify_hypercube_memory(args.m, workers=args.workers)
-    doc = {
+    return {
         "N": report.n_arity,
         "m": report.m,
         "dimension": report.dimension,
@@ -271,8 +265,6 @@ def cmd_verify_hypercube(args):
         "pairs_checked": report.achieved_set_size * (report.achieved_set_size - 1) // 2,
         "verified": report.verified,
     }
-    _emit(doc, args, ("N", "m", "dimension", "kappa", "achieved_set_size", "verified"))
-    return 0
 
 
 def cmd_kappa(args):
@@ -280,9 +272,7 @@ def cmd_kappa(args):
         raise DomainError("closed-form compression factors are only known for N = 2")
     d = capacity.d_pairwise(args.m)
     kappa = capacity.kappa_pairwise(args.m)
-    doc = {"N": 2, "m": args.m, "d": d, "kappa": float(_fmt12(kappa))}
-    _emit(doc, args, ("N", "m", "d", "kappa"))
-    return 0
+    return {"N": 2, "m": args.m, "d": d, "kappa": float(_fmt12(kappa))}
 
 
 def cmd_random_construction(args):
@@ -292,7 +282,7 @@ def cmd_random_construction(args):
     report = capacity.randomized_search(
         args.N, m=args.m, trials=args.trials, seed=args.seed,
         q=args.q, l=args.l, m_codewords=args.M, workers=args.workers)
-    doc = {
+    return {
         "N": report.n_arity,
         "m": report.m,
         "q": report.q,
@@ -308,9 +298,6 @@ def cmd_random_construction(args):
         "trials": report.trials,
         "seed": report.seed,
     }
-    _emit(doc, args, ("N", "m", "q", "l", "dim", "kappa_lower_bound", "bound",
-                      "empirical_failure", "trials", "seed"))
-    return 0
 
 
 def cmd_dg_check(args):
@@ -323,9 +310,8 @@ def cmd_dg_check(args):
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"malformed points file: {exc}") from exc
     holds = capacity.danzer_grunbaum_check(points)
-    _emit({"holds": holds, "num_points": len(points),
-           "space_dimension": len(points[0]) if points else 0}, args)
-    return 0
+    return {"holds": holds, "num_points": len(points),
+            "space_dimension": len(points[0]) if points else 0}
 
 
 def cmd_fixtures(args):
@@ -339,8 +325,7 @@ def cmd_fixtures(args):
             index[name] = path
     except OSError as exc:
         raise UsageError(str(exc)) from exc
-    _emit({"fixtures": index}, args)
-    return 0
+    return {"fixtures": index}
 
 
 # --- parser ------------------------------------------------------------------
@@ -357,10 +342,12 @@ def _add_backend_flags(sub):
     sub.add_argument("--tol", type=float, help=f"float-backend tolerance (default {DEFAULT_TOL})")
 
 
-def _add_output_flags(sub, csv_ok=False):
+def _add_output_flags(sub, columns=()):
+    """--out, and --format when the subcommand's document has CSV columns."""
     sub.add_argument("--out", help="output path (default: stdout)")
-    if csv_ok:
+    if columns:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.set_defaults(columns=columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-hypercube", help="verify all vertex pairs of the m-cube theory")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--workers", type=int, default=_default_workers())
-    _add_output_flags(p, csv_ok=True)
+    _add_output_flags(p, ("N", "m", "dimension", "kappa", "achieved_set_size", "verified"))
     p.set_defaults(func=cmd_verify_hypercube, rejects=DomainError)
 
     p = subs.add_parser("kappa", help="pairwise compression factor")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p, csv_ok=True)
+    _add_output_flags(p, ("N", "m", "d", "kappa"))
     p.set_defaults(func=cmd_kappa, rejects=DomainError)
 
     p = subs.add_parser("random-construction", help="Monte Carlo over random codes vs the union bound")
@@ -432,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=_default_workers())
-    _add_output_flags(p, csv_ok=True)
+    _add_output_flags(p, ("N", "m", "q", "l", "dim", "kappa_lower_bound", "bound",
+                          "empirical_failure", "trials", "seed"))
     p.set_defaults(func=cmd_random_construction, rejects=DomainError)
 
     p = subs.add_parser("dg-check", help="parallel-supporting-hyperplanes check for a point set")
@@ -459,7 +447,8 @@ def run(argv=None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "node_budget", 0) < 0:
             raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
-        return args.func(args)
+        _emit(args.func(args), args)
+        return 0
     except (UsageError, DomainError, ValueError, IndeterminateError, PrecisionError) as exc:
         # A value a library call rejected means what the subcommand declares;
         # undecided at the float tolerance or at exactlog.MAX_BITS: a domain failure.

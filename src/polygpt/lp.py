@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -105,13 +105,11 @@ class LPProblem:
     @functools.cached_property
     def integer_form(self):
         """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows).
-        The block's integer rows are reused, times k = d / (the block's d)."""
+        The block's integer rows serve when the own rows bring no new
+        denominator; otherwise the whole problem is scaled at once."""
         shared, block_den = self.block.integer_form
         own, den = _integer_form(self.own_constraints, block_den)
-        k = den // block_den
-        if k != 1:
-            shared = tuple((tuple(v * k for v in row), rel, rhs * k) for row, rel, rhs in shared)
-        return shared + own, den
+        return (shared + own, den) if den == block_den else _integer_form(self.constraints)
 
 
 def _integer_form(constraints, den: int = 1):
@@ -154,17 +152,16 @@ def _dual(constraints, num_vars: int, start: int = 0):
 
 
 def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
-    # Exact: rows times d (integer_form) keep x, value and certificates; rhs2 scales by d too.
+    # Exact: rows times d (integer_form) keep x, value and certificates.
     # The block's dual columns come first, then the own constraints'.
     n, start = prob.num_vars, len(prob.block.constraints)
     if arith.exact:
         constraints, den = prob.integer_form
-        own, k = constraints[start:], den // prob.block.integer_form[1]
-        costs, rows, backmap = prob.block.integer_dual
-        if k != 1:  # the own rows brought a new denominator
-            costs, rows = [c * k for c in costs], [tuple(v * k for v in r) for r in rows]
+        own = constraints[start:]
+        costs, rows, backmap = (prob.block.integer_dual if den == prob.block.integer_form[1]
+                                else _dual(constraints[:start], n))
     else:
-        own, den = prob.own_constraints, 1
+        own = prob.own_constraints
         costs, rows, backmap = prob.block.dual
     own_costs, own_rows, own_backmap = _dual(own, n, start)
     costs, backmap = costs + own_costs, backmap + own_backmap
@@ -186,17 +183,11 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
         cert = _certificate_from(res.ray, backmap, num_rows)
         return LPOutcome(LPStatus.INFEASIBLE, infeasibility_certificate=cert)
 
-    # Dual infeasible: primal is unbounded or infeasible. Search directly
-    # for a Farkas certificate (a normalized improving ray).
-    rows2 = [[*r, 0] for r in rows] + [costs + [1]]
-    rhs2 = [0] * n + [-den]
-    res2 = simplex.solve_standard_min([0] * (len(costs) + 1), rows2, rhs2, arith=arith)
-    if res2.status == simplex.STALLED:
-        return LPOutcome(LPStatus.STALLED)
-    if res2.status == simplex.OPTIMAL:
-        cert = _certificate_from(res2.x, backmap, num_rows)
-        return LPOutcome(LPStatus.INFEASIBLE, infeasibility_certificate=cert)
-    return LPOutcome(LPStatus.UNBOUNDED)
+    # Dual infeasible: the primal is unbounded or infeasible. With a zero
+    # objective the dual is feasible (y = 0), so this recursion ends at once:
+    # an optimum there means the primal is feasible, hence unbounded.
+    out = _solve(replace(prob, objective=(0,) * n), arith)
+    return LPOutcome(LPStatus.UNBOUNDED) if out.status == LPStatus.OPTIMAL else out
 
 
 def _certificate_from(weights, backmap, num_rows):

@@ -196,11 +196,9 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
             return None
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
+    # B has just solved the levels, so B^T is not singular.
     (cost_ints,), cost_den = integer_rows([costs])
-    priced = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
-    if priced is None:
-        return None
-    total, y, den = priced
+    total, y, den = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
     if any(den * c < t for c, t in zip(cost_ints, total)):
         return None
     value = sum((costs[j] * v for j, v in zip(basis, level) if j < n), zero)

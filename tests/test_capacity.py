@@ -205,6 +205,22 @@ def test_randomized_search_caps_the_codeword_count(monkeypatch):
             randomized_search(2, trials=5, seed=1, **kwargs)
 
 
+def test_randomized_search_refuses_m_with_a_codeword_count(monkeypatch):
+    # m would set q, l and the label m while M words are drawn: a code
+    # the report would not describe. The refusal comes before any work.
+    def no_work(*args):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(capacity, "probabilistic_params", no_work)
+    monkeypatch.setattr(capacity, "sample_random_code", no_work)
+    for kwargs in (dict(m=5), dict(m=5, q=9, l=12)):
+        with pytest.raises(ValueError, match="not both"):
+            randomized_search(3, m_codewords=8, trials=10, seed=1, **kwargs)
+    monkeypatch.undo()
+    assert randomized_search(3, m=5, q=9, l=12, trials=2, seed=1).m == 5.0
+    assert randomized_search(3, q=9, l=12, m_codewords=8, trials=2, seed=1).m == 3.0
+
+
 def test_randomized_search_from_m():
     rep = randomized_search(2, m=4, trials=30, seed=3)
     assert (rep.q, rep.l, rep.dimension) == (4, 8, 25)

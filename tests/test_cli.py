@@ -512,6 +512,15 @@ def test_random_construction_needs_n_at_least_2(tmp_path, n_arity):
     assert not out.exists()
 
 
+def test_random_construction_refuses_m_with_explicit_codewords(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.run(["random-construction", "--N", "3", "--m", "5", "--q", "9", "--l", "12",
+                    "--M", "8", "--trials", "10", "--workers", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polygpt: error: ")
+    assert not out.exists()
+
+
 def test_negative_trials_exit_1(tmp_path):
     out = tmp_path / "out.json"
     assert cli.run(["random-construction", "--N", "3", "--q", "9", "--l", "12", "--M", "8",

@@ -185,6 +185,19 @@ def test_float_requires_positive_tolerance(tol):
         lp.solve_float(prob, tol=tol)
 
 
+def test_primal_and_dual_both_infeasible_in_either_mode():
+    # x1 - x2 <= -1 and x2 - x1 <= -1 add up to 0 <= -2, and the dual's
+    # rows y1 - y2 = 1 and y2 - y1 = 1 add up to 0 = 2.
+    prob = lp.problem([F(1), F(1)], [([F(1), F(-1)], lp.LE, F(-1)),
+                                     ([F(-1), F(1)], lp.LE, F(-1))], 2)
+    exact = lp.solve_exact(prob)
+    assert exact.status == lp.LPStatus.INFEASIBLE
+    assert lp.verify_farkas(prob, exact.infeasibility_certificate)
+    approx = lp.solve_float(prob, tol=1e-9)
+    assert approx.status == lp.LPStatus.INFEASIBLE
+    assert lp.verify_farkas(prob, approx.infeasibility_certificate, tol=1e-9)
+
+
 def test_farkas_rejects_bogus_certificates():
     prob = lp.problem([F(1)], [([F(1)], lp.GE, F(1)), ([F(1)], lp.LE, F(0))], 1)
     assert not lp.verify_farkas(prob, (F(1), F(1)))   # wrong sign on >= row
