@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p)
     _add_backend_flags(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)  # default: the usable CPUs, resolved in run
     p.add_argument("--cache-dir", help=f"on-disk cache (default: ${CACHE_ENV})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_hypergraph, rejects=DomainError)
@@ -393,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--method", choices=("auto", "exact", "greedy"), default="auto")
     p.add_argument("--node-budget", type=int, default=24)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)  # default: the usable CPUs, resolved in run
     p.add_argument("--cache-dir", help=f"on-disk cache (default: ${CACHE_ENV})")
     _add_output_flags(p)
     p.set_defaults(func=cmd_maxclique, rejects=DomainError)
 
     p = subs.add_parser("verify-hypercube", help="verify all vertex pairs of the m-cube theory")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)  # default: the usable CPUs, resolved in run
     _add_output_flags(p, ("N", "m", "dimension", "kappa", "achieved_set_size", "verified"))
     p.set_defaults(func=cmd_verify_hypercube, rejects=DomainError)
 
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, help="number of codewords")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int)  # default: the usable CPUs, resolved in run
     _add_output_flags(p, ("N", "m", "q", "l", "dim", "kappa_lower_bound", "bound",
                           "empirical_failure", "trials", "seed"))
     p.set_defaults(func=cmd_random_construction, rejects=DomainError)
@@ -436,12 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request of the process and reused:
+    parsing keeps no state in it, and defaults that depend on the machine
+    (--workers) are resolved per request in run."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "workers", 1) is None:
+        args.workers = _default_workers()
     try:
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")

@@ -13,9 +13,8 @@ optimum serves as the forward witness of a clear acceptance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
@@ -170,109 +169,6 @@ def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
             for i in range(n - 1)]
     rows.append((tuple(states[n - 1]) * (n - 1), lp.EQ, 0))
     return lp.problem(zeros, rows, nvars, block)
-
-
-@dataclass(frozen=True)
-class ScaledEvidence:
-    """Evidence over integers: a witness's effect i is rows[i] / den, a
-    Farkas vector is rows[0] / den. Moves and re-checks run on these
-    integers."""
-
-    witness: bool
-    rows: tuple
-    den: int
-
-
-def scale_evidence(evidence) -> ScaledEvidence:
-    """A witness Measurement or a Farkas vector as ScaledEvidence, over its
-    least common denominator."""
-    witness = isinstance(evidence, Measurement)
-    rows, den = integer_rows(evidence.effects if witness else [evidence])
-    return ScaledEvidence(witness, tuple(map(tuple, rows)), den)
-
-
-def moved_evidence(theory: Theory, indices, evidence: ScaledEvidence, perm):
-    """Evidence for the generators at indices, the image of a decided
-    subset under perm, state by state in the subset's order: perm maps
-    generator k to generator perm[k]. evidence is the subset's
-    ScaledEvidence; the theory is exact and its generators span. perm is
-    only a hint: the moved evidence is returned only when it passes its
-    re-check by substitution on these states (_rechecks); else None."""
-    moved = _moved(theory, evidence, perm)
-    return moved if _rechecks(theory, indices, moved) else None
-
-
-def _moved(theory: Theory, evidence: ScaledEvidence, perm) -> ScaledEvidence:
-    if evidence.witness:
-        return _moved_witness(theory, evidence, perm)
-    return replace(evidence, rows=(
-        _moved_certificate(evidence.rows[0], perm, theory.num_generators),))
-
-
-def _moved_witness(theory: Theory, evidence: ScaledEvidence, perm) -> ScaledEvidence:
-    """Effect i becomes e_i A^-1 for the linear map A with A g_k = g_perm[k]:
-    e_i A^-1 . g_perm[k] = e_i . g_k, so it answers the image of state i.
-    A^-1 takes each basis generator g_b to g_k, where perm[k] = b, so
-    e_i A^-1 is the sum over the basis of (e_i . g_k) times b's row of
-    theory.basis_inverse, over q: an integer row over den * d * q. When
-    perm is no symmetry, the re-check rejects the result."""
-    basis, inverse, q = theory.basis_inverse
-    gens, d = theory.generator_rows
-    images = [gens[perm.index(b)] for b in basis]  # d * A^-1 g_b
-    columns = list(zip(*inverse))
-    rows = []
-    for row in evidence.rows:
-        coords = [sum(map(mul, row, g)) for g in images]  # den * d * (e_i . A^-1 g_b)
-        rows.append(tuple(sum(map(mul, coords, col)) for col in columns))
-    return ScaledEvidence(True, tuple(rows), evidence.den * d * q)
-
-
-def _moved_certificate(cert, perm, num_generators: int) -> tuple:
-    """With e_i A^-1 for e_i (A g_k = g_perm[k]), row (i, k) of
-    _feasibility_problem over the source states, e_i . g_k, is row
-    (i, perm[k]) over their images in the same order. This holds for each
-    of the N - 1 blocks of >= rows and for the block of <= rows, and the N
-    state rows keep their indices; so a Farkas vector moves by permuting
-    the multipliers within each of the N generator blocks."""
-    v = num_generators
-    moved = list(cert)
-    for r in range(len(cert) // (v + 1) * v):  # N * v generator rows, then N state rows
-        moved[r - r % v + perm[r % v]] = cert[r]
-    return tuple(moved)
-
-
-def _rechecks(theory: Theory, indices, evidence: ScaledEvidence) -> bool:
-    """The substitution check of evidence for the generators at indices, in
-    that order, on theory.generator_rows G_k = d * g_k. A witness goes
-    through theory.responds, as verify_witness does. A Farkas vector y is
-    checked condition for condition as exact lp.verify_farkas checks
-    evidence's Fraction form on _feasibility_problem, scaled by the positive
-    den: y <= 0 on the N - 1 blocks of >= rows and y >= 0 on the block of
-    <= rows (the shared block); for each block i,
-    sum_k (y_ik + y_shared,k) G_k + y_state_i G_{indices[i]}
-    + y_state_last G_{indices[-1]} = 0; and the right-hand sides,
-    sum_k y_shared,k + sum_{i < N-1} y_state_i, summing below 0."""
-    gens, d = theory.generator_rows
-    n = len(indices)
-    if evidence.witness:
-        return (len(evidence.rows) == n and all(len(row) == theory.dim for row in evidence.rows)
-                and responds(theory, evidence.rows, evidence.den, [gens[k] for k in indices], d))
-    y, v = evidence.rows[0], len(gens)
-    if len(y) != n * v + n:
-        return False
-    shared, states = y[(n - 1) * v:n * v], y[n * v:]
-    if max(y[:(n - 1) * v]) > 0 or min(shared) < 0 or sum(shared) + sum(states[:-1]) >= 0:
-        return False
-    for i in range(n - 1):
-        terms = [(a + b, g) for a, b, g in zip(y[i * v:(i + 1) * v], shared, gens)]
-        terms += [(states[i], gens[indices[i]]), (states[-1], gens[indices[-1]])]
-        combo = [0] * theory.dim
-        for c, g in terms:
-            if c:
-                combo = [x + c * a for x, a in zip(combo, g)]
-        if any(combo):
-            return False
-    return True
 
 
 def _check_distinct(theory: Theory, states) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .discrimination import is_perfectly_distinguishable, moved_evidence, scale_evidence
+from .discrimination import is_perfectly_distinguishable
 from .parallel import parallel_map
 from .theory import FLOAT, Theory, save_json, theory_to_json
 
@@ -60,62 +60,44 @@ class Clique:
         return len(self.members)
 
 
-def _subset_distinguishable(theory: Theory, subset) -> tuple:
-    """(distinguishable, its evidence: the witness or the Farkas vector for
-    the states in the subset's order)."""
+def _subset_distinguishable(theory: Theory, subset) -> bool:
+    """Whether the generators at the subset's indices are perfectly
+    distinguishable: one LP, whose witness or Farkas vector an exact solve
+    re-checks by substitution (lp.solve_exact)."""
     states = [theory.generators[i] for i in subset]
-    answer = is_perfectly_distinguishable(theory, states, validate=False)
-    return answer.distinguishable, answer.witness if answer.distinguishable else answer.certificate
+    return is_perfectly_distinguishable(theory, states, validate=False).distinguishable
 
 
 def _orbits(subsets: list, perms) -> list:
     """The orbits of the subsets under the permutations, found breadth
-    first, each a list of (subset, perm) pairs: its representative (the
-    first subset in input order) comes first with None, and perm maps the
-    representative onto each other member element by element. Images
-    outside the list are not followed."""
+    first, each a list of subsets led by its representative (the first in
+    input order). Images outside the list are not followed."""
     unvisited = set(subsets)
     orbits = []
     for rep in subsets:
         if rep not in unvisited:
             continue
         unvisited.remove(rep)
-        orbit = [(rep, None)]
-        for subset, path in orbit:  # grows while it is read
+        orbit = [rep]
+        for subset in orbit:  # grows while it is read
             images = itemgetter(*subset)  # of at least 2 elements: returns a tuple
             for perm in perms:
                 image = tuple(sorted(images(perm)))
                 if image in unvisited:
                     unvisited.remove(image)
-                    orbit.append((image, perm if path is None else itemgetter(*path)(perm)))
+                    orbit.append(image)
         orbits.append(orbit)
     return orbits
 
 
-def _decide_orbit(theory: Theory, orbit) -> list:
-    """The verdict on each member of the orbit, in order. The
-    representative is decided by LP; every other member takes its evidence,
-    moved along the member's permutation and re-checked by substitution,
-    and is decided directly when the re-check fails. The evidence is
-    scaled to integers once per orbit; no member builds a Fraction."""
-    (rep, _), *members = orbit
-    distinguishable, evidence = _subset_distinguishable(theory, rep)
-    verdicts = [distinguishable]
-    scaled = scale_evidence(evidence) if members else None
-    for subset, perm in members:
-        moved = moved_evidence(theory, [perm[x] for x in rep], scaled, perm)
-        verdicts.append(distinguishable if moved is not None else
-                        _subset_distinguishable(theory, subset)[0])
-    return verdicts
-
-
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
-    """The distinguishable subsets, in order. Each orbit under
-    theory.symmetries is one work item of the pool (_decide_orbit)."""
-    orbits = _orbits(subsets, theory.symmetries)
-    decided = parallel_map(functools.partial(_decide_orbit, theory), orbits, workers)
-    keep = {subset for orbit, verdicts in zip(orbits, decided)
-            for (subset, _), verdict in zip(orbit, verdicts) if verdict}
+    """The distinguishable subsets, in order. One LP decides each orbit
+    under theory.checked_symmetries: the representatives are the pool's
+    work items, and every other member takes its representative's verdict."""
+    orbits = _orbits(subsets, theory.checked_symmetries)
+    verdicts = parallel_map(functools.partial(_subset_distinguishable, theory),
+                            [orbit[0] for orbit in orbits], workers)
+    keep = {subset for orbit, verdict in zip(orbits, verdicts) if verdict for subset in orbit}
     return [s for s in subsets if s in keep]
 
 
@@ -138,12 +120,16 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     level 1 being the single states. Results can be cached on disk keyed
     by (theory digest, N), where the digest covers a float theory's tolerance.
 
-    One LP decides a whole orbit of subsets under theory.symmetries, the
-    group computed from the theory itself on a cache miss, and each orbit is
-    one work item of the pool. Each moved answer is re-checked, and a
-    subset whose re-check fails gets its own LP, so the edges never depend
-    on the group. A float theory, or one whose generators do not span, has
-    no group: one LP per subset.
+    One LP decides a whole orbit of subsets under
+    theory.checked_symmetries: the group computed from the theory itself on
+    a cache miss, each generator's linear map checked once per theory. The
+    representative's LP is the pool's work item, and its witness or Farkas
+    vector is re-checked by substitution. Every other member takes that
+    verdict; its certificate is the representative's evidence together with
+    the word in the group generators that maps the representative onto it.
+    A permutation that fails the check is dropped, so a false one costs
+    LPs, never an edge. A float theory, or one whose generators do not
+    span, has no group: one LP per subset.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:

@@ -100,6 +100,24 @@ class Theory:
         return _symmetry_generators(self)
 
     @functools.cached_property
+    def checked_symmetries(self) -> tuple:
+        """The permutations of symmetries that are bijections of the
+        generator indices whose linear map, A g_b = g_perm[b] on the basis
+        of basis_inverse, sends every generator g_k to g_perm[k], checked in
+        integers once per theory; () for a float theory or one whose
+        generators do not span. Such an A maps the cone onto itself and
+        fixes the unit (u . g = 1 on spanning generators), so it maps
+        distinguishable sets onto distinguishable sets and extreme points
+        onto extreme points: a build and a reduction give one verdict per
+        orbit under these. Cached like generator_rows."""
+        if self.numeric_mode != EXACT or self.basis_inverse is None:
+            return ()
+        induced, basis = _induced_permutation(self), self.basis_inverse[0]
+        identity = list(range(self.num_generators))
+        return tuple(perm for perm in self.symmetries if sorted(perm) == identity
+                     and induced([perm[b] for b in basis]) == tuple(perm))
+
+    @functools.cached_property
     def lp_blocks(self) -> dict:
         """The constraint blocks that discrimination's LPs share, keyed by
         the number of states and filled on first use. Cached like
@@ -121,13 +139,12 @@ def _symmetry_generators(t: Theory) -> tuple:
     deepest k first, skipping images already in its orbit under the
     generators found so far; so each new generator at least doubles the
     group, and there are at most log2 |group| of them."""
-    basis, inverse, q = t.basis_inverse
-    gens, d = t.generator_rows
+    basis = t.basis_inverse[0]
+    gens = t.generator_rows[0]
     gram = [[sum(g[i] * g[j] for g in gens) for j in range(t.dim)] for i in range(t.dim)]
     solved, _ = integer_rows(solve_columns(gram, gens))
     w = [[dot(g, x) for x in solved] for g in gens]  # W times a positive integer
-    coords = [[(i, c) for i, c in enumerate(dot(row, g) for row in inverse) if c] for g in gens]
-    index = {tuple(q * d * a for a in g): k for k, g in enumerate(gens)}  # keys: q * d * G_k
+    induced = _induced_permutation(t)
 
     def fits(images, x):  # W agrees on basis[:j+1] and images + (x,), j = len(images)
         return x not in images and all(w[x][y] == w[basis[len(images)]][b]
@@ -137,9 +154,7 @@ def _symmetry_generators(t: Theory) -> tuple:
         if len(images) == len(basis):
             # A g = sum_i coord_i(g) g_images[i] keeps the definite form Q^-1
             # on the basis (W), so A is invertible and perm is one-to-one.
-            cols = [gens[k] for k in images]
-            perm = tuple(index.get(tuple(sum(c * cols[i][s] for i, c in row)
-                                         for s in range(t.dim))) for row in coords)
+            perm = induced(images)
             return None if None in perm else perm
         return next(filter(None, (extend(images + (x,)) for x in range(len(gens))
                                   if fits(images, x))), None)
@@ -158,6 +173,41 @@ def _symmetry_generators(t: Theory) -> tuple:
                         orbit.add(image)
                         stack.append(image)
     return tuple(found)
+
+
+def _induced_permutation(t: Theory):
+    """The function that takes images, generator indices for the basis of
+    t.basis_inverse in order, to the tuple whose k-th entry is the index of
+    A g_k for the linear map A with A g_basis[i] = g_images[i], or None
+    where A g_k is no generator. Integer basis coordinates and one
+    dictionary lookup per generator."""
+    basis, inverse, q = t.basis_inverse
+    gens, d = t.generator_rows
+    coords = [[(i, c) for i, c in enumerate(dot(row, g) for row in inverse) if c] for g in gens]
+    index = {tuple(q * d * a for a in g): k for k, g in enumerate(gens)}  # keys: q * d * G_k
+
+    def induced(images) -> tuple:
+        cols = [gens[k] for k in images]
+        return tuple(index.get(tuple(sum(c * cols[i][s] for i, c in row) for s in range(t.dim)))
+                     for row in coords)
+
+    return induced
+
+
+def _generator_orbits(t: Theory) -> list:
+    """The orbits of the generator indices under t.checked_symmetries, each
+    a list led by its least index; one per generator when there is no group."""
+    seen, orbits = set(), []
+    for k in range(t.num_generators):
+        if k not in seen:
+            seen.add(k)
+            orbits.append([k])
+            for x in orbits[-1]:  # grows while it is read
+                for y in (perm[x] for perm in t.checked_symmetries):
+                    if y not in seen:
+                        seen.add(y)
+                        orbits[-1].append(y)
+    return orbits
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
@@ -302,21 +352,37 @@ def _generator_values(t: Theory, row) -> list:
 
 
 def reduce_to_pure_states(t: Theory) -> Theory:
-    """Drop every generator in the cone of the others (its weights sum to 1,
-    as in convex_weights); the survivors are the extreme points of the state space."""
+    """Drop every duplicate generator, then every generator in the cone of
+    the others (its weights sum to 1, as in convex_weights); the survivors
+    are the extreme points of the state space.
+
+    One membership LP decides each orbit of the deduplicated generators
+    under their checked group (Theory.checked_symmetries, _generator_orbits):
+    a symmetry maps the cone of the others of g_k onto that of g_perm[k],
+    so every member takes its representative's verdict. A float list, or
+    one whose generators do not span, has no group: one LP per generator.
+    When nothing is dropped the theory itself is returned, so a build
+    reuses the group cached on it."""
     arith = t.arith()
-    unique = []
-    for g in t.generators:
-        if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
-            unique.append(g)
-    keep = []
-    for i, g in enumerate(unique):
-        others = unique[:i] + unique[i + 1:]
-        if not others or _combination_weights(others, g, arith) is None:
-            keep.append(g)
+    if arith.exact:  # equal exact coordinates hash alike
+        unique = list(dict.fromkeys(t.generators))
+    else:
+        unique = []
+        for g in t.generators:
+            if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
+                unique.append(g)
+    if len(unique) < t.num_generators:
+        t = replace(t, generators=tuple(unique))
+    extreme = {}
+    for orbit in _generator_orbits(t):
+        k = orbit[0]
+        others = unique[:k] + unique[k + 1:]
+        extreme.update(dict.fromkeys(
+            orbit, not others or _combination_weights(others, unique[k], arith) is None))
+    keep = tuple(g for k, g in enumerate(unique) if extreme[k])
     if not keep:  # each in the others' cone within tol: only float round-off can land here
         raise IndeterminateError("no generator is extreme at this tolerance")
-    return replace(t, generators=tuple(keep))
+    return t if len(keep) == len(unique) else replace(t, generators=keep)
 
 
 # --- JSON schema -----------------------------------------------------------

@@ -5,8 +5,9 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from polygpt import discrimination, lp, simplex
 from polygpt.families import FAMILIES, codeword_state_index, parse_family_spec, simplex_power
-from polygpt.linalg import dot, pivot_columns, rat, solve_columns, unit_vector
-from polygpt.theory import FLOAT, Theory, reduce_to_pure_states
+from polygpt.linalg import dot, integer_rows, pivot_columns, rat, solve_columns, unit_vector
+from polygpt.theory import FLOAT, Theory, reduce_to_pure_states, responds
 
 
 def random_rational(rng, span=12, den=4):
@@ -183,9 +184,10 @@ def known_group_order(spec):
 
 
 def planted(theory, perms):
-    """A fresh copy of theory whose cached Theory.symmetries is perms, so
-    that build_hypergraph moves answers along them in place of the
-    computed group: true generators, false hints or none at all."""
+    """A fresh copy of theory whose cached Theory.symmetries is perms, in
+    place of the computed group: true generators, false hints or none at
+    all. Theory.checked_symmetries checks them as it checks a computed
+    group, so a false hint is dropped there."""
     fresh = replace(theory)
     vars(fresh)["symmetries"] = tuple(perms)
     return fresh
@@ -334,10 +336,149 @@ def brute_force_optimum(prob):
 
 
 def evidence_fractions(evidence):
-    """The Fraction form of discrimination.ScaledEvidence: a Measurement
-    for a witness, a tuple for a Farkas vector."""
+    """The Fraction form of ScaledEvidence: a Measurement for a witness, a
+    tuple for a Farkas vector."""
     values = tuple(tuple(Fraction(v, evidence.den) for v in row) for row in evidence.rows)
     return discrimination.Measurement(values) if evidence.witness else values[0]
+
+
+# --- moved orbit evidence -----------------------------------------------------
+# The reference for the orbit path of build_hypergraph: each orbit member
+# takes its representative's verdict, and its certificate is the
+# representative's evidence moved along the word in the group generators that
+# maps the representative onto it (orbit_words), re-checked by substitution
+# on the member's states (rechecks).
+
+def subset_evidence(theory, subset):
+    """The witness or the Farkas vector of the LP on the generators at the
+    subset's indices, in its order."""
+    states = [theory.generators[i] for i in subset]
+    answer = discrimination.is_perfectly_distinguishable(theory, states, validate=False)
+    return answer.witness if answer.distinguishable else answer.certificate
+
+
+def orbit_words(orbit, perms, v):
+    """For each member of an orbit of hypergraph._orbits (a list led by its
+    representative), a permutation of 0..v-1 that maps the representative
+    onto the member element by element: a word in perms, composed along a
+    breadth-first search from the representative through the members alone.
+    Fails when a member is no such image."""
+    members = set(orbit)
+    words = {orbit[0]: tuple(range(v))}
+    queue = [orbit[0]]
+    for subset in queue:  # grows while it is read
+        for perm in perms:
+            image = tuple(sorted(perm[x] for x in subset))
+            if image in members and image not in words:
+                words[image] = tuple(perm[x] for x in words[subset])
+                queue.append(image)
+    assert words.keys() == members, "an orbit member is no image of its representative"
+    return words
+
+
+@dataclass(frozen=True)
+class ScaledEvidence:
+    """Evidence over integers: a witness's effect i is rows[i] / den, a
+    Farkas vector is rows[0] / den. Moves and re-checks run on these
+    integers."""
+
+    witness: bool
+    rows: tuple
+    den: int
+
+
+def scale_evidence(evidence):
+    """A witness Measurement or a Farkas vector as ScaledEvidence, over its
+    least common denominator."""
+    witness = isinstance(evidence, discrimination.Measurement)
+    rows, den = integer_rows(evidence.effects if witness else [evidence])
+    return ScaledEvidence(witness, tuple(map(tuple, rows)), den)
+
+
+def moved_evidence(theory, indices, evidence, perm):
+    """Evidence for the generators at indices, the image of a decided
+    subset under perm, state by state in the subset's order: perm maps
+    generator k to generator perm[k]. evidence is the subset's
+    ScaledEvidence; the theory is exact and its generators span. perm is
+    only a hint: the moved evidence is returned only when it passes its
+    re-check by substitution on these states (rechecks); else None."""
+    moved = move(theory, evidence, perm)
+    return moved if rechecks(theory, indices, moved) else None
+
+
+def move(theory, evidence, perm):
+    if evidence.witness:
+        return moved_witness(theory, evidence, perm)
+    return replace(evidence, rows=(
+        moved_certificate(evidence.rows[0], perm, theory.num_generators),))
+
+
+def moved_witness(theory, evidence, perm):
+    """Effect i becomes e_i A^-1 for the linear map A with A g_k = g_perm[k]:
+    e_i A^-1 . g_perm[k] = e_i . g_k, so it answers the image of state i.
+    A^-1 takes each basis generator g_b to g_k, where perm[k] = b, so
+    e_i A^-1 is the sum over the basis of (e_i . g_k) times b's row of
+    theory.basis_inverse, over q: an integer row over den * d * q. When
+    perm is no symmetry, the re-check rejects the result."""
+    basis, inverse, q = theory.basis_inverse
+    gens, d = theory.generator_rows
+    images = [gens[perm.index(b)] for b in basis]  # d * A^-1 g_b
+    columns = list(zip(*inverse))
+    rows = []
+    for row in evidence.rows:
+        coords = [sum(map(mul, row, g)) for g in images]  # den * d * (e_i . A^-1 g_b)
+        rows.append(tuple(sum(map(mul, coords, col)) for col in columns))
+    return ScaledEvidence(True, tuple(rows), evidence.den * d * q)
+
+
+def moved_certificate(cert, perm, num_generators):
+    """With e_i A^-1 for e_i (A g_k = g_perm[k]), row (i, k) of
+    discrimination._feasibility_problem over the source states, e_i . g_k, is row
+    (i, perm[k]) over their images in the same order. This holds for each
+    of the N - 1 blocks of >= rows and for the block of <= rows, and the N
+    state rows keep their indices; so a Farkas vector moves by permuting
+    the multipliers within each of the N generator blocks."""
+    v = num_generators
+    moved = list(cert)
+    for r in range(len(cert) // (v + 1) * v):  # N * v generator rows, then N state rows
+        moved[r - r % v + perm[r % v]] = cert[r]
+    return tuple(moved)
+
+
+def rechecks(theory, indices, evidence):
+    """The substitution check of evidence for the generators at indices, in
+    that order, on theory.generator_rows G_k = d * g_k. A witness goes
+    through theory.responds, as verify_witness does. A Farkas vector y is
+    checked condition for condition as exact lp.verify_farkas checks
+    evidence's Fraction form on discrimination._feasibility_problem, scaled
+    by the positive den: y <= 0 on the N - 1 blocks of >= rows and y >= 0
+    on the block of <= rows (the shared block); for each block i,
+    sum_k (y_ik + y_shared,k) G_k + y_state_i G_{indices[i]}
+    + y_state_last G_{indices[-1]} = 0; and the right-hand sides,
+    sum_k y_shared,k + sum_{i < N-1} y_state_i, summing below 0."""
+    gens, d = theory.generator_rows
+    n = len(indices)
+    if evidence.witness:
+        return (len(evidence.rows) == n and all(len(row) == theory.dim for row in evidence.rows)
+                and responds(theory, evidence.rows, evidence.den, [gens[k] for k in indices], d))
+    y, v = evidence.rows[0], len(gens)
+    if len(y) != n * v + n:
+        return False
+    shared, states = y[(n - 1) * v:n * v], y[n * v:]
+    if max(y[:(n - 1) * v]) > 0 or min(shared) < 0 or sum(shared) + sum(states[:-1]) >= 0:
+        return False
+    for i in range(n - 1):
+        terms = [(a + b, g) for a, b, g in zip(y[i * v:(i + 1) * v], shared, gens)]
+        terms += [(states[i], gens[indices[i]]), (states[-1], gens[indices[-1]])]
+        combo = [0] * theory.dim
+        for c, g in terms:
+            if c:
+                combo = [x + c * a for x, a in zip(combo, g)]
+        if any(combo):
+            return False
+    return True
+
+
 
 
 # --- discrimination LPs built row by row ------------------------------------

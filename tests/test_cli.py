@@ -611,8 +611,10 @@ def test_distinguish_names_the_reversed_certificate_order(tmp_path, monkeypatch,
     assert lp.verify_farkas(prob, doc["farkas_certificate"], tol=theory.arith().tol)
 
 
-@pytest.mark.parametrize("cpus,pool_sizes", [({0, 1}, [2]), ({3}, [])])
-def test_pools_never_exceed_the_usable_cpus(tmp_path, monkeypatch, cpus, pool_sizes):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of every process pool the test starts: a
+    RecordingPool stands in for the executor and maps in-process."""
     sizes = []
 
     class RecordingPool:  # records max_workers and maps in-process; forks nothing
@@ -628,11 +630,32 @@ def test_pools_never_exceed_the_usable_cpus(tmp_path, monkeypatch, cpus, pool_si
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus,pool_sizes", [({0, 1}, [2]), ({3}, [])])
+def test_pools_never_exceed_the_usable_cpus(tmp_path, monkeypatch, recorded_pools, cpus,
+                                            pool_sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     items = list(range(5 * parallel.MIN_POOLED_ITEMS))
     assert parallel.parallel_map(hex, items, 5000) == [hex(x) for x in items]
-    assert sizes == pool_sizes
+    assert recorded_pools == pool_sizes
     one = run_json(tmp_path, ["verify-hypercube", "--m", "3", "--workers", "1"], name="1.json")
     many = run_json(tmp_path, ["verify-hypercube", "--m", "3", "--workers", "5000"])
-    assert one == many and sizes == pool_sizes * 2
+    assert one == many and recorded_pools == pool_sizes * 2
+
+
+def test_the_parser_is_built_once_and_the_default_workers_follow_each_request(
+        tmp_path, monkeypatch, recorded_pools):
+    # The parser is cached for the process, but a request without --workers
+    # reads the CPU affinity it runs under, not the one the parser saw.
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    first = run_json(tmp_path, ["verify-hypercube", "--m", "3"], name="first.json")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    second = run_json(tmp_path, ["verify-hypercube", "--m", "3"], name="second.json")
+    assert first == second and recorded_pools == [2, 3] and built == [1]

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, float_ngon,
-                      hypercube_symmetries, invert, known_group_order, mat_vec,
-                      prism_pair_index, reference_hints, sifts, simplex_power_symmetries,
-                      stabilizer_chain)
+                      hypercube_symmetries, invert, known_group_order, mat_vec, moved_witness,
+                      orbit_words, prism_pair_index, reference_hints, scale_evidence, sifts,
+                      simplex_power_symmetries, stabilizer_chain)
 from polygpt import cli, discrimination, hypergraph
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
@@ -223,11 +223,12 @@ def test_unknown_family_kind_is_rejected():
 
 @pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
 def test_every_supplied_symmetry_is_proven(spec):
-    # build_hypergraph only re-checks what it moves, so a wrong computed
-    # generator would cost LPs unseen: find A with A g_k = g_perm[k] on a
-    # basis of generators, in plain Fractions, and check it on every generator.
+    # Theory.checked_symmetries checks each generator in integers; here,
+    # independently, find A with A g_k = g_perm[k] on a basis of generators,
+    # in plain Fractions, and check it on every generator.
     theory = build_family(spec)
     symmetries = theory.symmetries
+    assert theory.checked_symmetries == symmetries
     gens = [tuple(F(v) for v in g) for g in theory.generators]
     basis, _, _ = theory.basis_inverse
     basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in basis))])
@@ -244,7 +245,7 @@ def test_every_supplied_symmetry_is_proven(spec):
         a = [[dot(row, col) for col in zip(*basis_inverse)] for row in images]  # A = G B^-1
         assert all(mat_vec(a, g) == gens[p] for g, p in zip(gens, perm))
         a_inverse = invert(a)
-        moved = discrimination._moved_witness(theory, discrimination.scale_evidence(witness), perm)
+        moved = moved_witness(theory, scale_evidence(witness), perm)
         assert evidence_fractions(moved).effects == tuple(
             tuple(dot(e, col) for col in zip(*a_inverse)) for e in witness.effects)
 
@@ -294,8 +295,7 @@ def test_orbit_counts(spec, n_arity, subsets, orbits):
     candidates = list(itertools.combinations(range(v), n_arity))
     found = hypergraph._orbits(candidates, perms)
     assert len(candidates) == subsets and len(found) == orbits
-    assert sorted(s for orbit in found for s, _ in orbit) == candidates
-    for (rep, none), *members in found:
-        assert none is None
-        for subset, perm in members:
-            assert subset == tuple(sorted(perm[x] for x in rep))
+    assert sorted(s for orbit in found for s in orbit) == candidates
+    for orbit in found:
+        assert orbit[0] == min(orbit)  # the representative comes first
+        orbit_words(orbit, perms, v)  # fails unless every member is an image of it

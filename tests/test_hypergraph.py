@@ -9,9 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (evidence_fractions, hypercube_symmetries, plain_verify_witness, planted,
-                      random_planar_theory, reference_exact_max_clique,
-                      reference_greedy_max_clique, reference_hints)
+from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, hypercube_symmetries, move,
+                      moved_certificate, moved_evidence, orbit_words, plain_verify_witness,
+                      planted, random_planar_theory, rechecks, reference_exact_max_clique,
+                      reference_greedy_max_clique, reference_hints, scale_evidence,
+                      subset_evidence)
 from polygpt import discrimination, hypergraph, lp
 from polygpt import theory as theory_module
 from polygpt.discrimination import is_perfectly_distinguishable
@@ -404,82 +406,116 @@ def direct_build(spec, n_arity):
     return build_hypergraph(planted(build_family(spec), ()), n_arity)
 
 
+def orbit_lps(theory, spec, n_arity):
+    """The LPs of an orbit build: the orbits of each level's candidates
+    under the checked group, each level's edges taken from the direct build."""
+    v, lps = theory.num_generators, 0
+    for k in range(2, n_arity + 1):
+        below = direct_build(spec, k - 1).edges if k > 2 else {(x,) for x in range(v)}
+        candidates = [s for s in itertools.combinations(range(v), k)
+                      if all(sub in below for sub in itertools.combinations(s, k - 1))]
+        lps += len(hypergraph._orbits(candidates, theory.checked_symmetries))
+    return lps
+
+
 @contextlib.contextmanager
 def counted_decisions():
-    """Counts hypergraph.is_perfectly_distinguishable calls made in this
-    process, and moved evidence that failed its re-check. Calls made in
-    pool workers are not seen, so the counts are complete only when no
-    pool starts: at 1 worker, or with fewer than MIN_POOLED_ITEMS orbits
-    in every level."""
-    counts = {"decided": 0, "failed moves": 0}
-    decide, move = hypergraph.is_perfectly_distinguishable, hypergraph.moved_evidence
+    """The state tuples of the hypergraph.is_perfectly_distinguishable calls
+    made in this process, one per decision. Calls made in pool workers are
+    not seen, so the list is complete only when no pool starts: at 1
+    worker, or with fewer than MIN_POOLED_ITEMS orbits in every level."""
+    decided = []
+    decide = hypergraph.is_perfectly_distinguishable
 
-    def decided(*args, **kwargs):
-        counts["decided"] += 1
-        return decide(*args, **kwargs)
-
-    def moved(*args):
-        evidence = move(*args)
-        counts["failed moves"] += evidence is None
-        return evidence
+    def counted(theory, states, **kwargs):
+        decided.append(states)
+        return decide(theory, states, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hypergraph, "is_perfectly_distinguishable", decided)
-        mp.setattr(hypergraph, "moved_evidence", moved)
-        yield counts
+        mp.setattr(hypergraph, "is_perfectly_distinguishable", counted)
+        yield decided
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec,n_arity", ORBIT_BUILDS)
 def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
     theory = build_family(spec)
-    with counted_decisions() as counts:
+    with counted_decisions() as decided:
         h = build_hypergraph(theory, n_arity, workers=workers)
     assert h == direct_build(spec, n_arity)
-    # Every moved witness and Farkas vector re-checks: none is solved again.
-    assert counts["failed moves"] == 0
-    assert counts["decided"] < math.comb(theory.num_generators, 2) or theory.num_generators <= 2
+    assert theory.checked_symmetries == theory.symmetries  # the computed group passes its check
+    assert len(decided) < math.comb(theory.num_generators, 2) or theory.num_generators <= 2
+    if workers == 1:  # one LP per orbit
+        assert len(decided) == orbit_lps(theory, spec, n_arity)
+
+
+@pytest.mark.parametrize("spec,n_arity", sorted({*ORBIT_BUILDS,
+                                                 *((spec, 2) for spec in SYMMETRIC_FAMILIES)}))
+def test_every_orbit_member_takes_a_certificate_from_its_representative(spec, n_arity):
+    # A member takes its representative's verdict. Its certificate is the
+    # representative's witness or Farkas vector moved along the word that
+    # maps the representative onto it, and that passes the reference
+    # re-check by substitution on the member's states.
+    theory = build_family(spec)
+    v, perms = theory.num_generators, theory.checked_symmetries
+    members = 0
+    for orbit in hypergraph._orbits(list(itertools.combinations(range(v), n_arity)), perms):
+        rep = orbit[0]
+        scaled = scale_evidence(subset_evidence(theory, rep))
+        for word in orbit_words(orbit, perms, v).values():
+            assert moved_evidence(theory, [word[x] for x in rep], scaled, word) is not None
+            members += 1
+    assert members == math.comb(v, n_arity)
 
 
 @pytest.mark.parametrize("spec,n_arity", [("hypercube:m=3", 2), ("hypercube:m=3", 3),
                                            ("simplex-power:q=3,l=2", 3)])
 def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
     theory = build_family(spec)
-    symmetries = theory.symmetries
+    symmetries = theory.checked_symmetries
     inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
-        _, evidence = hypergraph._subset_distinguishable(theory, subset)
-        scaled = discrimination.scale_evidence(evidence)
+        evidence = subset_evidence(theory, subset)
+        scaled = scale_evidence(evidence)
         for perm, inverse in zip(symmetries, inverses):
             image = tuple(perm[x] for x in subset)  # the moved order, not sorted
             reordered += image != tuple(sorted(image))
-            moved = discrimination.moved_evidence(theory, image, scaled, perm)
+            moved = moved_evidence(theory, image, scaled, perm)
             assert moved is not None
-            back = discrimination.moved_evidence(theory, subset, moved, inverse)
+            back = moved_evidence(theory, subset, moved, inverse)
             assert evidence_fractions(back) == evidence
     assert reordered > 0
 
 
 def test_the_identity_leaves_a_certificate_unchanged():
     cube = hypercube_theory(3)
-    distinguishable, cert = hypergraph._subset_distinguishable(cube, (0, 1, 2))
-    assert not distinguishable
-    assert discrimination._moved_certificate(cert, tuple(range(8)), 8) == cert
+    cert = subset_evidence(cube, (0, 1, 2))
+    assert not isinstance(cert, discrimination.Measurement)
+    assert moved_certificate(cert, tuple(range(8)), 8) == cert
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (1, 0, 2, 3), (0, 0, 2, 3), (0, 1, 2),
+                                  (0, 1, 2, 3, 4)],
+                         ids=["identity", "vertex-swap", "not-one-to-one", "short", "long"])
+def test_the_check_keeps_only_symmetries(perm):
+    # Two exchanged vertices of the square are no symmetry; the identity is.
+    square = hypercube_theory(2)
+    checked = planted(square, (perm, *square.symmetries)).checked_symmetries
+    assert checked == ((perm,) if perm == (0, 1, 2, 3) else ()) + square.symmetries
 
 
 def test_a_non_symmetry_only_costs_lps():
     cube = hypercube_theory(3)
     swap = (1, 0, *range(2, 8))  # two vertices of the cube exchanged: no symmetry
-    # Every pair of the cube is an edge, so each level's candidates are all its k-subsets.
-    representatives = [len(hypergraph._orbits(list(itertools.combinations(range(8), k)), [swap]))
-                       for k in (2, 3)]
     for n_arity in (2, 3):
-        with counted_decisions() as counts:
-            h = build_hypergraph(planted(cube, (swap,)), n_arity)
+        theory = planted(cube, (swap,))
+        with counted_decisions() as decided:
+            h = build_hypergraph(theory, n_arity)
+        assert theory.checked_symmetries == ()
         assert h == direct_build("hypercube:m=3", n_arity)
-        assert counts["failed moves"] > 0
-        assert counts["decided"] == sum(representatives[:n_arity - 1]) + counts["failed moves"]
+        # Every pair of the cube is an edge, so each level decides all its k-subsets.
+        assert len(decided) == sum(math.comb(8, k) for k in range(2, n_arity + 1))
 
 
 # The levels below have at least MIN_POOLED_ITEMS orbits, so at 2 workers
@@ -496,10 +532,10 @@ def test_a_pooled_orbit_build_equals_the_one_worker_build():
 
 
 def test_a_non_symmetry_in_the_pool_keeps_the_edges():
+    # The check drops the swap, so each of the 28 pairs and 56 triples is
+    # its own orbit, and the pool decides them.
     cube = hypercube_theory(3)
     swap = (1, 0, *range(2, 8))
-    assert [len(hypergraph._orbits(list(itertools.combinations(range(8), k)), [swap]))
-            for k in (2, 3)] == [22, 41]
     for n_arity in (2, 3):
         h = build_hypergraph(planted(cube, (swap,)), n_arity, workers=2)
         assert h == direct_build("hypercube:m=3", n_arity)
@@ -510,40 +546,28 @@ def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
     # The 9-cycle on the generators of simplex-power(3,2) is no symmetry:
     # some of its 10 triple orbits hold edges and non-edges alike.
     cycle = (*range(1, 9), 0)
-    h = build_hypergraph(planted(simplex_power(3, 2), (cycle,)), 3, workers=workers)
+    theory = planted(simplex_power(3, 2), (cycle,))
+    h = build_hypergraph(theory, 3, workers=workers)
     assert h == direct_build("simplex-power:q=3,l=2", 3) and len(h.edges) == 48
+    assert theory.checked_symmetries == ()
     orbits = hypergraph._orbits(list(itertools.combinations(range(9), 3)), [cycle])
-    assert len(orbits) == 10 and any(len({s in h.edges for s, _ in o}) == 2 for o in orbits)
+    assert len(orbits) == 10 and any(len({s in h.edges for s in o}) == 2 for o in orbits)
 
 
-def test_a_corrupted_move_is_solved_directly(monkeypatch):
-    # Pairs of the 3-cube are accepted (witnesses move) and its triples
-    # are refused (Farkas vectors move); every integer move is corrupted here.
-    def sign_flipped(values):
-        k = next(k for k, v in enumerate(values) if v != 0)
-        return (*values[:k], -values[k], *values[k + 1:])
-
-    witness, certificate = discrimination._moved_witness, discrimination._moved_certificate
-    moves = []
-
-    def bad_witness(*args):
-        moves.append("witness")
-        moved = witness(*args)  # integer effect rows
-        return replace(moved, rows=(sign_flipped(moved.rows[0]), *moved.rows[1:]))
-
-    def bad_certificate(*args):
-        moves.append("certificate")
-        return sign_flipped(certificate(*args))
-
-    monkeypatch.setattr(discrimination, "_moved_witness", bad_witness)
-    monkeypatch.setattr(discrimination, "_moved_certificate", bad_certificate)
-    cube = hypercube_theory(3)
-    with counted_decisions() as counts:
-        h = build_hypergraph(planted(cube, hypercube_symmetries(3)), 3)
+def test_a_corrupted_generator_is_dropped_and_the_true_ones_kept():
+    # Each reference generator of the cube's group with the images of
+    # vertices 0 and 1 exchanged is no symmetry. The check drops those and
+    # keeps the true generators beside them, so the build still makes one
+    # LP per orbit of the full group.
+    true = hypercube_symmetries(3)
+    corrupted = tuple((p[1], p[0], *p[2:]) for p in true)
+    theory = planted(hypercube_theory(3), corrupted + true)
+    with counted_decisions() as decided:
+        h = build_hypergraph(theory, 3)
+    assert theory.checked_symmetries == true
     assert h == direct_build("hypercube:m=3", 3)
-    assert {"witness", "certificate"} <= set(moves)
-    assert counts["failed moves"] == len(moves)
-    assert counts["decided"] == 28 + 56  # every subset decided by its own LP
+    assert len(decided) == sum(len(hypergraph._orbits(list(itertools.combinations(range(8), k)),
+                                                      true)) for k in (2, 3))
 
 
 def corruptions(scaled):
@@ -570,8 +594,7 @@ def extrapolations(theory, indices, moved):
     vectors. Affine combinations keep the sum of the effects, the delta
     conditions and a Farkas vector's combination of rows, so they test the
     bounds, the signs and the right-hand side alone."""
-    _, own = hypergraph._subset_distinguishable(theory, indices)
-    own = discrimination.scale_evidence(own)
+    own = scale_evidence(subset_evidence(theory, indices))
     if own.witness != moved.witness:
         return
     for a in (2, 3):
@@ -593,23 +616,26 @@ def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, h
     # re-check answers as the plain Fraction formula of a witness, or exact
     # lp.verify_farkas, does on the same evidence in Fractions.
     theory = build_family(spec)
+    v = theory.num_generators
     perms = theory.symmetries if hint is None else (hint,)
-    subsets = list(itertools.combinations(range(theory.num_generators), n_arity))
+    subsets = list(itertools.combinations(range(v), n_arity))
     verdicts = {True: 0, False: 0}
-    for (rep, _), *members in hypergraph._orbits(subsets, perms):
-        _, evidence = hypergraph._subset_distinguishable(theory, rep)
-        scaled = discrimination.scale_evidence(evidence)
-        for _, perm in members:
+    for orbit in hypergraph._orbits(subsets, perms):
+        rep = orbit[0]
+        scaled = scale_evidence(subset_evidence(theory, rep))
+        for member, perm in orbit_words(orbit, perms, v).items():
+            if member == rep:
+                continue
             indices = [perm[x] for x in rep]
             states = [theory.generators[k] for k in indices]
-            moved = discrimination._moved(theory, scaled, perm)
+            moved = move(theory, scaled, perm)
             for candidate in (moved, *corruptions(moved),
                               *extrapolations(theory, indices, moved)):
                 fractions = evidence_fractions(candidate)
                 expected = (plain_verify_witness(theory, states, fractions)
                             if candidate.witness else lp.verify_farkas(
                                 discrimination._feasibility_problem(theory, states), fractions))
-                assert discrimination._rechecks(theory, indices, candidate) == expected
+                assert rechecks(theory, indices, candidate) == expected
                 verdicts[expected] += 1
     # Each comparison above saw a failing check; the true generators' moves
     # pass too, while the swap fails every move of a triple.
@@ -627,11 +653,11 @@ def test_the_witness_recheck_bounds_every_effect(last, expected):
     tetrahedron = classical_simplex(4)
     effects = [tuple(F(i == j) for j in range(3)) + (F(a),) for i, a in enumerate(last)]
     meas = discrimination.Measurement(tuple(effects))
-    scaled = discrimination.scale_evidence(meas)
+    scaled = scale_evidence(meas)
     states = tetrahedron.generators[:3]
     assert plain_verify_witness(tetrahedron, states, meas) == expected
     assert discrimination.verify_witness(tetrahedron, states, meas) == expected
-    assert discrimination._rechecks(tetrahedron, (0, 1, 2), scaled) == expected
+    assert rechecks(tetrahedron, (0, 1, 2), scaled) == expected
 
 
 # A float theory, or an exact one whose generators do not span (the square
@@ -644,8 +670,8 @@ def test_the_witness_recheck_bounds_every_effect(last, expected):
            tuple(g + (F(0),) for g in hypercube_theory(2).generators)),
 ], ids=["float-hypercube-m3", "ngon-n7", "non-spanning-exact"])
 def test_float_theories_keep_one_lp_per_pair(theory):
-    assert theory.symmetries == ()
-    with counted_decisions() as counts:
+    assert theory.symmetries == theory.checked_symmetries == ()
+    with counted_decisions() as decided:
         h = build_hypergraph(theory, 2)
     assert h == build_hypergraph(planted(theory, ()), 2)
-    assert counts["decided"] == math.comb(theory.num_generators, 2)
+    assert len(decided) == math.comb(theory.num_generators, 2)

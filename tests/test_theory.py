@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from conftest import (SYMMETRIC_FAMILIES, exact_bland_runs, linearly_independent
                       random_lifted_theory, random_planar_theory, reference_is_state,
                       reference_pure_states)
 from polygpt import simplex
+from polygpt import theory as theory_module
 from polygpt.fixtures import fixtures
 from polygpt.families import build_family, classical_simplex, hypercube_effect, hypercube_theory
 from polygpt.theory import (EXACT, FLOAT, Measurement, Theory, conic_weights, is_effect,
@@ -167,6 +169,70 @@ def test_membership_without_the_sum_row_matches_the_reference(seed, mode):
 def test_reduction_keeps_every_family_vertex(spec):
     t = build_family(spec)
     assert reduce_to_pure_states(t).generators == reference_pure_states(t) == t.generators
+    assert reduce_to_pure_states(t) is t  # its cached group comes along
+
+
+def counted_memberships(monkeypatch):
+    """The targets of the membership LPs (theory._combination_weights) run
+    after this call in the test."""
+    targets = []
+    weights = theory_module._combination_weights
+
+    def counted(vectors, target, arith):
+        targets.append(target)
+        return weights(vectors, target, arith)
+
+    monkeypatch.setattr(theory_module, "_combination_weights", counted)
+    return targets
+
+
+def test_the_cube_with_its_centre_and_edge_midpoints_reduces_to_its_vertices(monkeypatch):
+    # The 21 points have the cube's group, whose orbits are the vertices,
+    # the centre and the midpoints: one membership LP each.
+    cube = hypercube_theory(3)
+    gens = cube.generators
+    centre = tuple(sum(col) / 8 for col in zip(*gens))
+    midpoints = [tuple((a + b) / 2 for a, b in zip(g, h)) for g, h in itertools.combinations(gens, 2)
+                 if sum(a != b for a, b in zip(g, h)) == 1]
+    fat = Theory(cube.name, cube.dim, cube.unit, (centre, *midpoints[:6], *gens, *midpoints[6:]))
+    lps = counted_memberships(monkeypatch)
+    reduced = reduce_to_pure_states(fat)
+    assert len(midpoints) == 12 and reduced.generators == gens
+    assert len(lps) == 3
+
+
+def test_the_8_cube_reduces_with_one_membership_lp(monkeypatch):
+    cube = hypercube_theory(8)
+    lps = counted_memberships(monkeypatch)
+    assert reduce_to_pure_states(cube) is cube
+    assert len(lps) == 1
+
+
+@pytest.mark.parametrize("theory", [
+    make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
+                numeric_mode=FLOAT),
+    Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
+           tuple(g + (F(0),) for g in hypercube_theory(2).generators)),
+], ids=["float-cube", "non-spanning-square"])
+def test_a_float_or_non_spanning_list_keeps_one_membership_lp_per_generator(monkeypatch, theory):
+    lps = counted_memberships(monkeypatch)
+    assert reduce_to_pure_states(theory).generators == theory.generators
+    assert theory.checked_symmetries == () and len(lps) == theory.num_generators
+
+
+@pytest.mark.parametrize("spec", ["hypercube:m=2", "hypercube:m=3", "simplex:d=4",
+                                  "simplex-power:q=3,l=2", "ngon:n=6",
+                                  "prism:simplex:d=3+hypercube:m=2"])
+def test_a_symmetric_list_loses_exactly_its_non_extreme_points(spec):
+    # Every vertex, the centroid and every pair's midpoint (antipodal pairs
+    # share theirs with the centroid): orbit verdicts match the program with
+    # the sum row, decided point by point.
+    t = build_family(spec)
+    centroid = tuple(sum(col) / t.num_generators for col in zip(*t.generators))
+    midpoints = [tuple((a + b) / 2 for a, b in zip(g, h))
+                 for g, h in itertools.combinations(t.generators, 2)]
+    fat = Theory(t.name, t.dim, t.unit, (*midpoints, centroid, *t.generators))
+    assert reduce_to_pure_states(fat).generators == reference_pure_states(fat) == t.generators
 
 
 def _fixture_theories_with_centroids():
