@@ -15,12 +15,11 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .discrimination import is_perfectly_distinguishable
 from .parallel import parallel_map
-from .theory import FLOAT, Theory, save_json, theory_to_json
+from .theory import FLOAT, Theory, orbits, save_json, theory_to_json
 
 
 @dataclass(frozen=True)
@@ -68,36 +67,14 @@ def _subset_distinguishable(theory: Theory, subset) -> bool:
     return is_perfectly_distinguishable(theory, states, validate=False).distinguishable
 
 
-def _orbits(subsets: list, perms) -> list:
-    """The orbits of the subsets under the permutations, found breadth
-    first, each a list of subsets led by its representative (the first in
-    input order). Images outside the list are not followed."""
-    unvisited = set(subsets)
-    orbits = []
-    for rep in subsets:
-        if rep not in unvisited:
-            continue
-        unvisited.remove(rep)
-        orbit = [rep]
-        for subset in orbit:  # grows while it is read
-            images = itemgetter(*subset)  # of at least 2 elements: returns a tuple
-            for perm in perms:
-                image = tuple(sorted(images(perm)))
-                if image in unvisited:
-                    unvisited.remove(image)
-                    orbit.append(image)
-        orbits.append(orbit)
-    return orbits
-
-
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
     """The distinguishable subsets, in order. One LP decides each orbit
     under theory.checked_symmetries: the representatives are the pool's
     work items, and every other member takes its representative's verdict."""
-    orbits = _orbits(subsets, theory.checked_symmetries)
+    found = orbits(subsets, theory.checked_symmetries)
     verdicts = parallel_map(functools.partial(_subset_distinguishable, theory),
-                            [orbit[0] for orbit in orbits], workers)
-    keep = {subset for orbit, verdict in zip(orbits, verdicts) if verdict for subset in orbit}
+                            [orbit[0] for orbit in found], workers)
+    keep = {subset for orbit, verdict in zip(found, verdicts) if verdict for subset in orbit}
     return [s for s in subsets if s in keep]
 
 

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Sequence
 
 from . import simplex
@@ -102,20 +103,31 @@ class Theory:
     @functools.cached_property
     def checked_symmetries(self) -> tuple:
         """The permutations of symmetries that are bijections of the
-        generator indices whose linear map, A g_b = g_perm[b] on the basis
-        of basis_inverse, sends every generator g_k to g_perm[k], checked in
-        integers once per theory; () for a float theory or one whose
-        generators do not span. Such an A maps the cone onto itself and
+        generator indices whose linear map A, A g_b = g_perm[b] on the basis
+        of basis_inverse, sends every generator g_k to g_perm[k]; () for a
+        float theory or one whose generators do not span. The check, once
+        per theory, shares nothing with the search's coordinate lookup: it
+        builds q d A as an integer matrix from perm alone and applies it to
+        every generator row, so it drops a wrong permutation from the search
+        as well as a planted one. Such an A maps the cone onto itself and
         fixes the unit (u . g = 1 on spanning generators), so it maps
         distinguishable sets onto distinguishable sets and extreme points
         onto extreme points: a build and a reduction give one verdict per
         orbit under these. Cached like generator_rows."""
         if self.numeric_mode != EXACT or self.basis_inverse is None:
             return ()
-        induced, basis = _induced_permutation(self), self.basis_inverse[0]
+        basis, inverse, q = self.basis_inverse
+        gens, d = self.generator_rows
         identity = list(range(self.num_generators))
-        return tuple(perm for perm in self.symmetries if sorted(perm) == identity
-                     and induced([perm[b] for b in basis]) == tuple(perm))
+
+        def maps_every_generator(perm):  # q d A = sum_i G_perm[basis[i]] (x) inverse[i]
+            a = [[sum(gens[perm[b]][s] * row[j] for b, row in zip(basis, inverse))
+                  for j in range(self.dim)] for s in range(self.dim)]
+            return all([dot(row, g) for row in a] == [q * d * x for x in gens[p]]
+                       for g, p in zip(gens, perm))
+
+        return tuple(perm for perm in self.symmetries
+                     if sorted(perm) == identity and maps_every_generator(perm))
 
     @functools.cached_property
     def lp_blocks(self) -> dict:
@@ -139,12 +151,13 @@ def _symmetry_generators(t: Theory) -> tuple:
     deepest k first, skipping images already in its orbit under the
     generators found so far; so each new generator at least doubles the
     group, and there are at most log2 |group| of them."""
-    basis = t.basis_inverse[0]
-    gens = t.generator_rows[0]
+    basis, inverse, q = t.basis_inverse
+    gens, d = t.generator_rows
     gram = [[sum(g[i] * g[j] for g in gens) for j in range(t.dim)] for i in range(t.dim)]
     solved, _ = integer_rows(solve_columns(gram, gens))
     w = [[dot(g, x) for x in solved] for g in gens]  # W times a positive integer
-    induced = _induced_permutation(t)
+    coords = [[(i, c) for i, c in enumerate(dot(row, g) for row in inverse) if c] for g in gens]
+    index = {tuple(q * d * a for a in g): k for k, g in enumerate(gens)}  # keys: q * d * G_k
 
     def fits(images, x):  # W agrees on basis[:j+1] and images + (x,), j = len(images)
         return x not in images and all(w[x][y] == w[basis[len(images)]][b]
@@ -154,7 +167,9 @@ def _symmetry_generators(t: Theory) -> tuple:
         if len(images) == len(basis):
             # A g = sum_i coord_i(g) g_images[i] keeps the definite form Q^-1
             # on the basis (W), so A is invertible and perm is one-to-one.
-            perm = induced(images)
+            cols = [gens[k] for k in images]
+            perm = tuple(index.get(tuple(sum(c * cols[i][s] for i, c in row)
+                                         for s in range(t.dim))) for row in coords)
             return None if None in perm else perm
         return next(filter(None, (extend(images + (x,)) for x in range(len(gens))
                                   if fits(images, x))), None)
@@ -175,39 +190,28 @@ def _symmetry_generators(t: Theory) -> tuple:
     return tuple(found)
 
 
-def _induced_permutation(t: Theory):
-    """The function that takes images, generator indices for the basis of
-    t.basis_inverse in order, to the tuple whose k-th entry is the index of
-    A g_k for the linear map A with A g_basis[i] = g_images[i], or None
-    where A g_k is no generator. Integer basis coordinates and one
-    dictionary lookup per generator."""
-    basis, inverse, q = t.basis_inverse
-    gens, d = t.generator_rows
-    coords = [[(i, c) for i, c in enumerate(dot(row, g) for row in inverse) if c] for g in gens]
-    index = {tuple(q * d * a for a in g): k for k, g in enumerate(gens)}  # keys: q * d * G_k
-
-    def induced(images) -> tuple:
-        cols = [gens[k] for k in images]
-        return tuple(index.get(tuple(sum(c * cols[i][s] for i, c in row) for s in range(t.dim)))
-                     for row in coords)
-
-    return induced
-
-
-def _generator_orbits(t: Theory) -> list:
-    """The orbits of the generator indices under t.checked_symmetries, each
-    a list led by its least index; one per generator when there is no group."""
-    seen, orbits = set(), []
-    for k in range(t.num_generators):
-        if k not in seen:
-            seen.add(k)
-            orbits.append([k])
-            for x in orbits[-1]:  # grows while it is read
-                for y in (perm[x] for perm in t.checked_symmetries):
-                    if y not in seen:
-                        seen.add(y)
-                        orbits[-1].append(y)
-    return orbits
+def orbits(subsets: list, perms) -> list:
+    """The orbits of the subsets, increasing tuples of generator indices,
+    under the permutations, found breadth first, each a list of subsets led
+    by its representative (the first in input order). Images outside the
+    list are not followed."""
+    unvisited = set(subsets)
+    found = []
+    for rep in subsets:
+        if rep not in unvisited:
+            continue
+        unvisited.remove(rep)
+        orbit = [rep]
+        for subset in orbit:  # grows while it is read
+            get = itemgetter(*subset)  # a tuple for two or more indices
+            images = get if len(subset) > 1 else lambda perm: (get(perm),)
+            for perm in perms:
+                image = tuple(sorted(images(perm)))
+                if image in unvisited:
+                    unvisited.remove(image)
+                    orbit.append(image)
+        found.append(orbit)
+    return found
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
@@ -357,29 +361,26 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     are the extreme points of the state space.
 
     One membership LP decides each orbit of the deduplicated generators
-    under their checked group (Theory.checked_symmetries, _generator_orbits):
-    a symmetry maps the cone of the others of g_k onto that of g_perm[k],
-    so every member takes its representative's verdict. A float list, or
-    one whose generators do not span, has no group: one LP per generator.
-    When nothing is dropped the theory itself is returned, so a build
-    reuses the group cached on it."""
+    under their checked group (Theory.checked_symmetries, orbits of single
+    indices): a symmetry maps the cone of the others of g_k onto that of
+    g_perm[k], so every member takes its representative's verdict. A float
+    list, or one whose generators do not span, has no group: one LP per
+    generator. When nothing is dropped the theory itself is returned, so a
+    build reuses the group cached on it."""
     arith = t.arith()
-    if arith.exact:  # equal exact coordinates hash alike
-        unique = list(dict.fromkeys(t.generators))
-    else:
-        unique = []
-        for g in t.generators:
-            if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
-                unique.append(g)
+    unique = []
+    for g in t.generators:
+        if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
+            unique.append(g)
     if len(unique) < t.num_generators:
         t = replace(t, generators=tuple(unique))
     extreme = {}
-    for orbit in _generator_orbits(t):
-        k = orbit[0]
+    for orbit in orbits([(k,) for k in range(len(unique))], t.checked_symmetries):
+        (k,) = orbit[0]
         others = unique[:k] + unique[k + 1:]
         extreme.update(dict.fromkeys(
             orbit, not others or _combination_weights(others, unique[k], arith) is None))
-    keep = tuple(g for k, g in enumerate(unique) if extreme[k])
+    keep = tuple(g for k, g in enumerate(unique) if extreme[(k,)])
     if not keep:  # each in the others' cone within tol: only float round-off can land here
         raise IndeterminateError("no generator is extreme at this tolerance")
     return t if len(keep) == len(unique) else replace(t, generators=keep)

@@ -358,7 +358,7 @@ def subset_evidence(theory, subset):
 
 
 def orbit_words(orbit, perms, v):
-    """For each member of an orbit of hypergraph._orbits (a list led by its
+    """For each member of an orbit of theory.orbits (a list led by its
     representative), a permutation of 0..v-1 that maps the representative
     onto the member element by element: a word in perms, composed along a
     breadth-first search from the representative through the members alone.

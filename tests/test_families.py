@@ -9,7 +9,8 @@ from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, float_ngon,
                       hypercube_symmetries, invert, known_group_order, mat_vec, moved_witness,
                       orbit_words, prism_pair_index, reference_hints, scale_evidence, sifts,
                       simplex_power_symmetries, stabilizer_chain)
-from polygpt import cli, discrimination, hypergraph
+from polygpt import cli, discrimination
+from polygpt import theory as theory_module
 from polygpt.families import (MAX_GENERATORS, build_family, classical_simplex,
                               codeword_state_index, hypercube_effect, hypercube_state,
                               hypercube_theory, FamilySpec, ngon_theory,
@@ -293,7 +294,7 @@ def test_orbit_counts(spec, n_arity, subsets, orbits):
     theory = build_family(spec)
     v, perms = theory.num_generators, theory.symmetries
     candidates = list(itertools.combinations(range(v), n_arity))
-    found = hypergraph._orbits(candidates, perms)
+    found = theory_module.orbits(candidates, perms)
     assert len(candidates) == subsets and len(found) == orbits
     assert sorted(s for orbit in found for s in orbit) == candidates
     for orbit in found:

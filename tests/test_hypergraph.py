@@ -414,7 +414,7 @@ def orbit_lps(theory, spec, n_arity):
         below = direct_build(spec, k - 1).edges if k > 2 else {(x,) for x in range(v)}
         candidates = [s for s in itertools.combinations(range(v), k)
                       if all(sub in below for sub in itertools.combinations(s, k - 1))]
-        lps += len(hypergraph._orbits(candidates, theory.checked_symmetries))
+        lps += len(theory_module.orbits(candidates, theory.checked_symmetries))
     return lps
 
 
@@ -459,7 +459,7 @@ def test_every_orbit_member_takes_a_certificate_from_its_representative(spec, n_
     theory = build_family(spec)
     v, perms = theory.num_generators, theory.checked_symmetries
     members = 0
-    for orbit in hypergraph._orbits(list(itertools.combinations(range(v), n_arity)), perms):
+    for orbit in theory_module.orbits(list(itertools.combinations(range(v), n_arity)), perms):
         rep = orbit[0]
         scaled = scale_evidence(subset_evidence(theory, rep))
         for word in orbit_words(orbit, perms, v).values():
@@ -525,7 +525,7 @@ def test_a_pooled_orbit_build_equals_the_one_worker_build():
     symmetries = reference_hints(spec)
     # Every pair is an edge, so the triple candidates are all 2,925 triples.
     triples = list(itertools.combinations(range(27), 3))
-    assert len(hypergraph._orbits(triples, symmetries)) == 10 >= MIN_POOLED_ITEMS
+    assert len(theory_module.orbits(triples, symmetries)) == 10 >= MIN_POOLED_ITEMS
     pooled, single = (build_hypergraph(planted(build_family(spec), symmetries), 3, workers=w)
                       for w in (2, 1))
     assert pooled == single and len(pooled.edges) == 1737
@@ -550,7 +550,7 @@ def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
     h = build_hypergraph(theory, 3, workers=workers)
     assert h == direct_build("simplex-power:q=3,l=2", 3) and len(h.edges) == 48
     assert theory.checked_symmetries == ()
-    orbits = hypergraph._orbits(list(itertools.combinations(range(9), 3)), [cycle])
+    orbits = theory_module.orbits(list(itertools.combinations(range(9), 3)), [cycle])
     assert len(orbits) == 10 and any(len({s in h.edges for s in o}) == 2 for o in orbits)
 
 
@@ -566,7 +566,7 @@ def test_a_corrupted_generator_is_dropped_and_the_true_ones_kept():
         h = build_hypergraph(theory, 3)
     assert theory.checked_symmetries == true
     assert h == direct_build("hypercube:m=3", 3)
-    assert len(decided) == sum(len(hypergraph._orbits(list(itertools.combinations(range(8), k)),
+    assert len(decided) == sum(len(theory_module.orbits(list(itertools.combinations(range(8), k)),
                                                       true)) for k in (2, 3))
 
 
@@ -620,7 +620,7 @@ def test_the_integer_recheck_agrees_with_the_fraction_verifiers(spec, n_arity, h
     perms = theory.symmetries if hint is None else (hint,)
     subsets = list(itertools.combinations(range(v), n_arity))
     verdicts = {True: 0, False: 0}
-    for orbit in hypergraph._orbits(subsets, perms):
+    for orbit in theory_module.orbits(subsets, perms):
         rep = orbit[0]
         scaled = scale_evidence(subset_evidence(theory, rep))
         for member, perm in orbit_words(orbit, perms, v).items():
