@@ -29,6 +29,7 @@ from .theory import Measurement, Theory, reduce_to_pure_states
 MAX_DIMENSION = 10 ** 6  # largest code dimension randomized_search accepts
 MAX_CODEWORDS = 2 ** 12  # most codewords it draws; a trial checks all C(M, N) subsets
 MAX_SYMBOLS = 2 ** 22  # most symbols M * l that one trial draws
+SUBSET_CHUNK = 2 ** 14  # N-subsets that one trial's component check holds at once
 
 # --- compression factors ----------------------------------------------------
 
@@ -128,18 +129,28 @@ class SplitMix64:
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
+        return self.draw(1 << 64, 1)[0]
 
     def randrange(self, n: int) -> int:
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+        return self.draw(n, 1)[0]
+
+    def draw(self, n: int, count: int) -> list:
+        """count uniform values in range(n), the ones that count randrange
+        calls return. An output at or above the largest multiple of n up
+        to 2^64 is rejected, so every value is equally likely."""
+        mask = self.MASK
+        limit = (1 << 64) - (1 << 64) % n
+        state = self.state
+        values = []
+        while len(values) < count:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            if z < limit:
+                values.append(z % n)
+        self.state = state
+        return values
 
     def derive(self, index: int) -> "SplitMix64":
         child = SplitMix64(self.state ^ (0xA5A5A5A5A5A5A5A5 + index))
@@ -171,26 +182,35 @@ def sample_random_code(q: int, l: int, m_codewords: int, seed: int) -> RandomCod
     seen = set()
     words = []
     while len(words) < m_codewords:
-        w = tuple(rng.randrange(q) + 1 for _ in range(l))
-        if w not in seen:
-            seen.add(w)
-            words.append(w)
+        # One draw for every word still missing: a word takes the next l
+        # symbols whether or not it repeats one already drawn.
+        need = m_codewords - len(words)
+        symbols = [v + 1 for v in rng.draw(q, need * l)]
+        for i in range(need):
+            w = tuple(symbols[i * l:(i + 1) * l])
+            if w not in seen:
+                seen.add(w)
+                words.append(w)
     return RandomCode(q, l, tuple(words), seed)
-
-
-def component_discriminates(code: RandomCode, subset: Sequence[int], component: int) -> bool:
-    """Whether the chosen component shows pairwise distinct symbols on the
-    selected codewords (giving a classical readout on that factor)."""
-    symbols = [code.codewords[i][component] for i in subset]
-    return len(set(symbols)) == len(symbols)
 
 
 def verify_nwise_by_components(code: RandomCode, n_arity: int) -> bool:
     """Sufficient condition for N-wise mutual distinguishability: every
-    N-subset of codewords has some all-distinct component."""
-    indices = range(len(code.codewords))
-    for subset in itertools.combinations(indices, n_arity):
-        if not any(component_discriminates(code, subset, c) for c in range(code.l)):
+    N-subset of codewords has some all-distinct component.
+
+    Each component in turn keeps only the subsets that still lack an
+    all-distinct symbol there. The subsets come in chunks of
+    SUBSET_CHUNK, so a trial holds no more than that at once, whatever
+    its codeword count."""
+    words = code.codewords
+    subsets = itertools.combinations(range(len(words)), n_arity)
+    while pending := list(itertools.islice(subsets, SUBSET_CHUNK)):
+        for c in range(code.l):
+            symbol = [w[c] for w in words].__getitem__
+            pending = [s for s in pending if len(set(map(symbol, s))) < n_arity]
+            if not pending:
+                break
+        else:
             return False
     return True
 

@@ -159,10 +159,6 @@ def clique_is_valid(h: DistinguishabilityHypergraph, clique: Clique) -> bool:
                for s in itertools.combinations(sorted(members), h.n_arity))
 
 
-def _better(candidate: tuple, best: tuple) -> bool:
-    return len(candidate) > len(best) or (len(candidate) == len(best) and candidate < best)
-
-
 def _completions(h: DistinguishabilityHypergraph, members: Sequence[int], node: int) -> int:
     """Bitmask of the nodes that extend members + (node,), given that they
     extend members: the AND over the (N-1)-subsets that contain node."""
@@ -179,23 +175,33 @@ def greedy_max_clique(h: DistinguishabilityHypergraph) -> Clique:
 
     The candidates are a bitmask of the nodes that extend the grown set.
     A node that fails to extend it never extends a larger one, so taking
-    the lowest candidate bit each time adds what the ascending scan adds."""
-    best: tuple = ()
+    the lowest candidate bit each time adds what the ascending scan adds.
+
+    A growth ends inside grown | candidates, so it stops once that set
+    cannot beat the best clique so far: when it is smaller, or when it is
+    as large and not lexicographically smaller. Of two sets of one size,
+    the smaller is the one that holds the lowest node where they differ."""
+    best_size, best_mask = 0, 0
     links = h.links
     for edge in sorted(h.edges):
         candidates = -1
         for i in range(len(edge)):
             candidates &= links[edge[:i] + edge[i + 1:]]
         grown = list(edge)
-        while candidates:
+        grown_mask = sum(1 << v for v in edge)
+        while True:
+            size, reach = len(grown) + candidates.bit_count(), grown_mask | candidates
+            if size < best_size or size == best_size and not (d := reach ^ best_mask) & -d & reach:
+                break
+            if not candidates:
+                best_size, best_mask = size, reach
+                break
             low = candidates & -candidates
             node = low.bit_length() - 1
             candidates &= _completions(h, grown, node)
             grown.append(node)
-        grown = tuple(sorted(grown))
-        if _better(grown, best):
-            best = grown
-    return Clique(best)
+            grown_mask |= low
+    return Clique(tuple(v for v in range(best_mask.bit_length()) if best_mask >> v & 1))
 
 
 def exact_max_clique(h: DistinguishabilityHypergraph, node_budget: int = 24) -> Clique:

@@ -110,6 +110,58 @@ def nwise_distinguishable_by_lp(code, n_arity):
         for subset in itertools.combinations(indices, n_arity))
 
 
+# --- random-code oracles -------------------------------------------------------
+
+def component_discriminates(code, subset, component):
+    """Whether the chosen component shows pairwise distinct symbols on the
+    selected codewords (giving a classical readout on that factor)."""
+    symbols = [code.codewords[i][component] for i in subset]
+    return len(set(symbols)) == len(symbols)
+
+
+def reference_verify_nwise_by_components(code, n_arity):
+    """The per-subset component check: every N-subset, in order, against
+    every component."""
+    return all(any(component_discriminates(code, subset, c) for c in range(code.l))
+               for subset in itertools.combinations(range(len(code.codewords)), n_arity))
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 one output per call, with randrange's rejection loop on
+    top: the generator as first written, independent of capacity.py."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self.state = seed & self.MASK
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def randrange(self, n):
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+
+def reference_sample_codewords(q, l, m_codewords, seed):
+    """The symbol-by-symbol sampler: one randrange call per symbol, a
+    repeated word redrawn."""
+    rng = ReferenceSplitMix64(seed)
+    words = []
+    while len(words) < m_codewords:
+        w = tuple(rng.randrange(q) + 1 for _ in range(l))
+        if w not in words:
+            words.append(w)
+    return tuple(words)
+
+
 # Family specs with a known symmetry group and reference hints
 # (reference_hints); test_families proves every computed generator.
 SYMMETRIC_FAMILIES = ([f"hypercube:m={m}" for m in range(1, 7)]

@@ -6,14 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import nwise_distinguishable_by_lp, random_planar_points, tournament_count
+from conftest import (ReferenceSplitMix64, component_discriminates, nwise_distinguishable_by_lp,
+                      random_planar_points, reference_sample_codewords,
+                      reference_verify_nwise_by_components, tournament_count)
 from polygpt import capacity, hypergraph
-from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64,
-                              component_discriminates,
-                              d_pairwise, danzer_grunbaum_check, failure_probability_bound,
-                              kappa_pairwise, probabilistic_params, randomized_search,
-                              sample_random_code, verify_hypercube_memory,
-                              verify_nwise_by_components)
+from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64, d_pairwise,
+                              danzer_grunbaum_check, failure_probability_bound, kappa_pairwise,
+                              probabilistic_params, randomized_search, sample_random_code,
+                              verify_hypercube_memory, verify_nwise_by_components)
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.exactlog import PrecisionError
 from polygpt.families import codeword_state_index, hypercube_theory, simplex_power
@@ -136,6 +136,52 @@ def test_component_discrimination_examples():
     assert verify_nwise_by_components(good, 3)
 
 
+def test_column_filter_matches_the_per_subset_check():
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(400):
+        q, l, n = rng.randint(2, 5), rng.randint(1, 5), rng.randint(2, 4)
+        m = rng.randint(0, min(q ** l, 9))
+        code = sample_random_code(q, l, m, seed=rng.randint(0, 2 ** 64 - 1))
+        verdict = verify_nwise_by_components(code, n)
+        assert verdict == reference_verify_nwise_by_components(code, n), (q, l, m, n)
+        outcomes.add((verdict, m < n))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_column_filter_reads_every_chunk(monkeypatch):
+    # Of the four triples only the last, (1, 2, 3), repeats a symbol in
+    # both components, so at two subsets a chunk the second chunk decides.
+    monkeypatch.setattr(capacity, "SUBSET_CHUNK", 2)
+    bad = RandomCode(3, 2, ((3, 3), (1, 1), (1, 2), (2, 1)), 0)
+    assert not reference_verify_nwise_by_components(bad, 3)
+    assert not verify_nwise_by_components(bad, 3)
+    good = RandomCode(3, 2, ((3, 3), (1, 1), (1, 2), (2, 3)), 0)
+    assert verify_nwise_by_components(good, 3)
+
+
+def test_sampler_draws_the_symbols_of_one_randrange_per_symbol():
+    # A power of two never rejects an output; q = 2^63 + 1 rejects about
+    # half of them (for small q the odds are near 2^-64).
+    for q, l, m in [(2, 3, 8), (3, 4, 20), (4, 2, 16), (5, 1, 5), (9, 12, 8), (2 ** 63 + 1, 2, 6),
+                    (3, 0, 1), (7, 3, 0)]:
+        for seed in range(60):
+            assert sample_random_code(q, l, m, seed).codewords == \
+                reference_sample_codewords(q, l, m, seed), (q, l, m, seed)
+
+
+def test_draw_continues_the_reference_sequence():
+    # Vigna's SplitMix64 outputs for the seeds 0 and 1234567.
+    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+    assert SplitMix64(1234567).next_u64() == 6457827717110365317
+    for n in (3, 2 ** 63 + 1, 1 << 64):
+        a, b = SplitMix64(5), ReferenceSplitMix64(5)
+        assert a.draw(n, 40) == [b.randrange(n) for _ in range(40)]
+        assert [a.randrange(n) for _ in range(5)] == [b.randrange(n) for _ in range(5)]
+        assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
+        assert a.state == b.state
+
+
 def test_pairwise_component_check_is_distinctness():
     rng = random.Random(3)
     for _ in range(20):
@@ -154,9 +200,7 @@ def test_component_condition_matches_lp_exhaustively():
         codes = list(itertools.product(range(1, q + 1), repeat=l))
         full = RandomCode(q, l, tuple(codes), 0)
         for subset in itertools.combinations(range(len(codes)), n):
-            by_components = all(
-                any(component_discriminates(full, subset, c) for c in range(l))
-                for subset in [subset])
+            by_components = any(component_discriminates(full, subset, c) for c in range(l))
             idxs = [codeword_state_index(q, codes[i]) for i in subset]
             states = [theory.generators[i] for i in idxs]
             by_lp = is_perfectly_distinguishable(theory, states, validate=False).distinguishable

@@ -205,8 +205,9 @@ _SHAPES = [  # (N, nodes, edge probability, whether the exact search runs too)
     *((n, nodes, 0.0, True) for n, nodes in ((2, 6), (3, 7), (4, 8))),
     *((n, nodes, None, True) for n, nodes in ((2, 12), (3, 10), (4, 9))),
     *((n, nodes, None, True) for n in (2, 3, 4) for nodes in range(n)),
-    # The clique-search benchmark's exact and greedy shapes.
+    # The clique-search benchmark's exact and greedy shapes, and its K32.
     (2, 24, 0.85, True), (3, 22, 0.85, True), (2, 64, 0.5, False), (3, 36, 0.6, False),
+    (2, 32, None, False),
 ]
 
 
@@ -217,6 +218,22 @@ def test_searches_match_the_list_based_reference_on_shapes(n, nodes, p, exact):
         assert greedy_max_clique(h).members == reference_greedy_max_clique(h)
         if exact:
             assert exact_max_clique(h).members == reference_exact_max_clique(h)
+
+
+def test_greedy_keeps_the_lexicographically_smaller_tie():
+    # The growth of (0, 6) takes node 1 and can then reach only
+    # {0, 1, 6, 7}: as large as the best so far, (0, 4, 6, 7), but smaller.
+    # A prune on size alone (bound <= best) would stop it there.
+    edges = frozenset({(0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7), (2, 4),
+                       (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (6, 7)})
+    h = DistinguishabilityHypergraph(2, 8, edges)
+    assert greedy_max_clique(h).members == reference_greedy_max_clique(h) == (0, 1, 6, 7)
+
+
+def test_greedy_on_k64_is_every_node():
+    # The 6-cube's pairs; the list-based reference is too slow to run here.
+    h = _random_hypergraph(0, 2, 64, None)
+    assert greedy_max_clique(h).members == tuple(range(64))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
