@@ -131,13 +131,13 @@ class SplitMix64:
     def next_u64(self) -> int:
         return self.draw(1 << 64, 1)[0]
 
-    def randrange(self, n: int) -> int:
-        return self.draw(n, 1)[0]
-
     def draw(self, n: int, count: int) -> list:
-        """count uniform values in range(n), the ones that count randrange
-        calls return. An output at or above the largest multiple of n up
-        to 2^64 is rejected, so every value is equally likely."""
+        """count uniform values in range(n), the ones that count calls
+        draw(n, 1) return. An output at or above the largest multiple of n
+        up to 2^64 is rejected, so every value is equally likely; n outside
+        1..2^64 is a ValueError (above 2^64 every output would be)."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"n must lie in 1..2^64, got {n}")
         mask = self.MASK
         limit = (1 << 64) - (1 << 64) % n
         state = self.state

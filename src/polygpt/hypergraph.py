@@ -69,9 +69,9 @@ def _subset_distinguishable(theory: Theory, subset) -> bool:
 
 def _filter_distinguishable(theory: Theory, subsets: list, workers: int) -> list:
     """The distinguishable subsets, in order. One LP decides each orbit
-    under theory.checked_symmetries: the representatives are the pool's
-    work items, and every other member takes its representative's verdict."""
-    found = orbits(subsets, theory.checked_symmetries)
+    under theory.symmetries: the representatives are the pool's work items,
+    and every other member takes its representative's verdict."""
+    found = orbits(subsets, theory.symmetries)
     verdicts = parallel_map(functools.partial(_subset_distinguishable, theory),
                             [orbit[0] for orbit in found], workers)
     keep = {subset for orbit, verdict in zip(found, verdicts) if verdict for subset in orbit}
@@ -97,16 +97,15 @@ def build_hypergraph(theory: Theory, n_arity: int, workers: int = 1,
     level 1 being the single states. Results can be cached on disk keyed
     by (theory digest, N), where the digest covers a float theory's tolerance.
 
-    One LP decides a whole orbit of subsets under
-    theory.checked_symmetries: the group computed from the theory itself on
-    a cache miss, each generator's linear map checked once per theory. The
-    representative's LP is the pool's work item, and its witness or Farkas
-    vector is re-checked by substitution. Every other member takes that
-    verdict; its certificate is the representative's evidence together with
-    the word in the group generators that maps the representative onto it.
-    A permutation that fails the check is dropped, so a false one costs
-    LPs, never an edge. A float theory, or one whose generators do not
-    span, has no group: one LP per subset.
+    One LP decides a whole orbit of subsets under theory.symmetries, the
+    checked group computed from the theory itself. The representative's LP
+    is the pool's work item, and its witness or Farkas vector is re-checked
+    by substitution. Every other member takes that verdict; its
+    certificate is the representative's evidence together with the word in
+    the group generators that maps the representative onto it. A
+    permutation that fails the check is dropped, so a false one costs LPs,
+    never an edge. A float theory, or one whose generators do not span,
+    has no group: one LP per subset.
     """
     v = theory.num_generators
     if not 2 <= n_arity <= v:

@@ -92,28 +92,19 @@ class Theory:
 
     @functools.cached_property
     def symmetries(self) -> tuple:
-        """Generators of the group of the generator-index permutations that
-        extend to linear maps, each map fixing the unit since u . g = 1 on
-        every generator; () for a float theory or one whose generators do
-        not span. Cached like generator_rows."""
-        if self.numeric_mode != EXACT or self.basis_inverse is None:
-            return ()
-        return _symmetry_generators(self)
-
-    @functools.cached_property
-    def checked_symmetries(self) -> tuple:
-        """The permutations of symmetries that are bijections of the
-        generator indices whose linear map A, A g_b = g_perm[b] on the basis
-        of basis_inverse, sends every generator g_k to g_perm[k]; () for a
-        float theory or one whose generators do not span. The check, once
-        per theory, shares nothing with the search's coordinate lookup: it
-        builds q d A as an integer matrix from perm alone and applies it to
-        every generator row, so it drops a wrong permutation from the search
-        as well as a planted one. Such an A maps the cone onto itself and
-        fixes the unit (u . g = 1 on spanning generators), so it maps
-        distinguishable sets onto distinguishable sets and extreme points
-        onto extreme points: a build and a reduction give one verdict per
-        orbit under these. Cached like generator_rows."""
+        """Generators of the theory's symmetry group: the permutations of
+        _symmetry_candidates that are bijections of the generator indices
+        whose linear map A, A g_b = g_perm[b] on the basis of basis_inverse,
+        sends every generator g_k to g_perm[k]; () for a float theory or one
+        whose generators do not span. The check shares nothing with the
+        search's coordinate lookup: it builds q d A as an integer matrix
+        from perm alone and applies it to every generator row, so it drops a
+        wrong permutation from the search as well as a planted one. Such an
+        A maps the cone onto itself and fixes the unit (u . g = 1 on
+        spanning generators), so it maps distinguishable sets onto
+        distinguishable sets and extreme points onto extreme points: a
+        build and a reduction give one verdict per orbit under these.
+        Cached like generator_rows."""
         if self.numeric_mode != EXACT or self.basis_inverse is None:
             return ()
         basis, inverse, q = self.basis_inverse
@@ -126,8 +117,16 @@ class Theory:
             return all([dot(row, g) for row in a] == [q * d * x for x in gens[p]]
                        for g, p in zip(gens, perm))
 
-        return tuple(perm for perm in self.symmetries
+        return tuple(perm for perm in self._symmetry_candidates
                      if sorted(perm) == identity and maps_every_generator(perm))
+
+    @functools.cached_property
+    def _symmetry_candidates(self) -> tuple:
+        """The search's group generators (_symmetry_generators), unchecked.
+        Read only through symmetries, which first returns () for a float
+        theory or one whose generators do not span. Cached like
+        generator_rows."""
+        return _symmetry_generators(self)
 
     @functools.cached_property
     def lp_blocks(self) -> dict:
@@ -148,9 +147,10 @@ def _symmetry_generators(t: Theory) -> tuple:
     search assigns images to the basis of t.basis_inverse in order, pruned
     by W, and reads each full assignment's permutation off the linear map
     it fixes. Basis index k is searched with the indices before it fixed,
-    deepest k first, skipping images already in its orbit under the
-    generators found so far; so each new generator at least doubles the
-    group, and there are at most log2 |group| of them."""
+    deepest k first, skipping images already in its orbit (theory.orbits
+    of single indices) under the generators found so far; so each new
+    generator at least doubles the group, and there are at most
+    log2 |group| of them."""
     basis, inverse, q = t.basis_inverse
     gens, d = t.generator_rows
     gram = [[sum(g[i] * g[j] for g in gens) for j in range(t.dim)] for i in range(t.dim)]
@@ -174,19 +174,15 @@ def _symmetry_generators(t: Theory) -> tuple:
         return next(filter(None, (extend(images + (x,)) for x in range(len(gens))
                                   if fits(images, x))), None)
 
+    singles = [(x,) for x in range(len(gens))]
     found = []
     for k in reversed(range(len(basis))):
-        orbit = {basis[k]}
+        orbit = {(basis[k],)}
         for c in range(len(gens)):
-            perm = None if c in orbit or not fits(basis[:k], c) else extend(basis[:k] + (c,))
+            perm = None if (c,) in orbit or not fits(basis[:k], c) else extend(basis[:k] + (c,))
             if perm:
                 found.append(perm)
-                stack = list(orbit)
-                while stack:
-                    y = stack.pop()
-                    for image in {p[y] for p in found} - orbit:
-                        orbit.add(image)
-                        stack.append(image)
+                orbit = set(orbits([(basis[k],), *singles], found)[0])
     return tuple(found)
 
 
@@ -361,12 +357,11 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     are the extreme points of the state space.
 
     One membership LP decides each orbit of the deduplicated generators
-    under their checked group (Theory.checked_symmetries, orbits of single
-    indices): a symmetry maps the cone of the others of g_k onto that of
-    g_perm[k], so every member takes its representative's verdict. A float
-    list, or one whose generators do not span, has no group: one LP per
-    generator. When nothing is dropped the theory itself is returned, so a
-    build reuses the group cached on it."""
+    under their group (Theory.symmetries, orbits of single indices): every
+    member takes its representative's verdict. A float list, or one whose
+    generators do not span, has no group: one LP per generator. When
+    nothing is dropped the theory itself is returned, so a build reuses the
+    group cached on it."""
     arith = t.arith()
     unique = []
     for g in t.generators:
@@ -375,7 +370,7 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     if len(unique) < t.num_generators:
         t = replace(t, generators=tuple(unique))
     extreme = {}
-    for orbit in orbits([(k,) for k in range(len(unique))], t.checked_symmetries):
+    for orbit in orbits([(k,) for k in range(len(unique))], t.symmetries):
         (k,) = orbit[0]
         others = unique[:k] + unique[k + 1:]
         extreme.update(dict.fromkeys(

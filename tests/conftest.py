@@ -236,12 +236,12 @@ def known_group_order(spec):
 
 
 def planted(theory, perms):
-    """A fresh copy of theory whose cached Theory.symmetries is perms, in
-    place of the computed group: true generators, false hints or none at
-    all. Theory.checked_symmetries checks them as it checks a computed
-    group, so a false hint is dropped there."""
+    """A fresh copy of theory whose cached search output,
+    Theory._symmetry_candidates, is perms: true generators, false hints or
+    none at all. Theory.symmetries checks them as it checks the search's
+    output, so a false hint is dropped there."""
     fresh = replace(theory)
-    vars(fresh)["symmetries"] = tuple(perms)
+    vars(fresh)["_symmetry_candidates"] = tuple(perms)
     return fresh
 
 

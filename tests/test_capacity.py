@@ -174,12 +174,26 @@ def test_draw_continues_the_reference_sequence():
     # Vigna's SplitMix64 outputs for the seeds 0 and 1234567.
     assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
     assert SplitMix64(1234567).next_u64() == 6457827717110365317
-    for n in (3, 2 ** 63 + 1, 1 << 64):
+    for n in (1, 3, 2 ** 63 + 1, 1 << 64):
         a, b = SplitMix64(5), ReferenceSplitMix64(5)
         assert a.draw(n, 40) == [b.randrange(n) for _ in range(40)]
-        assert [a.randrange(n) for _ in range(5)] == [b.randrange(n) for _ in range(5)]
+        assert [a.draw(n, 1)[0] for _ in range(5)] == [b.randrange(n) for _ in range(5)]
         assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
         assert a.state == b.state
+
+
+@pytest.mark.parametrize("n,count", [(0, 1), (-3, 5), (2 ** 64 + 1, 1)])
+def test_draw_refuses_a_range_outside_1_to_2_pow_64(n, count):
+    # Above 2^64 every output would be rejected, so the draw would never end.
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="1..2"):
+        rng.draw(n, count)
+    assert rng.state == 5  # nothing was drawn
+
+
+def test_a_symbol_range_above_2_pow_64_is_refused():
+    with pytest.raises(ValueError, match="1..2"):
+        sample_random_code(2 ** 64 + 1, 1, 1, 0)
 
 
 def test_pairwise_component_check_is_distinctness():

@@ -224,12 +224,13 @@ def test_unknown_family_kind_is_rejected():
 
 @pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
 def test_every_supplied_symmetry_is_proven(spec):
-    # Theory.checked_symmetries checks each generator in integers; here,
-    # independently, find A with A g_k = g_perm[k] on a basis of generators,
-    # in plain Fractions, and check it on every generator.
+    # Theory.symmetries checks each generator of the search in integers and
+    # keeps them all; here, independently, find A with A g_k = g_perm[k] on
+    # a basis of generators, in plain Fractions, and check it on every
+    # generator.
     theory = build_family(spec)
     symmetries = theory.symmetries
-    assert theory.checked_symmetries == symmetries
+    assert symmetries == theory._symmetry_candidates
     gens = [tuple(F(v) for v in g) for g in theory.generators]
     basis, _, _ = theory.basis_inverse
     basis_inverse = invert([list(row) for row in zip(*(gens[b] for b in basis))])
@@ -249,6 +250,22 @@ def test_every_supplied_symmetry_is_proven(spec):
         moved = moved_witness(theory, scale_evidence(witness), perm)
         assert evidence_fractions(moved).effects == tuple(
             tuple(dot(e, col) for col in zip(*a_inverse)) for e in witness.effects)
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ("hypercube:m=3", ((0, 1, 4, 5, 2, 3, 6, 7), (0, 2, 1, 3, 4, 6, 5, 7),
+                       (1, 0, 3, 2, 5, 4, 7, 6))),
+    ("simplex-power:q=3,l=2", ((0, 1, 2, 6, 7, 8, 3, 4, 5), (0, 2, 1, 3, 5, 4, 6, 8, 7),
+                               (0, 3, 6, 1, 4, 7, 2, 5, 8), (1, 0, 2, 4, 3, 5, 7, 6, 8))),
+    ("prism:simplex:d=3+hypercube:m=2", ((0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7),
+                                         (0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9, 11),
+                                         (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
+                                         (4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11))),
+], ids=["hypercube-m3", "simplex-power-q3-l2", "prism-simplex-d3-hypercube-m2"])
+def test_the_group_search_returns_the_pinned_generators(spec, expected):
+    # The search's output before the check, generator by generator and in
+    # order, so that a change to its orbit bookkeeping cannot move it.
+    assert build_family(spec)._symmetry_candidates == expected
 
 
 def test_symmetry_generators_follow_the_index_conventions():

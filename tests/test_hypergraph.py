@@ -335,7 +335,7 @@ def test_a_cache_hit_computes_no_group(tmp_path, monkeypatch):
     monkeypatch.setattr(theory_module, "_symmetry_generators", no_search)
     fresh = hypercube_theory(3)  # its group is not cached yet
     assert build_hypergraph(fresh, 2, cache_dir=str(tmp_path)) == missed
-    assert "symmetries" not in vars(fresh)
+    assert not {"symmetries", "_symmetry_candidates"} & vars(fresh).keys()
     with pytest.raises(AssertionError, match="searched"):
         build_hypergraph(hypercube_theory(3), 2)
 
@@ -431,7 +431,7 @@ def orbit_lps(theory, spec, n_arity):
         below = direct_build(spec, k - 1).edges if k > 2 else {(x,) for x in range(v)}
         candidates = [s for s in itertools.combinations(range(v), k)
                       if all(sub in below for sub in itertools.combinations(s, k - 1))]
-        lps += len(theory_module.orbits(candidates, theory.checked_symmetries))
+        lps += len(theory_module.orbits(candidates, theory.symmetries))
     return lps
 
 
@@ -460,7 +460,7 @@ def test_orbit_build_equals_the_direct_build(spec, n_arity, workers):
     with counted_decisions() as decided:
         h = build_hypergraph(theory, n_arity, workers=workers)
     assert h == direct_build(spec, n_arity)
-    assert theory.checked_symmetries == theory.symmetries  # the computed group passes its check
+    assert theory.symmetries == theory._symmetry_candidates  # the search's output passes its check
     assert len(decided) < math.comb(theory.num_generators, 2) or theory.num_generators <= 2
     if workers == 1:  # one LP per orbit
         assert len(decided) == orbit_lps(theory, spec, n_arity)
@@ -474,7 +474,7 @@ def test_every_orbit_member_takes_a_certificate_from_its_representative(spec, n_
     # maps the representative onto it, and that passes the reference
     # re-check by substitution on the member's states.
     theory = build_family(spec)
-    v, perms = theory.num_generators, theory.checked_symmetries
+    v, perms = theory.num_generators, theory.symmetries
     members = 0
     for orbit in theory_module.orbits(list(itertools.combinations(range(v), n_arity)), perms):
         rep = orbit[0]
@@ -489,7 +489,7 @@ def test_every_orbit_member_takes_a_certificate_from_its_representative(spec, n_
                                            ("simplex-power:q=3,l=2", 3)])
 def test_evidence_moves_along_every_proven_generator_and_back(spec, n_arity):
     theory = build_family(spec)
-    symmetries = theory.checked_symmetries
+    symmetries = theory.symmetries
     inverses = [tuple(sorted(range(len(perm)), key=perm.__getitem__)) for perm in symmetries]
     reordered = 0
     for subset in itertools.combinations(range(theory.num_generators), n_arity):
@@ -518,7 +518,7 @@ def test_the_identity_leaves_a_certificate_unchanged():
 def test_the_check_keeps_only_symmetries(perm):
     # Two exchanged vertices of the square are no symmetry; the identity is.
     square = hypercube_theory(2)
-    checked = planted(square, (perm, *square.symmetries)).checked_symmetries
+    checked = planted(square, (perm, *square.symmetries)).symmetries
     assert checked == ((perm,) if perm == (0, 1, 2, 3) else ()) + square.symmetries
 
 
@@ -529,7 +529,7 @@ def test_a_non_symmetry_only_costs_lps():
         theory = planted(cube, (swap,))
         with counted_decisions() as decided:
             h = build_hypergraph(theory, n_arity)
-        assert theory.checked_symmetries == ()
+        assert theory.symmetries == ()
         assert h == direct_build("hypercube:m=3", n_arity)
         # Every pair of the cube is an edge, so each level decides all its k-subsets.
         assert len(decided) == sum(math.comb(8, k) for k in range(2, n_arity + 1))
@@ -566,7 +566,7 @@ def test_a_false_hint_that_joins_edges_and_non_edges_keeps_the_edges(workers):
     theory = planted(simplex_power(3, 2), (cycle,))
     h = build_hypergraph(theory, 3, workers=workers)
     assert h == direct_build("simplex-power:q=3,l=2", 3) and len(h.edges) == 48
-    assert theory.checked_symmetries == ()
+    assert theory.symmetries == ()
     orbits = theory_module.orbits(list(itertools.combinations(range(9), 3)), [cycle])
     assert len(orbits) == 10 and any(len({s in h.edges for s in o}) == 2 for o in orbits)
 
@@ -581,7 +581,7 @@ def test_a_corrupted_generator_is_dropped_and_the_true_ones_kept():
     theory = planted(hypercube_theory(3), corrupted + true)
     with counted_decisions() as decided:
         h = build_hypergraph(theory, 3)
-    assert theory.checked_symmetries == true
+    assert theory.symmetries == true
     assert h == direct_build("hypercube:m=3", 3)
     assert len(decided) == sum(len(theory_module.orbits(list(itertools.combinations(range(8), k)),
                                                       true)) for k in (2, 3))
@@ -678,16 +678,17 @@ def test_the_witness_recheck_bounds_every_effect(last, expected):
 
 
 # A float theory, or an exact one whose generators do not span (the square
-# in four dimensions), has no group: build_hypergraph makes one LP per pair.
-@pytest.mark.parametrize("theory", [
-    make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
-                numeric_mode=FLOAT),
-    ngon_theory(7),
-    Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
-           tuple(g + (F(0),) for g in hypercube_theory(2).generators)),
+# in four dimensions), has no group, not even with true symmetries planted
+# as the search's output: build_hypergraph makes one LP per pair.
+@pytest.mark.parametrize("theory,true", [
+    (make_theory("cube", hypercube_theory(3).unit, hypercube_theory(3).generators,
+                 numeric_mode=FLOAT), hypercube_symmetries(3)),
+    (ngon_theory(7), ((*range(1, 7), 0),)),
+    (Theory("flat-square", 4, (F(1), F(0), F(0), F(0)),
+            tuple(g + (F(0),) for g in hypercube_theory(2).generators)), hypercube_symmetries(2)),
 ], ids=["float-hypercube-m3", "ngon-n7", "non-spanning-exact"])
-def test_float_theories_keep_one_lp_per_pair(theory):
-    assert theory.symmetries == theory.checked_symmetries == ()
+def test_float_theories_keep_one_lp_per_pair(theory, true):
+    assert theory.symmetries == planted(theory, true).symmetries == ()
     with counted_decisions() as decided:
         h = build_hypergraph(theory, 2)
     assert h == build_hypergraph(planted(theory, ()), 2)

@@ -217,7 +217,7 @@ def test_the_8_cube_reduces_with_one_membership_lp(monkeypatch):
 def test_a_float_or_non_spanning_list_keeps_one_membership_lp_per_generator(monkeypatch, theory):
     lps = counted_memberships(monkeypatch)
     assert reduce_to_pure_states(theory).generators == theory.generators
-    assert theory.checked_symmetries == () and len(lps) == theory.num_generators
+    assert theory.symmetries == () and len(lps) == theory.num_generators
 
 
 @pytest.mark.parametrize("spec", ["hypercube:m=2", "hypercube:m=3", "simplex:d=4",
