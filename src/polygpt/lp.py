@@ -50,12 +50,15 @@ class LPBlock:
     """Leading constraints that many problems over the same variables
     share. They are validated when the block is built, and dualized,
     transposed and scaled to integers at most once, however many problems
-    they lead."""
+    they lead. The phase 1 of their dual columns at a zero objective is
+    pivoted once per entering rule (phase1), and each zero-objective
+    problem they lead replays it on its own columns."""
 
     def __init__(self, constraints: tuple, num_vars: int):
         _check_rows(constraints, num_vars)
         self.constraints = constraints
         self.num_vars = num_vars
+        self._phase1 = {}  # by tolerance; None: the exact run's float guide
 
     @functools.cached_property
     def integer_form(self):
@@ -71,6 +74,16 @@ class LPBlock:
     def integer_dual(self):
         """_dual of integer_form: the exact solver's part."""
         return _dual(self.integer_form[0], self.num_vars)
+
+    def phase1(self, arith: Arith) -> Optional[simplex.Phase1]:
+        """simplex.record_phase1 of this block's part of the dual for
+        arith's runs (exact: integer_dual, for the guide; float: dual),
+        recorded on first use; None for an empty block."""
+        if arith.tol not in self._phase1:
+            costs, rows, _ = self.integer_dual if arith.exact else self.dual
+            self._phase1[arith.tol] = (simplex.record_phase1(costs, rows, arith)
+                                       if self.constraints else None)
+        return self._phase1[arith.tol]
 
 
 @dataclass(frozen=True)
@@ -155,19 +168,23 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     # Exact: rows times d (integer_form) keep x, value and certificates.
     # The block's dual columns come first, then the own constraints'.
     n, start = prob.num_vars, len(prob.block.constraints)
+    shared = True  # the block's cached dual columns lead
     if arith.exact:
         constraints, den = prob.integer_form
         own = constraints[start:]
-        costs, rows, backmap = (prob.block.integer_dual if den == prob.block.integer_form[1]
-                                else _dual(constraints[:start], n))
+        shared = den == prob.block.integer_form[1]
+        costs, rows, backmap = prob.block.integer_dual if shared else _dual(constraints[:start], n)
     else:
         own = prob.own_constraints
         costs, rows, backmap = prob.block.dual
+    # A zero objective is the dual's zero rhs, where the block's phase 1 replays.
+    prefix = prob.block.phase1(arith) if shared and not any(prob.objective) else None
     own_costs, own_rows, own_backmap = _dual(own, n, start)
     costs, backmap = costs + own_costs, backmap + own_backmap
     rows = [a + b for a, b in zip(rows, own_rows)]
     num_rows = len(prob.constraints)
-    res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith)
+    res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith,
+                                     prefix=prefix)
 
     if res.status == simplex.STALLED:
         return LPOutcome(LPStatus.STALLED)

@@ -24,6 +24,11 @@ data, and its final basis is rebuilt and checked in exact arithmetic
 phase-1 Farkas vector). Only when that check fails does the exact Bland
 loop run, from scratch. This is the QSopt_ex scheme (Applegate, Cook,
 Dash and Espinoza, Oper. Res. Lett. 35, 2007).
+
+A problem with a zero rhs whose leading columns a shared block's phase 1
+has been recorded on (record_phase1) starts where those pivots leave the
+tableau: they are replayed on its own columns only, with the same
+operations in the same order, so the run is the cold run pivot for pivot.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import dot, integer_rows, solve_columns
 
@@ -98,7 +103,10 @@ class StandardResult:
 
 
 def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
-                       arith: Optional[Arith] = None) -> StandardResult:
+                       arith: Optional[Arith] = None,
+                       prefix: Optional[Phase1] = None) -> StandardResult:
+    """prefix, when given, is record_phase1 of the leading columns for
+    this arith; it is replayed only when rhs is all zero."""
     arith = arith or Arith()
     n = len(costs)
     for row in rows:
@@ -106,28 +114,101 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
             raise ValueError(f"row length {len(row)} != {n} variables")
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
-    if arith.exact:
-        guide = _float_guide(costs, rows, rhs)
-        if guide is not None:
-            res = _certify_basis(costs, rows, rhs, *guide)
-            if res is not None:
-                return res
+    if not arith.exact:
+        return _simplex(costs, rows, rhs, arith, prefix)[0]
+    guide = _float_guide(costs, rows, rhs, prefix)
+    if guide is not None:
+        res = _certify_basis(costs, rows, rhs, *guide)
+        if res is not None:
+            return res
     return _bland(costs, rows, rhs, arith)[0]
 
 
-def _float_guide(costs, rows, rhs):
-    """Bland on a float copy of the data: (status, final basis, entering
-    column of an unbounded ray), or None when the float run fails."""
+def _float_copy(costs, rows, rhs):
+    """(costs, rows, rhs) as floats, or None when a value overflows."""
     try:
-        fcosts = [float(c) for c in costs]
-        frows = [[float(v) for v in row] for row in rows]
-        frhs = [float(b) for b in rhs]
+        return ([float(c) for c in costs], [[float(v) for v in row] for row in rows],
+                [float(b) for b in rhs])
     except OverflowError:
         return None
-    res, basis, entering = _bland(fcosts, frows, frhs, _GuideArith(GUIDE_TOL))
+
+
+def _float_guide(costs, rows, rhs, prefix=None):
+    """Bland on a float copy of the data, from prefix when it applies:
+    (status, final basis, entering column of an unbounded ray), or None
+    when the float run fails."""
+    data = _float_copy(costs, rows, rhs)
+    if data is None:
+        return None
+    res, basis, entering = _simplex(*data, _GuideArith(GUIDE_TOL), prefix)
     if res.status == STALLED:
         return None
     return res.status, basis, entering
+
+
+class Phase1(NamedTuple):
+    """A block's phase 1 (record_phase1): the run's arith class and
+    tolerance; each pivot as (row r, column, pivot value, (i, factor) for
+    every row i != r that the pivot updates, w's entry in the column),
+    read before the pivot, where rows m and m + 1 are w and z; and the
+    tableau, objective rows and basis it ends on, whose columns are the
+    block's, then the artificials and the rhs."""
+    rule: type
+    tol: Optional[float]
+    pivots: tuple
+    tableau: list
+    w_row: list
+    z_row: list
+    basis: list
+
+
+def record_phase1(costs, rows, arith: Arith) -> Optional[Phase1]:
+    """The phase 1 of these columns alone at a zero rhs, as arith's run
+    takes it (an exact run: as its float guide does), or None when it
+    stalls or ends other than optimal.
+
+    On a problem whose leading columns these are and whose rhs is zero,
+    a cold run makes the same pivots first: no row is flipped, every
+    ratio is 0 so ties break by basis index, and the leading columns
+    price first, so Bland's rule cannot enter a later column while one of
+    these prices negative. Dantzig's rule can; _replay checks it."""
+    if arith.exact:
+        data = _float_copy(costs, rows, ())
+        if data is None:
+            return None
+        costs, rows, _ = data
+        arith = _GuideArith(GUIDE_TOL)
+    return _simplex(costs, rows, [0] * len(rows), arith, record=[])
+
+
+def _replay(prefix: Phase1, costs, rows, arith: Arith, zero):
+    """(tableau, w_row, z_row, basis) after prefix's pivots on the full
+    problem: the recorded block part, and the own columns (those after the
+    block's) pivoted with the same float operations in the same order.
+    None when the prefix is for another arith or exceeds MAX_ITERATIONS,
+    or where a cold Dantzig run would enter an own column in it."""
+    if (prefix.rule, prefix.tol) != (type(arith), arith.tol) or \
+            len(prefix.pivots) > MAX_ITERATIONS:
+        return None
+    m = len(rows)
+    nb = len(prefix.w_row) - m - 1  # the block's columns
+    # The own part of every row, then of the w and z rows, as in _simplex.
+    own = [[zero + v for v in row[nb:]] for row in rows]
+    w = [zero] * (len(costs) - nb)
+    for t in own:
+        w = [a - b for a, b in zip(w, t)]
+    own += [w, [zero + c for c in costs[nb:]]]
+    dantzig = arith._dantzig and not arith.exact
+    for r, _, piv, updates, reduced in prefix.pivots:
+        if dantzig and own[m] and min(own[m]) < reduced:
+            return None  # Dantzig's rule would enter an own column here
+        prow = own[r] = [v / piv for v in own[r]]
+        for i, f in updates:
+            own[i] = [v - f * x for v, x in zip(own[i], prow)]
+    shift = len(costs) - nb
+    joined = [[*t[:nb], *o, *t[nb:]]
+              for t, o in zip((*prefix.tableau, prefix.w_row, prefix.z_row), own)]
+    return joined[:m], joined[m], joined[m + 1], [j if j < nb else j + shift for j in prefix.basis]
 
 
 def _certify_basis(costs, rows, rhs, status, basis, entering):
@@ -207,35 +288,50 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
 
 
 def _bland(costs, rows, rhs, arith: Arith):
-    """The two-phase simplex loop, priced as the module docstring says:
-    (result, final basis, entering column when unbounded)."""
+    """The two-phase simplex loop from a cold start, priced as the module
+    docstring says: (result, final basis, entering column when unbounded)."""
+    return _simplex(costs, rows, rhs, arith)
+
+
+def _simplex(costs, rows, rhs, arith: Arith, prefix: Optional[Phase1] = None,
+             record: Optional[list] = None):
+    """_bland, started where prefix's pivots leave the tableau when they
+    apply (_replay). A recording run (record_phase1) logs its pivots in
+    record and stops after phase 1, returning its Phase1 or None."""
     n = len(costs)
     m = len(rows)
     zero = Fraction(0) if arith.exact else 0.0
     one = zero + 1
-
+    ncols = n + m
     # Flip rows so b >= 0; remember orientation for row-indexed outputs.
     sign = [(-1 if arith.is_neg(b) else 1) for b in rhs]
-    ncols = n + m
-    tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        t = [zero + v for v in row] + [zero] * m + [zero + b]
-        if sign[i] < 0:
-            t = [-v for v in t]
-        t[n + i] = one
-        tableau.append(t)
-    basis = [n + i for i in range(m)]
+    start = (_replay(prefix, costs, rows, arith, zero)
+             if prefix is not None and not any(rhs) else None)
+    if start is not None:
+        tableau, w_row, z_row, basis = start
+    else:
+        tableau = []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            t = [zero + v for v in row] + [zero] * m + [zero + b]
+            if sign[i] < 0:
+                t = [-v for v in t]
+            t[n + i] = one
+            tableau.append(t)
+        basis = [n + i for i in range(m)]
 
-    # Objective rows hold reduced costs; last entry is -(objective value).
-    z_row = [zero + c for c in costs] + [zero] * (m + 1)
-    w_row = [zero] * (ncols + 1)
-    for t in tableau:
-        for j in range(n):
-            w_row[j] -= t[j]
-        w_row[ncols] -= t[ncols]
+        # Objective rows hold reduced costs; last entry is -(objective value).
+        z_row = [zero + c for c in costs] + [zero] * (m + 1)
+        w_row = [zero] * (ncols + 1)
+        for t in tableau:
+            for j in range(n):
+                w_row[j] -= t[j]
+            w_row[ncols] -= t[ncols]
 
     def pivot(r, col):
         piv = tableau[r][col]
+        if record is not None:
+            record.append((r, col, piv, [(i, t[col]) for i, t in enumerate(tableau + [w_row, z_row])
+                                         if i != r and not arith.is_zero(t[col])], w_row[col]))
         tableau[r] = [v / piv for v in tableau[r]]
         prow = tableau[r]
         for i in range(m):
@@ -274,8 +370,7 @@ def _bland(costs, rows, rhs, arith: Arith):
                     best = (ratio, i)
         return None if best is None else best[1]
 
-    def run_phase(obj):
-        iters = 0
+    def run_phase(obj, iters=0):
         while True:
             col = (dantzig_entering if iters < dantzig_pivots else bland_entering)(obj)
             if col is None:
@@ -293,7 +388,13 @@ def _bland(costs, rows, rhs, arith: Arith):
                 return STALLED, iters
 
     # Phase 1: minimize the artificial total.
-    status, _ = run_phase(w_row)
+    status, info = run_phase(w_row, len(prefix.pivots) if start is not None else 0)
+    if record is not None:
+        # Every pivot must be one that a run with more columns takes too:
+        # under Dantzig's rule, all of them within this run's Dantzig budget.
+        if status != OPTIMAL or (dantzig_pivots and info > dantzig_pivots):
+            return None
+        return Phase1(type(arith), arith.tol, tuple(record), tableau, w_row, z_row, basis)
     if status == STALLED:
         return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:

@@ -17,8 +17,8 @@ from conftest import (SYMMETRIC_FAMILIES, evidence_fractions, hypercube_symmetri
 from polygpt import discrimination, hypergraph, lp
 from polygpt import theory as theory_module
 from polygpt.discrimination import is_perfectly_distinguishable
-from polygpt.families import (build_family, classical_simplex, hypercube_theory, ngon_theory,
-                              prism_product, simplex_power)
+from polygpt.families import (build_family, classical_simplex, codeword_state_index,
+                              hypercube_theory, ngon_theory, prism_product, simplex_power)
 from polygpt.hypergraph import (Clique, DistinguishabilityHypergraph, build_hypergraph,
                                 clique_is_valid, exact_max_clique, greedy_max_clique,
                                 hypergraph_from_json, hypergraph_to_json, is_fully_connected,
@@ -693,3 +693,25 @@ def test_float_theories_keep_one_lp_per_pair(theory, true):
         h = build_hypergraph(theory, 2)
     assert h == build_hypergraph(planted(theory, ()), 2)
     assert len(decided) == math.comb(theory.num_generators, 2)
+
+
+# --- the LP-free oracle on simplex powers ---------------------------------------
+
+def component_oracle_edges(q, l, n_arity):
+    """The N-subsets of simplex-power(q, l) in which some coordinate holds N
+    pairwise different symbols, the codeword of each generator read through
+    families.codeword_state_index."""
+    words = {codeword_state_index(q, w): w
+             for w in itertools.product(range(1, q + 1), repeat=l)}
+    return [s for s in itertools.combinations(range(q ** l), n_arity)
+            if any(len({words[k][c] for k in s}) == n_arity for c in range(l))]
+
+
+@pytest.mark.parametrize("n_arity, q, l", [
+    (3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 2, 5), (3, 3, 2), (3, 3, 3), (3, 4, 2),
+    (3, 5, 2), (3, 6, 2), (4, 2, 4), (4, 3, 2), (4, 3, 3), (4, 4, 2), (4, 5, 2)])
+def test_simplex_power_edges_equal_the_component_oracle(n_arity, q, l):
+    # An N-subset of codewords is perfectly distinguishable exactly when
+    # some coordinate tells all N apart (ROADMAP item 11).
+    h = build_hypergraph(simplex_power(q, l), n_arity)
+    assert sorted(h.edges) == component_oracle_edges(q, l, n_arity)
