@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Vector = tuple
+_INT = frozenset((int,))
 
 
 def rat(value) -> Fraction:
@@ -114,7 +115,12 @@ def integer_rows(rows: Sequence[Sequence], den: int = 1):
     """(integer rows, d): every entry times d > 0, the least common multiple
     of den and the entries' denominators, each entry read exactly: an int or
     a Fraction as it is, a float as the binary fraction it stores. The
-    kernel of every exact check: signs and equalities stay."""
+    kernel of every exact check: signs and equalities stay.
+
+    Rows of plain ints (no bool) already have denominator 1: they come
+    back as fresh lists, times den, with d = den."""
+    if all(set(map(type, row)) <= _INT for row in rows):
+        return [list(row) if den == 1 else [v * den for v in row] for row in rows], den
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     # Unpack a list, not a generator: a tuple grown from a generator holds
     # on to more memory (measured as higher peak RSS in long runs).

@@ -52,7 +52,8 @@ class LPBlock:
     transposed and scaled to integers at most once, however many problems
     they lead. The phase 1 of their dual columns at a zero objective is
     pivoted once per entering rule (phase1), and each zero-objective
-    problem they lead replays it on its own columns."""
+    problem they lead replays it on its own columns, each distinct column
+    once (simplex.Phase1.columns)."""
 
     def __init__(self, constraints: tuple, num_vars: int):
         _check_rows(constraints, num_vars)

@@ -21,14 +21,17 @@ objective rows.
 Exact solves are float-guided: Bland runs once on a float copy of the
 data, and its final basis is rebuilt and checked in exact arithmetic
 (x_B = B^-1 b >= 0 and nonnegative reduced costs, an improving ray, or a
-phase-1 Farkas vector). Only when that check fails does the exact Bland
-loop run, from scratch. This is the QSopt_ex scheme (Applegate, Cook,
-Dash and Espinoza, Oper. Res. Lett. 35, 2007).
+phase-1 Farkas vector; at b = 0 an optimum's levels are zero, and the
+pricing solve alone shows B nonsingular). Only when that check fails
+does the exact Bland loop run, from scratch. This is the QSopt_ex scheme
+(Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35, 2007).
 
 A problem with a zero rhs whose leading columns a shared block's phase 1
 has been recorded on (record_phase1) starts where those pivots leave the
 tableau: they are replayed on its own columns only, with the same
 operations in the same order, so the run is the cold run pivot for pivot.
+Each distinct own column is replayed once per recorded phase 1 and kept
+on it, and a replayed guide converts only the own columns to floats.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     if not arith.exact:
-        return _simplex(costs, rows, rhs, arith, prefix)[0]
+        return _simplex(costs, rows, rhs, arith, _start(prefix, costs, rows, rhs, arith))[0]
     guide = _float_guide(costs, rows, rhs, prefix)
     if guide is not None:
         res = _certify_basis(costs, rows, rhs, *guide)
@@ -136,23 +139,37 @@ def _float_copy(costs, rows, rhs):
 def _float_guide(costs, rows, rhs, prefix=None):
     """Bland on a float copy of the data, from prefix when it applies:
     (status, final basis, entering column of an unbounded ray), or None
-    when the float run fails."""
-    data = _float_copy(costs, rows, rhs)
+    when the float run fails. A replayed run reads only the columns after
+    the block's, and _replay alone converts them to floats."""
+    arith = _GuideArith(GUIDE_TOL)
+    try:
+        start = _start(prefix, costs, rows, rhs, arith)
+    except OverflowError:
+        return None
+    data = (costs, rows, rhs) if start is not None else _float_copy(costs, rows, rhs)
     if data is None:
         return None
-    res, basis, entering = _simplex(*data, _GuideArith(GUIDE_TOL), prefix)
+    res, basis, entering = _simplex(*data, arith, start)
     if res.status == STALLED:
         return None
     return res.status, basis, entering
+
+
+def _start(prefix, costs, rows, rhs, arith):
+    """_replay of prefix on this problem when its rhs is all zero, else None."""
+    if prefix is None or any(rhs):
+        return None
+    return _replay(prefix, costs, rows, arith, 0.0)
 
 
 class Phase1(NamedTuple):
     """A block's phase 1 (record_phase1): the run's arith class and
     tolerance; each pivot as (row r, column, pivot value, (i, factor) for
     every row i != r that the pivot updates, w's entry in the column),
-    read before the pivot, where rows m and m + 1 are w and z; and the
+    read before the pivot, where rows m and m + 1 are w and z; the
     tableau, objective rows and basis it ends on, whose columns are the
-    block's, then the artificials and the rhs."""
+    block's, then the artificials and the rhs; and every column after the
+    block's that has been replayed on it (_replay), by (cost, *entries)."""
     rule: type
     tol: Optional[float]
     pivots: tuple
@@ -160,6 +177,7 @@ class Phase1(NamedTuple):
     w_row: list
     z_row: list
     basis: list
+    columns: dict
 
 
 def record_phase1(costs, rows, arith: Arith) -> Optional[Phase1]:
@@ -182,33 +200,55 @@ def record_phase1(costs, rows, arith: Arith) -> Optional[Phase1]:
 
 
 def _replay(prefix: Phase1, costs, rows, arith: Arith, zero):
-    """(tableau, w_row, z_row, basis) after prefix's pivots on the full
-    problem: the recorded block part, and the own columns (those after the
-    block's) pivoted with the same float operations in the same order.
-    None when the prefix is for another arith or exceeds MAX_ITERATIONS,
-    or where a cold Dantzig run would enter an own column in it."""
+    """(tableau, w_row, z_row, basis, pivots made) after prefix's pivots on
+    the full problem: the recorded block part, and the own columns (those
+    after the block's), each pivoted once per prefix (prefix.columns) with
+    the same float operations in the same order as a cold run. None when
+    the prefix is for another arith or exceeds MAX_ITERATIONS, or where a
+    cold Dantzig run would enter an own column in it. Own entries are
+    converted as zero + v, which raises OverflowError past the float range."""
     if (prefix.rule, prefix.tol) != (type(arith), arith.tol) or \
             len(prefix.pivots) > MAX_ITERATIONS:
         return None
     m = len(rows)
     nb = len(prefix.w_row) - m - 1  # the block's columns
-    # The own part of every row, then of the w and z rows, as in _simplex.
-    own = [[zero + v for v in row[nb:]] for row in rows]
-    w = [zero] * (len(costs) - nb)
-    for t in own:
-        w = [a - b for a, b in zip(w, t)]
-    own += [w, [zero + c for c in costs[nb:]]]
     dantzig = arith._dantzig and not arith.exact
-    for r, _, piv, updates, reduced in prefix.pivots:
-        if dantzig and own[m] and min(own[m]) < reduced:
-            return None  # Dantzig's rule would enter an own column here
-        prow = own[r] = [v / piv for v in own[r]]
-        for i, f in updates:
-            own[i] = [v - f * x for v, x in zip(own[i], prow)]
+    stored = prefix.columns
+    columns = []
+    for key in zip(costs[nb:], *[row[nb:] for row in rows]):
+        column = stored.get(key)
+        if column is None:
+            column = stored[key] = _replay_column(prefix.pivots, key, zero, dantzig)
+        columns.append(column)
+    if any(refuses for _, refuses in columns):
+        return None  # Dantzig's rule would enter an own column
+    # The own part of every row, then of the w and z rows.
+    own = list(zip(*[entries for entries, _ in columns])) or [()] * (m + 2)
     shift = len(costs) - nb
     joined = [[*t[:nb], *o, *t[nb:]]
               for t, o in zip((*prefix.tableau, prefix.w_row, prefix.z_row), own)]
-    return joined[:m], joined[m], joined[m + 1], [j if j < nb else j + shift for j in prefix.basis]
+    return (joined[:m], joined[m], joined[m + 1],
+            [j if j < nb else j + shift for j in prefix.basis], len(prefix.pivots))
+
+
+def _replay_column(pivots, key, zero, dantzig):
+    """(entries in every row, then in w and z; refuses) of the column key =
+    (cost, *entries) after the pivots, where refuses says that it priced
+    strictly below the entering column in w before some pivot, so that a
+    cold Dantzig run would have entered it there."""
+    cost, *column = [zero + v for v in key]
+    w = zero
+    for v in column:  # w's entry: minus each row's, in row order
+        w = w - v
+    m = len(column)
+    column += (w, cost)
+    refuses = False
+    for r, _, piv, updates, reduced in pivots:
+        refuses = refuses or (dantzig and column[m] < reduced)
+        x = column[r] = column[r] / piv
+        for i, f in updates:
+            column[i] = column[i] - f * x
+    return tuple(column), refuses
 
 
 def _certify_basis(costs, rows, rhs, status, basis, entering):
@@ -230,7 +270,6 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
                 for i, ints in enumerate(scaled)]
 
     basis_cols = [column(j) for j in basis]  # the rows of B^T
-    bmat = [[col[i] for col in basis_cols] for i in range(len(rows))]
 
     def priced_rows(basic_costs):
         """(y . [A | b], y, den) for the prices y / den of the scaled rows
@@ -252,13 +291,18 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
         return StandardResult(INFEASIBLE, farkas=tuple(
             Fraction(v * d, den) for v in y))
 
-    # One elimination gives the levels and, for a ray, the entering column's step.
-    solved = solve_columns(bmat, [b, column(entering)] if status == UNBOUNDED else [b])
+    zero = Fraction(0)
+    if status == OPTIMAL and not any(b):
+        # x_B = B^-1 0 = 0 for a nonsingular B, which the pricing below proves.
+        solved = [[zero] * len(basis)]
+    else:
+        # One elimination gives the levels and, for a ray, the entering column's step.
+        solved = solve_columns(list(zip(*basis_cols)),
+                               [b, column(entering)] if status == UNBOUNDED else [b])
     level = solved and solved[0]
     # Artificials may stay basic on redundant rows, but only at level zero.
     if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
         return None
-    zero = Fraction(0)
     x = [zero] * n
     for j, v in zip(basis, level):
         if j < n:
@@ -277,9 +321,11 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
             return None
         return StandardResult(UNBOUNDED, ray=tuple(ray))
 
-    # B has just solved the levels, so B^T is not singular.
     (cost_ints,), cost_den = integer_rows([costs])
-    total, y, den = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
+    priced = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
+    if priced is None:
+        return None
+    total, y, den = priced
     if any(den * c < t for c, t in zip(cost_ints, total)):
         return None
     value = sum((costs[j] * v for j, v in zip(basis, level) if j < n), zero)
@@ -293,10 +339,11 @@ def _bland(costs, rows, rhs, arith: Arith):
     return _simplex(costs, rows, rhs, arith)
 
 
-def _simplex(costs, rows, rhs, arith: Arith, prefix: Optional[Phase1] = None,
+def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
              record: Optional[list] = None):
-    """_bland, started where prefix's pivots leave the tableau when they
-    apply (_replay). A recording run (record_phase1) logs its pivots in
+    """_bland, or, given start (_replay), the same run from where the
+    replayed pivots leave the tableau; then only the lengths of costs and
+    rows are read. A recording run (record_phase1) logs its pivots in
     record and stops after phase 1, returning its Phase1 or None."""
     n = len(costs)
     m = len(rows)
@@ -305,11 +352,10 @@ def _simplex(costs, rows, rhs, arith: Arith, prefix: Optional[Phase1] = None,
     ncols = n + m
     # Flip rows so b >= 0; remember orientation for row-indexed outputs.
     sign = [(-1 if arith.is_neg(b) else 1) for b in rhs]
-    start = (_replay(prefix, costs, rows, arith, zero)
-             if prefix is not None and not any(rhs) else None)
     if start is not None:
-        tableau, w_row, z_row, basis = start
+        tableau, w_row, z_row, basis, replayed = start
     else:
+        replayed = 0
         tableau = []
         for i, (row, b) in enumerate(zip(rows, rhs)):
             t = [zero + v for v in row] + [zero] * m + [zero + b]
@@ -388,13 +434,13 @@ def _simplex(costs, rows, rhs, arith: Arith, prefix: Optional[Phase1] = None,
                 return STALLED, iters
 
     # Phase 1: minimize the artificial total.
-    status, info = run_phase(w_row, len(prefix.pivots) if start is not None else 0)
+    status, info = run_phase(w_row, replayed)
     if record is not None:
         # Every pivot must be one that a run with more columns takes too:
         # under Dantzig's rule, all of them within this run's Dantzig budget.
         if status != OPTIMAL or (dantzig_pivots and info > dantzig_pivots):
             return None
-        return Phase1(type(arith), arith.tol, tuple(record), tableau, w_row, z_row, basis)
+        return Phase1(type(arith), arith.tol, tuple(record), tableau, w_row, z_row, basis, {})
     if status == STALLED:
         return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:

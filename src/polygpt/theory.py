@@ -147,10 +147,10 @@ def _symmetry_generators(t: Theory) -> tuple:
     search assigns images to the basis of t.basis_inverse in order, pruned
     by W, and reads each full assignment's permutation off the linear map
     it fixes. Basis index k is searched with the indices before it fixed,
-    deepest k first, skipping images already in its orbit (theory.orbits
-    of single indices) under the generators found so far; so each new
-    generator at least doubles the group, and there are at most
-    log2 |group| of them."""
+    deepest k first, skipping images already in its orbit (the first that
+    _orbits yields, of single indices) under the generators found so far;
+    so each new generator at least doubles the group, and there are at
+    most log2 |group| of them."""
     basis, inverse, q = t.basis_inverse
     gens, d = t.generator_rows
     gram = [[sum(g[i] * g[j] for g in gens) for j in range(t.dim)] for i in range(t.dim)]
@@ -182,7 +182,7 @@ def _symmetry_generators(t: Theory) -> tuple:
             perm = None if (c,) in orbit or not fits(basis[:k], c) else extend(basis[:k] + (c,))
             if perm:
                 found.append(perm)
-                orbit = set(orbits([(basis[k],), *singles], found)[0])
+                orbit = set(next(_orbits([(basis[k],), *singles], found)))
     return tuple(found)
 
 
@@ -191,8 +191,12 @@ def orbits(subsets: list, perms) -> list:
     under the permutations, found breadth first, each a list of subsets led
     by its representative (the first in input order). Images outside the
     list are not followed."""
+    return list(_orbits(subsets, perms))
+
+
+def _orbits(subsets: list, perms):
+    """orbits, yielded one at a time in order, each found when it is asked for."""
     unvisited = set(subsets)
-    found = []
     for rep in subsets:
         if rep not in unvisited:
             continue
@@ -206,8 +210,7 @@ def orbits(subsets: list, perms) -> list:
                 if image in unvisited:
                     unvisited.remove(image)
                     orbit.append(image)
-        found.append(orbit)
-    return found
+        yield orbit
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],
@@ -363,10 +366,13 @@ def reduce_to_pure_states(t: Theory) -> Theory:
     nothing is dropped the theory itself is returned, so a build reuses the
     group cached on it."""
     arith = t.arith()
-    unique = []
-    for g in t.generators:
-        if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
-            unique.append(g)
+    if arith.exact:  # equal values hash alike, whatever their form
+        unique = list(dict.fromkeys(map(tuple, t.generators)))
+    else:
+        unique = []
+        for g in t.generators:
+            if not any(all(arith.is_zero(a - b) for a, b in zip(g, h)) for h in unique):
+                unique.append(g)
     if len(unique) < t.num_generators:
         t = replace(t, generators=tuple(unique))
     extreme = {}

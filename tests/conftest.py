@@ -81,6 +81,78 @@ def reference_rank(rows):
     return r
 
 
+def reference_integer_rows(rows, den=1):
+    """linalg.integer_rows by every entry's as_integer_ratio, ints too."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    den = math.lcm(den, *[q for row in ratios for _, q in row])
+    return [[p * (den // q) for p, q in row] for row in ratios], den
+
+
+def reference_certify_basis(costs, rows, rhs, status, basis, entering):
+    """simplex._certify_basis with the levels solved at every rhs, zero
+    included, and every row read by reference_integer_rows."""
+    n = len(costs)
+    scaled, d = reference_integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+    b = [ints[n] for ints in scaled]
+
+    def column(j):
+        if j < n:
+            return [ints[j] for ints in scaled]
+        return [(d if ints[n] >= 0 else -d) if i == j - n else 0
+                for i, ints in enumerate(scaled)]
+
+    basis_cols = [column(j) for j in basis]
+    bmat = [[col[i] for col in basis_cols] for i in range(len(rows))]
+
+    def priced_rows(basic_costs):
+        solved = solve_columns(basis_cols, [basic_costs])
+        if solved is None:
+            return None
+        (y,), den = reference_integer_rows(solved)
+        return [dot(y, col) for col in zip(*scaled)], y, den
+
+    if status == simplex.INFEASIBLE:
+        priced = priced_rows([int(j >= n) for j in basis])
+        if priced is None:
+            return None
+        total, y, den = priced
+        if total[n] <= 0 or any(v > 0 for v in total[:n]):
+            return None
+        return simplex.StandardResult(simplex.INFEASIBLE, farkas=tuple(
+            Fraction(v * d, den) for v in y))
+
+    solved = solve_columns(bmat, [b, column(entering)] if status == simplex.UNBOUNDED else [b])
+    level = solved and solved[0]
+    if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
+        return None
+    zero = Fraction(0)
+    x = [zero] * n
+    for j, v in zip(basis, level):
+        if j < n:
+            x[j] = v
+
+    if status == simplex.UNBOUNDED:
+        step = solved[1]
+        if any((v > 0) if j < n else (v != 0) for j, v in zip(basis, step)):
+            return None
+        ray = [zero] * n
+        ray[entering] = Fraction(1)
+        for j, v in zip(basis, step):
+            if j < n:
+                ray[j] = -v
+        if sum(c * v for c, v in zip(costs, ray)) >= 0:
+            return None
+        return simplex.StandardResult(simplex.UNBOUNDED, ray=tuple(ray))
+
+    (cost_ints,), cost_den = reference_integer_rows([costs])
+    total, y, den = priced_rows([cost_ints[j] if j < n else 0 for j in basis])
+    if any(den * c < t for c, t in zip(cost_ints, total)):
+        return None
+    value = sum((costs[j] * v for j, v in zip(basis, level) if j < n), zero)
+    return simplex.StandardResult(simplex.OPTIMAL, x=tuple(x), value=value, duals=tuple(
+        Fraction(v * d, den * cost_den) for v in y))
+
+
 def linearly_independent(states):
     """Exact test; every entry must be an int, a Fraction or a "p/q" string."""
     return len(pivot_columns([[rat(v) for v in s] for s in states])) == len(states)

@@ -317,3 +317,30 @@ def test_orbit_counts(spec, n_arity, subsets, orbits):
     for orbit in found:
         assert orbit[0] == min(orbit)  # the representative comes first
         orbit_words(orbit, perms, v)  # fails unless every member is an image of it
+
+
+class _CountedPerms(list):
+    """Permutations that count how often they are read: once per subset
+    whose images an orbit search follows."""
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("spec,n_arity", [("hypercube:m=4", 2), ("simplex-power:q=3,l=2", 3),
+                                          ("prism:simplex:d=3+hypercube:m=2", 2)])
+def test_orbits_are_found_one_at_a_time_in_order(spec, n_arity):
+    # The group search reads the first orbit only: _orbits follows the
+    # images of that orbit's members and no others, and yields the orbits
+    # that theory.orbits lists, in its order.
+    theory = build_family(spec)
+    perms = _CountedPerms(theory.symmetries)
+    candidates = list(itertools.combinations(range(theory.num_generators), n_arity))
+    orbits = theory_module.orbits(candidates, perms)
+    assert len(orbits) > 1 and perms.reads == len(candidates)
+    perms.reads = 0
+    lazy = theory_module._orbits(candidates, perms)
+    assert next(lazy) == orbits[0] and perms.reads == len(orbits[0]) < len(candidates)
+    assert list(lazy) == orbits[1:] and perms.reads == len(candidates)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_ngon, invert, mat_vec, random_rational, reference_rank
+from conftest import (float_ngon, invert, mat_vec, random_rational, reference_integer_rows,
+                      reference_rank)
 from polygpt.linalg import dot, integer_rows, pivot_columns, rat, rat_str, solve_columns
 from polygpt.theory import EXACT, Theory
 
@@ -131,6 +132,38 @@ def test_integer_rows_read_ints_fractions_and_floats_exactly(den):
     assert got == _reference_integer_rows(rows, den)
     assert all(type(v) is int for row in got[0] for v in row)
     assert got[1] % den == 0 and got[1] % 2**1000 == 0  # 1e-300's denominator
+
+
+@pytest.mark.parametrize("den", [1, 6, 5**30])
+def test_int_rows_pass_through_as_the_ratio_path_reads_them(den):
+    rng = random.Random(den)
+    for nrows in range(5):
+        width = rng.randint(0, 6)
+        rows = [[rng.randint(-10**20, 10**20) for _ in range(width)] for _ in range(nrows)]
+        got = integer_rows(rows, den)
+        assert got == reference_integer_rows(rows, den) and got[1] == den
+        assert all(type(v) is int for row in got[0] for v in row)
+
+
+@pytest.mark.parametrize("den", [1, 3])
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_passed_through_rows_are_fresh_lists(kind, den):
+    rows = [kind((1, -2)), kind((3, 4))]
+    out, _ = integer_rows(rows, den)
+    assert all(type(row) is list for row in out)
+    out[0][0] = 99
+    out[1].append(5)
+    out.append([7])
+    assert rows == [kind((1, -2)), kind((3, 4))]
+
+
+@pytest.mark.parametrize("den", [1, 4])
+@pytest.mark.parametrize("entry", [True, False, Fraction(3), Fraction(-1, 2), 0.5, 2.0])
+def test_a_bool_fraction_or_float_entry_is_read_as_before(entry, den):
+    rows = [[1, -2, 3], [4, entry, 6]]
+    got = integer_rows(rows, den)
+    assert got == reference_integer_rows(rows, den)
+    assert all(type(v) is int for row in got[0] for v in row)  # a bool comes back as an int
 
 
 @pytest.mark.parametrize("n", range(5, 10))

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ROUNDED_11GON, boxed_random_lp, brute_force_optimum, exact_bland_runs,
-                      plain_bland, random_lifted_theory, random_rational)
+                      plain_bland, random_lifted_theory, random_rational,
+                      reference_certify_basis)
 from polygpt import discrimination, lp, simplex
 from polygpt.families import hypercube_theory, ngon_theory
+from polygpt.linalg import pivot_columns
 from polygpt.simplex import IndeterminateError
 from polygpt.theory import FLOAT, is_state, make_theory, reduce_to_pure_states, theory_from_json
 
@@ -331,6 +333,49 @@ def test_basis_certification_accepts_only_true_reports():
                                for j in range(n))
                     assert sum(y * b for y, b in zip(res.farkas, rhs)) > 0
     assert accepted == {simplex.OPTIMAL, simplex.UNBOUNDED, simplex.INFEASIBLE}
+
+
+def _zero_rhs_form(seed):
+    """A small standard-form problem with an all-zero rhs (0 or F(0)); in
+    odd seeds one column is twice another, in seeds 4k + 2 one row is zero,
+    so that some bases are singular."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 3), rng.randint(2, 5)
+    rows = [[random_rational(rng, span=3, den=2) for _ in range(n)] for _ in range(m)]
+    if seed % 2:
+        k = rng.randrange(n - 1)
+        for row in rows:
+            row[n - 1] = 2 * row[k]
+    elif seed % 4 == 2:
+        rows[-1] = [0] * n
+    costs = [rng.choice((random_rational(rng, span=3, den=2), rng.randint(-2, 2)))
+             for _ in range(n)]
+    return costs, rows, [rng.choice((0, F(0))) for _ in range(m)]
+
+
+def test_zero_rhs_certification_matches_the_level_solve():
+    # At b = 0 the levels are taken as zero, with no elimination: every
+    # report on every basis, singular ones included, must give what the
+    # level solve gave, value for value and type for type.
+    accepted = singular = 0
+    for seed in range(60):
+        costs, rows, rhs = _zero_rhs_form(seed)
+        m, n = len(rows), len(costs)
+
+        def col(j):
+            return [row[j] for row in rows] if j < n else [int(i == j - n) for i in range(m)]
+
+        for basis in itertools.combinations(range(n + m), m):
+            bmat = [[col(j)[i] for j in basis] for i in range(m)]
+            singular += len(pivot_columns(bmat)) < m
+            reports = [(simplex.OPTIMAL, None), (simplex.INFEASIBLE, None)]
+            reports += [(simplex.UNBOUNDED, k) for k in range(n) if k not in basis]
+            for status, entering in reports:
+                res = simplex._certify_basis(costs, rows, rhs, status, list(basis), entering)
+                ref = reference_certify_basis(costs, rows, rhs, status, list(basis), entering)
+                assert res == ref and repr(res) == repr(ref)
+                accepted += res is not None and status == simplex.OPTIMAL
+    assert accepted >= 100 and singular >= 50
 
 
 def test_a_stalled_guide_falls_back_to_exact_bland(monkeypatch):

@@ -224,3 +224,56 @@ def test_a_block_pickles_with_its_prefix():
     with recorded("record_phase1") as recordings:
         _same(lp.solve_exact(shipped), out)
     assert recordings == []
+
+
+def _replayed_columns(monkeypatch):
+    """Collects the key of every own column that simplex._replay_column
+    pivots, that is, of every column not yet stored on its prefix."""
+    keys = []
+    replay_column = simplex._replay_column
+
+    def counted(pivots, key, *args):
+        keys.append(key)
+        return replay_column(pivots, key, *args)
+
+    monkeypatch.setattr(simplex, "_replay_column", counted)
+    return keys
+
+
+@pytest.mark.parametrize("spec, pairs", [("hypercube:m=4", itertools.combinations),
+                                         ("ngon:n=9", itertools.permutations)])
+def test_a_second_pass_over_one_block_reads_stored_columns(spec, pairs, monkeypatch):
+    # The float 9-gon in both orders, as its decisions re-solve each pair
+    # reversed. Both passes must give the cold answers; the second pivots
+    # no column, and a block stores at most 2 N v columns.
+    theory = parse_family_spec(spec).build()
+    subsets = list(pairs(range(theory.num_generators), 2))
+    keys = _replayed_columns(monkeypatch)
+    _assert_replays_like_a_cold_run(theory, subsets)
+    prefix = discrimination._generator_block(theory, 2).phase1(theory.arith())
+    stored = dict(prefix.columns)
+    assert len(keys) == len(set(keys)) == len(stored) <= 2 * 2 * theory.num_generators
+    keys.clear()
+    _assert_replays_like_a_cold_run(theory, subsets)
+    assert keys == [] and prefix.columns == stored
+
+
+def test_a_stored_refusing_column_still_sends_the_run_cold(monkeypatch):
+    # A zero own column never prices below the block's entering column;
+    # _DANTZIG_ROWS's own column 3 does. Once stored, it must still refuse.
+    arith = simplex.Arith(1e-9)
+    prefix = simplex.record_phase1(_DANTZIG_COSTS[:3], [r[:3] for r in _DANTZIG_ROWS], arith)
+    rhs = [0, 0]
+    quiet = ([*_DANTZIG_COSTS[:3], 0], [[*r[:3], 0] for r in _DANTZIG_ROWS])
+    both = ([*quiet[0], _DANTZIG_COSTS[3]], [[*q, r[3]] for q, r in zip(quiet[1], _DANTZIG_ROWS)])
+    assert simplex._replay(prefix, *quiet, arith, 0.0) is not None
+    _same(simplex.solve_standard_min(*quiet, rhs, arith, prefix),
+          simplex.solve_standard_min(*quiet, rhs, arith))
+    assert simplex._replay(prefix, *both, arith, 0.0) is None
+    assert sorted(refuses for _, refuses in prefix.columns.values()) == [False, True]
+    keys = _replayed_columns(monkeypatch)
+    for costs, rows in (both, (_DANTZIG_COSTS, _DANTZIG_ROWS)):
+        assert simplex._replay(prefix, costs, rows, arith, 0.0) is None
+        _same(simplex.solve_standard_min(costs, rows, rhs, arith, prefix),
+              simplex.solve_standard_min(costs, rows, rhs, arith))
+    assert keys == [] and len(prefix.columns) == 2

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -170,6 +171,33 @@ def test_reduction_keeps_every_family_vertex(spec):
     t = build_family(spec)
     assert reduce_to_pure_states(t).generators == reference_pure_states(t) == t.generators
     assert reduce_to_pure_states(t) is t  # its cached group comes along
+
+
+def test_exact_duplicates_in_mixed_forms_keep_their_first_occurrence():
+    # 1, F(2, 2) and "2/2" are one value; make_theory reads them alike, and
+    # a Theory built directly keeps each form, ints first.
+    forms = [(1, 0, 0), (F(2, 2), 1, 0), ("2/2", "0", "1"), (F(1), "1/3", "1/3"),
+             ("1", F(0), F(0)), (F(1), 1, F(0)), (1, F(2, 2), 0), (1, F(1, 3), F(1, 3))]
+    t = make_theory("mixed", (1, 0, 0), forms)
+    assert reduce_to_pure_states(t) == replace(t, generators=reference_pure_states(t))
+    assert reduce_to_pure_states(t).generators == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
+    raw = Theory("raw", 3, (1, 0, 0), ((1, 0, 0), (1, 1, 0), (F(1), F(0), F(0)), (1, 0, 1),
+                                       (F(1), F(1), 0), (1, F(1, 3), F(1, 3))))
+    reduced = reduce_to_pure_states(raw)
+    assert reduced == replace(raw, generators=reference_pure_states(raw))
+    assert [list(map(type, g)) for g in reduced.generators] == [[int, int, int]] * 3
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
+def test_every_family_with_duplicates_and_its_centroid_reduces_as_before(spec):
+    # Every third vertex again, with its integral coordinates as ints, and
+    # the centroid: the same theory as the pairwise duplicate loop gives.
+    t = build_family(spec)
+    again = tuple(tuple(int(v) if v.denominator == 1 else v for v in g)
+                  for g in t.generators[::3])
+    centroid = tuple(sum(col) / t.num_generators for col in zip(*t.generators))
+    fat = Theory(t.name, t.dim, t.unit, (*t.generators[:2], *again, centroid, *t.generators[2:]))
+    assert reduce_to_pure_states(fat) == replace(fat, generators=reference_pure_states(fat))
 
 
 def counted_memberships(monkeypatch):
