@@ -172,6 +172,15 @@ class RandomCode:
             if len(w) != self.l or any(not 1 <= s <= self.q for s in w):
                 raise ValueError(f"bad codeword {w}")
 
+    @classmethod
+    def _drawn(cls, q: int, l: int, codewords: tuple, seed: int) -> "RandomCode":
+        """A code of distinct codewords over 1..q, each of length l, as
+        sample_random_code draws them: built without __post_init__'s check."""
+        code = object.__new__(cls)
+        for name, value in (("q", q), ("l", l), ("codewords", codewords), ("seed", seed)):
+            object.__setattr__(code, name, value)
+        return code
+
 
 def sample_random_code(q: int, l: int, m_codewords: int, seed: int) -> RandomCode:
     """Draw M distinct codewords with i.i.d. uniform symbols; collisions
@@ -191,7 +200,7 @@ def sample_random_code(q: int, l: int, m_codewords: int, seed: int) -> RandomCod
             if w not in seen:
                 seen.add(w)
                 words.append(w)
-    return RandomCode(q, l, tuple(words), seed)
+    return RandomCode._drawn(q, l, tuple(words), seed)
 
 
 def verify_nwise_by_components(code: RandomCode, n_arity: int) -> bool:

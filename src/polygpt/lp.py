@@ -53,13 +53,16 @@ class LPBlock:
     they lead. The phase 1 of their dual columns at a zero objective is
     pivoted once per entering rule (phase1), and each zero-objective
     problem they lead replays it on its own columns, each distinct column
-    once (simplex.Phase1.columns)."""
+    once (simplex.Phase1.columns). A float problem of their rows alone
+    at a nonzero objective walks the optimal runs that such problems
+    have taken cold before (runs), which hold for any objective."""
 
     def __init__(self, constraints: tuple, num_vars: int):
         _check_rows(constraints, num_vars)
         self.constraints = constraints
         self.num_vars = num_vars
         self._phase1 = {}  # by tolerance; None: the exact run's float guide
+        self._runs = {}  # by entering rule and tolerance
 
     @functools.cached_property
     def integer_form(self):
@@ -85,6 +88,17 @@ class LPBlock:
             self._phase1[arith.tol] = (simplex.record_phase1(costs, rows, arith)
                                        if self.constraints else None)
         return self._phase1[arith.tol]
+
+    def runs(self, arith: Arith) -> Optional[simplex.Runs]:
+        """The simplex.Runs of this block's part of the dual (dual) for
+        float arith's runs, empty until a run ends optimal; None for
+        exact arith or an empty block."""
+        if arith.exact or not self.constraints:
+            return None
+        key = (type(arith), arith.tol)
+        if key not in self._runs:
+            self._runs[key] = simplex.Runs()
+        return self._runs[key]
 
 
 @dataclass(frozen=True)
@@ -178,14 +192,20 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     else:
         own = prob.own_constraints
         costs, rows, backmap = prob.block.dual
-    # A zero objective is the dual's zero rhs, where the block's phase 1 replays.
-    prefix = prob.block.phase1(arith) if shared and not any(prob.objective) else None
+    # A zero objective is the dual's zero rhs, where the block's phase 1
+    # replays; at any other, a float problem of the block's rows alone
+    # walks its runs.
+    prefix = runs = None
+    if not any(prob.objective):
+        prefix = prob.block.phase1(arith) if shared else None
+    elif not own:
+        runs = prob.block.runs(arith)
     own_costs, own_rows, own_backmap = _dual(own, n, start)
     costs, backmap = costs + own_costs, backmap + own_backmap
     rows = [a + b for a, b in zip(rows, own_rows)]
     num_rows = len(prob.constraints)
     res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith,
-                                     prefix=prefix)
+                                     prefix=prefix, runs=runs)
 
     if res.status == simplex.STALLED:
         return LPOutcome(LPStatus.STALLED)

@@ -32,11 +32,24 @@ tableau: they are replayed on its own columns only, with the same
 operations in the same order, so the run is the cold run pivot for pivot.
 Each distinct own column is replayed once per recorded phase 1 and kept
 on it, and a replayed guide converts only the own columns to floats.
+
+A float problem made of a shared block's columns alone walks the block's
+recorded optimal runs (Runs) before it runs cold. The right-hand side
+decides only the row signs and the ratio tests: everything else a run
+reads (entering columns, the Dantzig budget, the drive-out, the duals)
+comes from the coefficient part, which the sign pattern and the pivots
+made so far fix. So the walk keys its root by the sign pattern, repeats
+each ratio test on its own right-hand side against the stored pivot
+column, and pivots only that column, with the same float operations in
+the same order as the cold run: where it follows a stored run to its
+optimal end, its answer is the cold run's bit for bit. Anywhere else it
+runs cold, and a cold optimal run is added to the store.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -107,9 +120,12 @@ class StandardResult:
 
 def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
                        arith: Optional[Arith] = None,
-                       prefix: Optional[Phase1] = None) -> StandardResult:
+                       prefix: Optional[Phase1] = None,
+                       runs: Optional[Runs] = None) -> StandardResult:
     """prefix, when given, is record_phase1 of the leading columns for
-    this arith; it is replayed only when rhs is all zero."""
+    this arith; it is replayed only when rhs is all zero. runs, when
+    given, holds this float arith's recorded runs of these very columns:
+    the solve walks them first and records a cold optimal run there."""
     arith = arith or Arith()
     n = len(costs)
     for row in rows:
@@ -118,7 +134,11 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     if not arith.exact:
-        return _simplex(costs, rows, rhs, arith, _start(prefix, costs, rows, rhs, arith))[0]
+        walked = None if runs is None else runs.walk(n, rhs, arith)
+        if walked is not None:
+            return walked
+        return _simplex(costs, rows, rhs, arith, _start(prefix, costs, rows, rhs, arith),
+                        runs=runs)[0]
     guide = _float_guide(costs, rows, rhs, prefix)
     if guide is not None:
         res = _certify_basis(costs, rows, rhs, *guide)
@@ -251,6 +271,166 @@ def _replay_column(pivots, key, zero, dantzig):
     return tuple(column), refuses
 
 
+class Runs:
+    """The optimal float runs of one block's columns alone, at any
+    right-hand side, as a trie (one per entering rule and tolerance,
+    lp.LPBlock.runs). Nodes are indices into flat arrays, so a trie takes
+    little memory and pickles without deep recursion.
+
+    roots maps a run's sign pattern (-1 or 1 per row, as _simplex flips
+    the rows) to its first node. Node k holds the run's next step, with
+    its m + 2 entries at entries[k * (m + 2):]:
+    - a pivot on column entering[k] >= 0 whose entries before it, in
+      every row, then in w and z, are node k's (those within the
+      tolerance, which the pivot skips, are 0.0); the next node is the
+      child for the leaving row the ratio test picks;
+    - the end of phase 1 (entering[k] == -1): the drive-out pivots are
+      drives[k], as (row, column, entries), and the next node, the only
+      child, begins phase 2;
+    - an optimal end (entering[k] == -1 after phase 1): node k's first
+      m entries are z's in the artificial columns, which give the duals.
+    A node's children: none yet when children[k] == -1, one for row
+    leaving[k] when children[k] >= 0, else branches[k] by row."""
+
+    def __init__(self):
+        self.roots = {}
+        self.entering = array("l")
+        self.entries = array("d")
+        self.leaving = array("l")
+        self.children = array("l")
+        self.branches = {}
+        self.drives = {}
+
+    def _node(self, entering: int, entries) -> int:
+        self.entering.append(entering)
+        self.entries.extend(entries)
+        self.leaving.append(-1)
+        self.children.append(-1)
+        return len(self.entering) - 1
+
+    def _child(self, k: int, row: int) -> Optional[int]:
+        child = self.children[k]
+        if child == -2:
+            return self.branches[k].get(row)
+        return child if child >= 0 and self.leaving[k] == row else None
+
+    def _add_child(self, k: int, row: int, child: int) -> None:
+        only = self.children[k]
+        if only == -1:
+            self.children[k], self.leaving[k] = child, row
+            return
+        if only >= 0:
+            self.branches[k] = {self.leaving[k]: only}
+            self.children[k] = -2
+        self.branches[k][row] = child
+
+    def insert(self, sign: tuple, pivots: list, ends: tuple, artificials) -> None:
+        """Store a cold optimal run: its sign pattern, its pivot records
+        (Phase1's format), the records' counts up to the end of phase 1
+        and of the drive-out, and z's artificial entries at its end. The
+        trie grows by at most one node per pivot and two more per run."""
+        width = len(sign) + 2
+        phase1, drive = ends
+
+        def column(r, piv, updates):
+            entries = array("d", bytes(8 * width))
+            entries[r] = piv
+            for i, f in updates:
+                entries[i] = f
+            return entries
+
+        # (entering, entries, key of the next node) for every step.
+        steps = [(col, column(r, piv, updates), r) for r, col, piv, updates, _ in pivots[:phase1]]
+        end = (-1, array("d", bytes(8 * width)), -1)
+        steps += [end, *[(col, column(r, piv, updates), r)
+                         for r, col, piv, updates, _ in pivots[drive:]]]
+        steps.append((-1, array("d", [*artificials, 0.0, 0.0]), None))
+        k = self.roots.get(sign)
+        if k is None:
+            k = self.roots[sign] = self._node(*steps[0][:2])
+        for step, (entering, entries, _) in zip(steps, steps[1:]):
+            if step is end and k not in self.drives:
+                self.drives[k] = tuple((r, col, column(r, piv, updates))
+                                       for r, col, piv, updates, _ in pivots[phase1:drive])
+            child = self._child(k, step[2])
+            if child is None:
+                child = self._node(entering, entries)
+                self._add_child(k, step[2], child)
+            k = child
+
+    def walk(self, n: int, rhs: Sequence, arith: Arith) -> Optional[StandardResult]:
+        """The cold run's result at rhs on the n columns, when the ratio
+        tests follow a stored run to its optimal end; else None. The
+        right-hand side, then w's and z's last entries, are pivoted as
+        _simplex pivots them."""
+        sign = tuple(-1 if arith.is_neg(b) else 1 for b in rhs)
+        k = self.roots.get(sign)
+        if k is None:
+            return None
+        m = len(rhs)
+        width = m + 2
+        level = [0.0 + b if s > 0 else -(0.0 + b) for s, b in zip(sign, rhs)]
+        w = 0.0
+        for b in level:
+            w -= b
+        level += (w, 0.0)
+        basis = list(range(n, n + m))
+
+        def pivot(r, col, entries):
+            x = level[r] = level[r] / entries[r]
+            for i, f in enumerate(entries):
+                if f and i != r:
+                    level[i] -= f * x
+            basis[r] = col
+
+        phase2 = False
+        iters = 0
+        while True:
+            col = self.entering[k]
+            if col < 0:
+                if phase2:
+                    break
+                if arith.is_pos(-level[m]):
+                    return None  # infeasible: the cold run gives its Farkas prices
+                for r, col, entries in self.drives[k]:
+                    pivot(r, col, entries)
+                phase2, iters = True, 0
+                k = self.children[k]
+                continue
+            entries = self.entries[k * width:(k + 1) * width]
+            r = _leaving_row(arith, entries, level, basis)
+            k = self._child(k, r)
+            if k is None:
+                return None
+            pivot(r, col, entries)
+            iters += 1
+            if iters > MAX_ITERATIONS:
+                return None
+        x = [0.0] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = level[i]
+        artificials = self.entries[k * width:k * width + m]
+        duals = tuple(s * (-v) for s, v in zip(sign, artificials))
+        return StandardResult(OPTIMAL, x=tuple(x), value=-level[m + 1], duals=duals)
+
+
+def _leaving_row(arith: Arith, column, level, basis) -> Optional[int]:
+    """Bland's leaving row: of the rows i whose entry column[i] in the
+    entering column is positive, the one of least ratio level[i] /
+    column[i], ties broken by the lower basis index; None when no entry
+    is positive."""
+    best = None
+    for i in range(len(basis)):
+        a = column[i]
+        if arith.is_pos(a):
+            ratio = level[i] / a
+            order = -1 if best is None else arith._compare_ratios(ratio, best[0])
+            if order < 0 or (order == 0 and basis[i] < basis[best[1]]):
+                best = (ratio, i)
+    return None if best is None else best[1]
+
+
 def _certify_basis(costs, rows, rhs, status, basis, entering):
     """Rebuild the guide's answer from its basis in exact arithmetic.
 
@@ -340,11 +520,12 @@ def _bland(costs, rows, rhs, arith: Arith):
 
 
 def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
-             record: Optional[list] = None):
+             record: Optional[list] = None, runs: Optional[Runs] = None):
     """_bland, or, given start (_replay), the same run from where the
     replayed pivots leave the tableau; then only the lengths of costs and
     rows are read. A recording run (record_phase1) logs its pivots in
-    record and stops after phase 1, returning its Phase1 or None."""
+    record and stops after phase 1, returning its Phase1 or None. Given
+    runs, a run that ends optimal is stored there (Runs.insert)."""
     n = len(costs)
     m = len(rows)
     zero = Fraction(0) if arith.exact else 0.0
@@ -354,6 +535,7 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
     sign = [(-1 if arith.is_neg(b) else 1) for b in rhs]
     if start is not None:
         tableau, w_row, z_row, basis, replayed = start
+        runs = None  # its log would lack the replayed pivots
     else:
         replayed = 0
         tableau = []
@@ -373,11 +555,16 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
                 w_row[j] -= t[j]
             w_row[ncols] -= t[ncols]
 
+    # The objective rows a pivot updates, by their index in a pivot
+    # record: w's until phase 1's outcome is read, and z's.
+    objectives = [(m, w_row), (m + 1, z_row)]
+    log = [] if runs is not None else record
+
     def pivot(r, col):
         piv = tableau[r][col]
-        if record is not None:
-            record.append((r, col, piv, [(i, t[col]) for i, t in enumerate(tableau + [w_row, z_row])
-                                         if i != r and not arith.is_zero(t[col])], w_row[col]))
+        if log is not None:
+            log.append((r, col, piv, [(i, t[col]) for i, t in (*enumerate(tableau), *objectives)
+                                      if i != r and not arith.is_zero(t[col])], w_row[col]))
         tableau[r] = [v / piv for v in tableau[r]]
         prow = tableau[r]
         for i in range(m):
@@ -385,7 +572,7 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
                 f = tableau[i][col]
                 if not arith.is_zero(f):
                     tableau[i] = [v - f * w for v, w in zip(tableau[i], prow)]
-        for obj in (w_row, z_row):  # updated in place: the phases hold these lists
+        for _, obj in objectives:  # updated in place: the phases hold these lists
             f = obj[col]
             if not arith.is_zero(f):
                 obj[:] = [v - f * w for v, w in zip(obj, prow)]
@@ -405,23 +592,12 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
     # Dantzig's rule can cycle; Bland's, after these pivots, terminates.
     dantzig_pivots = ncols if arith._dantzig and not arith.exact else 0
 
-    def bland_leaving(col):
-        best = None
-        for i in range(m):
-            a = tableau[i][col]
-            if arith.is_pos(a):
-                ratio = tableau[i][ncols] / a
-                order = -1 if best is None else arith._compare_ratios(ratio, best[0])
-                if order < 0 or (order == 0 and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        return None if best is None else best[1]
-
     def run_phase(obj, iters=0):
         while True:
             col = (dantzig_entering if iters < dantzig_pivots else bland_entering)(obj)
             if col is None:
                 return OPTIMAL, iters
-            r = bland_leaving(col)
+            r = _leaving_row(arith, [t[col] for t in tableau], [t[ncols] for t in tableau], basis)
             if r is None:
                 return UNBOUNDED, col
             pivot(r, col)
@@ -454,6 +630,8 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
         # Farkas prices from phase-1 reduced costs of the artificial columns.
         y = tuple(sign[i] * (one - w_row[n + i]) for i in range(m))
         return StandardResult(INFEASIBLE, farkas=y), basis, None
+    del objectives[0]  # nothing reads w_row from here on
+    ends = [len(log or ())]  # of phase 1 and of the drive-out, in the log
 
     # Drive any leftover artificials out of the basis (degenerate pivots);
     # rows with no real pivot entry are redundant and stay inert.
@@ -462,6 +640,8 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
             col = next((j for j in range(n) if not arith.is_zero(tableau[r][j])), None)
             if col is not None:
                 pivot(r, col)
+
+    ends.append(len(log or ()))
 
     # Phase 2 on the true costs, artificials barred from entering.
     status, info = run_phase(z_row)
@@ -482,4 +662,6 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
             x[basis[i]] = tableau[i][ncols]
     value = -z_row[ncols]
     duals = tuple(sign[i] * (-z_row[n + i]) for i in range(m))
+    if runs is not None:
+        runs.insert(tuple(sign), log, ends, z_row[n:ncols])
     return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=duals), basis, None

@@ -126,6 +126,24 @@ def test_sample_random_code():
         sample_random_code(2, 2, 5, seed=0)
 
 
+@pytest.mark.parametrize("codewords", [((1, 1), (1, 1)), ((1, 1), (1, 4)), ((1, 0),),
+                                       ((1, 1, 1),), ((1,),)])
+def test_the_public_constructor_refuses_a_bad_code(codewords):
+    # Repeated, out of range (4 > q, 0 < 1) or of the wrong length.
+    with pytest.raises(ValueError):
+        RandomCode(3, 2, codewords, 0)
+
+
+def test_drawn_codes_equal_the_checked_codes_of_their_codewords():
+    rng = random.Random(31)
+    for _ in range(200):
+        q, l = rng.randint(2, 9), rng.randint(1, 6)
+        m = rng.randint(1, min(12, q ** l))
+        code = sample_random_code(q, l, m, seed=rng.randint(0, 2 ** 64 - 1))
+        checked = RandomCode(code.q, code.l, code.codewords, code.seed)
+        assert code == checked and hash(code) == hash(checked) and repr(code) == repr(checked)
+
+
 def test_component_discrimination_examples():
     bad = RandomCode(2, 2, ((1, 1), (1, 2), (2, 1)), 0)
     assert not component_discriminates(bad, (0, 1, 2), 0)
