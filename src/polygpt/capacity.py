@@ -57,31 +57,35 @@ class CapacityReport:
     verified: bool
 
 
-def _closed_form_pair_witness(theory: Theory, i: int, j: int) -> bool:
-    """Check the face-effect witness on a vertex pair differing at some
-    coordinate; the LP is the independent second route."""
-    a, b = theory.generators[i], theory.generators[j]
+def _face_measurements(theory: Theory) -> tuple:
+    """Measurement k - 1 reads coordinate k: the face effect of
+    hypercube_effect(m, k), then its complement to the unit."""
     m = theory.dim - 1
-    k = next(pos for pos in range(1, m + 1) if a[pos] != b[pos])
-    e = hypercube_effect(m, k)
-    # hypercube_theory lists +1 before -1, so for i < j the face effect is a's.
-    meas = Measurement((e, tuple(u - v for u, v in zip(theory.unit, e))))
-    return verify_witness(theory, [a, b], meas)
+    return tuple(Measurement((e, tuple(u - v for u, v in zip(theory.unit, e))))
+                 for e in (hypercube_effect(m, k) for k in range(1, m + 1)))
 
 
-def _pair_checks(theory: Theory, pair) -> tuple:
+def _pair_checks(theory: Theory, faces: tuple, pair) -> tuple:
+    """The closed-form witness on a vertex pair, then the LP, the
+    independent second route. The witness is the face measurement of the
+    first coordinate where the pair differs; hypercube_theory lists +1
+    before -1, so for i < j its face effect is the first state's."""
     i, j = pair
-    return _closed_form_pair_witness(theory, i, j), pairwise_distinguishable(theory, i, j)
+    a, b = theory.generators[i], theory.generators[j]
+    k = next(pos for pos in range(1, theory.dim) if a[pos] != b[pos])
+    return verify_witness(theory, [a, b], faces[k - 1]), pairwise_distinguishable(theory, i, j)
 
 
 def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
     """Run both the closed-form witnesses and the exact LP over all vertex
-    pairs of the m-cube theory; verified only when every pair passes both."""
+    pairs of the m-cube theory, with the m face measurements built once;
+    verified only when every pair passes both."""
     if not 1 <= m <= 8:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)
     pairs = list(itertools.combinations(range(theory.num_generators), 2))
-    results = parallel_map(functools.partial(_pair_checks, theory), pairs, workers)
+    results = parallel_map(functools.partial(_pair_checks, theory, _face_measurements(theory)),
+                           pairs, workers)
     verified = all(w and l for w, l in results)
     return CapacityReport(2, m, theory.dim, kappa_pairwise(m),
                           theory.num_generators, verified)

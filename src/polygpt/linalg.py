@@ -89,10 +89,22 @@ def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
     """The solutions x of a x = b, one for each b in columns, from one
     elimination; None when the square matrix a is singular.
 
-    Entries are read as integer_rows reads them. The rows of [a | columns]
-    are cleared of denominators and eliminated by _eliminate: only the
-    solutions are built from Fractions.
+    Entries are read as integer_rows reads them: only the solutions
+    (solve_numerators over its denominator) are built from Fractions.
     """
+    solved = solve_numerators(a, columns)
+    if solved is None:
+        return None
+    numerators, den = solved
+    return [tuple(Fraction(v, den) for v in num) for num in numerators]
+
+
+def solve_numerators(a: Sequence[Sequence], columns: Sequence[Sequence]):
+    """(numerators, den): for each b in columns, the integers den * x of
+    the solution x of a x = b, over den = |det| of a after the rows of
+    [a | columns] are cleared of denominators (integer_rows), from one
+    fraction-free elimination (_eliminate); None when the square matrix a
+    is singular. The numerators need not be in lowest terms."""
     n = len(a)
     m, _ = integer_rows([[*row, *rhs] for row, rhs in zip(a, zip(*columns))])
     pivots, prev = _eliminate(m)
@@ -100,15 +112,15 @@ def solve_columns(a: Sequence[Sequence], columns: Sequence[Sequence]):
         return None
     # prev = +-det; prev * x is integral (Cramer), so back substitution
     # divides exactly.
-    solutions = []
+    numerators = []
     for c in range(n, n + len(columns)):
         num = [0] * n
         for i in range(n - 1, -1, -1):
             row = m[i]
             acc = prev * row[c] - sum(row[j] * num[j] for j in range(i + 1, n))
             num[i] = acc // row[i]
-        solutions.append(tuple(Fraction(v, prev) for v in num))
-    return solutions
+        numerators.append(num if prev > 0 else [-v for v in num])
+    return numerators, abs(prev)
 
 
 def integer_rows(rows: Sequence[Sequence], den: int = 1):

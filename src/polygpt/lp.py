@@ -257,7 +257,10 @@ def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
 def check_solution(prob: LPProblem, x: Sequence) -> bool:
     """Exact substitution check, on integer_form and the integers d * x."""
     (xs,), dx = integer_rows([x])
-    return all(_RELATIONS[rel](dot(row, xs), rhs * dx) for row, rel, rhs in prob.integer_form[0])
+    if len(xs) != prob.num_vars:
+        raise ValueError(f"dimension mismatch: {prob.num_vars} vs {len(xs)}")
+    return all(_RELATIONS[rel](sum(map(operator.mul, row, xs)), rhs * dx)
+               for row, rel, rhs in prob.integer_form[0])
 
 
 def verify_farkas(prob: LPProblem, cert: Sequence, tol: float = 0) -> bool:

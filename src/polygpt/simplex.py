@@ -21,10 +21,13 @@ objective rows.
 Exact solves are float-guided: Bland runs once on a float copy of the
 data, and its final basis is rebuilt and checked in exact arithmetic
 (x_B = B^-1 b >= 0 and nonnegative reduced costs, an improving ray, or a
-phase-1 Farkas vector; at b = 0 an optimum's levels are zero, and the
-pricing solve alone shows B nonsingular). Only when that check fails
-does the exact Bland loop run, from scratch. This is the QSopt_ex scheme
-(Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 35, 2007).
+phase-1 Farkas vector; at b = 0 an optimum's levels and value are zero,
+and the pricing solve alone shows B nonsingular). The pricing stays in
+integers: the prices are the fraction-free elimination's numerators over
+|det B|, and they price the columns as one combination of the scaled
+rows. Only when that check fails does the exact Bland loop run, from
+scratch. This is the QSopt_ex scheme (Applegate, Cook, Dash and
+Espinoza, Oper. Res. Lett. 35, 2007).
 
 A problem with a zero rhs whose leading columns a shared block's phase 1
 has been recorded on (record_phase1) starts where those pivots leave the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import dot, integer_rows, solve_columns
+from .linalg import integer_rows, solve_columns, solve_numerators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -437,8 +440,12 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
     The rows and rhs are scaled to integers by their least common
     denominator d, which leaves levels and rays unchanged and scales row
     prices by 1/d; column n + i is row i's artificial, sign-flipped with
-    the row as in the tableau. Returns None unless every condition of the
-    reported status holds exactly."""
+    the row as in the tableau. Prices stay in integers: y / den comes
+    from the elimination's numerators over |det B| (solve_numerators),
+    and y . [A | b] is one combination of the scaled rows. At b = 0 an
+    optimum's levels and value are zero, and the pricing alone proves B
+    nonsingular. Returns None unless every condition of the reported
+    status holds exactly."""
     n = len(costs)
     scaled, d = integer_rows([[*row, b] for row, b in zip(rows, rhs)])
     b = [ints[n] for ints in scaled]
@@ -454,11 +461,15 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
     def priced_rows(basic_costs):
         """(y . [A | b], y, den) for the prices y / den of the scaled rows
         (y integral, den > 0), or None when B is singular."""
-        solved = solve_columns(basis_cols, [basic_costs])
+        solved = solve_numerators(basis_cols, [basic_costs])
         if solved is None:
             return None
-        (y,), den = integer_rows(solved)
-        return [dot(y, col) for col in zip(*scaled)], y, den
+        (y,), den = solved
+        total = [0] * (n + 1)
+        for v, ints in zip(y, scaled):
+            if v:
+                total = [t + v * a for t, a in zip(total, ints)]
+        return total, y, den
 
     if status == INFEASIBLE:
         # Phase-1 prices: artificials cost 1, real columns 0.
@@ -472,21 +483,20 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
             Fraction(v * d, den) for v in y))
 
     zero = Fraction(0)
-    if status == OPTIMAL and not any(b):
-        # x_B = B^-1 0 = 0 for a nonsingular B, which the pricing below proves.
-        solved = [[zero] * len(basis)]
-    else:
+    x = [zero] * n
+    at_zero = not any(b)
+    # x_B = B^-1 0 = 0 for a nonsingular B, which the pricing below proves.
+    if status != OPTIMAL or not at_zero:
         # One elimination gives the levels and, for a ray, the entering column's step.
         solved = solve_columns(list(zip(*basis_cols)),
                                [b, column(entering)] if status == UNBOUNDED else [b])
-    level = solved and solved[0]
-    # Artificials may stay basic on redundant rows, but only at level zero.
-    if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
-        return None
-    x = [zero] * n
-    for j, v in zip(basis, level):
-        if j < n:
-            x[j] = v
+        level = solved and solved[0]
+        # Artificials may stay basic on redundant rows, but only at level zero.
+        if level is None or any(v < 0 or (j >= n and v != 0) for j, v in zip(basis, level)):
+            return None
+        for j, v in zip(basis, level):
+            if j < n:
+                x[j] = v
 
     if status == UNBOUNDED:
         step = solved[1]
@@ -508,7 +518,7 @@ def _certify_basis(costs, rows, rhs, status, basis, entering):
     total, y, den = priced
     if any(den * c < t for c, t in zip(cost_ints, total)):
         return None
-    value = sum((costs[j] * v for j, v in zip(basis, level) if j < n), zero)
+    value = zero if at_zero else sum((costs[j] * x[j] for j in basis if j < n), zero)
     return StandardResult(OPTIMAL, x=tuple(x), value=value, duals=tuple(
         Fraction(v * d, den * cost_den) for v in y))
 
@@ -578,9 +588,11 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
                 obj[:] = [v - f * w for v, w in zip(obj, prow)]
         basis[r] = col
 
+    below = 0 if arith.exact else -arith.tol  # arith.is_neg(v) is v < below
+
     def bland_entering(obj):
         for j in range(n):
-            if arith.is_neg(obj[j]):
+            if obj[j] < below:
                 return j
         return None
 

@@ -46,6 +46,23 @@ def test_verify_hypercube_small(m, pairs):
     assert report.achieved_set_size * (report.achieved_set_size - 1) // 2 == pairs
 
 
+@pytest.mark.parametrize("route", ["verify_witness", "pairwise_distinguishable"])
+def test_either_route_alone_vetoes_the_sweep(monkeypatch, route):
+    # Every pair runs both routes: the closed-form witness, with the face
+    # measurements built once per sweep, and the LP. One pair refused by
+    # either route alone must fail the report.
+    checked = getattr(capacity, route)
+    calls = []
+
+    def refuse_one(*args):
+        calls.append(args)
+        return checked(*args) and len(calls) != 5
+
+    monkeypatch.setattr(capacity, route, refuse_one)
+    report = verify_hypercube_memory(3, workers=1)
+    assert report.verified is False and len(calls) == 28
+
+
 def test_verify_hypercube_bounds():
     with pytest.raises(ValueError):
         verify_hypercube_memory(0)

@@ -1,6 +1,7 @@
 """Solver contract tests: spec'd instances, certificates, oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -296,6 +297,21 @@ def _standard_form(seed, m=2, n=4):
     return costs, rows, rhs
 
 
+@pytest.mark.parametrize("enters", [False, True])
+def test_the_bland_scan_enters_below_minus_tol_only(enters):
+    # Phase 1 leaves columns 0 and 1 basic at zero cost, so phase 2 prices
+    # column 2 at its cost c and column 3 at -1. Bland's scan enters
+    # column 2 only when Arith.is_neg(c): not at c = -tol, but at the
+    # next float below it.
+    arith = simplex._GuideArith(1e-9)  # prices by Bland's rule alone
+    c = math.nextafter(-arith.tol, -math.inf) if enters else -arith.tol
+    assert arith.is_neg(c) is enters
+    rows = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+    res, basis, _ = simplex._bland([0.0, 0.0, c, -1.0], rows, [1.0, 1.0], arith)
+    assert res.status == simplex.OPTIMAL
+    assert basis == ([2, 3] if enters else [0, 3])
+
+
 def test_basis_certification_accepts_only_true_reports():
     # Offer every basis of small standard-form problems under every status:
     # whatever the exact check accepts must be a correct, checkable answer.
@@ -332,6 +348,38 @@ def test_basis_certification_accepts_only_true_reports():
                     assert all(sum(y * a for y, a in zip(res.farkas, col(j))) <= 0
                                for j in range(n))
                     assert sum(y * b for y, b in zip(res.farkas, rhs)) > 0
+    assert accepted == {simplex.OPTIMAL, simplex.UNBOUNDED, simplex.INFEASIBLE}
+
+
+def test_nonzero_rhs_certification_matches_the_reference():
+    # At b != 0 the prices are the elimination's integer numerators over
+    # |det B|, and y . [A | b] is one combination of the scaled rows: every
+    # report on every basis, singular ones included, must give what the
+    # reference (Fraction prices, one dot product per column) gave, value
+    # for value and type for type.
+    compared = singular = 0
+    accepted = set()
+    for seed in range(80):
+        costs, rows, rhs = _standard_form(seed, m=2 + seed % 2)
+        if not any(rhs):
+            continue
+        m, n = len(rows), len(costs)
+
+        def col(j):
+            return [row[j] for row in rows] if j < n else [int(i == j - n) for i in range(m)]
+
+        compared += 1
+        for basis in itertools.combinations(range(n + m), m):
+            singular += len(pivot_columns([[col(j)[i] for j in basis] for i in range(m)])) < m
+            reports = [(simplex.OPTIMAL, None), (simplex.INFEASIBLE, None)]
+            reports += [(simplex.UNBOUNDED, k) for k in range(n) if k not in basis]
+            for status, entering in reports:
+                res = simplex._certify_basis(costs, rows, rhs, status, list(basis), entering)
+                ref = reference_certify_basis(costs, rows, rhs, status, list(basis), entering)
+                assert res == ref and repr(res) == repr(ref)
+                if res is not None:
+                    accepted.add(status)
+    assert compared >= 60 and singular >= 100
     assert accepted == {simplex.OPTIMAL, simplex.UNBOUNDED, simplex.INFEASIBLE}
 
 
