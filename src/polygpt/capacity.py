@@ -41,8 +41,15 @@ def d_pairwise(m: int) -> int:
 
 
 def kappa_pairwise(m: int) -> float:
-    """Pairwise compression factor m / log2(m + 1), certified to ~15 digits."""
-    return m / log2_value(Fraction(d_pairwise(m)))
+    """Pairwise compression factor m / log2(m + 1), certified to ~15
+    digits; ValueError when it lies beyond the float range. An m of 2^1023
+    or more, near or past the largest float, is divided as a Fraction."""
+    log2 = log2_value(Fraction(d_pairwise(m)))
+    try:
+        return m / log2 if m < 2 ** 1023 else float(m / Fraction(log2))
+    except OverflowError:
+        raise ValueError(f"kappa for an m of {m.bit_length()} bits lies beyond "
+                         "the float range") from None
 
 
 # --- hypercube verification --------------------------------------------------

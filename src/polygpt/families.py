@@ -196,6 +196,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         key, sep, val = part.partition("=")
         if not sep or not val.lstrip("-").isdigit():
             raise ValueError(f"malformed family parameter {part!r}")
+        if key in params:
+            raise ValueError(f"repeated family parameter {key!r} in {text!r}")
         params[key] = int(val)
     if tuple(sorted(params)) != tuple(sorted(FAMILIES[kind][1])):
         raise ValueError(f"{kind} needs parameters {FAMILIES[kind][1]}, got {tuple(params)}")

@@ -55,7 +55,8 @@ class LPBlock:
     problem they lead replays it on its own columns, each distinct column
     once (simplex.Phase1.columns). A float problem of their rows alone
     at a nonzero objective walks the optimal runs that such problems
-    have taken cold before (runs), which hold for any objective."""
+    have taken cold before (runs), which hold for any objective. Both
+    keep the pivots as the runs logged them (simplex._pivot_column)."""
 
     def __init__(self, constraints: tuple, num_vars: int):
         _check_rows(constraints, num_vars)

@@ -32,9 +32,10 @@ Espinoza, Oper. Res. Lett. 35, 2007).
 A problem with a zero rhs whose leading columns a shared block's phase 1
 has been recorded on (record_phase1) starts where those pivots leave the
 tableau: they are replayed on its own columns only, with the same
-operations in the same order, so the run is the cold run pivot for pivot.
-Each distinct own column is replayed once per recorded phase 1 and kept
-on it, and a replayed guide converts only the own columns to floats.
+operations in the same order (_pivot_column, which the walk below
+shares), so the run is the cold run pivot for pivot. Each distinct own
+column is replayed once per recorded phase 1 and kept on it, and a
+replayed guide converts only the own columns to floats.
 
 A float problem made of a shared block's columns alone walks the block's
 recorded optimal runs (Runs) before it runs cold. The right-hand side
@@ -43,7 +44,7 @@ reads (entering columns, the Dantzig budget, the drive-out, the duals)
 comes from the coefficient part, which the sign pattern and the pivots
 made so far fix. So the walk keys its root by the sign pattern, repeats
 each ratio test on its own right-hand side against the stored pivot
-column, and pivots only that column, with the same float operations in
+record, and pivots only the rhs column, with the same float operations in
 the same order as the cold run: where it follows a stored run to its
 optimal end, its answer is the cold run's bit for bit. Anywhere else it
 runs cold, and a cold optimal run is added to the store.
@@ -52,7 +53,6 @@ runs cold, and a cold optimal run is added to the store.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -187,12 +187,10 @@ def _start(prefix, costs, rows, rhs, arith):
 
 class Phase1(NamedTuple):
     """A block's phase 1 (record_phase1): the run's arith class and
-    tolerance; each pivot as (row r, column, pivot value, (i, factor) for
-    every row i != r that the pivot updates, w's entry in the column),
-    read before the pivot, where rows m and m + 1 are w and z; the
-    tableau, objective rows and basis it ends on, whose columns are the
-    block's, then the artificials and the rhs; and every column after the
-    block's that has been replayed on it (_replay), by (cost, *entries)."""
+    tolerance; its pivot records (_pivot_column); the tableau, objective rows
+    and basis it ends on, whose columns are the block's, then the
+    artificials and the rhs; and every column after the block's that has
+    been replayed on it (_replay), by (cost, *entries)."""
     rule: type
     tol: Optional[float]
     pivots: tuple
@@ -266,99 +264,66 @@ def _replay_column(pivots, key, zero, dantzig):
     m = len(column)
     column += (w, cost)
     refuses = False
-    for r, _, piv, updates, reduced in pivots:
-        refuses = refuses or (dantzig and column[m] < reduced)
-        x = column[r] = column[r] / piv
-        for i, f in updates:
-            column[i] = column[i] - f * x
+    for r, _, entries in pivots:
+        refuses = refuses or (dantzig and column[m] < entries[m])
+        _pivot_column(column, r, entries)
     return tuple(column), refuses
+
+
+def _pivot_column(column, r, entries) -> None:
+    """Pivot column (its entries in every row, then in w and z) in place,
+    as _simplex pivots its tableau, by the pivot record (r, col, entries)
+    it logs: the pivot row, the entering column, and that column's entries
+    before the pivot, in the same order, where those the pivot skips are
+    zero (arith.is_zero ones, and w's once phase 1's outcome is read)."""
+    x = column[r] = column[r] / entries[r]
+    for i, f in enumerate(entries):
+        if f and i != r:
+            column[i] = column[i] - f * x
 
 
 class Runs:
     """The optimal float runs of one block's columns alone, at any
     right-hand side, as a trie (one per entering rule and tolerance,
-    lp.LPBlock.runs). Nodes are indices into flat arrays, so a trie takes
-    little memory and pickles without deep recursion.
+    lp.LPBlock.runs). Nodes are indices into steps, and children maps
+    (node, leaving row) to the next node, so a trie pickles without deep
+    recursion.
 
     roots maps a run's sign pattern (-1 or 1 per row, as _simplex flips
-    the rows) to its first node. Node k holds the run's next step, with
-    its m + 2 entries at entries[k * (m + 2):]:
-    - a pivot on column entering[k] >= 0 whose entries before it, in
-      every row, then in w and z, are node k's (those within the
-      tolerance, which the pivot skips, are 0.0); the next node is the
-      child for the leaving row the ratio test picks;
-    - the end of phase 1 (entering[k] == -1): the drive-out pivots are
-      drives[k], as (row, column, entries), and the next node, the only
-      child, begins phase 2;
-    - an optimal end (entering[k] == -1 after phase 1): node k's first
-      m entries are z's in the artificial columns, which give the duals.
-    A node's children: none yet when children[k] == -1, one for row
-    leaving[k] when children[k] >= 0, else branches[k] by row."""
+    the rows) to its first node. steps[k] is node k's step of the run:
+    - (col, entries), a pivot on column col >= 0 with entries as in its
+      pivot record (_pivot_column); the next node is the child for the
+      leaving row the ratio test picks;
+    - (-1, drives) at the end of phase 1: drives are the drive-out's
+      pivot records, and the next node, the child for row None, begins
+      phase 2;
+    - (-1, artificials) at an optimal end: z's entries in the artificial
+      columns, which give the duals."""
 
     def __init__(self):
         self.roots = {}
-        self.entering = array("l")
-        self.entries = array("d")
-        self.leaving = array("l")
-        self.children = array("l")
-        self.branches = {}
-        self.drives = {}
+        self.steps = []
+        self.children = {}
 
-    def _node(self, entering: int, entries) -> int:
-        self.entering.append(entering)
-        self.entries.extend(entries)
-        self.leaving.append(-1)
-        self.children.append(-1)
-        return len(self.entering) - 1
-
-    def _child(self, k: int, row: int) -> Optional[int]:
-        child = self.children[k]
-        if child == -2:
-            return self.branches[k].get(row)
-        return child if child >= 0 and self.leaving[k] == row else None
-
-    def _add_child(self, k: int, row: int, child: int) -> None:
-        only = self.children[k]
-        if only == -1:
-            self.children[k], self.leaving[k] = child, row
-            return
-        if only >= 0:
-            self.branches[k] = {self.leaving[k]: only}
-            self.children[k] = -2
-        self.branches[k][row] = child
-
-    def insert(self, sign: tuple, pivots: list, ends: tuple, artificials) -> None:
-        """Store a cold optimal run: its sign pattern, its pivot records
-        (Phase1's format), the records' counts up to the end of phase 1
-        and of the drive-out, and z's artificial entries at its end. The
-        trie grows by at most one node per pivot and two more per run."""
-        width = len(sign) + 2
+    def insert(self, sign: tuple, log: list, ends: tuple, artificials) -> None:
+        """Store a cold optimal run: its sign pattern, its pivot records,
+        the records' counts up to the end of phase 1 and of the drive-out,
+        and z's artificial entries at its end. The trie grows by at most
+        one node per pivot and two more per run."""
         phase1, drive = ends
-
-        def column(r, piv, updates):
-            entries = array("d", bytes(8 * width))
-            entries[r] = piv
-            for i, f in updates:
-                entries[i] = f
-            return entries
-
-        # (entering, entries, key of the next node) for every step.
-        steps = [(col, column(r, piv, updates), r) for r, col, piv, updates, _ in pivots[:phase1]]
-        end = (-1, array("d", bytes(8 * width)), -1)
-        steps += [end, *[(col, column(r, piv, updates), r)
-                         for r, col, piv, updates, _ in pivots[drive:]]]
-        steps.append((-1, array("d", [*artificials, 0.0, 0.0]), None))
+        # Every step as a record, (None, -1, payload) at either end; its
+        # first field keys the next node among its children.
+        records = [*log[:phase1], (None, -1, tuple(log[phase1:drive])), *log[drive:],
+                   (None, -1, tuple(artificials))]
         k = self.roots.get(sign)
         if k is None:
-            k = self.roots[sign] = self._node(*steps[0][:2])
-        for step, (entering, entries, _) in zip(steps, steps[1:]):
-            if step is end and k not in self.drives:
-                self.drives[k] = tuple((r, col, column(r, piv, updates))
-                                       for r, col, piv, updates, _ in pivots[phase1:drive])
-            child = self._child(k, step[2])
+            k = self.roots[sign] = len(self.steps)
+            self.steps.append(records[0][1:])
+        for (r, _, _), step in zip(records, records[1:]):
+            child = self.children.get((k, r))
             if child is None:
-                child = self._node(entering, entries)
-                self._add_child(k, step[2], child)
+                child = self.children[k, r] = len(self.steps)
+                self.steps.append(step[1:])
             k = child
 
     def walk(self, n: int, rhs: Sequence, arith: Arith) -> Optional[StandardResult]:
@@ -371,41 +336,33 @@ class Runs:
         if k is None:
             return None
         m = len(rhs)
-        width = m + 2
         level = [0.0 + b if s > 0 else -(0.0 + b) for s, b in zip(sign, rhs)]
         w = 0.0
         for b in level:
             w -= b
         level += (w, 0.0)
         basis = list(range(n, n + m))
-
-        def pivot(r, col, entries):
-            x = level[r] = level[r] / entries[r]
-            for i, f in enumerate(entries):
-                if f and i != r:
-                    level[i] -= f * x
-            basis[r] = col
-
         phase2 = False
         iters = 0
         while True:
-            col = self.entering[k]
+            col, entries = self.steps[k]
             if col < 0:
                 if phase2:
                     break
                 if arith.is_pos(-level[m]):
                     return None  # infeasible: the cold run gives its Farkas prices
-                for r, col, entries in self.drives[k]:
-                    pivot(r, col, entries)
+                for r, col, drive in entries:
+                    _pivot_column(level, r, drive)
+                    basis[r] = col
                 phase2, iters = True, 0
-                k = self.children[k]
+                k = self.children[k, None]
                 continue
-            entries = self.entries[k * width:(k + 1) * width]
             r = _leaving_row(arith, entries, level, basis)
-            k = self._child(k, r)
+            k = self.children.get((k, r))
             if k is None:
                 return None
-            pivot(r, col, entries)
+            _pivot_column(level, r, entries)
+            basis[r] = col
             iters += 1
             if iters > MAX_ITERATIONS:
                 return None
@@ -413,8 +370,7 @@ class Runs:
         for i in range(m):
             if basis[i] < n:
                 x[basis[i]] = level[i]
-        artificials = self.entries[k * width:k * width + m]
-        duals = tuple(s * (-v) for s, v in zip(sign, artificials))
+        duals = tuple(s * (-v) for s, v in zip(sign, entries))
         return StandardResult(OPTIMAL, x=tuple(x), value=-level[m + 1], duals=duals)
 
 
@@ -535,7 +491,8 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
     replayed pivots leave the tableau; then only the lengths of costs and
     rows are read. A recording run (record_phase1) logs its pivots in
     record and stops after phase 1, returning its Phase1 or None. Given
-    runs, a run that ends optimal is stored there (Runs.insert)."""
+    runs, a run that ends optimal is stored there (Runs.insert). Both
+    log pivot records (_pivot_column)."""
     n = len(costs)
     m = len(rows)
     zero = Fraction(0) if arith.exact else 0.0
@@ -566,15 +523,17 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
             w_row[ncols] -= t[ncols]
 
     # The objective rows a pivot updates, by their index in a pivot
-    # record: w's until phase 1's outcome is read, and z's.
+    # record's entries: w's until phase 1's outcome is read, and z's.
     objectives = [(m, w_row), (m + 1, z_row)]
     log = [] if runs is not None else record
 
     def pivot(r, col):
         piv = tableau[r][col]
         if log is not None:
-            log.append((r, col, piv, [(i, t[col]) for i, t in (*enumerate(tableau), *objectives)
-                                      if i != r and not arith.is_zero(t[col])], w_row[col]))
+            entries = [zero] * (m + 2)
+            for i, t in (*enumerate(tableau), *objectives):
+                entries[i] = zero if arith.is_zero(t[col]) else t[col]
+            log.append((r, col, tuple(entries)))
         tableau[r] = [v / piv for v in tableau[r]]
         prow = tableau[r]
         for i in range(m):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -373,6 +374,32 @@ def test_usage_errors_exit_2(tmp_path):
     assert cli.run(["distinguish", "--family", "simplex:d=3", "--states", "0,9"]) == 2
     assert cli.run(["distinguish", "--family", "simplex:d=3", "--states", "0,x"]) == 2
     assert cli.run(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["hypercube:m=3,m=2", "prism:simplex:d=2+hypercube:m=2,m=2"])
+def test_a_repeated_family_parameter_is_a_usage_error(capsys, spec):
+    assert cli.run(["hypergraph", "--family", spec, "--N", "2", "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"polygpt: error: repeated family parameter 'm' in {spec.rpartition('+')[2]!r}"]
+
+
+@pytest.mark.parametrize("m", [2 ** 1023 - 1, 2 ** 1024, 2 ** 1033],
+                         ids=["2^1023-1", "2^1024", "2^1033"])
+def test_kappa_of_an_m_beyond_the_float_range_while_kappa_is_within(tmp_path, m):
+    # m / log2(m + 1) stays below the largest float up to m of about 2^1033.
+    doc = run_json(tmp_path, ["kappa", "--m", str(m)])
+    kappa = float(m / F(math.log2(m + 1)))
+    assert doc["d"] == m + 1 and math.isclose(doc["kappa"], kappa, rel_tol=1e-11)
+
+
+def test_a_kappa_beyond_the_float_range_is_a_domain_error(capsys):
+    assert cli.run(["kappa", "--m", "9" * 400]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "polygpt: error: kappa for an m of 1329 bits lies beyond the float range"]
 
 
 def test_domain_errors_exit_1():

@@ -183,6 +183,15 @@ def test_family_spec_parsing():
             parse_family_spec(bad)
 
 
+@pytest.mark.parametrize("text", ["hypercube:m=3,m=2", "simplex-power:q=3,l=2,q=3",
+                                  "prism:simplex:d=2+hypercube:m=2,m=3",
+                                  "prism:simplex:d=2,d=2+hypercube:m=2"])
+def test_a_repeated_family_parameter_is_refused(text):
+    # The last value used to win silently.
+    with pytest.raises(ValueError, match="repeated family parameter '[mqd]'"):
+        parse_family_spec(text)
+
+
 @pytest.mark.parametrize("build", [
     lambda: hypercube_theory(13),
     lambda: hypercube_theory(10 ** 9),  # 2^m must not be formed to see it

@@ -4,13 +4,15 @@ same problem on a fresh block, which has no recorded run to walk."""
 
 import contextlib
 import itertools
+import json
 import pickle
 import random
+import sys
 
 import pytest
 
 from conftest import SYMMETRIC_FAMILIES
-from polygpt import discrimination, lp, simplex
+from polygpt import cli, discrimination, hypergraph, lp, simplex
 from polygpt.families import parse_family_spec
 from polygpt.theory import FLOAT, make_theory
 
@@ -96,7 +98,7 @@ def test_float_family_lps_walk_like_cold_runs(spec):
 def _leaving_rows(runs, sign):
     """The leaving rows whose children the root of sign's runs holds."""
     k = runs.roots[sign]
-    return sorted(runs.branches[k]) if k in runs.branches else [runs.leaving[k]]
+    return sorted(r for node, r in runs.children if node == k)
 
 
 # Three columns (1, 1), (1, 0), (0, 1): phase 1 enters the first, and the
@@ -185,6 +187,42 @@ def test_a_block_pickles_with_its_runs():
     runs = block.runs(theory.arith())
     shipped = pickle.loads(pickle.dumps(theory))
     copy = discrimination._generator_block(shipped, 2).runs(shipped.arith())
-    assert vars(copy) == vars(runs) and copy.entering
+    assert vars(copy) == vars(runs) and copy.steps
     assert _assert_walks_like_cold_runs(shipped, pairs[:50]) == 50
     assert vars(copy) == vars(runs)
+
+
+def test_a_run_longer_than_the_recursion_limit_pickles():
+    # Nodes are list indices and children a flat dict, so a long run is
+    # no deep object graph.
+    length = 3 * sys.getrecursionlimit() + 1
+    log = [(i % 2, i, (1.0 + i, 0.0, float(-i), 0.5)) if i % 2 == 0
+           else (i % 2, i, (0.0, 2.0 + i, 0.0, -0.5)) for i in range(length)]
+    runs = simplex.Runs()
+    runs.insert((1, -1), log, (length - 2, length - 1), [0.25, -0.25])
+    # A node per pivot outside the drive-out, and one per end.
+    assert len(runs.steps) == length + 1
+    copy = pickle.loads(pickle.dumps(runs))
+    assert vars(copy) == vars(runs)
+    # One chain: every node but the optimal end has exactly one child.
+    assert sorted(copy.children.values()) == list(range(1, length + 1))
+    assert copy.steps[length - 2] == (-1, (log[length - 2],))
+    assert copy.steps[-1] == (-1, (0.25, -0.25))
+
+
+def test_the_float_5_cube_shares_its_run_prefixes(monkeypatch, capsys):
+    # The float 5-cube's N = 2 build stores its optimal runs in 628 nodes.
+    built = []
+    build = hypergraph.build_hypergraph
+
+    def recorded(theory, *args, **kwargs):
+        built.append(theory)
+        return build(theory, *args, **kwargs)
+
+    monkeypatch.setattr(hypergraph, "build_hypergraph", recorded)
+    assert cli.run(["hypergraph", "--family", "hypercube:m=5", "--backend", "float",
+                    "--N", "2", "--workers", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["edges"]) == 496
+    (theory,) = built
+    runs = discrimination._generator_block(theory, 2).runs(theory.arith())
+    assert len(runs.steps) == 628
