@@ -42,11 +42,9 @@ def d_pairwise(m: int) -> int:
 
 def kappa_pairwise(m: int) -> float:
     """Pairwise compression factor m / log2(m + 1), certified to ~15
-    digits; ValueError when it lies beyond the float range. An m of 2^1023
-    or more, near or past the largest float, is divided as a Fraction."""
-    log2 = log2_value(Fraction(d_pairwise(m)))
+    digits; ValueError when it lies beyond the float range."""
     try:
-        return m / log2 if m < 2 ** 1023 else float(m / Fraction(log2))
+        return float(m / Fraction(log2_value(Fraction(d_pairwise(m)))))
     except OverflowError:
         raise ValueError(f"kappa for an m of {m.bit_length()} bits lies beyond "
                          "the float range") from None

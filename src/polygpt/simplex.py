@@ -53,6 +53,7 @@ runs cold, and a cold optimal run is added to the store.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -272,10 +273,10 @@ def _replay_column(pivots, key, zero, dantzig):
 
 def _pivot_column(column, r, entries) -> None:
     """Pivot column (its entries in every row, then in w and z) in place,
-    as _simplex pivots its tableau, by the pivot record (r, col, entries)
-    it logs: the pivot row, the entering column, and that column's entries
-    before the pivot, in the same order, where those the pivot skips are
-    zero (arith.is_zero ones, and w's once phase 1's outcome is read)."""
+    as _simplex pivots its tableau, by its pivot record (r, col, entries):
+    the pivot row, the entering column, and that column's entries before
+    the pivot as an array('d') (only float runs log), where those the pivot
+    skips are zero (arith.is_zero ones, and w's once phase 1's outcome is read)."""
     x = column[r] = column[r] / entries[r]
     for i, f in enumerate(entries):
         if f and i != r:
@@ -533,7 +534,7 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
             entries = [zero] * (m + 2)
             for i, t in (*enumerate(tableau), *objectives):
                 entries[i] = zero if arith.is_zero(t[col]) else t[col]
-            log.append((r, col, tuple(entries)))
+            log.append((r, col, array('d', entries)))
         tableau[r] = [v / piv for v in tableau[r]]
         prow = tableau[r]
         for i in range(m):
