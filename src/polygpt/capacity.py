@@ -261,9 +261,13 @@ def randomized_search(n_arity: int, m: Optional[int] = None, trials: int = 100,
     component check next to the exact union bound."""
     if m is not None and m_codewords is not None:
         raise ValueError("give m or an explicit codeword count, not both")
+    if (q is None) != (l is None):
+        raise ValueError(f"{'l' if l is None else 'q'} is missing: give q and l together")
+    if m_codewords is not None and m_codewords < 1:
+        raise ValueError(f"m_codewords must be >= 1, got {m_codewords}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    if q is None or l is None:
+    if q is None:
         if m is None:
             raise ValueError("give m, or explicit q and l")
         q, l, _ = probabilistic_params(n_arity, m)

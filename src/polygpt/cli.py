@@ -48,9 +48,12 @@ def _vector_out(vec):
     return [rat_str(v) for v in vec]
 
 
+def _theory_sources(args) -> list:
+    return [s for s in ("family", "theory", "fixture") if getattr(args, s, None)]
+
+
 def _load_theory_source(args):
-    sources = [s for s in ("family", "theory", "fixture") if getattr(args, s, None)]
-    if len(sources) != 1:
+    if len(_theory_sources(args)) != 1:
         raise UsageError("give exactly one theory source: --family, --theory, or --fixture")
     try:
         if args.family:
@@ -118,11 +121,15 @@ def _cell(value) -> str:
 
 def _emit(doc, args):
     csv = getattr(args, "format", "json") == "csv"
-    if csv and args.out and os.path.splitext(args.out)[1].lower() == ".json":
-        raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
-                         "must not end in .json")
+    if csv and args.out:
+        if os.path.splitext(args.out)[1].lower() == ".json":
+            raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
+                             "must not end in .json")
+        if os.path.exists(args.out) and not os.path.isfile(args.out):
+            raise UsageError(f"--format csv writes its JSON beside --out; {args.out!r} "
+                             "must be a regular file")
     try:
-        # Plain writes, not save_json: --out may name a pipe or /dev/stdout.
+        # Plain writes, not save_json: a JSON --out may name a pipe or /dev/stdout.
         with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
             if csv:
                 cells = [_cell(doc[c]) for c in args.columns]
@@ -230,6 +237,9 @@ def cmd_hypergraph(args):
 
 def cmd_maxclique(args):
     if args.hypergraph:
+        if _theory_sources(args):
+            raise UsageError("give --hypergraph or a theory source (--family, --theory, "
+                             "or --fixture), not both")
         try:
             h = hypergraph.load_hypergraph(args.hypergraph)
         except (ValueError, OSError) as exc:

@@ -101,11 +101,12 @@ def _cone_rows(gens, n_states: int) -> tuple:
 
 def _generator_block(theory: Theory, n_states: int) -> lp.LPBlock:
     """The cone-membership rows that lead every discrimination LP of N
-    states on the theory, built once per N and kept in theory.lp_blocks."""
+    states on the theory, in its arithmetic, built once per N and kept in
+    theory.lp_blocks."""
     blocks = theory.lp_blocks
     if n_states not in blocks:
         blocks[n_states] = lp.LPBlock(_cone_rows(theory.generators, n_states),
-                                      theory.dim * (n_states - 1))
+                                      theory.dim * (n_states - 1), theory.arith())
     return blocks[n_states]
 
 

@@ -10,7 +10,8 @@ the dual of a few-variables/many-rows problem has one equality row per
 primal variable, so the tableau basis stays as small as the problem's
 variable count (the discrimination programs are exactly this shape).
 A problem's leading constraints may be an ``LPBlock`` that many problems
-share; its part of the dual is built once and joined to each problem's own.
+share, built for one arithmetic; its part of the dual is built once and
+joined to each own part that a problem solved in that arithmetic brings.
 """
 
 from __future__ import annotations
@@ -48,22 +49,23 @@ def _check_rows(constraints, num_vars: int) -> None:
 
 class LPBlock:
     """Leading constraints that many problems over the same variables
-    share. They are validated when the block is built, and dualized,
-    transposed and scaled to integers at most once, however many problems
-    they lead. The phase 1 of their dual columns at a zero objective is
-    pivoted once per entering rule (phase1), and each zero-objective
-    problem they lead replays it on its own columns, each distinct column
-    once (simplex.Phase1.columns). A float problem of their rows alone
-    at a nonzero objective walks the optimal runs that such problems
-    have taken cold before (runs), which hold for any objective. Both
-    keep the pivots as the runs logged them (simplex._pivot_column)."""
+    share, built for one arithmetic (arith, its theory's). They are
+    validated when the block is built, and dualized once, in arith's
+    form: scaled to integers when exact (integer_form), as given when
+    float. The phase 1 of their dual columns at a zero objective is
+    pivoted once (phase1), and each zero-objective problem they lead
+    replays it on its own columns, each distinct column once
+    (simplex.Phase1.columns). A float problem of their rows alone at a
+    nonzero objective walks the optimal runs that such problems have
+    taken cold before (runs), which hold for any objective. Both keep the
+    pivots as the runs logged them (simplex._pivot_column). A problem
+    solved in another arithmetic reads none of these (_solve)."""
 
-    def __init__(self, constraints: tuple, num_vars: int):
+    def __init__(self, constraints: tuple, num_vars: int, arith: Arith):
         _check_rows(constraints, num_vars)
         self.constraints = constraints
         self.num_vars = num_vars
-        self._phase1 = {}  # by tolerance; None: the exact run's float guide
-        self._runs = {}  # by entering rule and tolerance
+        self.arith = arith
 
     @functools.cached_property
     def integer_form(self):
@@ -72,34 +74,22 @@ class LPBlock:
 
     @functools.cached_property
     def dual(self):
-        """_dual of the constraints as given: the float solver's part."""
-        return _dual(self.constraints, self.num_vars)
+        """_dual of integer_form's rows when arith is exact, else of the rows as given."""
+        return _dual(self.integer_form[0] if self.arith.exact else self.constraints,
+                     self.num_vars)
 
     @functools.cached_property
-    def integer_dual(self):
-        """_dual of integer_form: the exact solver's part."""
-        return _dual(self.integer_form[0], self.num_vars)
+    def phase1(self) -> Optional[simplex.Phase1]:
+        """simplex.record_phase1 of dual for arith's runs (exact: for the
+        guide); None for an empty block."""
+        costs, rows, _ = self.dual
+        return simplex.record_phase1(costs, rows, self.arith) if self.constraints else None
 
-    def phase1(self, arith: Arith) -> Optional[simplex.Phase1]:
-        """simplex.record_phase1 of this block's part of the dual for
-        arith's runs (exact: integer_dual, for the guide; float: dual),
-        recorded on first use; None for an empty block."""
-        if arith.tol not in self._phase1:
-            costs, rows, _ = self.integer_dual if arith.exact else self.dual
-            self._phase1[arith.tol] = (simplex.record_phase1(costs, rows, arith)
-                                       if self.constraints else None)
-        return self._phase1[arith.tol]
-
-    def runs(self, arith: Arith) -> Optional[simplex.Runs]:
-        """The simplex.Runs of this block's part of the dual (dual) for
-        float arith's runs, empty until a run ends optimal; None for
-        exact arith or an empty block."""
-        if arith.exact or not self.constraints:
-            return None
-        key = (type(arith), arith.tol)
-        if key not in self._runs:
-            self._runs[key] = simplex.Runs()
-        return self._runs[key]
+    @functools.cached_property
+    def runs(self) -> Optional[simplex.Runs]:
+        """The simplex.Runs of dual, empty until a run ends optimal; None
+        for exact arith or an empty block."""
+        return None if self.arith.exact or not self.constraints else simplex.Runs()
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ class LPProblem:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length != num_vars")
         if self.block is None:
-            object.__setattr__(self, "block", LPBlock((), self.num_vars))
+            object.__setattr__(self, "block", LPBlock((), self.num_vars, Arith()))
         shared = self.block.constraints
         if self.block.num_vars != self.num_vars or self.constraints[:len(shared)] != shared:
             raise ValueError("the constraints must start with the block's")
@@ -182,26 +172,23 @@ def _dual(constraints, num_vars: int, start: int = 0):
 
 def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     # Exact: rows times d (integer_form) keep x, value and certificates.
-    # The block's dual columns come first, then the own constraints'.
-    n, start = prob.num_vars, len(prob.block.constraints)
-    shared = True  # the block's cached dual columns lead
-    if arith.exact:
-        constraints, den = prob.integer_form
-        own = constraints[start:]
-        shared = den == prob.block.integer_form[1]
-        costs, rows, backmap = prob.block.integer_dual if shared else _dual(constraints[:start], n)
-    else:
-        own = prob.own_constraints
-        costs, rows, backmap = prob.block.dual
-    # A zero objective is the dual's zero rhs, where the block's phase 1
-    # replays; at any other, a float problem of the block's rows alone
-    # walks its runs.
+    n, block = prob.num_vars, prob.block
+    constraints, den = prob.integer_form if arith.exact else (prob.constraints, None)
+    # The block's dual columns lead, and its phase 1 and runs serve, in
+    # its own arithmetic with no new denominator; otherwise the whole
+    # problem is dualized cold. A zero objective is the dual's zero rhs,
+    # where the phase 1 replays; at any other, a float problem of the
+    # block's rows alone walks the runs.
     prefix = runs = None
-    if not any(prob.objective):
-        prefix = prob.block.phase1(arith) if shared else None
-    elif not own:
-        runs = prob.block.runs(arith)
-    own_costs, own_rows, own_backmap = _dual(own, n, start)
+    if arith.tol == block.arith.tol and (den is None or den == block.integer_form[1]):
+        (costs, rows, backmap), start = block.dual, len(block.constraints)
+        if not any(prob.objective):
+            prefix = block.phase1
+        elif start == len(constraints):
+            runs = block.runs
+    else:
+        costs, rows, backmap, start = [], [()] * n, [], 0
+    own_costs, own_rows, own_backmap = _dual(constraints[start:], n, start)
     costs, backmap = costs + own_costs, backmap + own_backmap
     rows = [a + b for a, b in zip(rows, own_rows)]
     num_rows = len(prob.constraints)

@@ -183,7 +183,7 @@ def _start(prefix, costs, rows, rhs, arith):
     """_replay of prefix on this problem when its rhs is all zero, else None."""
     if prefix is None or any(rhs):
         return None
-    return _replay(prefix, costs, rows, arith, 0.0)
+    return _replay(prefix, costs, rows, arith)
 
 
 class Phase1(NamedTuple):
@@ -221,14 +221,14 @@ def record_phase1(costs, rows, arith: Arith) -> Optional[Phase1]:
     return _simplex(costs, rows, [0] * len(rows), arith, record=[])
 
 
-def _replay(prefix: Phase1, costs, rows, arith: Arith, zero):
+def _replay(prefix: Phase1, costs, rows, arith: Arith):
     """(tableau, w_row, z_row, basis, pivots made) after prefix's pivots on
     the full problem: the recorded block part, and the own columns (those
     after the block's), each pivoted once per prefix (prefix.columns) with
     the same float operations in the same order as a cold run. None when
     the prefix is for another arith or exceeds MAX_ITERATIONS, or where a
     cold Dantzig run would enter an own column in it. Own entries are
-    converted as zero + v, which raises OverflowError past the float range."""
+    converted as 0.0 + v, which raises OverflowError past the float range."""
     if (prefix.rule, prefix.tol) != (type(arith), arith.tol) or \
             len(prefix.pivots) > MAX_ITERATIONS:
         return None
@@ -240,7 +240,7 @@ def _replay(prefix: Phase1, costs, rows, arith: Arith, zero):
     for key in zip(costs[nb:], *[row[nb:] for row in rows]):
         column = stored.get(key)
         if column is None:
-            column = stored[key] = _replay_column(prefix.pivots, key, zero, dantzig)
+            column = stored[key] = _replay_column(prefix.pivots, key, dantzig)
         columns.append(column)
     if any(refuses for _, refuses in columns):
         return None  # Dantzig's rule would enter an own column
@@ -253,13 +253,13 @@ def _replay(prefix: Phase1, costs, rows, arith: Arith, zero):
             [j if j < nb else j + shift for j in prefix.basis], len(prefix.pivots))
 
 
-def _replay_column(pivots, key, zero, dantzig):
+def _replay_column(pivots, key, dantzig):
     """(entries in every row, then in w and z; refuses) of the column key =
     (cost, *entries) after the pivots, where refuses says that it priced
     strictly below the entering column in w before some pivot, so that a
     cold Dantzig run would have entered it there."""
-    cost, *column = [zero + v for v in key]
-    w = zero
+    cost, *column = [0.0 + v for v in key]
+    w = 0.0
     for v in column:  # w's entry: minus each row's, in row order
         w = w - v
     m = len(column)
@@ -285,10 +285,9 @@ def _pivot_column(column, r, entries) -> None:
 
 class Runs:
     """The optimal float runs of one block's columns alone, at any
-    right-hand side, as a trie (one per entering rule and tolerance,
-    lp.LPBlock.runs). Nodes are indices into steps, and children maps
-    (node, leaving row) to the next node, so a trie pickles without deep
-    recursion.
+    right-hand side, as a trie (one per float block, lp.LPBlock.runs).
+    Nodes are indices into steps, and children maps (node, leaving row)
+    to the next node, so a trie pickles without deep recursion.
 
     roots maps a run's sign pattern (-1 or 1 per row, as _simplex flips
     the rows) to its first node. steps[k] is node k's step of the run:

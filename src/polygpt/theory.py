@@ -130,9 +130,10 @@ class Theory:
 
     @functools.cached_property
     def lp_blocks(self) -> dict:
-        """The constraint blocks that discrimination's LPs share, keyed by
+        """The constraint blocks (lp.LPBlock) that discrimination's LPs
+        share, each built for this theory's arithmetic (arith), keyed by
         the number of states and filled on first use. Cached like
-        generator_rows."""
+        generator_rows, so a copy with another tolerance starts empty."""
         return {}
 
     @property

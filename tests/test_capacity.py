@@ -314,6 +314,24 @@ def test_randomized_search_refuses_m_with_a_codeword_count(monkeypatch):
     assert randomized_search(3, q=9, l=12, m_codewords=8, trials=2, seed=1).m == 3.0
 
 
+def test_randomized_search_refuses_a_lone_q_or_l_and_no_codewords(monkeypatch):
+    # A lone q or l was recomputed from m unannounced (q=50 reported q = 4),
+    # and M = 0 ran every trial before failing in log2(0). Both refusals
+    # name the parameter and come before any work.
+    def no_work(*args):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(capacity, "probabilistic_params", no_work)
+    monkeypatch.setattr(capacity, "sample_random_code", no_work)
+    for kwargs, missing in ((dict(m=4, q=50), "l"), (dict(m=4, l=24), "q"),
+                            (dict(q=9, m_codewords=8), "l")):
+        with pytest.raises(ValueError, match=f"^{missing} is missing"):
+            randomized_search(3, trials=5, seed=1, **kwargs)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="m_codewords must be >= 1"):
+            randomized_search(2, q=3, l=2, m_codewords=count, trials=5, seed=1)
+
+
 def test_randomized_search_from_m():
     rep = randomized_search(2, m=4, trials=30, seed=3)
     assert (rep.q, rep.l, rep.dimension) == (4, 8, 25)

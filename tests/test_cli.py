@@ -72,6 +72,27 @@ def test_hypergraph_and_maxclique_pipeline(tmp_path):
     assert cdoc["size"] == 4 and cdoc["members"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("source", [["--family", "hypercube:m=3", "--N", "3"],
+                                    ["--theory", "square.json"], ["--fixture", "square"]],
+                         ids=["family", "theory", "fixture"])
+def test_a_theory_source_beside_hypergraph_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                            source):
+    # The file's square used to answer, the source ignored. Now neither
+    # file is read.
+    hpath = tmp_path / "sq.json"
+    assert cli.run(["hypergraph", "--family", "hypercube:m=2", "--N", "2", "--workers", "1",
+                    "--out", str(hpath)]) == 0
+
+    def no_read(*args):
+        raise AssertionError("a file was read before the refusal")
+
+    monkeypatch.setattr(cli.hypergraph, "load_hypergraph", no_read)
+    monkeypatch.setattr(cli, "load_theory", no_read)
+    assert cli.run(["maxclique", "--hypergraph", str(hpath), *source]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not both" in err[0]
+
+
 def test_maxclique_from_family(tmp_path):
     doc = run_json(tmp_path, ["maxclique", "--family", "hypercube:m=3", "--N", "2",
                               "--workers", "1"])
@@ -146,6 +167,22 @@ def test_csv_out_ending_in_json_is_refused(tmp_path, capsys, name):
                     "--out", str(out)]) == 2
     assert "must not end in .json" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_out_that_is_no_regular_file_is_refused(tmp_path, capsys):
+    # A FIFO (or /dev/stdout) took the CSV, and a regular file
+    # "<out>.json" appeared beside it. The read end is opened first, so a
+    # write would not block; nothing may be written.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.run(["kappa", "--m", "3", "--format", "csv", "--out", str(fifo)]) == 2
+        assert os.read(reader, 100) == b""
+    finally:
+        os.close(reader)
+    assert "must be a regular file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -421,6 +458,15 @@ def test_random_construction_caps_the_codeword_count(monkeypatch, capsys, size):
     assert cli.run(["random-construction", "--N", "2", *size, "--trials", "5",
                     "--workers", "1"]) == 1
     assert "beyond desk scale" in capsys.readouterr().err
+
+
+def test_random_construction_refuses_no_codewords(monkeypatch, capsys):
+    # --M 0 ran every trial and then failed in log2(0); the refusal comes
+    # before any code is drawn.
+    monkeypatch.setattr(capacity, "sample_random_code", None)
+    assert cli.run(["random-construction", "--N", "2", "--q", "3", "--l", "2", "--M", "0",
+                    "--trials", "1", "--workers", "1"]) == 1
+    assert capsys.readouterr().err == "polygpt: error: m_codewords must be >= 1, got 0\n"
 
 
 def test_malformed_hypergraph_file_is_a_usage_error(tmp_path):

@@ -57,7 +57,7 @@ def _assert_replays_like_a_cold_run(theory, subsets):
         assert [r for *_, r in guided] == [r for *_, r in cold_guided]
         _same(out, cold)
     # The block recorded a prefix, so every solve above with the block replayed it.
-    assert prob.block.phase1(theory.arith()) is not None
+    assert prob.block.phase1 is not None
 
 
 @pytest.mark.parametrize("spec, n_arity", [
@@ -92,9 +92,9 @@ def test_float_five_cube_pairs_replay_like_cold_runs():
         theory, itertools.combinations(range(theory.num_generators), 2))
 
 
-def _random_block_problem(seed):
-    """A zero-objective problem led by a random block of <= and >= rows,
-    with one to three own rows, all integral."""
+def _random_block_problem(seed, arith):
+    """A zero-objective problem led by a random block of <= and >= rows
+    in arith, with one to three own rows, all integral."""
     rng = random.Random(seed)
     nv = rng.randint(2, 4)
 
@@ -105,7 +105,7 @@ def _random_block_problem(seed):
                    for _ in range(rng.randint(3, 6)))
     own = [(row(), rng.choice((lp.EQ, lp.LE, lp.GE)), rng.randint(-2, 2))
            for _ in range(rng.randint(1, 3))]
-    return lp.problem((0,) * nv, own, nv, lp.LPBlock(shared, nv))
+    return lp.problem((0,) * nv, own, nv, lp.LPBlock(shared, nv, arith))
 
 
 @pytest.mark.parametrize("arith", [simplex.Arith(), simplex.Arith(1e-9)], ids=["exact", "float"])
@@ -113,11 +113,11 @@ def test_random_block_problems_replay_like_cold_runs(arith):
     solve = lp.solve_exact if arith.exact else lp.solve_float
     own_entered = 0
     for seed in range(150):
-        prob = _random_block_problem(seed)
+        prob = _random_block_problem(seed, arith)
         cold = solve(lp.problem(prob.objective, prob.constraints, prob.num_vars))
         with recorded("_simplex") as runs:
             _same(solve(prob), cold)
-        prefix = prob.block.phase1(arith)
+        prefix = prob.block.phase1
         if prefix is None or not prefix.pivots:
             continue
         # The first run after the block's recording is the guide's or the
@@ -135,8 +135,8 @@ def test_replayed_pivots_count_toward_the_budget(monkeypatch):
     arith = simplex.Arith(1e-9)
     stalled = 0
     for seed in range(150):
-        prob = _random_block_problem(seed)
-        prefix = prob.block.phase1(arith)
+        prob = _random_block_problem(seed, arith)
+        prefix = prob.block.phase1
         if prefix is None or not prefix.pivots:
             continue
         monkeypatch.setattr(simplex, "MAX_ITERATIONS", len(prefix.pivots))
@@ -148,7 +148,7 @@ def test_replayed_pivots_count_toward_the_budget(monkeypatch):
 
 
 def test_a_problem_with_a_new_denominator_takes_no_prefix():
-    block = lp.LPBlock((((1, 2), lp.GE, 0), ((2, -1), lp.LE, 3)), 2)
+    block = lp.LPBlock((((1, 2), lp.GE, 0), ((2, -1), lp.LE, 3)), 2, simplex.Arith())
     prob = lp.problem((0, 0), [((F(1, 3), 1), lp.EQ, 1)], 2, block)
     with recorded("solve_standard_min") as runs:
         out = lp.solve_exact(prob)
@@ -168,7 +168,7 @@ def test_a_dantzig_run_that_would_enter_an_own_column_runs_cold():
     arith = simplex.Arith(1e-9)
     prefix = simplex.record_phase1(_DANTZIG_COSTS[:3], [r[:3] for r in _DANTZIG_ROWS], arith)
     assert [pivot[1] for pivot in prefix.pivots] == [1, 2]
-    assert simplex._replay(prefix, _DANTZIG_COSTS, _DANTZIG_ROWS, arith, 0.0) is None
+    assert simplex._replay(prefix, _DANTZIG_COSTS, _DANTZIG_ROWS, arith) is None
     rhs = [0, 0]
     out = simplex.solve_standard_min(_DANTZIG_COSTS, _DANTZIG_ROWS, rhs, arith, prefix)
     cold = simplex.solve_standard_min(_DANTZIG_COSTS, _DANTZIG_ROWS, rhs, arith)
@@ -182,7 +182,7 @@ def test_a_stalled_block_phase_1_records_no_prefix():
     theory = theory_from_json(ROUNDED_11GON)
     states = theory.generators[:2]
     prob = discrimination._feasibility_problem(theory, states)
-    assert prob.block.phase1(simplex.Arith()) is None
+    assert prob.block.phase1 is None
     _same(lp.solve_exact(prob), lp.solve_exact(reference_feasibility_problem(theory, states)))
 
 
@@ -192,7 +192,7 @@ def test_a_block_phase_1_past_the_budget_records_no_prefix(monkeypatch):
     states = theory.generators[:3:2]
     prob = discrimination._feasibility_problem(theory, states)
     out = _solve(theory, prob)
-    assert prob.block.phase1(theory.arith()) is None
+    assert prob.block.phase1 is None
     _same(out, _solve(theory, reference_feasibility_problem(theory, states)))
 
 
@@ -200,7 +200,7 @@ def test_a_prefix_longer_than_the_budget_is_not_replayed(monkeypatch):
     theory = parse_family_spec("ngon:n=7").build()
     states = theory.generators[:3:2]
     prob = discrimination._feasibility_problem(theory, states)
-    prefix = prob.block.phase1(theory.arith())
+    prefix = prob.block.phase1
     assert len(prefix.pivots) > 1
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
     out = _solve(theory, prob)
@@ -220,7 +220,7 @@ def test_a_block_pickles_with_its_prefix():
     prob = discrimination._feasibility_problem(theory, states)
     out = lp.solve_exact(prob)
     shipped = pickle.loads(pickle.dumps(prob))
-    assert shipped.block.phase1(simplex.Arith()) == prob.block.phase1(simplex.Arith())
+    assert shipped.block.phase1 == prob.block.phase1
     with recorded("record_phase1") as recordings:
         _same(lp.solve_exact(shipped), out)
     assert recordings == []
@@ -250,7 +250,7 @@ def test_a_second_pass_over_one_block_reads_stored_columns(spec, pairs, monkeypa
     subsets = list(pairs(range(theory.num_generators), 2))
     keys = _replayed_columns(monkeypatch)
     _assert_replays_like_a_cold_run(theory, subsets)
-    prefix = discrimination._generator_block(theory, 2).phase1(theory.arith())
+    prefix = discrimination._generator_block(theory, 2).phase1
     stored = dict(prefix.columns)
     assert len(keys) == len(set(keys)) == len(stored) <= 2 * 2 * theory.num_generators
     keys.clear()
@@ -266,14 +266,39 @@ def test_a_stored_refusing_column_still_sends_the_run_cold(monkeypatch):
     rhs = [0, 0]
     quiet = ([*_DANTZIG_COSTS[:3], 0], [[*r[:3], 0] for r in _DANTZIG_ROWS])
     both = ([*quiet[0], _DANTZIG_COSTS[3]], [[*q, r[3]] for q, r in zip(quiet[1], _DANTZIG_ROWS)])
-    assert simplex._replay(prefix, *quiet, arith, 0.0) is not None
+    assert simplex._replay(prefix, *quiet, arith) is not None
     _same(simplex.solve_standard_min(*quiet, rhs, arith, prefix),
           simplex.solve_standard_min(*quiet, rhs, arith))
-    assert simplex._replay(prefix, *both, arith, 0.0) is None
+    assert simplex._replay(prefix, *both, arith) is None
     assert sorted(refuses for _, refuses in prefix.columns.values()) == [False, True]
     keys = _replayed_columns(monkeypatch)
     for costs, rows in (both, (_DANTZIG_COSTS, _DANTZIG_ROWS)):
-        assert simplex._replay(prefix, costs, rows, arith, 0.0) is None
+        assert simplex._replay(prefix, costs, rows, arith) is None
         _same(simplex.solve_standard_min(costs, rows, rhs, arith, prefix),
               simplex.solve_standard_min(costs, rows, rhs, arith))
     assert keys == [] and len(prefix.columns) == 2
+
+
+@pytest.mark.parametrize("spec, solve", [("hypercube:m=3", lp.solve_float),
+                                         ("ngon:n=7", lp.solve_exact)],
+                         ids=["exact-in-floats", "float-exactly"])
+def test_a_solve_outside_the_blocks_arithmetic_runs_cold(spec, solve):
+    # The exact 3-cube's LPs solved in floats (its success-probability LPs
+    # too, which a float block's solve would walk runs for) and the float
+    # 7-gon's feasibility LPs exactly: each answer is the blockless
+    # solve's, and the block, built for its theory's arithmetic, records
+    # no phase 1 and no run.
+    theory = parse_family_spec(spec).build()
+    block = discrimination._generator_block(theory, 2)
+    with recorded("record_phase1") as recordings:
+        for pair in itertools.permutations(theory.generators[:4], 2):
+            probs = [discrimination._feasibility_problem(theory, pair)]
+            if theory.numeric_mode == EXACT:
+                inst = discrimination.instance(theory, pair, validate=False)
+                probs.append(discrimination.success_probability_problem(inst)[0])
+            for prob in probs:
+                assert prob.block is block
+                _same(solve(prob), solve(lp.problem(prob.objective, prob.constraints,
+                                                    prob.num_vars)))
+    assert recordings == []
+    assert block.runs is None or block.runs.steps == []

@@ -44,7 +44,7 @@ def _same(out, cold):
 
 def _cold(prob):
     """prob solved on a fresh copy of its block, which has no runs yet."""
-    fresh = lp.LPBlock(prob.block.constraints, prob.num_vars)
+    fresh = lp.LPBlock(prob.block.constraints, prob.num_vars, prob.block.arith)
     return lp.problem(prob.objective, prob.own_constraints, prob.num_vars, fresh)
 
 
@@ -173,10 +173,13 @@ def test_only_float_problems_of_the_block_alone_at_a_nonzero_objective_walk():
         lp.solve_float(lp.problem((0,) * prob.num_vars, (), prob.num_vars, prob.block),
                        tol=theory.tol)
     assert len(walked) == 1 and walked[0] is not None
-    assert prob.block.runs(simplex.Arith()) is None
-    assert lp.LPBlock((), 2).runs(theory.arith()) is None
-    # Another tolerance keeps its own runs.
-    assert prob.block.runs(simplex.Arith(1e-8)).roots == {}
+    assert lp.LPBlock(prob.block.constraints, prob.num_vars, simplex.Arith()).runs is None
+    assert lp.LPBlock((), 2, theory.arith()).runs is None
+    # A solve at another tolerance walks and records no run.
+    stored = pickle.dumps(prob.block.runs)
+    with walks() as walked:
+        lp.solve_float(prob, tol=1e-8)
+    assert walked == [] and pickle.dumps(prob.block.runs) == stored
 
 
 def test_a_block_pickles_with_its_runs():
@@ -184,9 +187,9 @@ def test_a_block_pickles_with_its_runs():
     pairs = list(itertools.permutations(range(11), 2))
     _assert_walks_like_cold_runs(theory, pairs[:50])
     block = discrimination._generator_block(theory, 2)
-    runs = block.runs(theory.arith())
+    runs = block.runs
     shipped = pickle.loads(pickle.dumps(theory))
-    copy = discrimination._generator_block(shipped, 2).runs(shipped.arith())
+    copy = discrimination._generator_block(shipped, 2).runs
     assert vars(copy) == vars(runs) and copy.steps
     assert _assert_walks_like_cold_runs(shipped, pairs[:50]) == 50
     assert vars(copy) == vars(runs)
@@ -224,5 +227,5 @@ def test_the_float_5_cube_shares_its_run_prefixes(monkeypatch, capsys):
                     "--N", "2", "--workers", "1"]) == 0
     assert len(json.loads(capsys.readouterr().out)["edges"]) == 496
     (theory,) = built
-    runs = discrimination._generator_block(theory, 2).runs(theory.arith())
+    runs = discrimination._generator_block(theory, 2).runs
     assert len(runs.steps) == 628
