@@ -1,11 +1,12 @@
 """Memory-capacity formulas, verification runs, and the probabilistic
 construction.
 
-Covers the pairwise compression factor, brute verification of the
-hypercube construction (closed-form witnesses cross-checked against the
-LP), parameter evaluation and failure bound for the random simplex-power
-construction, Monte Carlo sampling of random codes, and the parallel
-supporting-hyperplanes check for point sets.
+Covers the pairwise compression factor, verification of every vertex
+pair of the hypercube construction (closed-form witnesses cross-checked
+against LP evidence, one LP per pair orbit), parameter evaluation and
+failure bound for the random simplex-power construction, Monte Carlo
+sampling of random codes, and the parallel supporting-hyperplanes check
+for point sets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .discrimination import pairwise_distinguishable, verify_witness
+from .discrimination import pairwise_distinguishable, register_orbits, verify_witness
 from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
 from .families import hypercube_effect, hypercube_theory
 from .hypergraph import build_hypergraph
@@ -71,10 +72,12 @@ def _face_measurements(theory: Theory) -> tuple:
 
 
 def _pair_checks(theory: Theory, faces: tuple, pair) -> tuple:
-    """The closed-form witness on a vertex pair, then the LP, the
-    independent second route. The witness is the face measurement of the
-    first coordinate where the pair differs; hypercube_theory lists +1
-    before -1, so for i < j its face effect is the first state's."""
+    """The closed-form witness on a vertex pair, then the independent
+    second route: the pair's own is_perfectly_distinguishable call, whose
+    evidence comes from its orbit's LP (register_orbits). The witness is
+    the face measurement of the first coordinate where the pair differs;
+    hypercube_theory lists +1 before -1, so for i < j its face effect is
+    the first state's."""
     i, j = pair
     a, b = theory.generators[i], theory.generators[j]
     k = next(pos for pos in range(1, theory.dim) if a[pos] != b[pos])
@@ -82,13 +85,21 @@ def _pair_checks(theory: Theory, faces: tuple, pair) -> tuple:
 
 
 def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
-    """Run both the closed-form witnesses and the exact LP over all vertex
-    pairs of the m-cube theory, with the m face measurements built once;
-    verified only when every pair passes both."""
+    """Run both the closed-form witnesses and the exact LP route over all
+    vertex pairs of the m-cube theory, with the m face measurements built
+    once; verified only when every pair passes both.
+
+    The pairs' orbits under the cube's checked group are registered first
+    (register_orbits): the m representatives are decided by LP, and every
+    other pair gets its representative's witness moved along the word
+    that maps the one onto the other, re-checked by substitution on the
+    pair's own states, or an LP of its own when the re-check fails. Each
+    pool chunk decides the representatives it meets in its own copy."""
     if not 1 <= m <= 8:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)
     pairs = list(itertools.combinations(range(theory.num_generators), 2))
+    register_orbits(theory, pairs)
     results = parallel_map(functools.partial(_pair_checks, theory, _face_measurements(theory)),
                            pairs, workers)
     verified = all(w and l for w, l in results)

@@ -218,21 +218,21 @@ def cmd_psuccess(args):
     }
 
 
-def _build_hypergraph(args):
-    """The hypergraph of the requested theory's pure states, through the
+def _build_hypergraph(args, n_arity: int):
+    """The N-hypergraph of the requested theory's pure states, through the
     cache of --cache-dir or $POLYGPT_CACHE_DIR when one is set."""
     theory, _ = _load_theory_source(args)
     theory = reduce_to_pure_states(_apply_backend(theory, args))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     try:
-        return hypergraph.build_hypergraph(theory, args.N, workers=args.workers,
+        return hypergraph.build_hypergraph(theory, n_arity, workers=args.workers,
                                            cache_dir=cache_dir)
     except OSError as exc:  # the cache directory cannot be written
         raise UsageError(str(exc)) from exc
 
 
 def cmd_hypergraph(args):
-    return hypergraph.hypergraph_to_json(_build_hypergraph(args))
+    return hypergraph.hypergraph_to_json(_build_hypergraph(args, args.N))
 
 
 def cmd_maxclique(args):
@@ -240,12 +240,16 @@ def cmd_maxclique(args):
         if _theory_sources(args):
             raise UsageError("give --hypergraph or a theory source (--family, --theory, "
                              "or --fixture), not both")
+        given = [flag for flag, value in (("--N", args.N), ("--backend", args.backend),
+                                          ("--tol", args.tol)) if value is not None]
+        if given:  # the file fixes N, and no LP runs
+            raise UsageError(f"{', '.join(given)} cannot be given beside --hypergraph")
         try:
             h = hypergraph.load_hypergraph(args.hypergraph)
         except (ValueError, OSError) as exc:
             raise UsageError(str(exc)) from exc
     else:
-        h = _build_hypergraph(args)
+        h = _build_hypergraph(args, 2 if args.N is None else args.N)
     method = args.method
     if method == "auto":
         method = "exact" if h.num_nodes <= args.node_budget else "greedy"
@@ -348,8 +352,8 @@ def _add_source_flags(sub):
 
 
 def _add_backend_flags(sub):
-    sub.add_argument("--backend", choices=("auto", "exact", "float"), default="auto",
-                     help="exact is refused for irrational-coordinate theories")
+    sub.add_argument("--backend", choices=("auto", "exact", "float"),
+                     help="default auto; exact is refused for irrational-coordinate theories")
     sub.add_argument("--tol", type=float, help=f"float-backend tolerance (default {DEFAULT_TOL})")
 
 
@@ -400,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("maxclique", help="largest N-wise mutually distinguishable set")
     _add_source_flags(p)
     _add_backend_flags(p)
-    p.add_argument("--hypergraph", help="consume a hypergraph JSON file instead of a theory")
-    p.add_argument("--N", type=int, default=2)
+    p.add_argument("--hypergraph", help="consume a hypergraph JSON file instead of a theory; "
+                   "--N, --backend and --tol are then refused")
+    p.add_argument("--N", type=int, help="default 2 for a theory source")
     p.add_argument("--method", choices=("auto", "exact", "greedy"), default="auto")
     p.add_argument("--node-budget", type=int, default=24)
     p.add_argument("--workers", type=int)  # default: the usable CPUs, resolved in run

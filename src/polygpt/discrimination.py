@@ -9,6 +9,12 @@ feasibility question whose no-answers carry Farkas certificates.
 In float mode the success-probability LP is solved first: an exact upper
 bound from its dual certifies most refusals with that one LP, and its
 optimum serves as the forward witness of a clear acceptance.
+
+On an exact theory whose subsets' orbits are registered (register_orbits),
+one LP decides each orbit's representative, and every other member gets
+that witness or Farkas vector moved along the group word that maps the
+representative onto it, re-checked by substitution on its own states; an
+LP of its own decides when the re-check fails.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Sequence
 from . import lp
 from .linalg import dot, integer_rows
 from .simplex import IndeterminateError
-from .theory import EXACT, Measurement, Theory, is_state, responds
+from .theory import EXACT, Measurement, Theory, is_state, orbits_with_words, responds
 
 # Float-mode bands: answers whose delta-conditions land inside the gray
 # zone are re-solved from a perturbed start and, failing that, refused.
@@ -189,9 +195,116 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
     if len(states) == 1:
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
     prob = _feasibility_problem(theory, states)
-    if theory.numeric_mode == EXACT:
-        return _verdict(theory, states, prob)
-    return _float_distinguishable(theory, states, prob)
+    if theory.numeric_mode != EXACT:
+        return _float_distinguishable(theory, states, prob)
+    if (members := theory.orbit_members) and (member := members.get(frozenset(states))):
+        return _orbit_verdict(theory, states, prob, *member)
+    return _verdict(theory, states, prob)
+
+
+# --- evidence moved along registered orbits ---------------------------------
+
+@dataclass
+class _Orbit:
+    """The record that the members of one registered orbit share: its
+    representative's generator indices, increasing, and once an LP has
+    decided it, that answer with the generator indices of the states it
+    answers, in their order (order). A witness is kept over integers as
+    well: effect i is rows[i] / den."""
+    rep: tuple
+    answer: Optional[DistinguishabilityAnswer] = None
+    order: tuple = ()
+    rows: Optional[list] = None
+    den: int = 1
+
+
+def register_orbits(theory: Theory, subsets: list) -> None:
+    """Register the orbits of the subsets, increasing tuples of generator
+    indices, under theory.symmetries in theory.orbit_members, so that
+    is_perfectly_distinguishable decides one LP per orbit when it is asked
+    about the generators of a registered subset (_orbit_verdict)."""
+    gens, members = theory.generators, theory.orbit_members
+    for orbit in orbits_with_words(subsets, theory.symmetries, theory.num_generators):
+        shared = _Orbit(orbit[0][0])
+        for subset, word in orbit:
+            members[frozenset([gens[k] for k in subset])] = (shared, word)
+
+
+def _orbit_verdict(theory: Theory, states, prob, orbit: _Orbit, word) -> DistinguishabilityAnswer:
+    """The answer for states, the generators of a registered subset, in the
+    caller's order. The orbit's representative is decided by LP once. Any
+    other member gets that evidence moved along word, which maps generator
+    k to word[k]: a witness through theory.basis_inverse, its effects
+    reordered to the caller's states; a Farkas vector by permuting its
+    generator rows, only when word maps the representative's states onto
+    the caller's in their order. The moved evidence is re-checked by
+    substitution on the caller's states and problem, and an LP on them
+    decides whenever no moved evidence passes. A word that is no symmetry
+    thus costs an LP, never a verdict."""
+    gens = theory.generators
+    if orbit.answer is None:
+        if tuple(sorted([word[k] for k in orbit.rep])) == orbit.rep:  # the caller is the rep
+            orbit.order = tuple(next(k for k in orbit.rep if gens[k] == s) for s in states)
+            orbit.answer = answer = _verdict(theory, states, prob)
+            return answer
+        rep_states = tuple(gens[k] for k in orbit.rep)
+        orbit.order, orbit.answer = orbit.rep, _verdict(
+            theory, rep_states, _feasibility_problem(theory, rep_states))
+    image = [word[k] for k in orbit.order]  # the generators that the moved evidence answers
+    positions = [next((i for i, k in enumerate(image) if gens[k] == s), None) for s in states]
+    if None not in positions:
+        if orbit.answer.distinguishable:
+            moved = _moved_witness(theory, orbit, word, positions)
+            if moved is not None:
+                return DistinguishabilityAnswer(True, witness=moved, problem=prob)
+        elif positions == list(range(len(states))):
+            cert = _moved_certificate(orbit.answer.certificate, word, len(states))
+            if lp.verify_farkas(prob, cert):
+                return DistinguishabilityAnswer(False, certificate=cert, problem=prob)
+    return _verdict(theory, states, prob)
+
+
+def _moved_witness(theory: Theory, orbit: _Orbit, word, positions) -> Optional[Measurement]:
+    """The representative's witness e_i moved to e_i A^-1, for the linear
+    map A with A g_k = g_word[k], which answers g_word[k] as e_i answers
+    g_k; effect j is the one for i = positions[j], so that it answers the
+    caller's state j, generator word[orbit.order[i]]. A^-1 takes basis
+    generator g_b to g_k with word[k] = b, so e_i A^-1 is the sum over the
+    basis of (e_i . g_k) times b's row of theory.basis_inverse, over q:
+    integers over den * d * q. None unless they pass theory.responds on
+    the caller's states, or when the generators do not span."""
+    if theory.basis_inverse is None:
+        return None
+    if orbit.rows is None:
+        orbit.rows, orbit.den = integer_rows(orbit.answer.witness.effects)
+    basis, inverse, q = theory.basis_inverse
+    gens, d = theory.generator_rows
+    images = [gens[word.index(b)] for b in basis]  # d * A^-1 g_b
+    columns = list(zip(*inverse))
+    rows = []
+    for i in positions:
+        coords = [dot(orbit.rows[i], g) for g in images]  # den * d * (e_i . A^-1 g_b)
+        rows.append([dot(coords, column) for column in columns])
+    den = orbit.den * d * q
+    own = [gens[word[orbit.order[i]]] for i in positions]
+    if not responds(theory, rows, den, own, d):
+        return None
+    return Measurement(tuple(tuple(Fraction(x, den) for x in row) for row in rows))
+
+
+def _moved_certificate(cert, word, n_states: int) -> tuple:
+    """With e_i A^-1 for e_i (A g_k = g_word[k]), row (i, k) of the
+    feasibility problem over the representative's states, e_i . g_k, is row
+    (i, word[k]) over their images in the same order. That holds in each
+    of the N - 1 blocks of >= rows and in the block of <= rows, and the N
+    state rows keep their places; so a Farkas vector moves by permuting
+    its multipliers within each of the N generator blocks."""
+    v = len(word)
+    moved = list(cert)
+    for start in range(0, n_states * v, v):
+        for k, w in enumerate(word):
+            moved[start + w] = cert[start + k]
+    return tuple(moved)
 
 
 def _verdict(theory: Theory, states, prob, success: Optional[DiscriminationResult] = None

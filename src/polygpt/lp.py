@@ -20,6 +20,7 @@ import functools
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
@@ -192,7 +193,10 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     costs, backmap = costs + own_costs, backmap + own_backmap
     rows = [a + b for a, b in zip(rows, own_rows)]
     num_rows = len(prob.constraints)
-    res = simplex.solve_standard_min(costs, rows, list(prob.objective), arith=arith,
+    objective = list(prob.objective)  # the dual's rhs
+    if arith.exact:  # a float read as the binary fraction it stores, as in integer_form
+        objective = [Fraction(c) if isinstance(c, float) else c for c in objective]
+    res = simplex.solve_standard_min(costs, rows, objective, arith=arith,
                                      prefix=prefix, runs=runs)
 
     if res.status == simplex.STALLED:
@@ -225,12 +229,15 @@ def _certificate_from(weights, backmap, num_rows):
 
 def solve_exact(prob: LPProblem) -> LPOutcome:
     """Exact status and exact optimum; Optimal answers are re-verified by
-    substitution and Infeasible answers carry a checkable certificate."""
+    substitution and Infeasible answers carry a checkable certificate. A
+    float in the problem is read as the binary fraction it stores, the
+    objective's as the rows' (integer_form)."""
     out = _solve(prob, Arith())
     if out.status == LPStatus.OPTIMAL:
         if not check_solution(prob, out.solution):
             raise RuntimeError("simplex returned a non-feasible optimum (internal bug)")
-        if dot(prob.objective, out.solution) != out.value:
+        (objective,), den = integer_rows([prob.objective])
+        if dot(objective, out.solution) != den * out.value:
             raise RuntimeError("objective mismatch between primal and dual (internal bug)")
     elif out.status == LPStatus.INFEASIBLE:
         if not verify_farkas(prob, out.infeasibility_certificate):

@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import os
+from array import array
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Sequence
@@ -136,6 +137,15 @@ class Theory:
         generator_rows, so a copy with another tolerance starts empty."""
         return {}
 
+    @functools.cached_property
+    def orbit_members(self) -> dict:
+        """The subsets that discrimination.register_orbits has registered,
+        each keyed by the frozenset of its generators and mapped to its
+        orbit's shared record and the word that maps the orbit's
+        representative onto it; empty until a registration. Cached like
+        lp_blocks."""
+        return {}
+
     @property
     def num_generators(self) -> int:
         return len(self.generators)
@@ -212,6 +222,32 @@ def _orbits(subsets: list, perms):
                     unvisited.remove(image)
                     orbit.append(image)
         yield orbit
+
+
+def orbits_with_words(subsets: list, perms, v: int) -> list:
+    """The orbits of orbits(subsets, perms), each a list of (member, word)
+    led by its representative's. A word is a permutation of 0..v-1 as an
+    array, composed from perms along the breadth-first search, that maps
+    the representative onto the member element by element: member ==
+    tuple(sorted(word[x] for x in representative)). The identity word is
+    shared by every representative."""
+    code = "B" if v <= 1 << 8 else "H" if v <= 1 << 16 else "L"
+    identity = array(code, range(v))
+    unvisited = set(subsets)
+    found = []
+    for rep in subsets:
+        if rep not in unvisited:
+            continue
+        unvisited.remove(rep)
+        orbit = [(rep, identity)]
+        for subset, word in orbit:  # grows while it is read
+            for perm in perms:
+                image = tuple(sorted([perm[x] for x in subset]))
+                if image in unvisited:
+                    unvisited.remove(image)
+                    orbit.append((image, array(code, map(perm.__getitem__, word))))
+        found.append(orbit)
+    return found
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],

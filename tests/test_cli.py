@@ -732,3 +732,32 @@ def test_the_parser_is_built_once_and_the_default_workers_follow_each_request(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     second = run_json(tmp_path, ["verify-hypercube", "--m", "3"], name="second.json")
     assert first == second and recorded_pools == [2, 3] and built == [1]
+
+
+@pytest.mark.parametrize("flags", [["--N", "2"], ["--N", "3"], ["--backend", "auto"],
+                                   ["--backend", "float"], ["--tol", "0.1"],
+                                   ["--N", "3", "--backend", "exact", "--tol", "1e-6"]])
+def test_a_build_flag_beside_hypergraph_is_a_usage_error(tmp_path, monkeypatch, capsys, flags):
+    # The file's N = 2 square used to answer, the flags ignored. Now the
+    # file is not read.
+    hpath = tmp_path / "sq.json"
+    assert cli.run(["hypergraph", "--family", "hypercube:m=2", "--N", "2", "--workers", "1",
+                    "--out", str(hpath)]) == 0
+
+    def no_read(*args):
+        raise AssertionError("the file was read before the refusal")
+
+    monkeypatch.setattr(cli.hypergraph, "load_hypergraph", no_read)
+    capsys.readouterr()
+    assert cli.run(["maxclique", "--hypergraph", str(hpath), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "beside --hypergraph" in err[0]
+    assert all(flag in err[0] for flag in flags if flag.startswith("--"))
+
+
+def test_maxclique_from_a_family_defaults_to_pairs(tmp_path):
+    doc = run_json(tmp_path, ["maxclique", "--family", "hypercube:m=2", "--workers", "1"])
+    assert doc["N"] == 2 and doc["size"] == 4
+    doc = run_json(tmp_path, ["maxclique", "--family", "simplex:d=3", "--N", "3",
+                              "--workers", "1"], name="triple.json")
+    assert doc["N"] == 3 and doc["size"] == 3

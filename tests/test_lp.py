@@ -508,3 +508,22 @@ def test_float_callers_of_a_stalled_run(monkeypatch):
         is_state(pentagon, pentagon.generators[0])
     with pytest.raises(IndeterminateError, match="membership LP stalled"):
         reduce_to_pure_states(pentagon)
+
+
+def test_an_exact_solve_reads_a_float_objective_as_the_binary_fraction_it_stores():
+    # The float 7-gon's success LP, with its block and without: exact
+    # arithmetic reads the float objective as integer_form reads the float
+    # rows, so the optimum is that of the same problem in Fractions.
+    theory = ngon_theory(7)
+    prob, _ = discrimination.success_probability_problem(
+        discrimination.instance(theory, theory.generators[:2], validate=False))
+    assert theory.numeric_mode == FLOAT and any(isinstance(c, float) for c in prob.objective)
+    exact = lp.problem([F(c) for c in prob.objective],
+                       [(tuple(map(F, row)), rel, F(b)) for row, rel, b in prob.constraints],
+                       prob.num_vars)
+    optimum = lp.solve_exact(exact)
+    for p in (prob, lp.problem(prob.objective, prob.constraints, prob.num_vars)):
+        out = lp.solve_exact(p)
+        assert out.status == lp.LPStatus.OPTIMAL and type(out.value) is F
+        assert (out.value, out.solution) == (optimum.value, optimum.solution)
+        assert sum(c * x for c, x in zip(exact.objective, out.solution)) == out.value
