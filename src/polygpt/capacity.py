@@ -74,7 +74,9 @@ def _face_measurements(theory: Theory) -> tuple:
 def _pair_checks(theory: Theory, faces: tuple, pair) -> tuple:
     """The closed-form witness on a vertex pair, then the independent
     second route: the pair's own is_perfectly_distinguishable call, whose
-    evidence comes from its orbit's LP (register_orbits). The witness is
+    witness comes from its orbit's LP (register_orbits) and passes the
+    check an LP optimum passes, lp.check_solution on the pair's own
+    feasibility problem, not verify_witness's. The witness is
     the face measurement of the first coordinate where the pair differs;
     hypercube_theory lists +1 before -1, so for i < j its face effect is
     the first state's."""
@@ -91,10 +93,10 @@ def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
 
     The pairs' orbits under the cube's checked group are registered first
     (register_orbits): the m representatives are decided by LP, and every
-    other pair gets its representative's witness moved along the word
-    that maps the one onto the other, re-checked by substitution on the
-    pair's own states, or an LP of its own when the re-check fails. Each
-    pool chunk decides the representatives it meets in its own copy."""
+    pair gets its representative's witness moved along the word that maps
+    the one onto the other, re-checked by substitution on the pair's own
+    feasibility problem, or an LP of its own when the re-check fails.
+    Each pool chunk decides the representatives it meets in its own copy."""
     if not 1 <= m <= 8:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)

@@ -11,10 +11,11 @@ bound from its dual certifies most refusals with that one LP, and its
 optimum serves as the forward witness of a clear acceptance.
 
 On an exact theory whose subsets' orbits are registered (register_orbits),
-one LP decides each orbit's representative, and every other member gets
-that witness or Farkas vector moved along the group word that maps the
-representative onto it, re-checked by substitution on its own states; an
-LP of its own decides when the re-check fails.
+one LP decides each orbit's representative, and every member of a
+distinguishable orbit gets that witness moved along the group word that
+maps the representative onto it, re-checked by substitution on its own
+feasibility problem (lp.check_solution, as an LP's optimum is); an LP of
+its own decides when the re-check fails or the orbit is refused.
 """
 
 from __future__ import annotations
@@ -208,12 +209,10 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
 class _Orbit:
     """The record that the members of one registered orbit share: its
     representative's generator indices, increasing, and once an LP has
-    decided it, that answer with the generator indices of the states it
-    answers, in their order (order). A witness is kept over integers as
-    well: effect i is rows[i] / den."""
+    decided its states in that order, that answer. A witness is kept over
+    integers as well: effect i is rows[i] / den."""
     rep: tuple
     answer: Optional[DistinguishabilityAnswer] = None
-    order: tuple = ()
     rows: Optional[list] = None
     den: int = 1
 
@@ -222,7 +221,10 @@ def register_orbits(theory: Theory, subsets: list) -> None:
     """Register the orbits of the subsets, increasing tuples of generator
     indices, under theory.symmetries in theory.orbit_members, so that
     is_perfectly_distinguishable decides one LP per orbit when it is asked
-    about the generators of a registered subset (_orbit_verdict)."""
+    about the generators of a registered subset (_orbit_verdict). Nothing
+    is registered when the generators do not span: no witness moves."""
+    if theory.basis_inverse is None:
+        return
     gens, members = theory.generators, theory.orbit_members
     for orbit in orbits_with_words(subsets, theory.symmetries, theory.num_generators):
         shared = _Orbit(orbit[0][0])
@@ -232,79 +234,63 @@ def register_orbits(theory: Theory, subsets: list) -> None:
 
 def _orbit_verdict(theory: Theory, states, prob, orbit: _Orbit, word) -> DistinguishabilityAnswer:
     """The answer for states, the generators of a registered subset, in the
-    caller's order. The orbit's representative is decided by LP once. Any
-    other member gets that evidence moved along word, which maps generator
-    k to word[k]: a witness through theory.basis_inverse, its effects
-    reordered to the caller's states; a Farkas vector by permuting its
-    generator rows, only when word maps the representative's states onto
-    the caller's in their order. The moved evidence is re-checked by
-    substitution on the caller's states and problem, and an LP on them
-    decides whenever no moved evidence passes. A word that is no symmetry
-    thus costs an LP, never a verdict."""
+    caller's order. The orbit's representative is decided by LP once, on
+    its own states in increasing order. When they are distinguishable,
+    every member, the representative too, gets that witness moved along
+    word, which maps generator k to word[k], through
+    theory.basis_inverse, its effects reordered to the caller's states.
+    The moved witness is re-checked by substitution on the caller's own
+    feasibility problem, as an LP's optimum is (_moved_witness), and an
+    LP on the caller's states decides whenever it fails: so a word that is
+    no symmetry costs an LP, never a verdict, and a refused orbit costs
+    every member its own LP."""
     gens = theory.generators
     if orbit.answer is None:
-        if tuple(sorted([word[k] for k in orbit.rep])) == orbit.rep:  # the caller is the rep
-            orbit.order = tuple(next(k for k in orbit.rep if gens[k] == s) for s in states)
-            orbit.answer = answer = _verdict(theory, states, prob)
-            return answer
         rep_states = tuple(gens[k] for k in orbit.rep)
-        orbit.order, orbit.answer = orbit.rep, _verdict(
-            theory, rep_states, _feasibility_problem(theory, rep_states))
-    image = [word[k] for k in orbit.order]  # the generators that the moved evidence answers
-    positions = [next((i for i, k in enumerate(image) if gens[k] == s), None) for s in states]
-    if None not in positions:
-        if orbit.answer.distinguishable:
-            moved = _moved_witness(theory, orbit, word, positions)
+        orbit.answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states))
+    if orbit.answer.distinguishable:
+        image = [word[k] for k in orbit.rep]  # the generators that the moved witness answers
+        positions = [next((i for i, k in enumerate(image) if gens[k] == s), None) for s in states]
+        if None not in positions:
+            moved = _moved_witness(theory, orbit, word, positions, prob)
             if moved is not None:
                 return DistinguishabilityAnswer(True, witness=moved, problem=prob)
-        elif positions == list(range(len(states))):
-            cert = _moved_certificate(orbit.answer.certificate, word, len(states))
-            if lp.verify_farkas(prob, cert):
-                return DistinguishabilityAnswer(False, certificate=cert, problem=prob)
     return _verdict(theory, states, prob)
 
 
-def _moved_witness(theory: Theory, orbit: _Orbit, word, positions) -> Optional[Measurement]:
+def _moved_witness(theory: Theory, orbit: _Orbit, word, positions,
+                   prob: lp.LPProblem) -> Optional[Measurement]:
     """The representative's witness e_i moved to e_i A^-1, for the linear
     map A with A g_k = g_word[k], which answers g_word[k] as e_i answers
     g_k; effect j is the one for i = positions[j], so that it answers the
-    caller's state j, generator word[orbit.order[i]]. A^-1 takes basis
+    caller's state j, generator word[orbit.rep[i]]. A^-1 takes basis
     generator g_b to g_k with word[k] = b, so e_i A^-1 is the sum over the
     basis of (e_i . g_k) times b's row of theory.basis_inverse, over q:
-    integers over den * d * q. None unless they pass theory.responds on
-    the caller's states, or when the generators do not span."""
-    if theory.basis_inverse is None:
-        return None
+    integers over den * d * q. The effects for the caller's first N - 1
+    states are the variables of prob, its feasibility problem, and the
+    last is u minus their sum, as an LP's is (_assemble_measurement).
+    None unless the variables pass lp.check_solution on prob, the check
+    that every optimum of solve_exact passes: so this route never rests
+    on theory.responds, verify_witness's check."""
     if orbit.rows is None:
         orbit.rows, orbit.den = integer_rows(orbit.answer.witness.effects)
     basis, inverse, q = theory.basis_inverse
     gens, d = theory.generator_rows
     images = [gens[word.index(b)] for b in basis]  # d * A^-1 g_b
     columns = list(zip(*inverse))
+    den = orbit.den * d * q
     rows = []
-    for i in positions:
+    for i in positions[:-1]:
         coords = [dot(orbit.rows[i], g) for g in images]  # den * d * (e_i . A^-1 g_b)
         rows.append([dot(coords, column) for column in columns])
-    den = orbit.den * d * q
-    own = [gens[word[orbit.order[i]]] for i in positions]
-    if not responds(theory, rows, den, own, d):
+    solution = [Fraction(x, den) for row in rows for x in row]
+    if not lp.check_solution(prob, solution):
         return None
-    return Measurement(tuple(tuple(Fraction(x, den) for x in row) for row in rows))
-
-
-def _moved_certificate(cert, word, n_states: int) -> tuple:
-    """With e_i A^-1 for e_i (A g_k = g_word[k]), row (i, k) of the
-    feasibility problem over the representative's states, e_i . g_k, is row
-    (i, word[k]) over their images in the same order. That holds in each
-    of the N - 1 blocks of >= rows and in the block of <= rows, and the N
-    state rows keep their places; so a Farkas vector moves by permuting
-    its multipliers within each of the N generator blocks."""
-    v = len(word)
-    moved = list(cert)
-    for start in range(0, n_states * v, v):
-        for k, w in enumerate(word):
-            moved[start + w] = cert[start + k]
-    return tuple(moved)
+    (unit,), du = theory.unit_row  # the last effect, u - sum(e_i), over den * du
+    last = tuple(Fraction(den * u - du * sum(col), den * du) for u, col in zip(unit, zip(*rows)))
+    dim = theory.dim
+    return Measurement(tuple(tuple(solution[i:i + dim]) for i in range(0, len(solution), dim))
+                       + (last,))
 
 
 def _verdict(theory: Theory, states, prob, success: Optional[DiscriminationResult] = None

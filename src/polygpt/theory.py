@@ -205,15 +205,20 @@ def orbits(subsets: list, perms) -> list:
     return list(_orbits(subsets, perms))
 
 
-def _orbits(subsets: list, perms):
-    """orbits, yielded one at a time in order, each found when it is asked for."""
+def _orbits(subsets: list, perms, v: int = 0):
+    """orbits, yielded one at a time in order, each found when it is asked
+    for; for v > 0, each as (orbit, words), words[i] the word of orbit[i]
+    (orbits_with_words)."""
+    words = None
     unvisited = set(subsets)
     for rep in subsets:
         if rep not in unvisited:
             continue
         unvisited.remove(rep)
         orbit = [rep]
-        for subset in orbit:  # grows while it is read
+        if v:
+            words = [array("B" if v <= 1 << 8 else "H" if v <= 1 << 16 else "L", range(v))]
+        for n, subset in enumerate(orbit):  # grows while it is read
             get = itemgetter(*subset)  # a tuple for two or more indices
             images = get if len(subset) > 1 else lambda perm: (get(perm),)
             for perm in perms:
@@ -221,7 +226,9 @@ def _orbits(subsets: list, perms):
                 if image in unvisited:
                     unvisited.remove(image)
                     orbit.append(image)
-        yield orbit
+                    if words:
+                        words.append(array(words[n].typecode, map(perm.__getitem__, words[n])))
+        yield (orbit, words) if v else orbit
 
 
 def orbits_with_words(subsets: list, perms, v: int) -> list:
@@ -229,25 +236,8 @@ def orbits_with_words(subsets: list, perms, v: int) -> list:
     led by its representative's. A word is a permutation of 0..v-1 as an
     array, composed from perms along the breadth-first search, that maps
     the representative onto the member element by element: member ==
-    tuple(sorted(word[x] for x in representative)). The identity word is
-    shared by every representative."""
-    code = "B" if v <= 1 << 8 else "H" if v <= 1 << 16 else "L"
-    identity = array(code, range(v))
-    unvisited = set(subsets)
-    found = []
-    for rep in subsets:
-        if rep not in unvisited:
-            continue
-        unvisited.remove(rep)
-        orbit = [(rep, identity)]
-        for subset, word in orbit:  # grows while it is read
-            for perm in perms:
-                image = tuple(sorted([perm[x] for x in subset]))
-                if image in unvisited:
-                    unvisited.remove(image)
-                    orbit.append((image, array(code, map(perm.__getitem__, word))))
-        found.append(orbit)
-    return found
+    tuple(sorted(word[x] for x in representative))."""
+    return [list(zip(orbit, words)) for orbit, words in _orbits(subsets, perms, v)]
 
 
 def make_theory(name: str, unit: Sequence, generators: Sequence[Sequence],

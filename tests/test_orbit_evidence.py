@@ -1,7 +1,8 @@
 """Evidence moved along registered orbits (discrimination.register_orbits):
 every answer against a fresh theory's LP verdict, and every returned
-witness or Farkas vector re-checked on its own states by the reference
-(conftest.rechecks) and by verify_witness / exact lp.verify_farkas."""
+witness, moved or from an LP, or Farkas vector, from the member's own LP,
+re-checked on its own states by the reference (conftest.rechecks) and by
+verify_witness / exact lp.verify_farkas."""
 
 import contextlib
 import itertools
@@ -79,10 +80,9 @@ def test_moved_answers_equal_fresh_lp_verdicts_and_recheck(spec, n_arity):
     with counted_lps() as solved:
         answers = [is_perfectly_distinguishable(theory, [theory.generators[k] for k in c],
                                                 validate=False) for c in calls]
-    # At most one LP per call, plus one per representative decided for another member.
-    assert orbits <= len(solved) <= len(subsets) + orbits
-    if all(answer.distinguishable for answer in answers):  # witnesses alone: one LP per orbit
-        assert len(solved) == orbits
+    # One LP per representative, then one per member of a refused orbit:
+    # every moved witness passes, as each word is a symmetry.
+    assert len(solved) == orbits + sum(not answer.distinguishable for answer in answers)
     for c, answer in zip(calls, answers):
         states = [fresh.generators[k] for k in c]
         expected = is_perfectly_distinguishable(fresh, states, validate=False).distinguishable
@@ -137,12 +137,10 @@ def test_a_mutant_word_costs_an_lp_and_never_a_verdict(spec, n_arity):
         is_perfectly_distinguishable(theory, [gens[k] for k in orbit.rep], validate=False)
         for mutant in itertools.islice(mutants(word), 40):
             theory.orbit_members[key] = (orbit, mutant)
-            image = [mutant[k] for k in orbit.order]
-            moved = move(theory, scale_evidence(orbit.answer.witness or orbit.answer.certificate),
-                         mutant)
-            passes = sorted(image) == list(subset) and (orbit.answer.distinguishable or
-                                                        image == list(subset))
-            passes = passes and rechecks(theory, image, moved)
+            image = [mutant[k] for k in orbit.rep]
+            passes = (orbit.answer.distinguishable and sorted(image) == list(subset)
+                      and rechecks(theory, image,
+                                   move(theory, scale_evidence(orbit.answer.witness), mutant)))
             with counted_lps() as solved:
                 answer = is_perfectly_distinguishable(theory, states, validate=False)
             assert answer.distinguishable == expected.distinguishable
@@ -151,6 +149,21 @@ def test_a_mutant_word_costs_an_lp_and_never_a_verdict(spec, n_arity):
             failed += not passes
         theory.orbit_members[key] = (orbit, word)
     assert failed > 0
+
+
+def test_the_moved_witness_does_not_rest_on_responds(monkeypatch):
+    # The moved witness is re-checked on the member's own feasibility
+    # problem (lp.check_solution), as an LP's optimum is, not by
+    # theory.responds, verify_witness's check: with responds refusing
+    # everything, the sweep's second route still answers every pair with
+    # one LP per orbit, and only the closed-form route fails.
+    theory, subsets = registered("hypercube:m=4", 2)
+    monkeypatch.setattr(discrimination, "responds", lambda *args: False)
+    with counted_lps() as solved:
+        answers = [is_perfectly_distinguishable(theory, [theory.generators[k] for k in s],
+                                                validate=False) for s in subsets]
+    assert all(answer.distinguishable for answer in answers) and len(solved) == 4
+    assert not capacity.verify_hypercube_memory(2, workers=1).verified
 
 
 def refuse_moves(monkeypatch):
