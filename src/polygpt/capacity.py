@@ -2,8 +2,10 @@
 construction.
 
 Covers the pairwise compression factor, verification of every vertex
-pair of the hypercube construction (closed-form witnesses cross-checked
-against LP evidence, one LP per pair orbit), parameter evaluation and
+pair of the hypercube construction (closed-form witnesses, each face
+measurement checked once and each pair's delta conditions in integers,
+cross-checked against LP evidence, one LP per pair orbit, moved and
+re-checked in integers for every pair), parameter evaluation and
 failure bound for the random simplex-power construction, Monte Carlo
 sampling of random codes, and the parallel supporting-hyperplanes check
 for point sets.
@@ -19,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .discrimination import pairwise_distinguishable, register_orbits, verify_witness
+from .discrimination import (decide_orbits, pairwise_distinguishable, register_orbits,
+                             verify_witness)
 from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
 from .families import hypercube_effect, hypercube_theory
 from .hypergraph import build_hypergraph
-from .linalg import rat
+from .linalg import dot, rat
 from .parallel import parallel_map
 from .theory import Measurement, Theory, reduce_to_pure_states
 
@@ -71,40 +74,59 @@ def _face_measurements(theory: Theory) -> tuple:
                  for e in (hypercube_effect(m, k) for k in range(1, m + 1)))
 
 
+def _face_deltas(theory: Theory, face, i: int, j: int) -> bool:
+    """The four delta conditions e_a . omega_b = [a = b] of a face
+    measurement, given as (rows, den) over integers (Theory.scaled_rows),
+    on generators i and j, in integers against theory.generator_rows."""
+    rows, den = face
+    gens, d = theory.generator_rows
+    return [dot(e, gens[k]) for e in rows for k in (i, j)] == [den * d, 0, 0, den * d]
+
+
 def _pair_checks(theory: Theory, faces: tuple, pair) -> tuple:
     """The closed-form witness on a vertex pair, then the independent
     second route: the pair's own is_perfectly_distinguishable call, whose
     witness comes from its orbit's LP (register_orbits) and passes the
-    check an LP optimum passes, lp.check_solution on the pair's own
-    feasibility problem, not verify_witness's. The witness is
-    the face measurement of the first coordinate where the pair differs;
-    hypercube_theory lists +1 before -1, so for i < j its face effect is
-    the first state's."""
+    check an LP optimum passes, lp.check_integers on the pair's own
+    feasibility problem, not theory.responds. The witness is the face
+    measurement of the first coordinate where the pair differs, checked
+    in full once per sweep (verify_hypercube_memory), so that here only
+    its delta conditions are (_face_deltas). hypercube_theory lists +1
+    before -1, so for i < j its face effect is the first state's."""
     i, j = pair
-    a, b = theory.generators[i], theory.generators[j]
+    a, b = (theory.generator_rows[0][k] for k in pair)
     k = next(pos for pos in range(1, theory.dim) if a[pos] != b[pos])
-    return verify_witness(theory, [a, b], faces[k - 1]), pairwise_distinguishable(theory, i, j)
+    return _face_deltas(theory, faces[k - 1], i, j), pairwise_distinguishable(theory, i, j)
 
 
 def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
     """Run both the closed-form witnesses and the exact LP route over all
-    vertex pairs of the m-cube theory, with the m face measurements built
-    once; verified only when every pair passes both.
+    vertex pairs of the m-cube theory; verified only when every pair
+    passes both.
 
-    The pairs' orbits under the cube's checked group are registered first
-    (register_orbits): the m representatives are decided by LP, and every
-    pair gets its representative's witness moved along the word that maps
-    the one onto the other, re-checked by substitution on the pair's own
-    feasibility problem, or an LP of its own when the re-check fails.
-    Each pool chunk decides the representatives it meets in its own copy."""
+    Each of the m face measurements is built once and checked in full
+    once, by verify_witness on vertex 0 and its neighbour across the face
+    (index 2^(m - k) for face k), one of the pairs it answers: its bounds
+    on every generator, its sum to the unit and that pair's deltas. Every
+    pair then checks only its face's four delta conditions, in integers
+    (_pair_checks). The pairs' orbits under the cube's checked group are
+    registered (register_orbits) and the m representatives decided by LP
+    here, before any pool starts (decide_orbits): every pair gets its
+    representative's witness moved along the word that maps the one onto
+    the other, re-checked in integers on the pair's own feasibility
+    problem, or an LP of its own when the re-check fails."""
     if not 1 <= m <= 8:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)
+    gens = theory.generators
+    faces = _face_measurements(theory)
+    faces_valid = all(verify_witness(theory, [gens[0], gens[2 ** (m - k)]], face)
+                      for k, face in enumerate(faces, 1))
     pairs = list(itertools.combinations(range(theory.num_generators), 2))
-    register_orbits(theory, pairs)
-    results = parallel_map(functools.partial(_pair_checks, theory, _face_measurements(theory)),
-                           pairs, workers)
-    verified = all(w and l for w, l in results)
+    decide_orbits(theory, register_orbits(theory, pairs))
+    scaled = [theory.scaled_rows(face.effects) for face in faces]
+    results = parallel_map(functools.partial(_pair_checks, theory, scaled), pairs, workers)
+    verified = faces_valid and all(w and l for w, l in results)
     return CapacityReport(2, m, theory.dim, kappa_pairwise(m),
                           theory.num_generators, verified)
 

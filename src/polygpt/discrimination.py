@@ -14,8 +14,11 @@ On an exact theory whose subsets' orbits are registered (register_orbits),
 one LP decides each orbit's representative, and every member of a
 distinguishable orbit gets that witness moved along the group word that
 maps the representative onto it, re-checked by substitution on its own
-feasibility problem (lp.check_solution, as an LP's optimum is); an LP of
-its own decides when the re-check fails or the orbit is refused.
+feasibility problem, as an LP's optimum is, in integers before any
+Fraction is built (lp.check_integers); an LP of its own decides when the
+re-check fails or the orbit is refused. A registered subset is found by
+its generator indices, and its problem's integer rows are the theory's
+generator rows.
 """
 
 from __future__ import annotations
@@ -167,39 +170,60 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
     return DiscriminationResult(p, meas, perfect, out.multipliers)
 
 
-def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
+def _feasibility_problem(theory: Theory, states, indices=None) -> lp.LPProblem:
+    """The feasibility LP of the states over the N-state block. With
+    indices, the states' generator indices, its integer_form comes from
+    theory.generator_rows, which hold d * g_k over the d of the block's
+    integer_form, and not from the states' Fractions (lp.problem)."""
     n = len(states)
     block = _generator_block(theory, n)
-    nvars, d = block.num_vars, theory.dim
+    nvars = block.num_vars
+    scaled = None
+    if indices is not None:
+        gens, d = theory.generator_rows
+        if d == block.integer_form[1]:
+            scaled = _feasibility_rows([gens[k] for k in indices], theory.dim, nvars, d)
+    return lp.problem((0,) * nvars, _feasibility_rows(states, theory.dim, nvars, 1),
+                      nvars, block, scaled)
+
+
+def _feasibility_rows(states, dim: int, nvars: int, one) -> list:
+    """e_i . omega_i = one for i < N, then sum_i e_i . omega_N = 0, which is
+    (u - sum e_i) . omega_N = 1 when one is 1."""
+    n = len(states)
     zeros = (0,) * nvars
-    # e_i . omega_i = 1, then (u - sum e_i) . omega_N = 1  <=>  sum_i e_i . omega_N = 0
-    rows = [(zeros[:i * d] + tuple(states[i]) + zeros[(i + 1) * d:], lp.EQ, 1)
+    rows = [(zeros[:i * dim] + tuple(states[i]) + zeros[(i + 1) * dim:], lp.EQ, one)
             for i in range(n - 1)]
     rows.append((tuple(states[n - 1]) * (n - 1), lp.EQ, 0))
-    return lp.problem(zeros, rows, nvars, block)
+    return rows
 
 
 def _check_distinct(theory: Theory, states) -> None:
+    """ValueError when two states are equal: as tuples on an exact theory,
+    where a - b is zero only when a == b, else within the tolerance."""
     arith = theory.arith()
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if all(arith.is_zero(a - b) for a, b in zip(states[i], states[j])):
+            if (states[i] == states[j] if arith.exact else
+                    all(arith.is_zero(a - b) for a, b in zip(states[i], states[j]))):
                 raise ValueError(f"duplicate states at positions {i} and {j}")
 
 
 def is_perfectly_distinguishable(theory: Theory, states: Sequence,
                                  validate: bool = True) -> DistinguishabilityAnswer:
     states = tuple(tuple(s) for s in states)
-    _check_distinct(theory, states)
+    indices = _registered_indices(theory, states)
+    if indices is None or len(set(indices)) < len(states):
+        _check_distinct(theory, states)
     if validate:
         _require_states(theory, states)
     if len(states) == 1:
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
+    if indices is not None and (member := theory.orbit_members.get(frozenset(indices))):
+        return _orbit_verdict(theory, states, indices, *member)
     prob = _feasibility_problem(theory, states)
     if theory.numeric_mode != EXACT:
         return _float_distinguishable(theory, states, prob)
-    if (members := theory.orbit_members) and (member := members.get(frozenset(states))):
-        return _orbit_verdict(theory, states, prob, *member)
     return _verdict(theory, states, prob)
 
 
@@ -217,42 +241,76 @@ class _Orbit:
     den: int = 1
 
 
-def register_orbits(theory: Theory, subsets: list) -> None:
+def register_orbits(theory: Theory, subsets: list) -> list:
     """Register the orbits of the subsets, increasing tuples of generator
     indices, under theory.symmetries in theory.orbit_members, so that
     is_perfectly_distinguishable decides one LP per orbit when it is asked
-    about the generators of a registered subset (_orbit_verdict). Nothing
-    is registered when the generators do not span: no witness moves."""
+    about the generators of a registered subset (_orbit_verdict); return
+    the orbits' shared records, for decide_orbits. Nothing is registered
+    when the generators do not span: no witness moves."""
     if theory.basis_inverse is None:
-        return
-    gens, members = theory.generators, theory.orbit_members
+        return []
+    members = theory.orbit_members
+    shared = []
     for orbit in orbits_with_words(subsets, theory.symmetries, theory.num_generators):
-        shared = _Orbit(orbit[0][0])
+        shared.append(_Orbit(orbit[0][0]))
         for subset, word in orbit:
-            members[frozenset([gens[k] for k in subset])] = (shared, word)
+            members[frozenset(subset)] = (shared[-1], word)
+    return shared
 
 
-def _orbit_verdict(theory: Theory, states, prob, orbit: _Orbit, word) -> DistinguishabilityAnswer:
-    """The answer for states, the generators of a registered subset, in the
-    caller's order. The orbit's representative is decided by LP once, on
-    its own states in increasing order. When they are distinguishable,
-    every member, the representative too, gets that witness moved along
-    word, which maps generator k to word[k], through
+def decide_orbits(theory: Theory, orbits: list) -> None:
+    """Decide by LP every representative of the registered orbits that no
+    call has decided yet (_decided), so that copies of the theory made
+    afterwards, such as a worker pool's, solve none of them again."""
+    for orbit in orbits:
+        _decided(theory, orbit)
+
+
+def _registered_indices(theory: Theory, states) -> Optional[list]:
+    """The generator indices of the states (Theory.generator_index) when
+    the theory is exact and has registered orbits and every state is one
+    of its generators; else None."""
+    if theory.numeric_mode != EXACT or not theory.orbit_members:
+        return None
+    index = theory.generator_index
+    indices = [index.get(s) for s in states]
+    return None if None in indices else indices
+
+
+def _decided(theory: Theory, orbit: _Orbit) -> DistinguishabilityAnswer:
+    """The orbit's answer, from one LP on its representative's states in
+    increasing order the first time it is asked for. It keeps only the
+    verdict and the witness, which is all that members read, so that a
+    pickled theory carries no LP problem; the witness is kept over
+    integers as well (_Orbit.rows)."""
+    if orbit.answer is None:
+        rep_states = tuple(theory.generators[k] for k in orbit.rep)
+        answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states, orbit.rep))
+        orbit.answer = DistinguishabilityAnswer(answer.distinguishable, witness=answer.witness)
+        if answer.distinguishable:
+            orbit.rows, orbit.den = integer_rows(answer.witness.effects)
+    return orbit.answer
+
+
+def _orbit_verdict(theory: Theory, states, indices, orbit: _Orbit, word
+                   ) -> DistinguishabilityAnswer:
+    """The answer for states, the generators at indices, a registered
+    subset in the caller's order. The orbit's representative is decided by
+    LP once, on its own states in increasing order (_decided). When they
+    are distinguishable, every member, the representative too, gets that
+    witness moved along word, which maps generator k to word[k], through
     theory.basis_inverse, its effects reordered to the caller's states.
     The moved witness is re-checked by substitution on the caller's own
     feasibility problem, as an LP's optimum is (_moved_witness), and an
     LP on the caller's states decides whenever it fails: so a word that is
     no symmetry costs an LP, never a verdict, and a refused orbit costs
     every member its own LP."""
-    gens = theory.generators
-    if orbit.answer is None:
-        rep_states = tuple(gens[k] for k in orbit.rep)
-        orbit.answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states))
-    if orbit.answer.distinguishable:
+    prob = _feasibility_problem(theory, states, indices)
+    if _decided(theory, orbit).distinguishable:
         image = [word[k] for k in orbit.rep]  # the generators that the moved witness answers
-        positions = [next((i for i, k in enumerate(image) if gens[k] == s), None) for s in states]
-        if None not in positions:
-            moved = _moved_witness(theory, orbit, word, positions, prob)
+        if sorted(image) == sorted(indices):
+            moved = _moved_witness(theory, orbit, word, [image.index(k) for k in indices], prob)
             if moved is not None:
                 return DistinguishabilityAnswer(True, witness=moved, problem=prob)
     return _verdict(theory, states, prob)
@@ -269,11 +327,10 @@ def _moved_witness(theory: Theory, orbit: _Orbit, word, positions,
     integers over den * d * q. The effects for the caller's first N - 1
     states are the variables of prob, its feasibility problem, and the
     last is u minus their sum, as an LP's is (_assemble_measurement).
-    None unless the variables pass lp.check_solution on prob, the check
-    that every optimum of solve_exact passes: so this route never rests
-    on theory.responds, verify_witness's check."""
-    if orbit.rows is None:
-        orbit.rows, orbit.den = integer_rows(orbit.answer.witness.effects)
+    None unless those integers pass lp.check_integers on prob, the check
+    that every optimum of solve_exact passes (lp.check_solution), before
+    any Fraction is built: so this route never rests on theory.responds,
+    verify_witness's check."""
     basis, inverse, q = theory.basis_inverse
     gens, d = theory.generator_rows
     images = [gens[word.index(b)] for b in basis]  # d * A^-1 g_b
@@ -283,14 +340,15 @@ def _moved_witness(theory: Theory, orbit: _Orbit, word, positions,
     for i in positions[:-1]:
         coords = [dot(orbit.rows[i], g) for g in images]  # den * d * (e_i . A^-1 g_b)
         rows.append([dot(coords, column) for column in columns])
-    solution = [Fraction(x, den) for row in rows for x in row]
-    if not lp.check_solution(prob, solution):
+    if not lp.check_integers(prob, [x for row in rows for x in row], den):
         return None
-    (unit,), du = theory.unit_row  # the last effect, u - sum(e_i), over den * du
-    last = tuple(Fraction(den * u - du * sum(col), den * du) for u, col in zip(unit, zip(*rows)))
-    dim = theory.dim
-    return Measurement(tuple(tuple(solution[i:i + dim]) for i in range(0, len(solution), dim))
-                       + (last,))
+    # Every effect over den * du, the last u - sum(e_i); each distinct
+    # numerator is made a Fraction once.
+    (unit,), du = theory.unit_row
+    effects = [[x * du for x in row] for row in rows]
+    effects.append([den * u - sum(col) for u, col in zip(unit, zip(*effects))])
+    fraction = {x: Fraction(x, den * du) for x in {x for e in effects for x in e}}
+    return Measurement(tuple(tuple(map(fraction.__getitem__, e)) for e in effects))
 
 
 def _verdict(theory: Theory, states, prob, success: Optional[DiscriminationResult] = None

@@ -30,7 +30,7 @@ from .simplex import DEFAULT_TOL, Arith
 LE = "<="
 EQ = "="
 GE = ">="
-_RELATIONS = {LE: operator.le, EQ: operator.eq, GE: operator.ge}  # row . x REL rhs
+_RELATIONS = (LE, EQ, GE)  # row . x REL rhs
 
 
 class LPStatus(Enum):
@@ -60,7 +60,9 @@ class LPBlock:
     nonzero objective walks the optimal runs that such problems have
     taken cold before (runs), which hold for any objective. Both keep the
     pivots as the runs logged them (simplex._pivot_column). A problem
-    solved in another arithmetic reads none of these (_solve)."""
+    solved in another arithmetic reads none of these (_solve). Its
+    distinct integer rows, grouped by their bounds (ranges), serve the
+    substitution check of every problem it leads (check_integers)."""
 
     def __init__(self, constraints: tuple, num_vars: int, arith: Arith):
         _check_rows(constraints, num_vars)
@@ -72,6 +74,25 @@ class LPBlock:
     def integer_form(self):
         """(constraints, d): the rows and rhs times d as integers (linalg.integer_rows)."""
         return _integer_form(self.constraints)
+
+    @functools.cached_property
+    def ranges(self) -> tuple:
+        """integer_form's rows for check_integers: each distinct row once,
+        grouped by its bounds over d, as (lo, hi, columns) with
+        lo <= row . x <= hi for every row of the group (lo or hi None where
+        no row bounds it) and columns the group's rows transposed."""
+        bounds = {}
+        for row, rel, rhs in self.integer_form[0]:
+            lo, hi = bounds.get(row, (None, None))
+            if rel != LE:
+                lo = rhs if lo is None else max(lo, rhs)
+            if rel != GE:
+                hi = rhs if hi is None else min(hi, rhs)
+            bounds[row] = lo, hi
+        groups = {}
+        for row, lo_hi in bounds.items():
+            groups.setdefault(lo_hi, []).append(row)
+        return tuple((lo, hi, tuple(zip(*rows))) for (lo, hi), rows in groups.items())
 
     @functools.cached_property
     def dual(self):
@@ -138,11 +159,19 @@ def _integer_form(constraints, den: int = 1):
 
 
 def problem(objective: Sequence, constraints: Sequence, num_vars: int,
-            block: Optional[LPBlock] = None) -> LPProblem:
-    """The problem whose constraints are the block's, if any, then these."""
+            block: Optional[LPBlock] = None, scaled: Optional[Sequence] = None) -> LPProblem:
+    """The problem whose constraints are the block's, if any, then these.
+    scaled, when given, holds these constraints again with their rows and
+    rhs times the d of the block's integer_form, as integers: the caller
+    that already has them so spares integer_form a reading of every
+    Fraction, and integer_form is the block's rows and these over d."""
     own = tuple((tuple(r), rel, b) for r, rel, b in constraints)
-    return LPProblem(tuple(objective), block.constraints + own if block else own,
+    prob = LPProblem(tuple(objective), block.constraints + own if block else own,
                      num_vars, block)
+    if scaled is not None:
+        shared, den = prob.block.integer_form
+        prob.__dict__["integer_form"] = (shared + tuple(scaled), den)  # the cached_property's slot
+    return prob
 
 
 @dataclass
@@ -250,12 +279,40 @@ def solve_float(prob: LPProblem, tol: float = DEFAULT_TOL) -> LPOutcome:
 
 
 def check_solution(prob: LPProblem, x: Sequence) -> bool:
-    """Exact substitution check, on integer_form and the integers d * x."""
+    """Exact substitution check of x: check_integers on the integers d * x over d."""
     (xs,), dx = integer_rows([x])
+    return check_integers(prob, xs, dx)
+
+
+def check_integers(prob: LPProblem, xs: Sequence[int], dx: int) -> bool:
+    """Whether x = xs / dx satisfies every constraint of prob, for integers
+    xs and dx > 0, checked on integer_form: row . xs REL rhs * dx for its
+    rows and rhs, which are the problem's times a positive d. No Fraction
+    is built, so a caller that holds x over a common denominator (unreduced
+    or not) checks it before making any."""
     if len(xs) != prob.num_vars:
         raise ValueError(f"dimension mismatch: {prob.num_vars} vs {len(xs)}")
-    return all(_RELATIONS[rel](sum(map(operator.mul, row, xs)), rhs * dx)
-               for row, rel, rhs in prob.integer_form[0])
+    if dx <= 0:
+        raise ValueError(f"the denominator must be positive, got {dx}")
+    mul = operator.mul
+    constraints, den = prob.integer_form
+    block = prob.block
+    if den == block.integer_form[1]:  # integer_form leads with the block's rows
+        # A group's values are summed a column at a time over the nonzero
+        # entries of xs, then bounded by their least and greatest.
+        for lo, hi, columns in block.ranges:
+            values = [0] * len(columns[0])
+            for x, column in zip(xs, columns):
+                if x:
+                    values = [v + x * c for v, c in zip(values, column)]
+            if lo is not None and min(values) < lo * dx or hi is not None and max(values) > hi * dx:
+                return False
+        constraints = constraints[len(block.constraints):]
+    for row, rel, rhs in constraints:
+        lhs, rhs = sum(map(mul, row, xs)), rhs * dx
+        if lhs < rhs if rel == GE else lhs > rhs if rel == LE else lhs != rhs:
+            return False
+    return True
 
 
 def verify_farkas(prob: LPProblem, cert: Sequence, tol: float = 0) -> bool:

@@ -140,11 +140,22 @@ class Theory:
     @functools.cached_property
     def orbit_members(self) -> dict:
         """The subsets that discrimination.register_orbits has registered,
-        each keyed by the frozenset of its generators and mapped to its
-        orbit's shared record and the word that maps the orbit's
+        each keyed by the frozenset of its generator indices and mapped to
+        its orbit's shared record and the word that maps the orbit's
         representative onto it; empty until a registration. Cached like
         lp_blocks."""
         return {}
+
+    @functools.cached_property
+    def generator_index(self) -> dict:
+        """Each generator's index, the first of equal ones, keyed by its
+        coordinates, so that discrimination finds the indices of a
+        registered subset's states with one lookup each. Cached like
+        generator_rows."""
+        index = {}
+        for k, g in enumerate(self.generators):
+            index.setdefault(tuple(g), k)
+        return index
 
     @property
     def num_generators(self) -> int:

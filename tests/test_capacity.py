@@ -9,7 +9,7 @@ import pytest
 from conftest import (ReferenceSplitMix64, component_discriminates, nwise_distinguishable_by_lp,
                       random_planar_points, reference_sample_codewords,
                       reference_verify_nwise_by_components, tournament_count)
-from polygpt import capacity, hypergraph
+from polygpt import capacity, discrimination, hypergraph
 from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMix64, d_pairwise,
                               danzer_grunbaum_check, failure_probability_bound, kappa_pairwise,
                               probabilistic_params, randomized_search, sample_random_code,
@@ -17,6 +17,7 @@ from polygpt.capacity import (MAX_CODEWORDS, CapacityReport, RandomCode, SplitMi
 from polygpt.discrimination import is_perfectly_distinguishable
 from polygpt.exactlog import PrecisionError
 from polygpt.families import codeword_state_index, hypercube_theory, simplex_power
+from polygpt.theory import Measurement, is_measurement
 
 
 def test_pairwise_dimension_and_kappa():
@@ -46,11 +47,11 @@ def test_verify_hypercube_small(m, pairs):
     assert report.achieved_set_size * (report.achieved_set_size - 1) // 2 == pairs
 
 
-@pytest.mark.parametrize("route", ["verify_witness", "pairwise_distinguishable"])
+@pytest.mark.parametrize("route", ["_face_deltas", "pairwise_distinguishable"])
 def test_either_route_alone_vetoes_the_sweep(monkeypatch, route):
-    # Every pair runs both routes: the closed-form witness, with the face
-    # measurements built once per sweep, and the LP. One pair refused by
-    # either route alone must fail the report.
+    # Every pair runs both routes: the delta conditions of its closed-form
+    # witness, a face measurement checked valid once per sweep, and the LP.
+    # One pair refused by either route alone must fail the report.
     checked = getattr(capacity, route)
     calls = []
 
@@ -61,6 +62,44 @@ def test_either_route_alone_vetoes_the_sweep(monkeypatch, route):
     monkeypatch.setattr(capacity, route, refuse_one)
     report = verify_hypercube_memory(3, workers=1)
     assert report.verified is False and len(calls) == 28
+
+
+def test_each_face_measurement_is_checked_once_and_vetoes_the_sweep(monkeypatch):
+    # The m face measurements are checked in full once per sweep, each by
+    # verify_witness on one pair it answers, through discrimination.responds;
+    # one refused face fails the report.
+    responds = discrimination.responds
+    calls = []
+
+    def refuse_the_last(theory, rows, den, *states):
+        calls.append(rows)
+        return responds(theory, rows, den, *states) and len(calls) != 3
+
+    monkeypatch.setattr(discrimination, "responds", refuse_the_last)
+    assert verify_hypercube_memory(3, workers=1).verified is False
+    assert len(calls) == 3 and len({str(rows) for rows in calls}) == 3
+
+
+@pytest.mark.parametrize("deltas", ["checked", "accepted"])
+def test_a_face_measurement_failing_a_bound_vetoes_the_sweep(monkeypatch, deltas):
+    # The first face effect (1/2, 1/2, 0, 0) raised to (1, 1/2, 0, 0) reads
+    # 3/2 on every vertex with x_1 = +1; its complement then reads -1/2.
+    # Every vertex is in a pair that this face answers, so the pairs' delta
+    # checks refuse it too; with those accepting everything, the face's own
+    # check still fails the report.
+    built = capacity._face_measurements
+
+    def altered(theory):
+        (e, _), *rest = [face.effects for face in built(theory)]
+        e = (2 * e[0],) + e[1:]
+        face = Measurement((e, tuple(u - v for u, v in zip(theory.unit, e))))
+        assert not is_measurement(theory, face)
+        return (face, *(Measurement(effects) for effects in rest))
+
+    monkeypatch.setattr(capacity, "_face_measurements", altered)
+    if deltas == "accepted":
+        monkeypatch.setattr(capacity, "_face_deltas", lambda *args: True)
+    assert verify_hypercube_memory(3, workers=1).verified is False
 
 
 def test_verify_hypercube_bounds():

@@ -131,6 +131,84 @@ def test_farkas_gate_matches_on_discrimination_certificates():
     assert refusals > 0
 
 
+# --- lp.check_integers, the kernel of lp.check_solution ------------------------
+
+def integer_gates_agree(prob, x):
+    """The verdict on x of lp.check_solution, of lp.check_integers on x's
+    numerators over their least common denominator and over three times
+    it (unreduced), and of the plain formula, once all agree."""
+    (xs,), dx = integer_rows([x])
+    verdict = plain_check_solution(prob, x)
+    assert lp.check_solution(prob, x) == verdict
+    assert lp.check_integers(prob, xs, dx) == verdict
+    assert lp.check_integers(prob, [3 * v for v in xs], 3 * dx) == verdict
+    return verdict
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_integer_kernel_matches_check_solution_and_the_fraction_formula(seed):
+    # The same rows again as a shared block, with an equality that the
+    # optimum meets, which the kernel reads by groups of equal bounds
+    # (lp.LPBlock.ranges): each box row is both a <= and a >= row there.
+    prob = boxed_random_lp(seed)
+    out = lp.solve_exact(prob)
+    if out.status == lp.LPStatus.OPTIMAL:
+        rows = prob.constraints + ((prob.constraints[0][0], lp.EQ, out.solution[0]),)
+        block = lp.LPBlock(rows, prob.num_vars, simplex.Arith())
+        blocked = lp.problem(prob.objective, (), prob.num_vars, block)
+        for p in (prob, blocked):
+            assert integer_gates_agree(p, out.solution)
+            for forged in nudged(out.solution):
+                integer_gates_agree(p, forged)
+
+
+def test_the_integer_kernel_on_block_problems_accepts_and_refuses():
+    # Discrimination problems lead with a shared block whose pair rows
+    # repeat (e . g >= 0 and e . g <= 1): the kernel reads each once
+    # (lp.LPBlock.ranges). Witnesses pass; nudged ones break an equality
+    # row and fail.
+    verdicts = []
+    for t, states, answer in theory_answers(range(12)):
+        if answer.distinguishable:
+            x = [v for e in answer.witness.effects[:-1] for v in e]
+            verdicts.append(integer_gates_agree(answer.problem, x))
+            verdicts += [not integer_gates_agree(answer.problem, forged) for forged in nudged(x)]
+    assert len(verdicts) > 100 and all(verdicts)
+
+
+def test_the_integer_kernel_refuses_a_point_that_leaves_the_cone_alone():
+    # e + c (x_a - x_b) keeps both equality rows of a 5-cube pair when the
+    # two states agree on coordinates a and b, so only the block's cone rows
+    # (read once each through lp.LPBlock.ranges) can refuse it; a witness
+    # with slack keeps some of these points.
+    theory = hypercube_theory(5)
+    verdicts = set()
+    for j in range(1, theory.num_generators):
+        s, t = theory.generators[0], theory.generators[j]
+        answer = is_perfectly_distinguishable(theory, [s, t], validate=False)
+        x = list(answer.witness.effects[0])
+        a, b = next((a, b) for a, b in itertools.combinations(range(1, 6), 2)
+                    if (s[a], t[a]) == (s[b], t[b]))
+        for c in (F(1, 4), F(-1, 4), F(3)):
+            forged = list(x)
+            forged[a] += c
+            forged[b] -= c
+            assert plain_dot(forged, s) == 1 and plain_dot(forged, t) == 0
+            verdicts.add(integer_gates_agree(answer.problem, forged))
+    assert verdicts == {True, False}
+
+
+def test_the_integer_kernel_refuses_a_wrong_length_and_a_denominator_below_one():
+    prob = boxed_random_lp(0)
+    with pytest.raises(ValueError):
+        lp.check_integers(prob, [0] * (prob.num_vars + 1), 1)
+    with pytest.raises(ValueError):
+        lp.check_solution(prob, [0] * (prob.num_vars - 1))
+    for dx in (0, -1):
+        with pytest.raises(ValueError):
+            lp.check_integers(prob, [0] * prob.num_vars, dx)
+
+
 # --- is_effect, is_measurement, verify_witness ---------------------------------
 
 def test_witness_gates_match_the_fraction_formula():
