@@ -17,8 +17,7 @@ maps the representative onto it, re-checked by substitution on its own
 feasibility problem, as an LP's optimum is, in integers before any
 Fraction is built (lp.check_integers); an LP of its own decides when the
 re-check fails or the orbit is refused. A registered subset is found by
-its generator indices, and its problem's integer rows are the theory's
-generator rows.
+its generator indices.
 """
 
 from __future__ import annotations
@@ -170,32 +169,16 @@ def max_success_probability(inst: DiscriminationInstance) -> DiscriminationResul
     return DiscriminationResult(p, meas, perfect, out.multipliers)
 
 
-def _feasibility_problem(theory: Theory, states, indices=None) -> lp.LPProblem:
-    """The feasibility LP of the states over the N-state block. With
-    indices, the states' generator indices, its integer_form comes from
-    theory.generator_rows, which hold d * g_k over the d of the block's
-    integer_form, and not from the states' Fractions (lp.problem)."""
+def _feasibility_problem(theory: Theory, states) -> lp.LPProblem:
     n = len(states)
     block = _generator_block(theory, n)
-    nvars = block.num_vars
-    scaled = None
-    if indices is not None:
-        gens, d = theory.generator_rows
-        if d == block.integer_form[1]:
-            scaled = _feasibility_rows([gens[k] for k in indices], theory.dim, nvars, d)
-    return lp.problem((0,) * nvars, _feasibility_rows(states, theory.dim, nvars, 1),
-                      nvars, block, scaled)
-
-
-def _feasibility_rows(states, dim: int, nvars: int, one) -> list:
-    """e_i . omega_i = one for i < N, then sum_i e_i . omega_N = 0, which is
-    (u - sum e_i) . omega_N = 1 when one is 1."""
-    n = len(states)
+    nvars, d = block.num_vars, theory.dim
     zeros = (0,) * nvars
-    rows = [(zeros[:i * dim] + tuple(states[i]) + zeros[(i + 1) * dim:], lp.EQ, one)
+    # e_i . omega_i = 1, then (u - sum e_i) . omega_N = 1  <=>  sum_i e_i . omega_N = 0
+    rows = [(zeros[:i * d] + tuple(states[i]) + zeros[(i + 1) * d:], lp.EQ, 1)
             for i in range(n - 1)]
     rows.append((tuple(states[n - 1]) * (n - 1), lp.EQ, 0))
-    return rows
+    return lp.problem(zeros, rows, nvars, block)
 
 
 def _check_distinct(theory: Theory, states) -> None:
@@ -212,13 +195,12 @@ def _check_distinct(theory: Theory, states) -> None:
 def is_perfectly_distinguishable(theory: Theory, states: Sequence,
                                  validate: bool = True) -> DistinguishabilityAnswer:
     states = tuple(tuple(s) for s in states)
-    indices = _registered_indices(theory, states)
-    if indices is None or len(set(indices)) < len(states):
-        _check_distinct(theory, states)
+    _check_distinct(theory, states)
     if validate:
         _require_states(theory, states)
     if len(states) == 1:
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
+    indices = _registered_indices(theory, states)
     if indices is not None and (member := theory.orbit_members.get(frozenset(indices))):
         return _orbit_verdict(theory, states, indices, *member)
     prob = _feasibility_problem(theory, states)
@@ -286,7 +268,7 @@ def _decided(theory: Theory, orbit: _Orbit) -> DistinguishabilityAnswer:
     integers as well (_Orbit.rows)."""
     if orbit.answer is None:
         rep_states = tuple(theory.generators[k] for k in orbit.rep)
-        answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states, orbit.rep))
+        answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states))
         orbit.answer = DistinguishabilityAnswer(answer.distinguishable, witness=answer.witness)
         if answer.distinguishable:
             orbit.rows, orbit.den = integer_rows(answer.witness.effects)
@@ -306,7 +288,7 @@ def _orbit_verdict(theory: Theory, states, indices, orbit: _Orbit, word
     LP on the caller's states decides whenever it fails: so a word that is
     no symmetry costs an LP, never a verdict, and a refused orbit costs
     every member its own LP."""
-    prob = _feasibility_problem(theory, states, indices)
+    prob = _feasibility_problem(theory, states)
     if _decided(theory, orbit).distinguishable:
         image = [word[k] for k in orbit.rep]  # the generators that the moved witness answers
         if sorted(image) == sorted(indices):

@@ -159,19 +159,11 @@ def _integer_form(constraints, den: int = 1):
 
 
 def problem(objective: Sequence, constraints: Sequence, num_vars: int,
-            block: Optional[LPBlock] = None, scaled: Optional[Sequence] = None) -> LPProblem:
-    """The problem whose constraints are the block's, if any, then these.
-    scaled, when given, holds these constraints again with their rows and
-    rhs times the d of the block's integer_form, as integers: the caller
-    that already has them so spares integer_form a reading of every
-    Fraction, and integer_form is the block's rows and these over d."""
+            block: Optional[LPBlock] = None) -> LPProblem:
+    """The problem whose constraints are the block's, if any, then these."""
     own = tuple((tuple(r), rel, b) for r, rel, b in constraints)
-    prob = LPProblem(tuple(objective), block.constraints + own if block else own,
+    return LPProblem(tuple(objective), block.constraints + own if block else own,
                      num_vars, block)
-    if scaled is not None:
-        shared, den = prob.block.integer_form
-        prob.__dict__["integer_form"] = (shared + tuple(scaled), den)  # the cached_property's slot
-    return prob
 
 
 @dataclass
@@ -286,29 +278,27 @@ def check_solution(prob: LPProblem, x: Sequence) -> bool:
 
 def check_integers(prob: LPProblem, xs: Sequence[int], dx: int) -> bool:
     """Whether x = xs / dx satisfies every constraint of prob, for integers
-    xs and dx > 0, checked on integer_form: row . xs REL rhs * dx for its
-    rows and rhs, which are the problem's times a positive d. No Fraction
-    is built, so a caller that holds x over a common denominator (unreduced
-    or not) checks it before making any."""
+    xs and dx > 0, checked in integers: row . xs REL rhs * dx for the rows
+    and rhs of the block's integer_form, read once each (LPBlock.ranges),
+    then of the problem's own. Each is the constraint times a positive d,
+    so every relation keeps. No Fraction is built, so a caller that holds
+    x over a common denominator (unreduced or not) checks it before
+    making any."""
     if len(xs) != prob.num_vars:
         raise ValueError(f"dimension mismatch: {prob.num_vars} vs {len(xs)}")
     if dx <= 0:
         raise ValueError(f"the denominator must be positive, got {dx}")
+    # A group's values are summed a column at a time over the nonzero
+    # entries of xs, then bounded by their least and greatest.
+    for lo, hi, columns in prob.block.ranges:
+        values = [0] * len(columns[0])
+        for x, column in zip(xs, columns):
+            if x:
+                values = [v + x * c for v, c in zip(values, column)]
+        if lo is not None and min(values) < lo * dx or hi is not None and max(values) > hi * dx:
+            return False
     mul = operator.mul
-    constraints, den = prob.integer_form
-    block = prob.block
-    if den == block.integer_form[1]:  # integer_form leads with the block's rows
-        # A group's values are summed a column at a time over the nonzero
-        # entries of xs, then bounded by their least and greatest.
-        for lo, hi, columns in block.ranges:
-            values = [0] * len(columns[0])
-            for x, column in zip(xs, columns):
-                if x:
-                    values = [v + x * c for v, c in zip(values, column)]
-            if lo is not None and min(values) < lo * dx or hi is not None and max(values) > hi * dx:
-                return False
-        constraints = constraints[len(block.constraints):]
-    for row, rel, rhs in constraints:
+    for row, rel, rhs in prob.integer_form[0][len(prob.block.constraints):]:
         lhs, rhs = sum(map(mul, row, xs)), rhs * dx
         if lhs < rhs if rel == GE else lhs > rhs if rel == LE else lhs != rhs:
             return False

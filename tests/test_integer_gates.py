@@ -198,6 +198,33 @@ def test_the_integer_kernel_refuses_a_point_that_leaves_the_cone_alone():
     assert verdicts == {True, False}
 
 
+def test_the_integer_kernel_reads_the_block_over_its_own_denominator():
+    # A mixture state over 3 gives the problem a new denominator, so its
+    # integer_form scales the block's rows by a further factor; the kernel
+    # still reads them through lp.LPBlock.ranges, over the block's own d.
+    # As above, e + c (x_a - x_b) keeps the equality rows, so only the
+    # block can refuse it.
+    theory = hypercube_theory(4)
+    s = theory.generators[0]
+    t = tuple(sum(col) / 3 for col in zip(*theory.generators[8:11]))
+    answer = is_perfectly_distinguishable(theory, [s, t])
+    prob = answer.problem
+    assert prob.integer_form[1] % prob.block.integer_form[1] == 0
+    assert prob.integer_form[1] != prob.block.integer_form[1]
+    x = list(answer.witness.effects[0])
+    verdicts = {integer_gates_agree(prob, x)}
+    verdicts |= {not integer_gates_agree(prob, forged) for forged in nudged(x)}
+    assert verdicts == {True}
+    a, b = next((a, b) for a, b in itertools.combinations(range(1, theory.dim), 2)
+                if (s[a], t[a]) == (s[b], t[b]))
+    for c in (F(1, 4), F(-1, 4), F(3), F(-3)):
+        forged = list(x)
+        forged[a] += c
+        forged[b] -= c
+        verdicts.add(integer_gates_agree(prob, forged))
+    assert verdicts == {True, False}
+
+
 def test_the_integer_kernel_refuses_a_wrong_length_and_a_denominator_below_one():
     prob = boxed_random_lp(0)
     with pytest.raises(ValueError):

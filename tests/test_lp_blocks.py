@@ -61,22 +61,6 @@ def test_block_problems_equal_row_by_row_problems(spec, mode):
     assert set(theory.lp_blocks) <= {2, 3}
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_FAMILIES)
-def test_generator_rows_give_the_integer_form_of_a_feasibility_problem(spec):
-    # With the states' generator indices, integer_form is built from
-    # Theory.generator_rows and not read from the Fractions: it must be
-    # the form read from them, in either order of the states.
-    theory = parse_family_spec(spec).build()
-    for n_arity in (2, 3):
-        for subset in _sampled_subsets(theory, n_arity, count=4):
-            for order in (subset, subset[::-1]):
-                states = tuple(theory.generators[i] for i in order)
-                prob = discrimination._feasibility_problem(theory, states, order)
-                reference = reference_feasibility_problem(theory, states)
-                assert prob == reference
-                assert prob.integer_form == reference.integer_form
-
-
 def test_a_mixture_state_with_a_new_denominator_rescales_the_block():
     theory = hypercube_theory(4)
     mixture = tuple(sum(col) / 3 for col in zip(*theory.generators[:3]))
