@@ -4,11 +4,11 @@ construction.
 Covers the pairwise compression factor, verification of every vertex
 pair of the hypercube construction (closed-form witnesses, each face
 measurement checked once and each pair's delta conditions in integers,
-cross-checked against LP evidence, one LP per pair orbit, moved and
-re-checked in integers for every pair), parameter evaluation and
-failure bound for the random simplex-power construction, Monte Carlo
-sampling of random codes, and the parallel supporting-hyperplanes check
-for point sets.
+cross-checked against LP evidence: one LP per pair orbit, solved as the
+orbits are registered, its witness moved and re-checked in integers for
+every pair), parameter evaluation and failure bound for the random
+simplex-power construction, Monte Carlo sampling of random codes, and
+the parallel supporting-hyperplanes check for point sets.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .discrimination import (decide_orbits, pairwise_distinguishable, register_orbits,
-                             verify_witness)
+from .discrimination import pairwise_distinguishable, register_orbits, verify_witness
 from .exactlog import floor_of_log2_squared, floor_of_ratio_to_log2, log2_value
 from .families import hypercube_effect, hypercube_theory
 from .hypergraph import build_hypergraph
@@ -109,12 +108,12 @@ def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
     (index 2^(m - k) for face k), one of the pairs it answers: its bounds
     on every generator, its sum to the unit and that pair's deltas. Every
     pair then checks only its face's four delta conditions, in integers
-    (_pair_checks). The pairs' orbits under the cube's checked group are
-    registered (register_orbits) and the m representatives decided by LP
-    here, before any pool starts (decide_orbits): every pair gets its
-    representative's witness moved along the word that maps the one onto
-    the other, re-checked in integers on the pair's own feasibility
-    problem, or an LP of its own when the re-check fails."""
+    (_pair_checks). One call registers the pairs' orbits under the cube's
+    checked group and decides their m representatives by LP, before any
+    pool starts (register_orbits): every pair gets its representative's
+    witness moved along the word that maps the one onto the other,
+    re-checked in integers on the pair's own feasibility problem, or an
+    LP of its own when the re-check fails."""
     if not 1 <= m <= 8:
         raise ValueError("m must lie in 1..8 for the pairwise sweep")
     theory = hypercube_theory(m)
@@ -123,7 +122,7 @@ def verify_hypercube_memory(m: int, workers: int = 1) -> CapacityReport:
     faces_valid = all(verify_witness(theory, [gens[0], gens[2 ** (m - k)]], face)
                       for k, face in enumerate(faces, 1))
     pairs = list(itertools.combinations(range(theory.num_generators), 2))
-    decide_orbits(theory, register_orbits(theory, pairs))
+    register_orbits(theory, pairs)
     scaled = [theory.scaled_rows(face.effects) for face in faces]
     results = parallel_map(functools.partial(_pair_checks, theory, scaled), pairs, workers)
     verified = faces_valid and all(w and l for w, l in results)

@@ -10,14 +10,15 @@ In float mode the success-probability LP is solved first: an exact upper
 bound from its dual certifies most refusals with that one LP, and its
 optimum serves as the forward witness of a clear acceptance.
 
-On an exact theory whose subsets' orbits are registered (register_orbits),
-one LP decides each orbit's representative, and every member of a
-distinguishable orbit gets that witness moved along the group word that
-maps the representative onto it, re-checked by substitution on its own
+register_orbits decides the orbits of a list of subsets under an exact
+theory's symmetries in one step: one LP on each representative, and only
+the members of distinguishable orbits are registered. Every registered
+member gets that witness moved along the group word that maps the
+representative onto it, re-checked by substitution on its own
 feasibility problem, as an LP's optimum is, in integers before any
 Fraction is built (lp.check_integers); an LP of its own decides when the
-re-check fails or the orbit is refused. A registered subset is found by
-its generator indices.
+re-check fails, and every unregistered subset takes its own LP. A
+registered subset is found by its generator indices.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
         _require_states(theory, states)
     if len(states) == 1:
         return DistinguishabilityAnswer(True, witness=Measurement((theory.unit,)))
-    indices = _registered_indices(theory, states)
-    if indices is not None and (member := theory.orbit_members.get(frozenset(indices))):
-        return _orbit_verdict(theory, states, indices, *member)
+    member = _registered(theory, states)
+    if member is not None:
+        return _orbit_verdict(theory, states, *member)
     prob = _feasibility_problem(theory, states)
     if theory.numeric_mode != EXACT:
         return _float_distinguishable(theory, states, prob)
@@ -211,90 +212,65 @@ def is_perfectly_distinguishable(theory: Theory, states: Sequence,
 
 # --- evidence moved along registered orbits ---------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Orbit:
     """The record that the members of one registered orbit share: its
-    representative's generator indices, increasing, and once an LP has
-    decided its states in that order, that answer. A witness is kept over
-    integers as well: effect i is rows[i] / den."""
+    representative's generator indices, increasing, and the witness one LP
+    found on its states in that order, over integers: effect i is
+    rows[i] / den."""
     rep: tuple
-    answer: Optional[DistinguishabilityAnswer] = None
-    rows: Optional[list] = None
-    den: int = 1
+    rows: list
+    den: int
 
 
-def register_orbits(theory: Theory, subsets: list) -> list:
-    """Register the orbits of the subsets, increasing tuples of generator
-    indices, under theory.symmetries in theory.orbit_members, so that
-    is_perfectly_distinguishable decides one LP per orbit when it is asked
-    about the generators of a registered subset (_orbit_verdict); return
-    the orbits' shared records, for decide_orbits. Nothing is registered
-    when the generators do not span: no witness moves."""
-    if theory.basis_inverse is None:
-        return []
-    members = theory.orbit_members
-    shared = []
+def register_orbits(theory: Theory, subsets: list) -> None:
+    """Decide the orbits of the subsets, increasing tuples of generator
+    indices, under theory.symmetries, by one LP each on the
+    representative's states in increasing order, and register every
+    member of a distinguishable orbit in theory.orbit_members, so that
+    is_perfectly_distinguishable moves that witness to it (_orbit_verdict).
+    Members of a refused orbit stay unregistered and take their own LP.
+    Nothing is registered when the symmetries are (): a float theory, one
+    whose generators do not span, or one with a trivial group."""
+    if not theory.symmetries:
+        return
     for orbit in orbits_with_words(subsets, theory.symmetries, theory.num_generators):
-        shared.append(_Orbit(orbit[0][0]))
-        for subset, word in orbit:
-            members[frozenset(subset)] = (shared[-1], word)
-    return shared
-
-
-def decide_orbits(theory: Theory, orbits: list) -> None:
-    """Decide by LP every representative of the registered orbits that no
-    call has decided yet (_decided), so that copies of the theory made
-    afterwards, such as a worker pool's, solve none of them again."""
-    for orbit in orbits:
-        _decided(theory, orbit)
-
-
-def _registered_indices(theory: Theory, states) -> Optional[list]:
-    """The generator indices of the states (Theory.generator_index) when
-    the theory is exact and has registered orbits and every state is one
-    of its generators; else None."""
-    if theory.numeric_mode != EXACT or not theory.orbit_members:
-        return None
-    index = theory.generator_index
-    indices = [index.get(s) for s in states]
-    return None if None in indices else indices
-
-
-def _decided(theory: Theory, orbit: _Orbit) -> DistinguishabilityAnswer:
-    """The orbit's answer, from one LP on its representative's states in
-    increasing order the first time it is asked for. It keeps only the
-    verdict and the witness, which is all that members read, so that a
-    pickled theory carries no LP problem; the witness is kept over
-    integers as well (_Orbit.rows)."""
-    if orbit.answer is None:
-        rep_states = tuple(theory.generators[k] for k in orbit.rep)
-        answer = _verdict(theory, rep_states, _feasibility_problem(theory, rep_states))
-        orbit.answer = DistinguishabilityAnswer(answer.distinguishable, witness=answer.witness)
+        rep = orbit[0][0]
+        states = tuple(theory.generators[k] for k in rep)
+        answer = _verdict(theory, states, _feasibility_problem(theory, states))
         if answer.distinguishable:
-            orbit.rows, orbit.den = integer_rows(answer.witness.effects)
-    return orbit.answer
+            shared = _Orbit(rep, *integer_rows(answer.witness.effects))
+            for subset, word in orbit:
+                theory.orbit_members[frozenset(subset)] = (shared, word)
+
+
+def _registered(theory: Theory, states) -> Optional[tuple]:
+    """(indices, orbit, word) when the states are the generators of a
+    registered subset, found by their indices (Theory.generator_index);
+    else None."""
+    if not theory.orbit_members:
+        return None
+    indices = list(map(theory.generator_index.get, states))
+    member = None if None in indices else theory.orbit_members.get(frozenset(indices))
+    return None if member is None else (indices, *member)
 
 
 def _orbit_verdict(theory: Theory, states, indices, orbit: _Orbit, word
                    ) -> DistinguishabilityAnswer:
     """The answer for states, the generators at indices, a registered
-    subset in the caller's order. The orbit's representative is decided by
-    LP once, on its own states in increasing order (_decided). When they
-    are distinguishable, every member, the representative too, gets that
-    witness moved along word, which maps generator k to word[k], through
-    theory.basis_inverse, its effects reordered to the caller's states.
-    The moved witness is re-checked by substitution on the caller's own
-    feasibility problem, as an LP's optimum is (_moved_witness), and an
-    LP on the caller's states decides whenever it fails: so a word that is
-    no symmetry costs an LP, never a verdict, and a refused orbit costs
-    every member its own LP."""
+    subset in the caller's order. The orbit representative's witness is
+    moved along word, which maps generator k to word[k], through
+    theory.basis_inverse, its effects reordered to the caller's states,
+    and re-checked by substitution on the caller's own feasibility
+    problem, as an LP's optimum is (_moved_witness). An LP on the caller's
+    states decides whenever that fails: so a word that is no symmetry
+    costs an LP, never a verdict."""
     prob = _feasibility_problem(theory, states)
-    if _decided(theory, orbit).distinguishable:
-        image = [word[k] for k in orbit.rep]  # the generators that the moved witness answers
-        if sorted(image) == sorted(indices):
-            moved = _moved_witness(theory, orbit, word, [image.index(k) for k in indices], prob)
-            if moved is not None:
-                return DistinguishabilityAnswer(True, witness=moved, problem=prob)
+    image = [word[k] for k in orbit.rep]  # the generators that the moved witness answers
+    if sorted(image) == sorted(indices):
+        moved = _moved_witness(theory, orbit, word, [image.index(k) for k in indices], prob)
+        if moved is not None:
+            return DistinguishabilityAnswer(True, witness=moved, problem=prob)
     return _verdict(theory, states, prob)
 
 

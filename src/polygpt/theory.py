@@ -139,9 +139,10 @@ class Theory:
 
     @functools.cached_property
     def orbit_members(self) -> dict:
-        """The subsets that discrimination.register_orbits has registered,
-        each keyed by the frozenset of its generator indices and mapped to
-        its orbit's shared record and the word that maps the orbit's
+        """The subsets that discrimination.register_orbits has found
+        distinguishable, each keyed by the frozenset of its generator
+        indices and mapped to its orbit's shared record, with the
+        representative's LP witness, and the word that maps the
         representative onto it; empty until a registration. Cached like
         lp_blocks."""
         return {}

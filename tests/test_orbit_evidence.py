@@ -1,18 +1,21 @@
-"""Evidence moved along registered orbits (discrimination.register_orbits):
+"""Evidence moved along registered orbits (discrimination.register_orbits,
+which decides each orbit's representative by LP as it registers it):
 every answer against a fresh theory's LP verdict, and every returned
 witness, moved or from an LP, or Farkas vector, from the member's own LP,
 re-checked on its own states by the reference (conftest.rechecks) and by
 verify_witness / exact lp.verify_farkas."""
 
 import contextlib
+import functools
 import itertools
 import math
+import pickle
 import random
 from array import array
 
 import pytest
 
-from conftest import SYMMETRIC_FAMILIES, move, rechecks, scale_evidence
+from conftest import SYMMETRIC_FAMILIES, ScaledEvidence, move, planted, rechecks, scale_evidence
 from polygpt import capacity, discrimination, lp
 from polygpt import theory as theory_module
 from polygpt.discrimination import is_perfectly_distinguishable, register_orbits, verify_witness
@@ -71,13 +74,15 @@ def test_the_specs_cover_the_cubes_and_both_arities():
 def test_moved_answers_equal_fresh_lp_verdicts_and_recheck(spec, n_arity):
     # Each subset in a seeded order of subsets and of its states, so that
     # members come before their representatives and witnesses are reordered.
-    theory, subsets = registered(spec, n_arity)
+    theory = build_family(spec)
+    subsets = list(itertools.combinations(range(theory.num_generators), n_arity))
     fresh = build_family(spec)
     rng = random.Random(f"{spec} {n_arity}")
     calls = [tuple(rng.sample(s, len(s))) for s in subsets]
     rng.shuffle(calls)
     orbits = len(theory_module.orbits(subsets, theory.symmetries))
     with counted_lps() as solved:
+        register_orbits(theory, subsets)
         answers = [is_perfectly_distinguishable(theory, [theory.generators[k] for k in c],
                                                 validate=False) for c in calls]
     # One LP per representative, then one per member of a refused orbit:
@@ -122,25 +127,24 @@ def mutants(word):
 @pytest.mark.parametrize("spec,n_arity", [("hypercube:m=3", 2), ("hypercube:m=3", 3),
                                            ("simplex-power:q=3,l=2", 3), ("ngon:n=6", 2)])
 def test_a_mutant_word_costs_an_lp_and_never_a_verdict(spec, n_arity):
-    # Members get wrong words in turn. Where the reference says the
-    # evidence moved by one fails its re-check, the answer costs one LP,
-    # else none; the verdict is always the fresh one.
+    # Registered members get wrong words in turn. Where the reference says
+    # the evidence moved by one fails its re-check, the answer costs one
+    # LP, else none; the verdict is always the fresh one.
     theory, subsets = registered(spec, n_arity)
     fresh = build_family(spec)
     gens = theory.generators
     failed = 0
-    for subset in subsets[:12]:
+    for subset in [s for s in subsets if frozenset(s) in theory.orbit_members][:12]:
         key = frozenset(subset)
         orbit, word = theory.orbit_members[key]
         states = [gens[k] for k in subset]
         expected = is_perfectly_distinguishable(fresh, states, validate=False)
-        is_perfectly_distinguishable(theory, [gens[k] for k in orbit.rep], validate=False)
+        evidence = ScaledEvidence(True, tuple(map(tuple, orbit.rows)), orbit.den)
         for mutant in itertools.islice(mutants(word), 40):
             theory.orbit_members[key] = (orbit, mutant)
             image = [mutant[k] for k in orbit.rep]
-            passes = (orbit.answer.distinguishable and sorted(image) == list(subset)
-                      and rechecks(theory, image,
-                                   move(theory, scale_evidence(orbit.answer.witness), mutant)))
+            passes = (sorted(image) == list(subset)
+                      and rechecks(theory, image, move(theory, evidence, mutant)))
             with counted_lps() as solved:
                 answer = is_perfectly_distinguishable(theory, states, validate=False)
             assert answer.distinguishable == expected.distinguishable
@@ -148,7 +152,11 @@ def test_a_mutant_word_costs_an_lp_and_never_a_verdict(spec, n_arity):
             assert len(solved) == (0 if passes else 1)
             failed += not passes
         theory.orbit_members[key] = (orbit, word)
-    assert failed > 0
+    if (spec, n_arity) == ("hypercube:m=3", 3):
+        # No triple of the 3-cube is distinguishable, so none is registered.
+        assert not theory.orbit_members
+    else:
+        assert failed > 0
 
 
 def test_the_moved_witness_does_not_rest_on_responds(monkeypatch):
@@ -157,9 +165,9 @@ def test_the_moved_witness_does_not_rest_on_responds(monkeypatch):
     # theory.responds, verify_witness's check: with responds refusing
     # everything, the sweep's second route still answers every pair with
     # one LP per orbit, and only the closed-form route fails.
-    theory, subsets = registered("hypercube:m=4", 2)
     monkeypatch.setattr(discrimination, "responds", lambda *args: False)
     with counted_lps() as solved:
+        theory, subsets = registered("hypercube:m=4", 2)
         answers = [is_perfectly_distinguishable(theory, [theory.generators[k] for k in s],
                                                 validate=False) for s in subsets]
     assert all(answer.distinguishable for answer in answers) and len(solved) == 4
@@ -179,7 +187,7 @@ def test_a_float_theory_never_takes_the_moved_path(monkeypatch):
     fresh = make_theory("float-cube", exact.unit, exact.generators, numeric_mode=FLOAT)
     subsets = list(itertools.combinations(range(theory.num_generators), 2))
     register_orbits(theory, subsets)
-    assert theory.orbit_members
+    assert not theory.orbit_members
     refuse_moves(monkeypatch)
     for s in subsets:
         states = [theory.generators[k] for k in s]
@@ -215,3 +223,34 @@ def test_a_theory_without_a_basis_decides_each_call_by_lp():
         with counted_lps() as solved:
             answer = is_perfectly_distinguishable(theory, theory.generators[::2])
         assert answer.distinguishable and len(solved) == 1
+
+
+@pytest.mark.parametrize("spec", ["hypercube:m=3", "simplex-power:q=3,l=2"])
+def test_registration_keeps_exactly_the_distinguishable_subsets(spec):
+    # A subset is registered when a fresh theory's own LP finds it distinguishable.
+    theory, subsets = registered(spec, 3)
+    fresh = build_family(spec)
+    expected = [is_perfectly_distinguishable(fresh, [fresh.generators[k] for k in s],
+                                             validate=False).distinguishable for s in subsets]
+    assert [frozenset(s) in theory.orbit_members for s in subsets] == expected
+
+
+def test_a_spanning_theory_with_a_trivial_group_registers_nothing():
+    theory = planted(hypercube_theory(3), ())
+    assert theory.symmetries == () and theory.basis_inverse is not None
+    with counted_lps() as solved:
+        register_orbits(theory, list(itertools.combinations(range(theory.num_generators), 2)))
+    assert not theory.orbit_members and not solved
+
+
+def test_no_pool_chunk_solves_an_lp():
+    # The sweep's chunk function, pickled and unpickled as parallel_map
+    # hands it to a worker, answers every pair of the 5-cube with no LP.
+    theory = hypercube_theory(5)
+    pairs = list(itertools.combinations(range(theory.num_generators), 2))
+    register_orbits(theory, pairs)
+    scaled = [theory.scaled_rows(face.effects) for face in capacity._face_measurements(theory)]
+    chunk = pickle.loads(pickle.dumps(functools.partial(capacity._pair_checks, theory, scaled)))
+    with counted_lps() as solved:
+        results = [chunk(pair) for pair in pairs]
+    assert not solved and results == [(True, True)] * len(pairs)
