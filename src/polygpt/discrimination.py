@@ -36,6 +36,7 @@ from .theory import EXACT, Measurement, Theory, is_state, orbits_with_words, res
 # zone are re-solved from a perturbed start and, failing that, refused.
 CLEAR_RESIDUAL = 1e-7
 CLEAR_GAP = 1e-6
+_CLEAR_BOUND = 1 - Fraction(CLEAR_GAP)  # an exact bound at most this certifies a refusal
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,7 @@ def _success_verdict(theory: Theory, states, prob, success) -> Optional[Distingu
     split = (len(states) - 1) * theory.num_generators
     y = [min(v, 0.0) if k < split else max(v, 0.0) for k, v in enumerate(success.multipliers)]
     bound = _success_bound(theory, states, y)
-    if bound is None or bound > 1 - Fraction(CLEAR_GAP):
+    if bound is None or bound > _CLEAR_BOUND:
         return None
     # The same y refutes the feasibility LP: its e_i . omega_i = 1 rows take
     # -1/N and its last row +1/N, so the rows combine to -(residual) and the
@@ -390,24 +391,34 @@ def _success_bound(theory: Theory, states, y) -> Optional[Fraction]:
     For feasible e, c . e = y.(A e) + r . e <= y.b + r . e with r = c - y A
     exact. Block i of r is sum_k lambda_k g_k over theory.basis_inverse's
     generators, and 0 <= e_i . g <= 1 on every generator, so r . e is at
-    most the sum of the positive lambda_k. None when there is no basis."""
+    most the sum of the positive lambda_k. Only the nonzero entries of y
+    are read, at most d(N - 1) of N g at an optimal basis: block i of y A
+    sums the generator rows of block i's nonzero >= rows and of the
+    nonzero shared <= rows. The bound is one Fraction over q * n * e * d.
+    None when there is no basis."""
     if theory.basis_inverse is None:
         return None
     _, inverse, q = theory.basis_inverse
-    d = theory.generator_rows[1]
+    gens, d = theory.generator_rows  # d * generators as integers
     n, g = len(states), theory.num_generators
-    # ys = e * y and omegas = e * states as integers; the columns of
-    # theory.generator_columns are those of d * generators.
-    (ys, *omegas), e = integer_rows((y, *states))
-    shared = ys[(n - 1) * g:]  # the <= rows, whose right-hand side is 1
+    nonzero = [k for k, v in enumerate(y) if v]
+    # ys = e * (the nonzero entries of y) and omegas = e * states as integers.
+    (ys, *omegas), e = integer_rows(([y[k] for k in nonzero], *states))
+    # e * d * (y A) block by block, then the shared <= rows' part, which
+    # enters every block.
+    ya = [[0] * theory.dim for _ in range(n)]
+    for k, v in zip(nonzero, ys):
+        i, j = divmod(k, g)
+        ya[i] = [s + v * a for s, a in zip(ya[i], gens[j])]
+    shared = ya.pop()
     positive = 0
-    for i in range(n - 1):
-        coeffs = [a + b for a, b in zip(ys[i * g:(i + 1) * g], shared)]
+    for omega, block in zip(omegas, ya):
         # n * e * d * r_i = d * (omega_i - omega_N) - n * (e * d * (y A)_i)
-        r = [d * (a - b) - n * sum([coeffs[k] * c for k, c in column])
-             for a, b, column in zip(omegas[i], omegas[-1], theory.generator_columns)]
+        r = [d * (a - b) - n * (s + t) for a, b, s, t in zip(omega, omegas[-1], block, shared)]
         positive += sum(max(dot(row, r), 0) for row in inverse)
-    return Fraction(1, n) + Fraction(sum(shared), e) + Fraction(positive, q * n * e * d)
+    yb = sum(v for k, v in zip(nonzero, ys) if k >= (n - 1) * g)  # the <= rows' rhs is 1
+    # 1/n + yb / e + positive / (q * n * e * d)
+    return Fraction(q * d * (e + n * yb) + positive, q * n * e * d)
 
 
 def verify_witness(theory: Theory, states: Sequence, meas: Measurement) -> bool:

@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from . import simplex
@@ -226,12 +227,13 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     if res.status == simplex.OPTIMAL:
         # Dual prices of the dualized problem are the primal solution, and
         # its solution gives the row multipliers (built for float solves only).
-        y = None if arith.exact else _certificate_from(res.x, backmap, num_rows)
+        y = None if arith.exact else _certificate_from(res.x, backmap, num_rows, 0.0)
         return LPOutcome(LPStatus.OPTIMAL, value=res.value, solution=res.duals, multipliers=y)
 
     if res.status == simplex.UNBOUNDED:
         # An improving dual ray is a Farkas certificate for the primal.
-        cert = _certificate_from(res.ray, backmap, num_rows)
+        cert = _certificate_from(res.ray, backmap, num_rows,
+                                 Fraction(0) if arith.exact else 0.0)
         return LPOutcome(LPStatus.INFEASIBLE, infeasibility_certificate=cert)
 
     # Dual infeasible: the primal is unbounded or infeasible. With a zero
@@ -241,9 +243,15 @@ def _solve(prob: LPProblem, arith: Arith) -> LPOutcome:
     return LPOutcome(LPStatus.UNBOUNDED) if out.status == LPStatus.OPTIMAL else out
 
 
-def _certificate_from(weights, backmap, num_rows):
-    cert = [0] * num_rows
-    for w, (i, mult) in zip(weights, backmap):
+def _certificate_from(weights, backmap, num_rows, zero):
+    """The primal row multipliers of the dual's column weights: row i's is
+    the sum of mult * w over its columns (backmap), read from the nonzero
+    weights only (an optimal basis has at most as many as the dual has
+    rows). Every row starts at zero, the arithmetic's (0.0 or
+    Fraction(0)): a float row then holds what the sum from 0 over all its
+    weights gave, bit for bit, and an exact row the same value."""
+    cert = [zero] * num_rows
+    for w, (i, mult) in compress(zip(weights, backmap), weights):
         cert[i] = cert[i] + mult * w
     return tuple(cert)
 
@@ -308,7 +316,10 @@ def check_integers(prob: LPProblem, xs: Sequence[int], dx: int) -> bool:
 def verify_farkas(prob: LPProblem, cert: Sequence, tol: float = 0) -> bool:
     """Check the standard infeasibility certificate by substitution (with tol
     = 0 exactly, on integer_form and the integers d * y): multipliers >= 0 on
-    <= rows, <= 0 on >= rows, free on = rows, sum(y_i a_i) = 0, sum(y_i b_i) < 0."""
+    <= rows, <= 0 on >= rows, free on = rows, sum(y_i a_i) = 0, sum(y_i b_i) < 0.
+    Every row's sign is tested; only the rows of nonzero multipliers enter
+    the sums, to which a zero multiplier adds nothing (in floats at most a
+    zero's sign, which no test reads)."""
     if len(cert) != len(prob.constraints):
         return False
     ys, constraints = (cert, prob.constraints) if tol else \
@@ -316,13 +327,11 @@ def verify_farkas(prob: LPProblem, cert: Sequence, tol: float = 0) -> bool:
     combo = [0] * prob.num_vars
     total = 0
     for y, (row, rel, rhs) in zip(ys, constraints):
-        if rel == LE and y < -tol:
+        if y < -tol if rel == LE else y > tol if rel == GE else False:
             return False
-        if rel == GE and y > tol:
-            return False
-        for j, a in enumerate(row):
-            combo[j] += y * a
-        total += y * rhs
+        if y:
+            combo = [c + y * a for c, a in zip(combo, row)]
+            total += y * rhs
     if any(abs(v) > tol for v in combo):
         return False
     return total < -tol

@@ -390,6 +390,22 @@ def _leaving_row(arith: Arith, column, level, basis) -> Optional[int]:
     return None if best is None else best[1]
 
 
+def _bland_entering(obj, n: int, below) -> Optional[int]:
+    """Bland's entering column: the first j < n with obj[j] < below."""
+    for j in range(n):
+        if obj[j] < below:
+            return j
+    return None
+
+
+def _dantzig_entering(obj, n: int, below) -> Optional[int]:
+    """Dantzig's entering column: the j < n of least obj[j], the lowest
+    on ties, when obj[j] < below. min finds the least value in C and
+    index its first place, which lies below n; none when n = 0."""
+    low = min(obj[:n], default=below)
+    return obj.index(low) if low < below else None
+
+
 def _certify_basis(costs, rows, rhs, status, basis, entering):
     """Rebuild the guide's answer from its basis in exact arithmetic.
 
@@ -549,23 +565,13 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
 
     below = 0 if arith.exact else -arith.tol  # arith.is_neg(v) is v < below
 
-    def bland_entering(obj):
-        for j in range(n):
-            if obj[j] < below:
-                return j
-        return None
-
-    def dantzig_entering(obj):
-        # The most negative reduced cost; min keeps the lowest index on ties.
-        j = min(range(n), key=obj.__getitem__, default=None)
-        return j if j is not None and arith.is_neg(obj[j]) else None
-
     # Dantzig's rule can cycle; Bland's, after these pivots, terminates.
     dantzig_pivots = ncols if arith._dantzig and not arith.exact else 0
 
     def run_phase(obj, iters=0):
         while True:
-            col = (dantzig_entering if iters < dantzig_pivots else bland_entering)(obj)
+            col = (_dantzig_entering if iters < dantzig_pivots else _bland_entering)(
+                obj, n, below)
             if col is None:
                 return OPTIMAL, iters
             r = _leaving_row(arith, [t[col] for t in tableau], [t[ncols] for t in tableau], basis)

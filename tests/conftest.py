@@ -715,6 +715,43 @@ def reference_float_path():
         yield
 
 
+# --- dense loops over every row, as the float path read them ---------------
+
+def reference_certificate_from(weights, backmap, num_rows):
+    """lp._certificate_from summing every weight, zero or not, from int 0."""
+    cert = [0] * num_rows
+    for w, (i, mult) in zip(weights, backmap):
+        cert[i] = cert[i] + mult * w
+    return tuple(cert)
+
+
+def reference_verify_farkas(prob, cert, tol=0):
+    """lp.verify_farkas with every row's products summed, zero multiplier or not."""
+    if len(cert) != len(prob.constraints):
+        return False
+    ys, constraints = (cert, prob.constraints) if tol else \
+        (reference_integer_rows([cert])[0][0], prob.integer_form[0])
+    combo = [0] * prob.num_vars
+    total = 0
+    for y, (row, rel, rhs) in zip(ys, constraints):
+        if rel == lp.LE and y < -tol:
+            return False
+        if rel == lp.GE and y > tol:
+            return False
+        for j, a in enumerate(row):
+            combo[j] += y * a
+        total += y * rhs
+    if any(abs(v) > tol for v in combo):
+        return False
+    return total < -tol
+
+
+def reference_dantzig_entering(obj, n, below):
+    """simplex._dantzig_entering through a Python key function."""
+    j = min(range(n), key=obj.__getitem__, default=None)
+    return j if j is not None and obj[j] < below else None
+
+
 # --- polygon oracle ----------------------------------------------------------
 
 def ngon_pair_separable_by_direction(n, i, j, steps=2000, margin=1e-6):
