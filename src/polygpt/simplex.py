@@ -126,10 +126,11 @@ def solve_standard_min(costs: Sequence, rows: Sequence[Sequence], rhs: Sequence,
                        arith: Optional[Arith] = None,
                        prefix: Optional[Phase1] = None,
                        runs: Optional[Runs] = None) -> StandardResult:
-    """prefix, when given, is record_phase1 of the leading columns for
-    this arith; it is replayed only when rhs is all zero. runs, when
-    given, holds this float arith's recorded runs of these very columns:
-    the solve walks them first and records a cold optimal run there."""
+    """prefix, when given, is record_phase1 of the leading columns in
+    this arith, unchecked (lp._solve passes a block's only at the block's
+    tolerance), and replayed only when rhs is all zero. runs, when given,
+    holds this float arith's recorded runs of these very columns: the
+    solve walks them first and records a cold optimal run there."""
     arith = arith or Arith()
     n = len(costs)
     for row in rows:
@@ -187,13 +188,12 @@ def _start(prefix, costs, rows, rhs, arith):
 
 
 class Phase1(NamedTuple):
-    """A block's phase 1 (record_phase1): the run's arith class and
-    tolerance; its pivot records (_pivot_column); the tableau, objective rows
-    and basis it ends on, whose columns are the block's, then the
-    artificials and the rhs; and every column after the block's that has
-    been replayed on it (_replay), by (cost, *entries)."""
-    rule: type
-    tol: Optional[float]
+    """A block's phase 1 (record_phase1), replayed in the arithmetic it
+    was recorded in (solve_standard_min): its pivot records
+    (_pivot_column); the tableau, objective rows and basis it ends on,
+    whose columns are the block's, then the artificials and the rhs; and
+    every column after the block's that has been replayed on it
+    (_replay), by (cost, *entries)."""
     pivots: tuple
     tableau: list
     w_row: list
@@ -225,12 +225,11 @@ def _replay(prefix: Phase1, costs, rows, arith: Arith):
     """(tableau, w_row, z_row, basis, pivots made) after prefix's pivots on
     the full problem: the recorded block part, and the own columns (those
     after the block's), each pivoted once per prefix (prefix.columns) with
-    the same float operations in the same order as a cold run. None when
-    the prefix is for another arith or exceeds MAX_ITERATIONS, or where a
-    cold Dantzig run would enter an own column in it. Own entries are
-    converted as 0.0 + v, which raises OverflowError past the float range."""
-    if (prefix.rule, prefix.tol) != (type(arith), arith.tol) or \
-            len(prefix.pivots) > MAX_ITERATIONS:
+    the same float operations in the same order as a cold run, in prefix's
+    arith. None past MAX_ITERATIONS or where a cold Dantzig run would enter
+    an own column in it. Own entries are converted as 0.0 + v, which raises
+    OverflowError past the float range."""
+    if len(prefix.pivots) > MAX_ITERATIONS:
         return None
     m = len(rows)
     nb = len(prefix.w_row) - m - 1  # the block's columns
@@ -593,7 +592,7 @@ def _simplex(costs, rows, rhs, arith: Arith, start: Optional[tuple] = None,
         # under Dantzig's rule, all of them within this run's Dantzig budget.
         if status != OPTIMAL or (dantzig_pivots and info > dantzig_pivots):
             return None
-        return Phase1(type(arith), arith.tol, tuple(record), tableau, w_row, z_row, basis, {})
+        return Phase1(tuple(record), tableau, w_row, z_row, basis, {})
     if status == STALLED:
         return StandardResult(STALLED), basis, None
     if status == UNBOUNDED:

@@ -71,14 +71,6 @@ class Theory:
         return self.scaled_rows([self.unit])
 
     @functools.cached_property
-    def generator_columns(self) -> tuple:
-        """Column j of generator_rows as the pairs (k, G_kj) with G_kj != 0,
-        so that a covector's values on all the generators are built from
-        the nonzero entries alone. Cached like generator_rows."""
-        return tuple(tuple((k, a) for k, a in enumerate(column) if a)
-                     for column in zip(*self.generator_rows[0]))
-
-    @functools.cached_property
     def basis_inverse(self):
         """(basis, rows, q): basis holds the indices of the first dim
         linearly independent generators, and (rows[k] . v) / q is the k-th
@@ -370,27 +362,16 @@ def responds(t: Theory, rows, den, states=(), sden=1) -> bool:
 
 
 def _bounded(t: Theory, rows, den) -> bool:
-    """0 <= e . g <= 1 on every generator g for every effect e = row / den of rows."""
+    """0 <= e . g <= 1 on every generator g for every effect e = row / den
+    of rows, in t.generator_rows' integers when exact and within t.tol
+    when float; a NaN fails both tests."""
     if any(len(row) != t.dim for row in rows):
         raise ValueError("dimension mismatch")
-    arith = t.arith()
-    values = [v for row in rows for v in _generator_values(t, row)]
-    top = den * t.generator_rows[1] if arith.exact else den
-    return not (arith.is_neg(min(values)) or arith.is_pos(max(values) - top))
-
-
-def _generator_values(t: Theory, row) -> list:
-    """row . G_k for every generator row G_k = d * g_k of t.generator_rows,
-    summed over the nonzero entries of t.generator_columns; row . g_k in
-    float mode."""
-    if t.numeric_mode != EXACT:
-        return [dot(row, g) for g in t.generators]
-    values = [0] * t.num_generators
-    for w, column in zip(row, t.generator_columns):
-        if w:
-            for k, a in column:
-                values[k] += w * a
-    return values
+    exact = t.numeric_mode == EXACT
+    gens, d = t.generator_rows if exact else (t.generators, 1)
+    tol, top = 0 if exact else t.tol, den * d
+    values = (dot(row, g) for row in rows for g in gens)
+    return all(v >= -tol and v - top <= tol for v in values)
 
 
 def reduce_to_pure_states(t: Theory) -> Theory:

@@ -355,16 +355,18 @@ def test_randomized_search_refuses_m_with_a_codeword_count(monkeypatch):
 
 def test_randomized_search_refuses_a_lone_q_or_l_and_no_codewords(monkeypatch):
     # A lone q or l was recomputed from m unannounced (q=50 reported q = 4),
-    # and M = 0 ran every trial before failing in log2(0). Both refusals
-    # name the parameter and come before any work.
+    # and M = 0 ran every trial before failing in log2(0); q and l with
+    # neither m nor M leave the codeword count unset. Each refusal names
+    # the parameter and comes before any work.
     def no_work(*args):
         raise AssertionError("work began before the refusal")
 
     monkeypatch.setattr(capacity, "probabilistic_params", no_work)
     monkeypatch.setattr(capacity, "sample_random_code", no_work)
-    for kwargs, missing in ((dict(m=4, q=50), "l"), (dict(m=4, l=24), "q"),
-                            (dict(q=9, m_codewords=8), "l")):
-        with pytest.raises(ValueError, match=f"^{missing} is missing"):
+    for kwargs, message in ((dict(m=4, q=50), "l is missing"), (dict(m=4, l=24), "q is missing"),
+                            (dict(q=9, m_codewords=8), "l is missing"),
+                            (dict(q=9, l=12), "give m, or an explicit codeword count")):
+        with pytest.raises(ValueError, match=f"^{message}"):
             randomized_search(3, trials=5, seed=1, **kwargs)
     for count in (0, -2):
         with pytest.raises(ValueError, match="m_codewords must be >= 1"):
@@ -391,8 +393,16 @@ def test_dg_check_on_squares_and_pentagons():
     assert danzer_grunbaum_check([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert not danzer_grunbaum_check(RATIONAL_PENTAGON)
     assert danzer_grunbaum_check([(0, 0, 0), (3, 1, 2)])
-    with pytest.raises(ValueError):
-        danzer_grunbaum_check([(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("points,message", [
+    ([(0, 0), (0, 0)], "points must be distinct"),
+    ([], "need at least one point"),
+    ([(0, 0), (1, 0, 0)], "points must share a dimension"),
+], ids=["repeated", "empty", "mixed-dimension"])
+def test_dg_check_refuses_a_malformed_point_list(points, message):
+    with pytest.raises(ValueError, match=message):
+        danzer_grunbaum_check(points)
 
 
 def test_dg_check_decides_one_lp_per_orbit(monkeypatch):

@@ -36,6 +36,12 @@ def test_hypercube_counts(m):
     assert t.num_generators == 2 ** m
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_a_hypercube_below_one_dimension_is_refused(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        hypercube_theory(m)
+
+
 def test_hypercube_effect_reads_the_sign():
     m = 4
     t = hypercube_theory(m)

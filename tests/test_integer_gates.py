@@ -1,9 +1,11 @@
 """The exact substitution gates run on integer rows (linalg.integer_rows).
 Each is compared here with the plain Fraction formula it replaces, on
 accepted answers and on forged ones, and the rows are shown to follow the
-theory they belong to."""
+theory they belong to. On float theories the same gates are compared with
+the comparisons made one generator at a time."""
 
 import itertools
+import math
 import pickle
 import random
 from dataclasses import replace
@@ -11,15 +13,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (boxed_random_lp, plain_dot, plain_is_effect, plain_is_measurement,
-                      plain_verify_witness, random_lifted_theory)
+from conftest import (boxed_random_lp, float_ngon, plain_dot, plain_is_effect,
+                      plain_is_measurement, plain_verify_witness, random_lifted_theory)
 from polygpt import lp, simplex
 from polygpt.capacity import verify_hypercube_memory
 from polygpt.discrimination import is_perfectly_distinguishable, verify_witness
-from polygpt.families import hypercube_effect, hypercube_theory
+from polygpt.families import hypercube_effect, hypercube_theory, ngon_theory
 from polygpt.linalg import integer_rows
-from polygpt.theory import (Measurement, conic_weights, convex_weights, is_effect,
+from polygpt.theory import (FLOAT, Measurement, conic_weights, convex_weights, is_effect,
                             is_measurement, reduce_to_pure_states)
+from test_float_refusals import _float
 
 # Perturbations: one step of a small denominator, and one far below any
 # coordinate's own denominator.
@@ -253,6 +256,64 @@ def test_witness_gates_match_the_fraction_formula():
                 assert is_measurement(t, m) == plain_is_measurement(t, m)
                 assert verify_witness(t, states, m) == plain_verify_witness(t, states, m)
     assert witnesses > 0
+
+
+# --- the same gates on float theories, against per-generator comparisons -------
+
+def per_generator_is_effect(t, e):
+    values = (plain_dot(e, g) for g in t.generators)
+    return all(not v < -t.tol and not v - 1 > t.tol for v in values)
+
+
+def per_generator_is_measurement(t, m):
+    return (all(per_generator_is_effect(t, e) for e in m.effects)
+            and all(abs(sum(col) - x) <= t.tol for col, x in zip(zip(*m.effects), t.unit)))
+
+
+def per_generator_verify_witness(t, states, m):
+    return (len(m.effects) == len(states) and per_generator_is_measurement(t, m)
+            and all(abs(plain_dot(e, s) - (i == j)) <= t.tol
+                    for i, e in enumerate(m.effects) for j, s in enumerate(states)))
+
+
+def near_the_bounds(t, e):
+    """Copies of e moved along the unit (1, 0, ..., 0), which adds the same
+    amount to its value on every generator, so that its least value lies
+    within three ulps of -tol or 1e-12 to either side of it, and then its
+    largest value likewise about 1 + tol."""
+    values = [plain_dot(e, g) for g in t.generators]
+    for target, extreme in ((-t.tol, min(values)), (1 + t.tol, max(values))):
+        x = e[0] + (target - extreme)
+        walk = [x]
+        for _ in range(3):
+            walk = [math.nextafter(walk[0], -math.inf), *walk, math.nextafter(walk[-1], math.inf)]
+        for x0 in (*walk, x - 1e-12, x + 1e-12):
+            yield (x0, *e[1:])
+
+
+FLOAT_THEORIES = ([ngon_theory(n) if n != 6 else float_ngon(6) for n in range(5, 13)]
+                  + [_float(hypercube_theory(5))])
+
+
+@pytest.mark.parametrize("t", FLOAT_THEORIES, ids=[t.name for t in FLOAT_THEORIES])
+def test_float_witness_gates_match_the_per_generator_comparisons(t):
+    assert t.numeric_mode == FLOAT and t.unit == (1.0,) + (0.0,) * (t.dim - 1)
+    seen = {True: 0, False: 0}
+    for states in itertools.islice(itertools.combinations(t.generators, 2), 40):
+        answer = is_perfectly_distinguishable(t, states, validate=False)
+        if not answer.distinguishable:
+            continue
+        meas = answer.witness
+        assert verify_witness(t, states, meas) and per_generator_verify_witness(t, states, meas)
+        for i, e in enumerate(meas.effects):
+            for forged in near_the_bounds(t, e):
+                accepted = is_effect(t, forged)
+                seen[accepted] += 1
+                assert accepted == per_generator_is_effect(t, forged)
+                m = Measurement(meas.effects[:i] + (forged,) + meas.effects[i + 1:])
+                assert is_measurement(t, m) == per_generator_is_measurement(t, m)
+                assert verify_witness(t, states, m) == per_generator_verify_witness(t, states, m)
+    assert seen[True] > 0 and seen[False] > 0
 
 
 # --- the membership re-check in theory._combination_weights ---------------------

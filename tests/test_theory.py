@@ -12,7 +12,8 @@ from conftest import (SYMMETRIC_FAMILIES, exact_bland_runs, linearly_independent
 from polygpt import simplex
 from polygpt import theory as theory_module
 from polygpt.fixtures import fixtures
-from polygpt.families import build_family, classical_simplex, hypercube_effect, hypercube_theory
+from polygpt.families import (build_family, classical_simplex, hypercube_effect, hypercube_theory,
+                              ngon_theory)
 from polygpt.theory import (EXACT, FLOAT, Measurement, Theory, conic_weights, is_effect,
                             is_measurement, is_state, make_theory,
                             reduce_to_pure_states, theory_from_json, theory_to_json,
@@ -73,6 +74,22 @@ def test_zero_and_unit_are_effects():
     t = hypercube_theory(2)
     assert is_effect(t, (F(0), F(0), F(0)))
     assert is_effect(t, t.unit)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("effect", [(NAN, 0.0, 0.0), (0.5, NAN, 0.0), (0.5, 0.0, NAN),
+                                    (INF, 0.0, 0.0), (0.5, -INF, 0.0)],
+                         ids=["nan-0", "nan-1", "nan-2", "inf", "minus-inf"])
+def test_a_float_theory_refuses_an_effect_that_is_not_finite(effect):
+    # Every comparison with a NaN is false, so a bound tested as
+    # "not v < -tol" lets a NaN value through.
+    t = ngon_theory(5)
+    assert is_effect(t, (0.5, 0.0, 0.0))
+    assert not is_effect(t, effect)
+    rest = tuple(u - v for u, v in zip(t.unit, effect))
+    assert not is_measurement(t, Measurement((effect, rest)))
 
 
 def test_hypercube_face_effect_and_binary_measurement():
